@@ -21,8 +21,8 @@ import numpy as np
 
 from .dynamics import dynamical_scan
 from .errors import NumericalError
-from .floquet import KickParams, floquet_operator, generator_factors
-from .localization import sphere_averaged_s2, sphere_grid
+from .floquet import KickParams, floquet_operator
+from .localization import probe_columns, sphere_averaged_s2, sphere_grid
 from .spectral import (DEFAULT_BOUND_TOL, parity_resolved_r, sector_eigenphases,
                        stage_borders, stage_classify)
 from .symmetry import verify_symmetries
@@ -124,18 +124,10 @@ def _pool_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _warm_cache(two_j: int, delta: float) -> None:
-    # build the generator factors once in the main thread so workers only read
-    if delta == 0.0:
-        generator_factors(two_j, "x")
-        generator_factors(two_j, "y")
-
-
 def cmd_spectrum(args) -> None:
     two_j = validate_two_j(args.two_j)
     lo, hi = parse_range(args.kxky)
     products = _grid(lo, hi, args.steps)
-    _warm_cache(two_j, args.delta)
 
     def point(product: float) -> list:
         kx, ky = _split_product(product, args.ratio)
@@ -157,7 +149,6 @@ def cmd_rgrid(args) -> None:
     kx_values = _grid(kx_lo, kx_hi, args.steps)
     ky_values = _grid(ky_lo, ky_hi, args.steps)
     points = [(kx, ky) for kx in kx_values for ky in ky_values]
-    _warm_cache(two_j, args.delta)
 
     def point(pair) -> list:
         kx, ky = pair
@@ -175,14 +166,13 @@ def cmd_rcurve(args) -> None:
     two_j = validate_two_j(args.two_j)
     lo, hi = parse_range(args.kxky)
     products = _grid(lo, hi, args.steps)
-    _warm_cache(two_j, args.delta)
 
     def point(product: float) -> list:
         kx, ky = _split_product(product, args.ratio)
         params = KickParams(kappa_x=kx, kappa_y=ky, delta=args.delta, variant=args.variant)
-        operator = floquet_operator(params, two_j)
-        stats = parity_resolved_r(operator)
-        eps = np.concatenate(sector_eigenphases(operator))
+        sectors = sector_eigenphases(floquet_operator(params, two_j))
+        stats = parity_resolved_r(sectors)
+        eps = np.concatenate(sectors)
         n_bound = int((np.minimum(np.abs(eps), np.abs(np.pi - np.abs(eps)))
                        <= args.tol_bound).sum())
         return [product, stats["r_mean"], stage_classify(kx, ky, two_j), n_bound]
@@ -199,12 +189,12 @@ def cmd_entropy(args) -> None:
     if np.any(products <= 0):
         raise ValueError("entropy needs strictly positive kick products")
     grid = sphere_grid(args.grid, args.grid)
-    _warm_cache(two_j, args.delta)
+    probes = probe_columns(two_j, grid)
 
     def point(product: float) -> list:
         kx, ky = _split_product(product, args.ratio)
         params = KickParams(kappa_x=kx, kappa_y=ky, delta=args.delta, variant=args.variant)
-        result = sphere_averaged_s2(floquet_operator(params, two_j), grid)
+        result = sphere_averaged_s2(floquet_operator(params, two_j), grid, probes)
         return [product, result.s2_mean, stage_classify(kx, ky, two_j), result.baseline]
 
     rows = _pool_map(point, products.tolist(), args.workers)
@@ -218,7 +208,6 @@ def cmd_dynamics(args) -> None:
     n_x_list = [int(tok) for tok in args.nx.split(",") if tok]
     if not n_x_list:
         raise ValueError("--nx must list at least one integer")
-    _warm_cache(two_j, args.delta)
 
     def column(n_x: int):
         return dynamical_scan(two_j, kappa_y, args.z0, [n_x], args.n_max,
@@ -341,6 +330,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .floquet import FloquetOperator, KickParams, floquet_operator, refresh
+from .floquet import FloquetOperator, KickParams, floquet_operator
 from .meanfield import allowed_kappa_x
 from .spin import coherent_state, m_values, product_state
+from .symmetry import sector_indices
 
 NORM_DRIFT_TOL = 1e-8
 
@@ -35,25 +36,28 @@ def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
                         n_max: int) -> DynamicsSeries:
     """Evolve psi0 by repeated application of the one-period unitary.
 
-    Aborts with NumericalError if the state norm drifts by more than
-    1e-8 at any kick.  Entry 0 of the series is the initial state.
+    The state is kicked one parity sector at a time with the two
+    (2j+1)-dimensional sector blocks.  Aborts with NumericalError if the
+    state norm drifts by more than 1e-8 at any kick.  Entry 0 of the
+    series is the initial state.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
-    u = operator.u
-    jz_diag = np.repeat(m_values(operator.two_j), 2)
+    blocks = operator.sector_blocks()
+    # each sector holds one state per m, in ascending m
+    jz_diag = m_values(operator.two_j)
     means = np.empty(n_max + 1)
     stds = np.empty(n_max + 1)
-    psi = psi0.astype(complex, copy=True)
+    sectors = [psi0[idx].astype(complex) for idx in sector_indices(operator.two_j)]
     for n in range(n_max + 1):
         if n > 0:
-            psi = u @ psi
-            drift = abs(np.linalg.norm(psi) - 1.0)
+            sectors = [block @ psi for block, psi in zip(blocks, sectors)]
+            drift = abs(math.hypot(*(np.linalg.norm(psi) for psi in sectors)) - 1.0)
             if drift > NORM_DRIFT_TOL:
                 raise NumericalError(f"norm drifted by {drift:.2e} at kick {n}")
-        weights = np.abs(psi) ** 2
+        weights = sum(np.abs(psi) ** 2 for psi in sectors)
         m1 = float(jz_diag @ weights)
         m2 = float((jz_diag ** 2) @ weights)
         means[n] = m1
@@ -102,22 +106,20 @@ def dynamical_scan(two_j: int, kappa_y: float, z0: float, n_x_list,
     """Evolve the z0 probe at every allowed kappa_x from the n_x ladder.
 
     The initial state is |arccos(z0), 0> (x) |up>.  Raises ValueError if
-    any requested n_x has no real allowed kick strength.
+    |z0| >= 1 or if any requested n_x has no real allowed kick strength.
     """
-    theta0 = math.acos(z0)
+    if not abs(z0) < 1.0:
+        raise ValueError(f"|z0| must be < 1, got {z0!r}")
+    psi0 = product_state(two_j, coherent_state(two_j, math.acos(z0), 0.0),
+                         np.array([1.0, 0.0]))
     j = two_j / 2.0
     columns = []
-    operator = None
     for n_x in n_x_list:
         kappa_x = allowed_kappa_x(z0, kappa_y, n_x)
         if kappa_x is None:
             raise ValueError(f"no allowed kappa_x for n_x = {n_x} at kappa_y = {kappa_y}")
         params = KickParams(kappa_x=kappa_x, kappa_y=kappa_y, delta=delta, variant=variant)
-        operator = (floquet_operator(params, two_j) if operator is None
-                    else refresh(operator, params))
-        psi0 = product_state(two_j, coherent_state(two_j, theta0, 0.0),
-                             np.array([1.0, 0.0]))
-        series = stroboscopic_series(operator, psi0, n_max)
+        series = stroboscopic_series(floquet_operator(params, two_j), psi0, n_max)
         window = max(1, n_max // 5)
         columns.append(ScanColumn(
             n_x=int(n_x),

@@ -12,27 +12,48 @@ similar, through Y^(1/2), to the complex-symmetric Y^(1/2) X Y^(1/2):
 complex conjugation K survives up to similarity for every delta, and the
 level statistics stay COE rather than CUE.
 
-Kick exponentials are built from a one-time Hermitian eigendecomposition
-of the generator J_a sigma_a / j per (two_j, axis), cached at module
-level, so sweeping kick strengths costs two matrix multiplications per
-kick instead of a fresh diagonalization.
+Parity splits the coupled space into two sectors of dimension d = 2j+1
+(symmetry.sector_indices).  In sector order (ascending m) every kick
+generator is real:
+
+* Jx sigma_x / j is the tridiagonal T = Jx / j;
+* Jy sigma_y / j is S T S, with S a diagonal +-1 gauge of period 4
+  (++-- or +--+, set by the sector and the parity of 2j);
+* sigma_z is a diagonal +-1, Z.
+
+One cached eigensystem T = V diag(lam) V^T per two_j (spin.jx_eigensystem)
+therefore serves both axes and both sectors, and a delta kick is the
+tridiagonal eigenproblem of kappa T + delta Z, of size d.
+
+Each sector is stored as a complex-symmetric unitary core, the
+symmetrized ordering O^(1/2) I O^(1/2) of an outer kick O and an inner
+kick I written in the eigenbasis of O, plus the unitary frame that maps
+it to the sector block: block = frame @ core @ frame^dag.  With
+delta = 0 the core is D C D_i C^T D, with diagonal phases D, D_i and the
+cached real orthogonal C = V^T S V.  The frame is the real eigenbasis
+of O for sym1 (O = Y) and sym2 (O = X); for plain it also carries the
+half y kick, because Y X = Y^(1/2) (Y^(1/2) X Y^(1/2)) Y^(-1/2).  The
+dense coupled-space matrix (FloquetOperator.u) and kick_unitary are
+built on demand, for the tests' oracle and for symcheck.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericalError
-from .spin import SIGMA_Z, coupling_operator, dim_top, validate_two_j
+from .spin import (SIGMA_Z, coupling_operator, dim_top, jx_eigensystem, ladder_elements,
+                   validate_two_j)
+from .symmetry import sector_indices
 
 VARIANTS = ("plain", "sym1", "sym2")
 
 UNITARITY_TOL = 1e-10
 
-# (two_j, axis) -> (eigenvalues, eigenvectors) of J_a sigma_a / j.
-# Values are immutable once stored; concurrent builders may race on
-# insertion and duplicate work, but dict assignment keeps reads safe.
-_GENERATOR_CACHE: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
+# two_j -> _Sectors.  Values are immutable once stored; concurrent
+# callers may race on insertion and duplicate work, but reads stay safe.
+_SECTOR_CACHE: dict[int, "_Sectors"] = {}
 
 
 @dataclass(frozen=True)
@@ -57,16 +78,97 @@ class KickParams:
 
 @dataclass
 class FloquetOperator:
-    """One-period unitary with the cached spectral factors of its generators."""
+    """One-period unitary, stored per parity sector.
 
-    u: np.ndarray
+    Sector k, in symmetry.sector_indices order (+1 first), has the block
+    frame[k] @ core[k] @ frame[k]^dag, where core[k] is a complex-symmetric
+    unitary and frame[k] is unitary; both stacks are complex with shape
+    (2, d, d), also where the frame is real.
+    """
+
+    core: np.ndarray
+    frame: np.ndarray
     params: KickParams
     two_j: int
-    factors: dict | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.u.shape[0]
+        return 2 * self.core.shape[-1]
+
+    def sector_blocks(self) -> np.ndarray:
+        """The (2, d, d) stack of sector blocks of the one-period unitary."""
+        return self.frame @ self.core @ self.frame.conj().swapaxes(-1, -2)
+
+    @property
+    def u(self) -> np.ndarray:
+        """The dense D x D unitary on the coupled space, assembled on each access."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for idx, block in zip(sector_indices(self.two_j), self.sector_blocks()):
+            out[np.ix_(idx, idx)] = block
+        return out
+
+
+@dataclass(frozen=True)
+class _Sectors:
+    """Per-two_j data shared by every operator: T's off-diagonal and
+    eigensystem, and per sector the sigma_z diagonal, the y gauge S and
+    C = V^T S V.  Arrays are read-only."""
+
+    offdiag: np.ndarray      # (d-1,)
+    lam: np.ndarray          # (d,)
+    vecs: np.ndarray         # (d, d)
+    z: np.ndarray            # (2, d)
+    gauge: np.ndarray        # (2, d)
+    overlap: np.ndarray      # (2, d, d)
+
+
+def _sectors(two_j: int) -> _Sectors:
+    cached = _SECTOR_CACHE.get(two_j)
+    if cached is not None:
+        return cached
+    j = two_j / 2.0
+    evals, vecs = jx_eigensystem(two_j)
+    # flat index 2(j + m) + s: within a sector the spin s alternates with m
+    spin = np.array([idx % 2 for idx in sector_indices(two_j)])
+    z = 1.0 - 2.0 * spin
+    # <m+1, 1-s| Jy sigma_y |m, s> = +-<m+1| Jx |m>, the sign set by s
+    gauge = np.concatenate([np.ones((2, 1)), np.cumprod(z[:, :-1], axis=1)], axis=1)
+    overlap = (vecs.T * gauge[:, None, :]) @ vecs
+    sectors = _Sectors(offdiag=ladder_elements(two_j) / (2.0 * j), lam=evals / j,
+                       vecs=vecs, z=z, gauge=gauge, overlap=overlap)
+    for value in (sectors.offdiag, sectors.lam, sectors.z, sectors.gauge, sectors.overlap):
+        value.setflags(write=False)
+    return _SECTOR_CACHE.setdefault(two_j, sectors)
+
+
+def _sector_core(sectors: _Sectors, k: int, params: KickParams):
+    """Core and frame of sector k: outer kick exp(-i outer_lam) in the
+    real basis outer_vecs, inner kick exp(-i inner_lam), C their overlap."""
+    gauge = sectors.gauge[k]
+    if params.delta == 0.0:
+        overlap = sectors.overlap[k]
+        if params.variant == "sym2":
+            outer_lam, inner_lam = params.kappa_x * sectors.lam, params.kappa_y * sectors.lam
+            outer_vecs = sectors.vecs
+        else:
+            outer_lam, inner_lam = params.kappa_y * sectors.lam, params.kappa_x * sectors.lam
+            outer_vecs = gauge[:, None] * sectors.vecs
+    else:
+        # y kick in the gauge S: S (kappa_y T + delta Z) S is the y generator
+        diag = params.delta * sectors.z[k]
+        outer_lam, outer_vecs = scipy.linalg.eigh_tridiagonal(
+            diag, params.kappa_y * sectors.offdiag)
+        inner_lam, inner_vecs = scipy.linalg.eigh_tridiagonal(
+            diag, params.kappa_x * sectors.offdiag)
+        outer_vecs = gauge[:, None] * outer_vecs
+        overlap = outer_vecs.T @ inner_vecs
+    half = np.exp(-0.5j * outer_lam)
+    # C exp(-i inner_lam) C^T as two real products
+    core = (overlap * np.cos(inner_lam)) @ overlap.T
+    core = core - 1j * ((overlap * np.sin(inner_lam)) @ overlap.T)
+    core *= half[:, None] * half[None, :]
+    frame = outer_vecs * half if params.variant == "plain" else outer_vecs.astype(complex)
+    return core, frame
 
 
 def coupling_generator(axis: str, two_j: int) -> np.ndarray:
@@ -74,30 +176,14 @@ def coupling_generator(axis: str, two_j: int) -> np.ndarray:
     return coupling_operator(axis, two_j) / (validate_two_j(two_j) / 2.0)
 
 
-def generator_factors(two_j: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
-    """Cached eigendecomposition of the kick generator for (two_j, axis)."""
-    key = (validate_two_j(two_j), axis)
-    cached = _GENERATOR_CACHE.get(key)
-    if cached is None:
-        evals, evecs = np.linalg.eigh(coupling_generator(axis, two_j))
-        evals.setflags(write=False)
-        evecs.setflags(write=False)
-        cached = _GENERATOR_CACHE.setdefault(key, (evals, evecs))
-    return cached
-
-
-def _kick_from_factors(factors: tuple[np.ndarray, np.ndarray], kappa: float) -> np.ndarray:
-    evals, evecs = factors
-    return (evecs * np.exp(-1j * kappa * evals)) @ evecs.conj().T
-
-
 def kick_unitary(axis: str, kappa: float, two_j: int, delta: float = 0.0) -> np.ndarray:
-    """exp(-i [ (kappa/j) J_a sigma_a + delta sigma_z ]) on the coupled space."""
+    """exp(-i [ (kappa/j) J_a sigma_a + delta sigma_z ]) on the coupled space.
+
+    A dense, uncached diagonalization of the D x D generator: the oracle
+    that tests hold the sector-reduced operator against.
+    """
     if kappa < 0 or delta < 0:
         raise ValueError("kappa and delta must be non-negative")
-    if delta == 0.0:
-        return _kick_from_factors(generator_factors(two_j, axis), kappa)
-    # the delta term is not a kappa-scaling of a fixed generator, so no cache
     gen = kappa * coupling_generator(axis, two_j)
     gen += delta * np.kron(np.eye(dim_top(two_j)), SIGMA_Z)
     evals, evecs = np.linalg.eigh(gen)
@@ -105,23 +191,9 @@ def kick_unitary(axis: str, kappa: float, two_j: int, delta: float = 0.0) -> np.
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-element deviation of U^dag U from the identity."""
-    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-
-
-def _assemble(two_j: int, params: KickParams, factors: dict | None) -> np.ndarray:
-    if params.delta > 0.0:
-        kick_x = kick_unitary("x", params.kappa_x, two_j, params.delta)
-        kick_y = kick_unitary("y", params.kappa_y, two_j, params.delta)
-        return kick_y @ kick_x
-    fx, fy = factors["x"], factors["y"]
-    if params.variant == "plain":
-        return _kick_from_factors(fy, params.kappa_y) @ _kick_from_factors(fx, params.kappa_x)
-    if params.variant == "sym1":
-        half = _kick_from_factors(fy, params.kappa_y / 2.0)
-        return half @ _kick_from_factors(fx, params.kappa_x) @ half
-    half = _kick_from_factors(fx, params.kappa_x / 2.0)
-    return half @ _kick_from_factors(fy, params.kappa_y) @ half
+    """Max-element deviation of U^dag U from the identity, over a stack
+    (..., n, n) of matrices at once."""
+    return float(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max())
 
 
 def floquet_operator(params: KickParams, two_j: int) -> FloquetOperator:
@@ -132,29 +204,10 @@ def floquet_operator(params: KickParams, two_j: int) -> FloquetOperator:
     y kick in half x kicks.  All three share one spectrum.
     """
     two_j = validate_two_j(two_j)
-    factors = None
-    if params.delta == 0.0:
-        factors = {"x": generator_factors(two_j, "x"), "y": generator_factors(two_j, "y")}
-    u = _assemble(two_j, params, factors)
-    defect = unitarity_defect(u)
+    sectors = _sectors(two_j)
+    cores, frames = zip(*(_sector_core(sectors, k, params) for k in range(2)))
+    core = np.stack(cores)
+    defect = unitarity_defect(core)
     if defect > UNITARITY_TOL:
         raise NumericalError(f"constructed operator has unitarity defect {defect:.2e}")
-    return FloquetOperator(u=u, params=params, two_j=two_j, factors=factors)
-
-
-def refresh(operator: FloquetOperator, params: KickParams) -> FloquetOperator:
-    """Rebuild at new kick strengths, reusing the operator's cached factors.
-
-    The variant and delta must match the original; refreshing to the
-    identical parameters reproduces the identical matrix bit for bit.
-    """
-    old = operator.params
-    if params.variant != old.variant:
-        raise ValueError(f"variant mismatch: cached {old.variant!r}, requested {params.variant!r}")
-    if params.delta != old.delta:
-        raise ValueError(f"delta mismatch: cached {old.delta!r}, requested {params.delta!r}")
-    u = _assemble(operator.two_j, params, operator.factors)
-    defect = unitarity_defect(u)
-    if defect > UNITARITY_TOL:
-        raise NumericalError(f"refreshed operator has unitarity defect {defect:.2e}")
-    return FloquetOperator(u=u, params=params, two_j=operator.two_j, factors=operator.factors)
+    return FloquetOperator(core=core, frame=np.stack(frames), params=params, two_j=two_j)

@@ -80,8 +80,12 @@ class LocalizationResult:
     baseline: float
 
 
-def _probe_columns(two_j: int, grid: SphereGrid) -> np.ndarray:
-    """All probe states of the grid as columns, ordered theta-major."""
+def probe_columns(two_j: int, grid: SphereGrid) -> np.ndarray:
+    """All probe states of the grid as columns, ordered theta-major.
+
+    They depend only on two_j and the grid, so a sweep builds them once
+    and passes them to every sphere_averaged_s2 call.
+    """
     d = dim_top(two_j)
     m = m_values(two_j)
     cols = np.empty((2 * d, grid.z_nodes.size * grid.phi_nodes.size), dtype=complex)
@@ -96,12 +100,14 @@ def _probe_columns(two_j: int, grid: SphereGrid) -> np.ndarray:
     return cols
 
 
-def sphere_averaged_s2(source, grid: SphereGrid | None = None) -> LocalizationResult:
+def sphere_averaged_s2(source, grid: SphereGrid | None = None,
+                       probes: np.ndarray | None = None) -> LocalizationResult:
     """Renyi entropy of the coherent probe averaged over the Bloch sphere.
 
-    source is a FloquetOperator or a precomputed QuasiSpectrum.  Kick
-    strengths of zero are rejected: the eigenbasis of a degenerate
-    operator is not unique, so the IPR would be gauge-dependent.
+    source is a FloquetOperator or a precomputed QuasiSpectrum.  probes,
+    when given, must be probe_columns(two_j, grid).  Kick strengths of
+    zero are rejected: the eigenbasis of a degenerate operator is not
+    unique, so the IPR would be gauge-dependent.
     """
     if isinstance(source, FloquetOperator):
         params = source.params
@@ -113,7 +119,11 @@ def sphere_averaged_s2(source, grid: SphereGrid | None = None) -> LocalizationRe
     if grid is None:
         grid = sphere_grid()
     dim = spectrum.dim
-    probes = _probe_columns(spectrum.two_j, grid)
+    if probes is None:
+        probes = probe_columns(spectrum.two_j, grid)
+    elif probes.shape != (dim, grid.weights.size):
+        raise ValueError(f"probe columns of shape {probes.shape} do not match "
+                         f"dimension {dim} and a grid of {grid.weights.size} nodes")
     probs = np.abs(spectrum.vectors.conj().T @ probes) ** 2
     defect = np.abs(probs.sum(axis=0) - 1.0).max()
     if defect > COMPLETENESS_TOL:

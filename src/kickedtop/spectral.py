@@ -1,11 +1,20 @@
 """Quasi-energy spectra, level-spacing statistics, stages, bound states.
 
 Quasi-energies are the eigenphases of the one-period unitary,
-U |e> = exp(-i eps) |e>, taken on the branch (-pi, pi].  Because parity
-is conserved, diagonalization happens per parity sector (complex Schur
-on each block), which keeps degenerate partners from mixing across
-sectors and halves the cost; spacing statistics are always computed
-within a sector and averaged, since the sectors are decoupled.
+U |e> = exp(-i eps) |e>, taken on the branch (-pi, pi].  Parity is
+conserved, so diagonalization happens per parity sector, which keeps
+degenerate partners from mixing across sectors; spacing statistics are
+always computed within a sector and averaged, since the sectors are
+decoupled.
+
+Each sector of a FloquetOperator is a complex-symmetric unitary core
+M = R + i I.  Unitarity makes the real symmetric R and I commute, so one
+real symmetric eigh of R + MIX * I gives a real orthonormal eigenbasis
+of M, and Rayleigh quotients give the eigenphases.  Two eigenphases
+e1, e2 share an eigenvalue of R + MIX * I when e1 + e2 = -2 atan(MIX)
+(mod 2 pi), and eigh may then mix their eigenvectors; the eigenpair
+residual of every sector is checked, and a sector above
+EIGEN_RESIDUAL_TOL falls back to complex Schur.
 """
 
 from dataclasses import dataclass
@@ -19,7 +28,13 @@ from .symmetry import sector_indices
 
 UNITARITY_REJECT = 1e-8
 EIGEN_RESIDUAL_TOL = 1e-8
-OFFBLOCK_TOL = 1e-10
+
+# Weight of Im M in R + MIX * I, whose eigenvalues are
+# sqrt(1 + MIX^2) cos(eps + atan(MIX)).  0 would merge every chiral pair
+# +-eps.  A near-degenerate pair loses the most eigenvector accuracy where
+# that cosine is flat, at eps = -atan(MIX) and pi - atan(MIX); MIX = 1 puts
+# those points, -pi/4 and 3pi/4, farthest from the bound states at 0 and pi.
+MIX = 1.0
 
 STAGES = ("topological", "quasi_integrable", "transition", "chaotic")
 
@@ -50,71 +65,78 @@ def _branch(eps: np.ndarray) -> np.ndarray:
     return np.where(eps <= -np.pi, eps + 2.0 * np.pi, eps)
 
 
-def sector_eigenphases(operator: FloquetOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted quasi-energies of the two parity blocks (no eigenvectors).
-
-    The light-weight path for spacing statistics over parameter sweeps.
-    """
-    u = operator.u
-    defect = unitarity_defect(u)
+def _check_unitary(operator: FloquetOperator) -> None:
+    defect = unitarity_defect(operator.core)
     if defect > UNITARITY_REJECT:
         raise NumericalError(f"operator is not unitary (defect {defect:.2e})")
-    out = []
-    for idx in sector_indices(operator.two_j):
-        block = u[np.ix_(idx, idx)]
-        evals = np.linalg.eigvals(block)
-        out.append(np.sort(_branch(-np.angle(evals))))
-    return out[0], out[1]
+
+
+def _residual(m_vectors: np.ndarray, vectors: np.ndarray, eps: np.ndarray) -> float:
+    """Largest ||M v - exp(-i eps) v|| over the eigenpairs, given M @ vectors."""
+    return float(np.linalg.norm(m_vectors - vectors * np.exp(-1j * eps), axis=0).max())
+
+
+def _schur_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases and eigenvectors of a unitary from complex Schur."""
+    try:
+        t, q = scipy.linalg.schur(m, output="complex")
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
+    eps = _branch(-np.angle(np.diag(t)))
+    worst = _residual(m @ q, q, eps)
+    if worst > EIGEN_RESIDUAL_TOL:
+        raise NumericalError(f"eigenpair residual {worst:.2e} exceeds {EIGEN_RESIDUAL_TOL}")
+    return eps, q
+
+
+def sector_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases (unsorted) and orthonormal eigenvectors of a
+    complex-symmetric unitary, with a complex Schur fallback."""
+    _, vectors = np.linalg.eigh(m.real + MIX * m.imag)
+    m_vectors = m.real @ vectors + 1j * (m.imag @ vectors)
+    eps = _branch(-np.angle(np.einsum("ij,ij->j", vectors, m_vectors)))
+    if _residual(m_vectors, vectors, eps) > EIGEN_RESIDUAL_TOL:
+        return _schur_eigenpairs(m)
+    return eps, vectors
+
+
+def sector_eigenphases(operator: FloquetOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted quasi-energies of the two parity sectors (+1 first).
+
+    The light-weight path for spacing statistics over parameter sweeps.
+    Raises NumericalError like quasi_spectrum.
+    """
+    _check_unitary(operator)
+    eps_plus, eps_minus = (np.sort(sector_eigenpairs(core)[0]) for core in operator.core)
+    return eps_plus, eps_minus
 
 
 def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
     """Diagonalize per parity sector and assemble the sorted spectrum.
 
-    Raises NumericalError when the operator is not unitary to 1e-8, when
-    the parity off-diagonal blocks are not negligible, or when any
-    eigenpair residual ||U v - exp(-i eps) v|| exceeds 1e-8.
+    Raises NumericalError when the operator is not unitary to 1e-8, or
+    when an eigenpair residual ||U v - exp(-i eps) v|| exceeds 1e-8 even
+    after the Schur fallback.
     """
-    u = operator.u
-    two_j = operator.two_j
-    defect = unitarity_defect(u)
-    if defect > UNITARITY_REJECT:
-        raise NumericalError(f"operator is not unitary (defect {defect:.2e})")
-
-    dim = u.shape[0]
-    idx_plus, idx_minus = sector_indices(two_j)
-    offblock = max(np.abs(u[np.ix_(idx_plus, idx_minus)]).max(),
-                   np.abs(u[np.ix_(idx_minus, idx_plus)]).max())
-    if offblock > OFFBLOCK_TOL:
-        raise NumericalError(f"parity off-diagonal norm {offblock:.2e}; cannot split sectors")
-
+    _check_unitary(operator)
+    dim = operator.dim
     epsilons = np.empty(dim)
     vectors = np.zeros((dim, dim), dtype=complex)
     parity = np.empty(dim, dtype=int)
     col = 0
-    for sign, idx in ((1, idx_plus), (-1, idx_minus)):
-        block = u[np.ix_(idx, idx)]
-        try:
-            t, q = scipy.linalg.schur(block, output="complex")
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalError(f"Schur decomposition failed: {exc}") from exc
+    for sign, idx, core, frame in zip((1, -1), sector_indices(operator.two_j),
+                                      operator.core, operator.frame):
+        eps, vecs = sector_eigenpairs(core)
         cols = np.arange(col, col + idx.size)
-        epsilons[cols] = _branch(-np.angle(np.diag(t)))
-        vectors[np.ix_(idx, cols)] = q
+        epsilons[cols] = eps
+        vectors[np.ix_(idx, cols)] = frame @ vecs
         parity[cols] = sign
         col += idx.size
 
     order = np.argsort(epsilons, kind="stable")
-    epsilons = epsilons[order]
-    vectors = vectors[:, order]
-    parity = parity[order]
-
-    residual = u @ vectors - vectors * np.exp(-1j * epsilons)[None, :]
-    worst = float(np.linalg.norm(residual, axis=0).max())
-    if worst > EIGEN_RESIDUAL_TOL:
-        raise NumericalError(f"eigenpair residual {worst:.2e} exceeds {EIGEN_RESIDUAL_TOL}")
-
-    return QuasiSpectrum(two_j=two_j, params=operator.params,
-                         epsilons=epsilons, vectors=vectors, parity=parity)
+    return QuasiSpectrum(two_j=operator.two_j, params=operator.params,
+                         epsilons=epsilons[order], vectors=vectors[:, order],
+                         parity=parity[order])
 
 
 def mean_spacing_ratio(epsilons: np.ndarray) -> float:
@@ -136,15 +158,18 @@ def mean_spacing_ratio(epsilons: np.ndarray) -> float:
 def parity_resolved_r(source) -> dict:
     """Spacing-ratio statistics per parity sector and their weighted mean.
 
-    Accepts a FloquetOperator or a QuasiSpectrum.  Mixing the decoupled
-    sectors would depress r, so the ratio is always computed within a
-    sector; r_mean weights each sector by its ratio count.
+    Accepts a FloquetOperator, a QuasiSpectrum, or the pair of sector
+    quasi-energy arrays that sector_eigenphases returns.  Mixing the
+    decoupled sectors would depress r, so the ratio is always computed
+    within a sector; r_mean weights each sector by its ratio count.
     """
     if isinstance(source, FloquetOperator):
         eps_plus, eps_minus = sector_eigenphases(source)
-    else:
+    elif isinstance(source, QuasiSpectrum):
         eps_plus = source.epsilons[source.parity == 1]
         eps_minus = source.epsilons[source.parity == -1]
+    else:
+        eps_plus, eps_minus = (np.asarray(eps, dtype=float) for eps in source)
     if eps_plus.size < 3 or eps_minus.size < 3:
         raise ValueError("each parity sector needs at least 3 levels")
     r_plus = mean_spacing_ratio(eps_plus)

@@ -10,12 +10,17 @@ Basis conventions used throughout the package:
 * spins are specified by the integer two_j = 2j, so integer and
   half-integer j share one code path.
 
-All matrices are dense complex arrays; construction is deterministic.
+The matrix constructors return dense complex arrays.  Rotations about y and
+coherent states come from one cached eigensystem per two_j of the real
+tridiagonal Jx, through the exact gauge Jy = G Jx G^dag with
+G = diag((-i)^k), k = j + m; the Floquet engine reuses the same
+eigensystem for both kick axes.  Construction is deterministic.
 """
 
 from collections import namedtuple
 
 import numpy as np
+import scipy.linalg
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -25,8 +30,11 @@ _PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 AngularMomentum = namedtuple("AngularMomentum", ["jx", "jy", "jz", "jplus", "jminus"])
 
-# eigendecomposition of Jy per two_j, reused for every y rotation
-_JY_EIG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# eigendecomposition of the real tridiagonal Jx per two_j, read-only once stored
+_JX_EIG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+# (-i)^k for k mod 4, exact; (-1j) ** k is off by up to 8e-14 for k <= 401
+_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
 def validate_two_j(two_j):
@@ -73,13 +81,18 @@ def jz_matrix(two_j: int) -> np.ndarray:
     return np.diag(m_values(two_j)).astype(complex)
 
 
+def ladder_elements(two_j: int) -> np.ndarray:
+    """The 2j subdiagonal entries sqrt(j(j+1) - m(m+1)) of J+, m = -j..j-1."""
+    j = validate_two_j(two_j) / 2.0
+    m = m_values(two_j)[:-1]
+    return np.sqrt(j * (j + 1) - m * (m + 1))
+
+
 def jplus_matrix(two_j: int) -> np.ndarray:
     """Raising operator, J+ |m> = sqrt(j(j+1) - m(m+1)) |m+1>."""
-    j = validate_two_j(two_j) / 2.0
-    m = m_values(two_j)
-    d = two_j + 1
+    d = dim_top(two_j)
     jp = np.zeros((d, d), dtype=complex)
-    jp[np.arange(1, d), np.arange(d - 1)] = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
+    jp[np.arange(1, d), np.arange(d - 1)] = ladder_elements(two_j)
     return jp
 
 
@@ -109,21 +122,34 @@ def embed_top(op_top: np.ndarray) -> np.ndarray:
     return np.kron(op_top, np.eye(2, dtype=complex))
 
 
-def _jy_eig(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+def jx_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached eigenvalues and real orthogonal eigenvectors of Jx (read-only).
+
+    Jx is real symmetric tridiagonal with zero diagonal and off-diagonal
+    entries half the ladder elements.  Concurrent callers may race on the
+    first insertion and duplicate the work; reads stay safe.
+    """
     two_j = validate_two_j(two_j)
-    cached = _JY_EIG_CACHE.get(two_j)
+    cached = _JX_EIG_CACHE.get(two_j)
     if cached is None:
-        evals, evecs = np.linalg.eigh(angular_momentum_matrices(two_j).jy)
+        evals, evecs = scipy.linalg.eigh_tridiagonal(np.zeros(two_j + 1),
+                                                     ladder_elements(two_j) / 2.0)
         evals.setflags(write=False)
         evecs.setflags(write=False)
-        cached = _JY_EIG_CACHE.setdefault(two_j, (evals, evecs))
+        cached = _JX_EIG_CACHE.setdefault(two_j, (evals, evecs))
     return cached
+
+
+def _y_gauge(two_j: int) -> np.ndarray:
+    """Diagonal of G = diag((-i)^k), k = j + m, with Jy = G Jx G^dag exactly."""
+    return _MINUS_I_POWERS[np.arange(dim_top(two_j)) % 4]
 
 
 def rotation_about_y(two_j: int, angle: float) -> np.ndarray:
     """exp(-i * angle * Jy) on the top space."""
-    evals, evecs = _jy_eig(two_j)
-    return (evecs * np.exp(-1j * angle * evals)) @ evecs.conj().T
+    evals, evecs = jx_eigensystem(two_j)
+    g = _y_gauge(two_j)
+    return (g[:, None] * evecs * np.exp(-1j * angle * evals)) @ (evecs.T * g.conj())
 
 
 def coherent_state(two_j: int, theta: float, phi: float) -> np.ndarray:
@@ -134,8 +160,9 @@ def coherent_state(two_j: int, theta: float, phi: float) -> np.ndarray:
     """
     if not 0.0 <= theta <= np.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
-    evals, evecs = _jy_eig(two_j)
-    top = evecs @ (np.exp(-1j * theta * evals) * evecs[-1].conj())
+    evals, evecs = jx_eigensystem(two_j)
+    g = _y_gauge(two_j)
+    top = g * (evecs @ (np.exp(-1j * theta * evals) * evecs[-1])) * g[-1].conj()
     return np.exp(-1j * phi * m_values(two_j)) * top
 
 

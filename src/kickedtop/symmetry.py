@@ -28,13 +28,16 @@ explicit element-wise conjugation.
 """
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .floquet import FloquetOperator
 from .spin import SIGMA_Z, dim_top, m_values, rotation_about_y, validate_two_j
 
 KINDS = ("parity", "time_reversal_1", "time_reversal_2", "particle_hole", "chiral")
+
+if TYPE_CHECKING:  # floquet imports this module for the parity sectors
+    from .floquet import FloquetOperator
 
 _ANTIUNITARY = {
     "parity": False,
@@ -123,7 +126,7 @@ def _maxabs(a: np.ndarray) -> float:
     return float(np.abs(a).max())
 
 
-def verify_symmetries(operator: FloquetOperator) -> SymmetryReport:
+def verify_symmetries(operator: "FloquetOperator") -> SymmetryReport:
     """Evaluate every symmetry relation for the given operator.
 
     The time-reversal, particle-hole, and chiral relations hold (residuals

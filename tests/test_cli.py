@@ -72,6 +72,22 @@ def test_bad_two_j_is_config_error(tmp_path):
     assert run_cli("stages", "--two-j", 0) == 2
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_is_config_error(tmp_path, workers):
+    out = tmp_path / "curve.csv"
+    assert run_cli("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 2,
+                   "--workers", workers, "--out", out) == 2
+    assert not out.exists()
+
+
+def test_dynamics_rejects_z0_outside_the_sphere(tmp_path, capsys):
+    out = tmp_path / "dyn.csv"
+    assert run_cli("dynamics", "--two-j", 10, "--ky", "pi:2", "--z0", 1.5,
+                   "--nx", "1", "--n-max", 5, "--out", out) == 2
+    assert "z0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rgrid_symmetric_under_kick_exchange(tmp_path):
     out = tmp_path / "rgrid.csv"
     assert run_cli("rgrid", "--two-j", 40, "--kx", "1:6", "--ky", "1:6",

@@ -20,8 +20,9 @@ def test_norm_conserved_over_many_kicks():
     two_j = 100
     op = floquet_operator(KickParams(2.3, 4.1), two_j)
     psi = product_state(two_j, coherent_state(two_j, np.pi / 3, 0.0), np.array([1.0, 0.0]))
+    u = op.u    # assembled on each access
     for _ in range(500):
-        psi = op.u @ psi
+        psi = u @ psi
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 

@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 
 from kickedtop.floquet import (FloquetOperator, KickParams, coupling_generator,
-                               floquet_operator, kick_unitary, refresh,
-                               unitarity_defect)
-from kickedtop.spin import SIGMA_Z, dim_top
+                               floquet_operator, kick_unitary, unitarity_defect)
+from kickedtop.spin import SIGMA_Z, angular_momentum_matrices, coupling_operator, dim_top
+from kickedtop.symmetry import sector_indices
 
 
 def _expm_kick(axis, kappa, two_j, delta=0.0):
@@ -45,10 +45,13 @@ def test_zero_params_identity_operator():
 
 
 def test_plain_product_matches_expm_oracle():
-    two_j = 20
-    op = floquet_operator(KickParams(1.0, 2.0), two_j)
-    oracle = _expm_kick("y", 2.0, two_j) @ _expm_kick("x", 1.0, two_j)
-    assert np.abs(op.u - oracle).max() < 1e-10
+    for two_j in (20, 21):
+        for delta in (0.0, 0.7):
+            op = floquet_operator(KickParams(1.0, 2.0, delta=delta), two_j)
+            oracle = _expm_kick("y", 2.0, two_j, delta) @ _expm_kick("x", 1.0, two_j, delta)
+            assert np.abs(op.u - oracle).max() < 1e-10
+            dense = kick_unitary("y", 2.0, two_j, delta) @ kick_unitary("x", 1.0, two_j, delta)
+            assert np.abs(op.u - dense).max() < 1e-12
 
 
 def test_plain_order_x_kick_first():
@@ -70,19 +73,42 @@ def test_variant_spectra_agree(variant):
 
 
 def test_sym1_structure():
-    two_j = 8
     kx, ky = 1.1, 2.3
-    op = floquet_operator(KickParams(kx, ky, variant="sym1"), two_j)
-    half = kick_unitary("y", ky / 2.0, two_j)
-    assert np.abs(op.u - half @ kick_unitary("x", kx, two_j) @ half).max() < 1e-12
+    for two_j in (8, 9):
+        op = floquet_operator(KickParams(kx, ky, variant="sym1"), two_j)
+        half = kick_unitary("y", ky / 2.0, two_j)
+        assert np.abs(op.u - half @ kick_unitary("x", kx, two_j) @ half).max() < 1e-12
 
 
 def test_sym2_structure():
-    two_j = 8
     kx, ky = 1.1, 2.3
-    op = floquet_operator(KickParams(kx, ky, variant="sym2"), two_j)
-    half = kick_unitary("x", kx / 2.0, two_j)
-    assert np.abs(op.u - half @ kick_unitary("y", ky, two_j) @ half).max() < 1e-12
+    for two_j in (8, 9):
+        op = floquet_operator(KickParams(kx, ky, variant="sym2"), two_j)
+        half = kick_unitary("x", kx / 2.0, two_j)
+        assert np.abs(op.u - half @ kick_unitary("y", ky, two_j) @ half).max() < 1e-12
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 6, 7, 64, 65, 200, 201])
+def test_generators_are_real_in_each_parity_sector(two_j):
+    # the facts the sector-reduced engine rests on: no entries between the
+    # sectors, Jx sx / j = T = Jx / j, Jy sy / j = S T S for a +-1 gauge S of
+    # period 4, and sz diagonal +-1, each in ascending-m sector order
+    j = two_j / 2.0
+    t = angular_momentum_matrices(two_j).jx.real / j
+    d = dim_top(two_j)
+    gauges = [np.resize([1.0, 1.0, -1.0, -1.0], d), np.resize([1.0, -1.0, -1.0, 1.0], d)]
+    gens = {axis: coupling_operator(axis, two_j) / j for axis in "xy"}
+    gens["z"] = np.kron(np.eye(d), SIGMA_Z)
+    plus, minus = sector_indices(two_j)
+    for idx, other in ((plus, minus), (minus, plus)):
+        blocks = {axis: gen[np.ix_(idx, idx)] for axis, gen in gens.items()}
+        for gen in gens.values():
+            assert not gen[np.ix_(idx, other)].any()
+        assert np.abs(blocks["x"] - t).max() < 1e-15
+        assert min(np.abs(blocks["y"] - s[:, None] * t * s[None, :]).max()
+                   for s in gauges) < 1e-15
+        z = np.diag(blocks["z"])
+        assert np.array_equal(blocks["z"], np.diag(z)) and np.array_equal(np.abs(z), np.ones(d))
 
 
 def test_kick_exchange_symmetry_of_spectrum():
@@ -101,41 +127,10 @@ def test_kick_exchange_symmetry_of_spectrum():
 def test_unitarity(params):
     op = floquet_operator(params, 15)
     assert unitarity_defect(op.u) < 1e-10
-
-
-def test_refresh_identical_params_bit_identical():
-    op = floquet_operator(KickParams(1.0, 2.0), 12)
-    again = refresh(op, KickParams(1.0, 2.0))
-    assert np.array_equal(op.u, again.u)
-
-
-def test_refresh_equals_fresh_construction():
-    op = floquet_operator(KickParams(1.0, 2.0), 12)
-    moved = refresh(op, KickParams(3.0, 2.0))
-    fresh = floquet_operator(KickParams(3.0, 2.0), 12)
-    assert np.abs(moved.u - fresh.u).max() < 1e-10
-
-
-def test_refresh_sweep_unitary():
-    op = floquet_operator(KickParams(0.1, 0.1), 40)
+    # a 100-point sweep of the kick strengths with the same ordering and delta
     for kappa in np.linspace(0.1, 12.0, 100):
-        op = refresh(op, KickParams(kappa, 0.7 * kappa))
-        assert unitarity_defect(op.u) < 1e-10
-
-
-def test_refresh_validates_cache_compatibility():
-    op = floquet_operator(KickParams(1.0, 2.0), 10)
-    with pytest.raises(ValueError):
-        refresh(op, KickParams(1.0, 2.0, variant="sym1"))
-    with pytest.raises(ValueError):
-        refresh(op, KickParams(1.0, 2.0, delta=0.5))
-
-
-def test_refresh_with_delta_rebuilds():
-    op = floquet_operator(KickParams(1.0, 2.0, delta=1.6), 10)
-    moved = refresh(op, KickParams(2.0, 2.0, delta=1.6))
-    fresh = floquet_operator(KickParams(2.0, 2.0, delta=1.6), 10)
-    assert np.abs(moved.u - fresh.u).max() < 1e-10
+        swept = KickParams(kappa, 0.7 * kappa, delta=params.delta, variant=params.variant)
+        assert unitarity_defect(floquet_operator(swept, 40).u) < 1e-10
 
 
 def test_operator_records_inputs():

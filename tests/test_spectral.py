@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+from scipy.stats import ortho_group
 
+from kickedtop import spectral
 from kickedtop.errors import NumericalError
-from kickedtop.floquet import FloquetOperator, KickParams, floquet_operator
-from kickedtop.spectral import (R_COE, R_CUE, R_POISSON, chiral_expectation,
+from kickedtop.floquet import FloquetOperator, KickParams, floquet_operator, kick_unitary
+from kickedtop.spectral import (MIX, R_COE, R_CUE, R_POISSON, chiral_expectation,
                                 detect_bound_states, mean_spacing_ratio,
-                                parity_resolved_r, quasi_spectrum,
+                                parity_resolved_r, quasi_spectrum, sector_eigenpairs,
                                 sector_eigenphases, stage_borders, stage_classify)
 from kickedtop.spin import probe_state
-from kickedtop.symmetry import symmetry_operator
+from kickedtop.symmetry import sector_indices, symmetry_operator
+
+
+def _circle_set_distance(a, b):
+    """Largest distance on the circle from a phase of one set to the nearest of the other."""
+    gaps = np.abs(np.angle(np.exp(1j * (np.asarray(a)[:, None] - np.asarray(b)[None, :]))))
+    return max(gaps.min(axis=1).max(), gaps.min(axis=0).max())
 
 
 def test_identity_spectrum_is_zero():
@@ -58,11 +66,48 @@ def test_sector_eigenphases_match_full_spectrum():
 
 def test_non_unitary_rejected():
     op = floquet_operator(KickParams(1.0, 1.0), 5)
-    bad = FloquetOperator(u=op.u * 1.001, params=op.params, two_j=5)
+    bad = FloquetOperator(core=op.core * 1.001, frame=op.frame, params=op.params, two_j=5)
     with pytest.raises(NumericalError):
         quasi_spectrum(bad)
     with pytest.raises(NumericalError):
         sector_eigenphases(bad)
+
+
+@pytest.mark.parametrize("two_j", [6, 7, 64, 65])
+@pytest.mark.parametrize("variant, delta", [("plain", 0.0), ("sym1", 0.0), ("sym2", 0.0),
+                                            ("plain", 0.7)])
+def test_sector_eigenphases_match_dense_oracle(two_j, variant, delta):
+    kx, ky = 1.9, 17.0
+    op = floquet_operator(KickParams(kx, ky, delta=delta, variant=variant), two_j)
+    x, y = kick_unitary("x", kx, two_j, delta), kick_unitary("y", ky, two_j, delta)
+    if variant == "plain":
+        dense = y @ x
+    elif variant == "sym1":
+        half = kick_unitary("y", ky / 2.0, two_j)
+        dense = half @ x @ half
+    else:
+        half = kick_unitary("x", kx / 2.0, two_j)
+        dense = half @ y @ half
+    # compared as sets on the circle: a level at pi may sit at either end of (-pi, pi]
+    for eps, idx in zip(sector_eigenphases(op), sector_indices(two_j)):
+        oracle = -np.angle(np.linalg.eigvals(dense[np.ix_(idx, idx)]))
+        assert _circle_set_distance(eps, oracle) < 1e-12
+
+
+def test_fallback_when_the_real_solver_mixes_eigenvectors(monkeypatch):
+    # two eigenphases mirrored about -atan(MIX) share one eigenvalue of
+    # Re M + MIX Im M, so eigh returns a mixture of their eigenvectors
+    shift = -2.0 * np.arctan(MIX)
+    eps = np.array([0.4, shift - 0.4, 1.3, -2.1, 2.7, -0.9])
+    basis = ortho_group.rvs(eps.size, random_state=np.random.default_rng(7))
+    m = (basis * np.exp(-1j * eps)) @ basis.T
+    calls = []
+    schur = spectral._schur_eigenpairs
+    monkeypatch.setattr(spectral, "_schur_eigenpairs", lambda a: calls.append(1) or schur(a))
+    got, vectors = sector_eigenpairs(m)
+    assert calls == [1]
+    assert _circle_set_distance(got, -np.angle(np.linalg.eigvals(m))) < 1e-12
+    assert np.abs(m @ vectors - vectors * np.exp(-1j * got)).max() < 1e-12
 
 
 def test_mean_spacing_ratio_hand_case():
