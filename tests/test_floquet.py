@@ -127,10 +127,15 @@ def test_kick_exchange_symmetry_of_spectrum():
 def test_unitarity(params):
     op = floquet_operator(params, 15)
     assert unitarity_defect(op.u) < 1e-10
-    # a 100-point sweep of the kick strengths with the same ordering and delta
-    for kappa in np.linspace(0.1, 12.0, 100):
-        swept = KickParams(kappa, 0.7 * kappa, delta=params.delta, variant=params.variant)
-        assert unitarity_defect(floquet_operator(swept, 40).u) < 1e-10
+
+
+def test_refresh_sweep_unitary():
+    # a 100-point sweep of the kick strengths, as a parameter sweep rebuilds
+    # the operator, for every ordering and with delta
+    for variant, delta in [("plain", 0.0), ("sym1", 0.0), ("sym2", 0.0), ("plain", 1.6)]:
+        for kappa in np.linspace(0.1, 12.0, 100):
+            swept = KickParams(kappa, 0.7 * kappa, delta=delta, variant=variant)
+            assert unitarity_defect(floquet_operator(swept, 40).u) < 1e-10
 
 
 def test_operator_records_inputs():
