@@ -23,8 +23,8 @@ from .dynamics import dynamical_scan
 from .errors import NumericalError
 from .floquet import KickParams, floquet_operator
 from .localization import probe_columns, sphere_averaged_s2, sphere_grid
-from .spectral import (DEFAULT_BOUND_TOL, parity_resolved_r, sector_eigenphases,
-                       stage_borders, stage_classify)
+from .spectral import (DEFAULT_BOUND_TOL, parity_resolved_r, quasi_spectrum,
+                       sector_eigenphases, stage_borders, stage_classify)
 from .symmetry import verify_symmetries
 from .spin import validate_two_j
 
@@ -124,82 +124,75 @@ def _pool_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def cmd_spectrum(args) -> None:
-    two_j = validate_two_j(args.two_j)
+def _product_points(args) -> list:
+    """The --kxky grid as ([kxky], kx, ky) points with ky / kx = --ratio."""
     lo, hi = parse_range(args.kxky)
-    products = _grid(lo, hi, args.steps)
+    return [([product], *_split_product(product, args.ratio))
+            for product in _grid(lo, hi, args.steps).tolist()]
 
-    def point(product: float) -> list:
-        kx, ky = _split_product(product, args.ratio)
+
+def _sweep(args, command: str, header: list[str], points: list, row) -> None:
+    """Write, for every ([key columns], kx, ky) of points, the key columns
+    followed by row(operator at kx, ky) as one CSV record, in grid order
+    for any number of workers."""
+    two_j = validate_two_j(args.two_j)
+
+    def evaluate(point) -> list:
+        keys, kx, ky = point
         params = KickParams(kappa_x=kx, kappa_y=ky, delta=args.delta, variant=args.variant)
-        eps_plus, eps_minus = sector_eigenphases(floquet_operator(params, two_j))
-        eps = np.sort(np.concatenate([eps_plus, eps_minus]))
-        return [product, *eps.tolist()]
+        return keys + row(floquet_operator(params, two_j))
 
-    rows = _pool_map(point, products.tolist(), args.workers)
-    dim = 2 * (two_j + 1)
+    rows = _pool_map(evaluate, points, args.workers)
+    _write_csv(args.out, command, _config_dict(args), header, rows)
+
+
+def _stage(operator) -> str:
+    return stage_classify(operator.params.kappa_x, operator.params.kappa_y, operator.two_j)
+
+
+def cmd_spectrum(args) -> None:
+    dim = 2 * (validate_two_j(args.two_j) + 1)
     header = ["kxky"] + [f"epsilon_{i}" for i in range(1, dim + 1)]
-    _write_csv(args.out, "spectrum", _config_dict(args), header, rows)
+    _sweep(args, "spectrum", header, _product_points(args),
+           lambda op: np.sort(sector_eigenphases(op), axis=None).tolist())
 
 
 def cmd_rgrid(args) -> None:
-    two_j = validate_two_j(args.two_j)
-    kx_lo, kx_hi = parse_range(args.kx)
-    ky_lo, ky_hi = parse_range(args.ky)
-    kx_values = _grid(kx_lo, kx_hi, args.steps)
-    ky_values = _grid(ky_lo, ky_hi, args.steps)
-    points = [(kx, ky) for kx in kx_values for ky in ky_values]
+    kx_values = _grid(*parse_range(args.kx), args.steps)
+    ky_values = _grid(*parse_range(args.ky), args.steps)
+    points = [([kx, ky], kx, ky) for kx in kx_values for ky in ky_values]
 
-    def point(pair) -> list:
-        kx, ky = pair
-        params = KickParams(kappa_x=kx, kappa_y=ky, delta=args.delta, variant=args.variant)
-        stats = parity_resolved_r(floquet_operator(params, two_j))
-        return [kx, ky, stats["r_mean"], stats["r_plus"], stats["r_minus"],
-                stage_classify(kx, ky, two_j)]
+    def row(op) -> list:
+        stats = parity_resolved_r(sector_eigenphases(op))
+        return [stats["r_mean"], stats["r_plus"], stats["r_minus"], _stage(op)]
 
-    rows = _pool_map(point, points, args.workers)
-    _write_csv(args.out, "rgrid", _config_dict(args),
-               ["kx", "ky", "r_mean", "r_plus", "r_minus", "stage"], rows)
+    _sweep(args, "rgrid", ["kx", "ky", "r_mean", "r_plus", "r_minus", "stage"], points, row)
 
 
 def cmd_rcurve(args) -> None:
-    two_j = validate_two_j(args.two_j)
-    lo, hi = parse_range(args.kxky)
-    products = _grid(lo, hi, args.steps)
-
-    def point(product: float) -> list:
-        kx, ky = _split_product(product, args.ratio)
-        params = KickParams(kappa_x=kx, kappa_y=ky, delta=args.delta, variant=args.variant)
-        sectors = sector_eigenphases(floquet_operator(params, two_j))
-        stats = parity_resolved_r(sectors)
-        eps = np.concatenate(sectors)
+    def row(op) -> list:
+        eps = sector_eigenphases(op)
         n_bound = int((np.minimum(np.abs(eps), np.abs(np.pi - np.abs(eps)))
                        <= args.tol_bound).sum())
-        return [product, stats["r_mean"], stage_classify(kx, ky, two_j), n_bound]
+        return [parity_resolved_r(eps)["r_mean"], _stage(op), n_bound]
 
-    rows = _pool_map(point, products.tolist(), args.workers)
-    _write_csv(args.out, "rcurve", _config_dict(args),
-               ["kxky", "value", "stage", "n_bound"], rows)
+    _sweep(args, "rcurve", ["kxky", "value", "stage", "n_bound"], _product_points(args), row)
 
 
 def cmd_entropy(args) -> None:
     two_j = validate_two_j(args.two_j)
-    lo, hi = parse_range(args.kxky)
-    products = _grid(lo, hi, args.steps)
-    if np.any(products <= 0):
+    # the grid starts at lo, so it is positive exactly when lo is
+    if parse_range(args.kxky)[0] <= 0:
         raise ValueError("entropy needs strictly positive kick products")
+    points = _product_points(args)
     grid = sphere_grid(args.grid, args.grid)
     probes = probe_columns(two_j, grid)
 
-    def point(product: float) -> list:
-        kx, ky = _split_product(product, args.ratio)
-        params = KickParams(kappa_x=kx, kappa_y=ky, delta=args.delta, variant=args.variant)
-        result = sphere_averaged_s2(floquet_operator(params, two_j), grid, probes)
-        return [product, result.s2_mean, stage_classify(kx, ky, two_j), result.baseline]
+    def row(op) -> list:
+        result = sphere_averaged_s2(quasi_spectrum(op), grid, probes)
+        return [result.s2_mean, _stage(op), result.baseline]
 
-    rows = _pool_map(point, products.tolist(), args.workers)
-    _write_csv(args.out, "entropy", _config_dict(args),
-               ["kxky", "value", "stage", "baseline"], rows)
+    _sweep(args, "entropy", ["kxky", "value", "stage", "baseline"], points, row)
 
 
 def cmd_dynamics(args) -> None:

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import NumericalError
 from .floquet import FloquetOperator, KickParams, floquet_operator
 from .meanfield import allowed_kappa_x
+from .spectral import QuasiSpectrum
 from .spin import coherent_state, m_values, product_state
 from .symmetry import sector_indices
 
@@ -66,21 +67,24 @@ def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
                           n=np.arange(n_max + 1), jz_mean=means, jz_std=stds)
 
 
-def eigenbasis_series(spectrum, psi0: np.ndarray, n_max: int) -> DynamicsSeries:
+def eigenbasis_series(spectrum: QuasiSpectrum, psi0: np.ndarray,
+                      n_max: int) -> DynamicsSeries:
     """Same series computed by phase evolution in the eigenbasis.
 
-    Cross-check for stroboscopic_series: expand psi0 over the
+    Cross-check for stroboscopic_series: expand psi0 over each sector's
     eigenvectors, attach exp(-i n eps) phases, transform back.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    coeffs = spectrum.vectors.conj().T @ psi0
-    jz_diag = np.repeat(m_values(spectrum.two_j), 2)
+    # each sector holds one state per m, in ascending m
+    jz_diag = m_values(spectrum.two_j)
+    coeffs = [vecs.conj().T @ psi0[idx] for idx, vecs
+              in zip(sector_indices(spectrum.two_j), spectrum.vectors)]
     means = np.empty(n_max + 1)
     stds = np.empty(n_max + 1)
     for n in range(n_max + 1):
-        psi = spectrum.vectors @ (np.exp(-1j * spectrum.epsilons * n) * coeffs)
-        weights = np.abs(psi) ** 2
+        weights = sum(np.abs(vecs @ (np.exp(-1j * eps * n) * c)) ** 2
+                      for eps, vecs, c in zip(spectrum.epsilons, spectrum.vectors, coeffs))
         m1 = float(jz_diag @ weights)
         m2 = float((jz_diag ** 2) @ weights)
         means[n] = m1

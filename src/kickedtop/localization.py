@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import FloquetOperator
-from .spectral import quasi_spectrum
+from .spectral import QuasiSpectrum
 from .spin import coherent_state, dim_top, m_values
+from .symmetry import sector_indices
 
 COMPLETENESS_TOL = 1e-10
 
@@ -100,22 +100,18 @@ def probe_columns(two_j: int, grid: SphereGrid) -> np.ndarray:
     return cols
 
 
-def sphere_averaged_s2(source, grid: SphereGrid | None = None,
+def sphere_averaged_s2(spectrum: QuasiSpectrum, grid: SphereGrid | None = None,
                        probes: np.ndarray | None = None) -> LocalizationResult:
     """Renyi entropy of the coherent probe averaged over the Bloch sphere.
 
-    source is a FloquetOperator or a precomputed QuasiSpectrum.  probes,
-    when given, must be probe_columns(two_j, grid).  Kick strengths of
-    zero are rejected: the eigenbasis of a degenerate operator is not
-    unique, so the IPR would be gauge-dependent.
+    probes, when given, must be probe_columns(two_j, grid); each sector's
+    eigenvectors are overlapped with the probes' rows in that sector.
+    Kick strengths of zero are rejected: the eigenbasis of a degenerate
+    operator is not unique, so the IPR would be gauge-dependent.
     """
-    if isinstance(source, FloquetOperator):
-        params = source.params
-        if params.kappa_x == 0.0 or params.kappa_y == 0.0:
-            raise ValueError("zero kick strength leaves the eigenbasis degenerate")
-        spectrum = quasi_spectrum(source)
-    else:
-        spectrum = source
+    params = spectrum.params
+    if params.kappa_x == 0.0 or params.kappa_y == 0.0:
+        raise ValueError("zero kick strength leaves the eigenbasis degenerate")
     if grid is None:
         grid = sphere_grid()
     dim = spectrum.dim
@@ -124,7 +120,8 @@ def sphere_averaged_s2(source, grid: SphereGrid | None = None,
     elif probes.shape != (dim, grid.weights.size):
         raise ValueError(f"probe columns of shape {probes.shape} do not match "
                          f"dimension {dim} and a grid of {grid.weights.size} nodes")
-    probs = np.abs(spectrum.vectors.conj().T @ probes) ** 2
+    probs = np.concatenate([np.abs(vecs.conj().T @ probes[idx]) ** 2 for idx, vecs
+                            in zip(sector_indices(spectrum.two_j), spectrum.vectors)])
     defect = np.abs(probs.sum(axis=0) - 1.0).max()
     if defect > COMPLETENESS_TOL:
         raise ValueError(f"overlap completeness defect {defect:.2e}")

@@ -2,10 +2,12 @@
 
 Quasi-energies are the eigenphases of the one-period unitary,
 U |e> = exp(-i eps) |e>, taken on the branch (-pi, pi].  Parity is
-conserved, so diagonalization happens per parity sector, which keeps
-degenerate partners from mixing across sectors; spacing statistics are
-always computed within a sector and averaged, since the sectors are
-decoupled.
+conserved, so every spectrum is kept per parity sector: a (2, d) stack
+of sorted quasi-energies, +1 sector first, and for QuasiSpectrum a
+(2, d, d) stack of eigenvectors in the coordinates of
+symmetry.sector_indices.  Degenerate partners never mix across sectors,
+spacing statistics are computed within a sector and averaged, and
+coherent-probe overlaps are two (2j+1)-sized products.
 
 Each sector of a FloquetOperator is a complex-symmetric unitary core
 M = R + i I.  Unitarity makes the real symmetric R and I commute, so one
@@ -47,17 +49,28 @@ R_CUE = 2.0 * np.sqrt(3.0) / np.pi - 0.5     # ~0.603
 
 @dataclass
 class QuasiSpectrum:
-    """Sorted quasi-energies with eigenvectors and parity labels."""
+    """Quasi-energies and eigenvectors of the two parity sectors.
+
+    Row s of each stack is sector s in symmetry.sector_indices order
+    (0: parity +1, 1: parity -1).  epsilons[s] ascends in (-pi, pi];
+    column k of vectors[s] is the eigenvector of epsilons[s, k] on the
+    basis states sector_indices(two_j)[s].
+    """
 
     two_j: int
     params: object
-    epsilons: np.ndarray          # (D,), ascending in (-pi, pi]
-    vectors: np.ndarray           # (D, D), columns aligned with epsilons
-    parity: np.ndarray            # (D,) entries +-1
+    epsilons: np.ndarray          # (2, d)
+    vectors: np.ndarray           # (2, d, d)
 
     @property
     def dim(self) -> int:
         return self.epsilons.size
+
+    def state(self, sector: int, k: int) -> np.ndarray:
+        """Eigenvector k of a sector as a state of the coupled space."""
+        out = np.zeros(self.dim, dtype=complex)
+        out[sector_indices(self.two_j)[sector]] = self.vectors[sector, :, k]
+        return out
 
 
 def _branch(eps: np.ndarray) -> np.ndarray:
@@ -100,43 +113,33 @@ def sector_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eps, vectors
 
 
-def sector_eigenphases(operator: FloquetOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted quasi-energies of the two parity sectors (+1 first).
+def sector_eigenphases(operator: FloquetOperator) -> np.ndarray:
+    """The (2, d) stack of sorted quasi-energies of the parity sectors, +1 first.
 
-    The light-weight path for spacing statistics over parameter sweeps.
-    Raises NumericalError like quasi_spectrum.
+    The light-weight path for spacing statistics over parameter sweeps:
+    the epsilons of quasi_spectrum without the eigenvectors.  Raises
+    NumericalError like quasi_spectrum.
     """
     _check_unitary(operator)
-    eps_plus, eps_minus = (np.sort(sector_eigenpairs(core)[0]) for core in operator.core)
-    return eps_plus, eps_minus
+    return np.sort([sector_eigenpairs(core)[0] for core in operator.core], axis=-1)
 
 
 def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
-    """Diagonalize per parity sector and assemble the sorted spectrum.
+    """Diagonalize each parity sector, sorted within the sector.
 
     Raises NumericalError when the operator is not unitary to 1e-8, or
     when an eigenpair residual ||U v - exp(-i eps) v|| exceeds 1e-8 even
     after the Schur fallback.
     """
     _check_unitary(operator)
-    dim = operator.dim
-    epsilons = np.empty(dim)
-    vectors = np.zeros((dim, dim), dtype=complex)
-    parity = np.empty(dim, dtype=int)
-    col = 0
-    for sign, idx, core, frame in zip((1, -1), sector_indices(operator.two_j),
-                                      operator.core, operator.frame):
+    epsilons, vectors = [], []
+    for core, frame in zip(operator.core, operator.frame):
         eps, vecs = sector_eigenpairs(core)
-        cols = np.arange(col, col + idx.size)
-        epsilons[cols] = eps
-        vectors[np.ix_(idx, cols)] = frame @ vecs
-        parity[cols] = sign
-        col += idx.size
-
-    order = np.argsort(epsilons, kind="stable")
+        order = np.argsort(eps, kind="stable")
+        epsilons.append(eps[order])
+        vectors.append(frame @ vecs[:, order])
     return QuasiSpectrum(two_j=operator.two_j, params=operator.params,
-                         epsilons=epsilons[order], vectors=vectors[:, order],
-                         parity=parity[order])
+                         epsilons=np.stack(epsilons), vectors=np.stack(vectors))
 
 
 def mean_spacing_ratio(epsilons: np.ndarray) -> float:
@@ -155,21 +158,15 @@ def mean_spacing_ratio(epsilons: np.ndarray) -> float:
     return float(ratios.mean())
 
 
-def parity_resolved_r(source) -> dict:
+def parity_resolved_r(epsilons: np.ndarray) -> dict:
     """Spacing-ratio statistics per parity sector and their weighted mean.
 
-    Accepts a FloquetOperator, a QuasiSpectrum, or the pair of sector
-    quasi-energy arrays that sector_eigenphases returns.  Mixing the
-    decoupled sectors would depress r, so the ratio is always computed
-    within a sector; r_mean weights each sector by its ratio count.
+    epsilons is the (2, d) sector stack of sector_eigenphases or
+    QuasiSpectrum.epsilons.  Mixing the decoupled sectors would depress
+    r, so the ratio is always computed within a sector; r_mean weights
+    each sector by its ratio count.
     """
-    if isinstance(source, FloquetOperator):
-        eps_plus, eps_minus = sector_eigenphases(source)
-    elif isinstance(source, QuasiSpectrum):
-        eps_plus = source.epsilons[source.parity == 1]
-        eps_minus = source.epsilons[source.parity == -1]
-    else:
-        eps_plus, eps_minus = (np.asarray(eps, dtype=float) for eps in source)
+    eps_plus, eps_minus = np.asarray(epsilons, dtype=float)
     if eps_plus.size < 3 or eps_minus.size < 3:
         raise ValueError("each parity sector needs at least 3 levels")
     r_plus = mean_spacing_ratio(eps_plus)
@@ -203,8 +200,10 @@ def stage_classify(kappa_x: float, kappa_y: float, two_j: int) -> str:
 
 @dataclass
 class BoundStateRecord:
-    """A detected quasi-energy 0 or pi state."""
+    """A detected quasi-energy 0 or pi state: eigenpair `index` of sector
+    `sector` of a QuasiSpectrum (0: parity +1, 1: parity -1)."""
 
+    sector: int
     index: int
     epsilon: float
     target: float                # 0.0 or pi
@@ -221,20 +220,22 @@ def chiral_expectation(state: np.ndarray) -> float:
 
 def detect_bound_states(spectrum: QuasiSpectrum,
                         tol: float = DEFAULT_BOUND_TOL) -> list[BoundStateRecord]:
-    """All states within tol of quasi-energy 0 or pi, with chiral labels."""
+    """All states within tol of quasi-energy 0 or pi, with chiral labels,
+    +1 sector first."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     eps = spectrum.epsilons
     dist0 = np.abs(eps)
     dist_pi = np.abs(np.pi - np.abs(eps))
     records = []
-    for i in np.where(np.minimum(dist0, dist_pi) <= tol)[0]:
-        near_zero = dist0[i] <= dist_pi[i]
+    for sector, i in zip(*np.nonzero(np.minimum(dist0, dist_pi) <= tol)):
+        near_zero = dist0[sector, i] <= dist_pi[sector, i]
         records.append(BoundStateRecord(
+            sector=int(sector),
             index=int(i),
-            epsilon=float(eps[i]),
+            epsilon=float(eps[sector, i]),
             target=0.0 if near_zero else np.pi,
-            distance=float(dist0[i] if near_zero else dist_pi[i]),
-            chiral=chiral_expectation(spectrum.vectors[:, i]),
+            distance=float(dist0[sector, i] if near_zero else dist_pi[sector, i]),
+            chiral=chiral_expectation(spectrum.state(sector, i)),
         ))
     return records

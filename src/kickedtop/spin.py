@@ -96,10 +96,6 @@ def jplus_matrix(two_j: int) -> np.ndarray:
     return jp
 
 
-def jminus_matrix(two_j: int) -> np.ndarray:
-    return jplus_matrix(two_j).conj().T
-
-
 def angular_momentum_matrices(two_j: int) -> AngularMomentum:
     """Jx, Jy, Jz and the ladder operators for spin j = two_j / 2."""
     jp = jplus_matrix(two_j)
@@ -115,11 +111,6 @@ def coupling_operator(axis: str, two_j: int) -> np.ndarray:
     ops = angular_momentum_matrices(two_j)
     top = {"x": ops.jx, "y": ops.jy, "z": ops.jz}[axis]
     return np.kron(top, sigma)
-
-
-def embed_top(op_top: np.ndarray) -> np.ndarray:
-    """Lift a top-only operator to the coupled space (tensor identity on the spin)."""
-    return np.kron(op_top, np.eye(2, dtype=complex))
 
 
 def jx_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:

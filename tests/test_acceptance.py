@@ -19,7 +19,7 @@ from kickedtop.localization import (angular_distance, coe_baseline, husimi_peak,
 from kickedtop.meanfield import (bound_state_predictions, predicted_count,
                                  topological_count_estimate)
 from kickedtop.spectral import (R_COE, R_CUE, detect_bound_states, mean_spacing_ratio,
-                                parity_resolved_r, quasi_spectrum)
+                                parity_resolved_r, quasi_spectrum, sector_eigenphases)
 from kickedtop.symmetry import verify_symmetries
 
 # fixed off-diagonal aspect ratios kappa_y / kappa_x for statistics sweeps
@@ -34,7 +34,7 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
 def r_mean_at(two_j: int, product: float, ratio: float, delta: float = 0.0) -> float:
     kappa_x = math.sqrt(product / ratio)
     params = KickParams(kappa_x, ratio * kappa_x, delta=delta)
-    return parity_resolved_r(floquet_operator(params, two_j))["r_mean"]
+    return parity_resolved_r(sector_eigenphases(floquet_operator(params, two_j)))["r_mean"]
 
 
 def test_criterion_1_symmetry_suite():
@@ -142,7 +142,7 @@ def test_criterion_5_entropy_asymptote():
     product = 6 * math.pi * j
     kappa_x = math.sqrt(product / 1.7)
     op = floquet_operator(KickParams(kappa_x, 1.7 * kappa_x, variant="sym1"), two_j)
-    s2 = sphere_averaged_s2(op, sphere_grid(32, 32)).s2_mean
+    s2 = sphere_averaged_s2(quasi_spectrum(op), sphere_grid(32, 32)).s2_mean
     target = coe_baseline(dim)
     ok = abs(s2 - target) <= 0.02
     assert report(5, ok, f"deep-chaotic sphere-averaged S2 at j = {j:g} "
@@ -159,7 +159,7 @@ def test_criterion_6_four_stage_shape():
     def s2_at(product):
         kappa_x = math.sqrt(product / ratio)
         op = floquet_operator(KickParams(kappa_x, ratio * kappa_x, variant="sym1"), two_j)
-        return sphere_averaged_s2(op, grid).s2_mean
+        return sphere_averaged_s2(quasi_spectrum(op), grid).s2_mean
 
     s1_early, s1_end = s2_at(0.5 * b1), s2_at(0.85 * b1)
     s2_a, s2_b = s2_at(1.15 * b1), s2_at(0.9 * b2)
@@ -200,7 +200,7 @@ def test_criterion_7_bound_state_cross_check():
     husimi_ok = True
     for record in records:
         chiral_ok &= abs(record.chiral) >= 0.9
-        z, phi, _ = husimi_peak(spectrum.vectors[:, record.index], two_j, grid)
+        z, phi, _ = husimi_peak(spectrum.state(record.sector, record.index), two_j, grid)
         distance = min(angular_distance(z, phi, p.z, p.phi if p.phi is not None else 0.0)
                        for p in predictions)
         husimi_ok &= distance <= 3.0 / math.sqrt(j)

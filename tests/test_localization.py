@@ -3,7 +3,8 @@ import pytest
 
 from kickedtop.floquet import KickParams, floquet_operator
 from kickedtop.localization import (angular_distance, coe_baseline, husimi_peak, ipr,
-                                    renyi_entropy, sphere_averaged_s2, sphere_grid)
+                                    probe_columns, renyi_entropy, sphere_averaged_s2,
+                                    sphere_grid)
 from kickedtop.meanfield import bound_state_predictions
 from kickedtop.spectral import detect_bound_states, quasi_spectrum
 from kickedtop.spin import probe_state
@@ -68,19 +69,24 @@ def test_renyi_reference_value():
 
 
 def test_sphere_average_rejects_degenerate_operator():
-    with pytest.raises(ValueError):
-        sphere_averaged_s2(floquet_operator(KickParams(0.0, 1.0), 10))
+    grid = sphere_grid(4, 4)
+    for kx, ky in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
+        spectrum = quasi_spectrum(floquet_operator(KickParams(kx, ky), 10))
+        with pytest.raises(ValueError):
+            sphere_averaged_s2(spectrum)
+        with pytest.raises(ValueError):
+            sphere_averaged_s2(spectrum, grid, probe_columns(10, grid))
 
 
 def test_sphere_average_bounds_and_reuse():
     op = floquet_operator(KickParams(1.5, 2.5, variant="sym1"), 20)
     grid = sphere_grid(12, 12)
-    result = sphere_averaged_s2(op, grid)
+    result = sphere_averaged_s2(quasi_spectrum(op), grid)
     assert np.all(result.s2_nodes >= 0.0)
     assert np.all(result.s2_nodes <= 1.0)
     assert 0.0 <= result.s2_mean <= 1.0
     assert result.baseline == pytest.approx(coe_baseline(42))
-    again = sphere_averaged_s2(quasi_spectrum(op), grid)
+    again = sphere_averaged_s2(quasi_spectrum(op), grid, probe_columns(20, grid))
     assert again.s2_mean == pytest.approx(result.s2_mean, abs=1e-12)
 
 
@@ -122,7 +128,7 @@ def test_husimi_peaks_of_bound_states_match_predictions():
     predictions = bound_state_predictions(kx, ky)
     grid = sphere_grid(24, 24)
     for record in records:
-        z, phi, _ = husimi_peak(spectrum.vectors[:, record.index], two_j, grid)
+        z, phi, _ = husimi_peak(spectrum.state(record.sector, record.index), two_j, grid)
         best = min(angular_distance(z, phi, p.z, p.phi if p.phi is not None else 0.0)
                    for p in predictions)
         assert best <= 3.0 / np.sqrt(two_j / 2)

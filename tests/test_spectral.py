@@ -4,7 +4,8 @@ from scipy.stats import ortho_group
 
 from kickedtop import spectral
 from kickedtop.errors import NumericalError
-from kickedtop.floquet import FloquetOperator, KickParams, floquet_operator, kick_unitary
+from kickedtop.floquet import (VARIANTS, FloquetOperator, KickParams, floquet_operator,
+                               kick_unitary)
 from kickedtop.spectral import (MIX, R_COE, R_CUE, R_POISSON, chiral_expectation,
                                 detect_bound_states, mean_spacing_ratio,
                                 parity_resolved_r, quasi_spectrum, sector_eigenpairs,
@@ -32,23 +33,28 @@ def test_branch_and_sorting():
 
 
 def test_chiral_pairing_of_spectrum():
-    spec = quasi_spectrum(floquet_operator(KickParams(0.3, 0.3), 40))
-    assert np.abs(np.sort(spec.epsilons) + np.sort(-spec.epsilons)[::-1]).max() < 1e-9
+    # sigma_z commutes with parity, so the +-eps partners share a sector
+    eps = quasi_spectrum(floquet_operator(KickParams(0.3, 0.3), 40)).epsilons
+    assert np.abs(eps + eps[:, ::-1]).max() < 1e-9
 
 
 def test_eigenpairs_and_parity_purity():
     two_j = 14
     op = floquet_operator(KickParams(1.7, 2.9), two_j)
     spec = quasi_spectrum(op)
-    residual = op.u @ spec.vectors - spec.vectors * np.exp(-1j * spec.epsilons)[None, :]
-    assert np.linalg.norm(residual, axis=0).max() < 1e-8
-    assert np.abs(np.linalg.norm(spec.vectors, axis=0) - 1.0).max() < 1e-12
+    phases = np.exp(-1j * spec.epsilons)[:, None, :]
+    residual = op.sector_blocks() @ spec.vectors - spec.vectors * phases
+    assert np.linalg.norm(residual, axis=1).max() < 1e-8
+    assert np.abs(np.linalg.norm(spec.vectors, axis=1) - 1.0).max() < 1e-12
+    u = op.u
     pi_mat, _ = symmetry_operator("parity", two_j)
-    for k in range(spec.dim):
-        v = spec.vectors[:, k]
-        value = np.vdot(v, pi_mat @ v).real
-        assert abs(value) >= 1.0 - 1e-6
-        assert np.sign(value) == spec.parity[k]
+    for sector, sign in enumerate((1, -1)):
+        for k, eps in enumerate(spec.epsilons[sector]):
+            v = spec.state(sector, k)
+            assert np.linalg.norm(u @ v - np.exp(-1j * eps) * v) < 1e-8
+            value = np.vdot(v, pi_mat @ v).real
+            assert abs(value) >= 1.0 - 1e-6
+            assert np.sign(value) == sign
 
 
 def test_exchange_symmetry_of_quasi_energies():
@@ -59,9 +65,7 @@ def test_exchange_symmetry_of_quasi_energies():
 
 def test_sector_eigenphases_match_full_spectrum():
     op = floquet_operator(KickParams(2.2, 0.9), 12)
-    eps_plus, eps_minus = sector_eigenphases(op)
-    merged = np.sort(np.concatenate([eps_plus, eps_minus]))
-    assert np.abs(merged - quasi_spectrum(op).epsilons).max() < 1e-10
+    assert np.abs(sector_eigenphases(op) - quasi_spectrum(op).epsilons).max() < 1e-10
 
 
 def test_non_unitary_rejected():
@@ -92,6 +96,25 @@ def test_sector_eigenphases_match_dense_oracle(two_j, variant, delta):
     for eps, idx in zip(sector_eigenphases(op), sector_indices(two_j)):
         oracle = -np.angle(np.linalg.eigvals(dense[np.ix_(idx, idx)]))
         assert _circle_set_distance(eps, oracle) < 1e-12
+
+
+@pytest.mark.parametrize("two_j", [6, 64, 200])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sectors_are_twins_at_even_two_j_without_delta(two_j, variant):
+    # at even 2j, T2 anticommutes with parity and maps each sector's levels onto
+    # the other's; delta breaks T2
+    eps_plus, eps_minus = sector_eigenphases(
+        floquet_operator(KickParams(1.9, 17.0, variant=variant), two_j))
+    assert _circle_set_distance(eps_plus, eps_minus) < 1e-12
+
+
+@pytest.mark.parametrize("two_j, variant, delta", [
+    *((two_j, variant, 0.0) for two_j in (7, 65, 201) for variant in VARIANTS),
+    *((two_j, "plain", 0.7) for two_j in (6, 64, 200, 7, 65, 201))])
+def test_sectors_differ_at_odd_two_j_or_with_delta(two_j, variant, delta):
+    eps_plus, eps_minus = sector_eigenphases(
+        floquet_operator(KickParams(1.9, 17.0, delta=delta, variant=variant), two_j))
+    assert _circle_set_distance(eps_plus, eps_minus) > 1e-3
 
 
 def test_fallback_when_the_real_solver_mixes_eigenvectors(monkeypatch):
@@ -149,11 +172,11 @@ def test_universal_constants():
 
 def test_parity_resolved_r_sectors_agree_for_small_case():
     op = floquet_operator(KickParams(1.1, 2.4), 30)
-    stats = parity_resolved_r(op)
+    stats = parity_resolved_r(sector_eigenphases(op))
     assert 0.0 <= stats["r_mean"] <= 1.0
     expected = 0.5 * (stats["r_plus"] + stats["r_minus"])
     assert stats["r_mean"] == pytest.approx(expected, abs=1e-12)
-    via_spectrum = parity_resolved_r(quasi_spectrum(op))
+    via_spectrum = parity_resolved_r(quasi_spectrum(op).epsilons)
     assert via_spectrum["r_mean"] == pytest.approx(stats["r_mean"], abs=1e-9)
 
 
