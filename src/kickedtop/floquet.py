@@ -35,6 +35,16 @@ of O for sym1 (O = Y) and sym2 (O = X); for plain it also carries the
 half y kick, because Y X = Y^(1/2) (Y^(1/2) X Y^(1/2)) Y^(-1/2).  The
 dense coupled-space matrix (FloquetOperator.u) and kick_unitary are
 built on demand, for the tests' oracle and for symcheck.
+
+For even 2j and delta = 0 the two sectors are mirror twins.  The pi
+rotation about x, R = exp(-i pi (Jx + sigma_x/2)), commutes with both
+kicks (it maps Jy sigma_y to itself) and sends m to -m.  The total spin
+j + 1/2 is then half-integer, so R anticommutes with parity and maps one
+sector onto the other; in ascending-m sector order it reverses the
+basis, and block[-1] = J block[+1] J with J the reversal.  delta sigma_z
+breaks this (sigma_x sigma_z sigma_x = -sigma_z).  Such an operator
+(FloquetOperator.twins) builds sector +1 only and stores sector -1 as
+core[1] = core[0], frame[1] = frame[0][::-1].
 """
 
 from dataclasses import dataclass
@@ -76,6 +86,10 @@ class KickParams:
             raise ValueError("symmetrized variants are defined only for delta = 0")
 
 
+def _twins(two_j: int, params: KickParams) -> bool:
+    return two_j % 2 == 0 and params.delta == 0.0
+
+
 @dataclass
 class FloquetOperator:
     """One-period unitary, stored per parity sector.
@@ -83,7 +97,10 @@ class FloquetOperator:
     Sector k, in symmetry.sector_indices order (+1 first), has the block
     frame[k] @ core[k] @ frame[k]^dag, where core[k] is a complex-symmetric
     unitary and frame[k] is unitary; both stacks are complex with shape
-    (2, d, d), also where the frame is real.
+    (2, d, d), also where the frame is real.  When twins (even 2j,
+    delta = 0), core[1] equals core[0] and frame[1] is frame[0] with its
+    rows reversed, so the -1 block is the +1 block reversed in both
+    indices; `cores` holds the distinct cores that checks and solvers use.
     """
 
     core: np.ndarray
@@ -94,6 +111,16 @@ class FloquetOperator:
     @property
     def dim(self) -> int:
         return 2 * self.core.shape[-1]
+
+    @property
+    def twins(self) -> bool:
+        """True when sector -1 mirrors sector +1: even 2j and delta = 0."""
+        return _twins(self.two_j, self.params)
+
+    @property
+    def cores(self) -> np.ndarray:
+        """The distinct cores: core[:1] when twins, else core."""
+        return self.core[:1] if self.twins else self.core
 
     def sector_blocks(self) -> np.ndarray:
         """The (2, d, d) stack of sector blocks of the one-period unitary."""
@@ -205,9 +232,14 @@ def floquet_operator(params: KickParams, two_j: int) -> FloquetOperator:
     """
     two_j = validate_two_j(two_j)
     sectors = _sectors(two_j)
-    cores, frames = zip(*(_sector_core(sectors, k, params) for k in range(2)))
-    core = np.stack(cores)
-    defect = unitarity_defect(core)
+    twins = _twins(two_j, params)
+    cores, frames = zip(*(_sector_core(sectors, k, params) for k in range(1 if twins else 2)))
+    core = np.stack(cores * 2 if twins else cores)
+    # checked before the frames are stacked, which keeps the check's temporaries
+    # out of the peak memory
+    defect = unitarity_defect(core[:len(cores)])
     if defect > UNITARITY_TOL:
         raise NumericalError(f"constructed operator has unitarity defect {defect:.2e}")
+    if twins:
+        frames = (frames[0], frames[0][::-1])
     return FloquetOperator(core=core, frame=np.stack(frames), params=params, two_j=two_j)

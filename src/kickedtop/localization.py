@@ -18,7 +18,6 @@ import numpy as np
 
 from .spectral import QuasiSpectrum
 from .spin import coherent_state, dim_top, m_values
-from .symmetry import sector_indices
 
 COMPLETENESS_TOL = 1e-10
 
@@ -81,21 +80,22 @@ class LocalizationResult:
 
 
 def probe_columns(two_j: int, grid: SphereGrid) -> np.ndarray:
-    """All probe states of the grid as columns, ordered theta-major.
+    """The rows of all probe states in one parity sector, as (2j+1, n)
+    columns ordered theta-major.
 
-    They depend only on two_j and the grid, so a sweep builds them once
-    and passes them to every sphere_averaged_s2 call.
+    Each sector holds one state of each m, so the coherent top state times
+    (|up> + |down>)/sqrt(2) has the same rows, top/sqrt(2) in ascending m,
+    in both sectors.  The columns depend only on two_j and the grid, so a
+    sweep builds them once and passes them to every sphere_averaged_s2
+    call.
     """
-    d = dim_top(two_j)
     m = m_values(two_j)
-    cols = np.empty((2 * d, grid.z_nodes.size * grid.phi_nodes.size), dtype=complex)
+    cols = np.empty((dim_top(two_j), grid.z_nodes.size * grid.phi_nodes.size), dtype=complex)
     k = 0
     for z in grid.z_nodes:
         top0 = coherent_state(two_j, math.acos(z), 0.0)
         for phi in grid.phi_nodes:
-            top = np.exp(-1j * phi * m) * top0
-            cols[0::2, k] = top / math.sqrt(2.0)
-            cols[1::2, k] = top / math.sqrt(2.0)
+            cols[:, k] = np.exp(-1j * phi * m) * top0 / math.sqrt(2.0)
             k += 1
     return cols
 
@@ -104,8 +104,9 @@ def sphere_averaged_s2(spectrum: QuasiSpectrum, grid: SphereGrid | None = None,
                        probes: np.ndarray | None = None) -> LocalizationResult:
     """Renyi entropy of the coherent probe averaged over the Bloch sphere.
 
-    probes, when given, must be probe_columns(two_j, grid); each sector's
-    eigenvectors are overlapped with the probes' rows in that sector.
+    probes, when given, must be probe_columns(two_j, grid), the probes'
+    rows in either sector; each sector's eigenvectors are overlapped
+    with them.
     Kick strengths of zero are rejected: the eigenbasis of a degenerate
     operator is not unique, so the IPR would be gauge-dependent.
     """
@@ -117,11 +118,10 @@ def sphere_averaged_s2(spectrum: QuasiSpectrum, grid: SphereGrid | None = None,
     dim = spectrum.dim
     if probes is None:
         probes = probe_columns(spectrum.two_j, grid)
-    elif probes.shape != (dim, grid.weights.size):
+    elif probes.shape != (dim // 2, grid.weights.size):
         raise ValueError(f"probe columns of shape {probes.shape} do not match "
-                         f"dimension {dim} and a grid of {grid.weights.size} nodes")
-    probs = np.concatenate([np.abs(vecs.conj().T @ probes[idx]) ** 2 for idx, vecs
-                            in zip(sector_indices(spectrum.two_j), spectrum.vectors)])
+                         f"sector dimension {dim // 2} and a grid of {grid.weights.size} nodes")
+    probs = np.concatenate([np.abs(vecs.conj().T @ probes) ** 2 for vecs in spectrum.vectors])
     defect = np.abs(probs.sum(axis=0) - 1.0).max()
     if defect > COMPLETENESS_TOL:
         raise ValueError(f"overlap completeness defect {defect:.2e}")

@@ -7,7 +7,11 @@ of sorted quasi-energies, +1 sector first, and for QuasiSpectrum a
 (2, d, d) stack of eigenvectors in the coordinates of
 symmetry.sector_indices.  Degenerate partners never mix across sectors,
 spacing statistics are computed within a sector and averaged, and
-coherent-probe overlaps are two (2j+1)-sized products.
+coherent-probe overlaps are two (2j+1)-sized products.  Only the
+distinct cores (FloquetOperator.cores) are checked and solved: for
+mirror-twin sectors (even 2j, delta = 0) sector -1 repeats the
+quasi-energies of sector +1, and its eigenvectors are those of sector +1
+with the basis reversed.
 
 Each sector of a FloquetOperator is a complex-symmetric unitary core
 M = R + i I.  Unitarity makes the real symmetric R and I commute, so one
@@ -79,7 +83,7 @@ def _branch(eps: np.ndarray) -> np.ndarray:
 
 
 def _check_unitary(operator: FloquetOperator) -> None:
-    defect = unitarity_defect(operator.core)
+    defect = unitarity_defect(operator.cores)
     if defect > UNITARITY_REJECT:
         raise NumericalError(f"operator is not unitary (defect {defect:.2e})")
 
@@ -113,6 +117,12 @@ def sector_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eps, vectors
 
 
+def _both_sectors(stack: np.ndarray) -> np.ndarray:
+    """A stack over FloquetOperator.cores as a new (2, ...) array: the one
+    sector of twins is repeated."""
+    return np.repeat(stack, 2 // len(stack), axis=0)
+
+
 def sector_eigenphases(operator: FloquetOperator) -> np.ndarray:
     """The (2, d) stack of sorted quasi-energies of the parity sectors, +1 first.
 
@@ -121,7 +131,8 @@ def sector_eigenphases(operator: FloquetOperator) -> np.ndarray:
     NumericalError like quasi_spectrum.
     """
     _check_unitary(operator)
-    return np.sort([sector_eigenpairs(core)[0] for core in operator.core], axis=-1)
+    return _both_sectors(np.sort([sector_eigenpairs(core)[0] for core in operator.cores],
+                                 axis=-1))
 
 
 def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
@@ -133,13 +144,15 @@ def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
     """
     _check_unitary(operator)
     epsilons, vectors = [], []
-    for core, frame in zip(operator.core, operator.frame):
+    for core in operator.cores:
         eps, vecs = sector_eigenpairs(core)
         order = np.argsort(eps, kind="stable")
         epsilons.append(eps[order])
-        vectors.append(frame @ vecs[:, order])
+        vectors.append(vecs[:, order])
+    # one solved core of twins broadcasts over both frames: vectors[1] = vectors[0][::-1]
     return QuasiSpectrum(two_j=operator.two_j, params=operator.params,
-                         epsilons=np.stack(epsilons), vectors=np.stack(vectors))
+                         epsilons=_both_sectors(np.stack(epsilons)),
+                         vectors=operator.frame @ np.stack(vectors))
 
 
 def mean_spacing_ratio(epsilons: np.ndarray) -> float:

@@ -88,6 +88,23 @@ def test_dynamics_rejects_z0_outside_the_sphere(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("two_j, delta, twins", [(20, 0.0, True), (21, 0.0, False),
+                                                 (20, 0.7, False)])
+def test_rgrid_sector_columns_equal_only_for_twins(tmp_path, two_j, delta, twins):
+    # even 2j without delta: the -1 sector mirrors the +1 sector, so r_plus = r_minus
+    out = tmp_path / "rgrid.csv"
+    assert run_cli("rgrid", "--two-j", two_j, "--delta", delta, "--kx", "1.9:6",
+                   "--ky", "2:17", "--steps", 3, "--out", out) == 0
+    _, header, rows = read_output(out)
+    plus = [row[header.index("r_plus")] for row in rows]
+    minus = [row[header.index("r_minus")] for row in rows]
+    assert len(rows) == 9
+    if twins:
+        assert plus == minus
+    else:
+        assert all(p != m for p, m in zip(plus, minus))
+
+
 def test_rgrid_symmetric_under_kick_exchange(tmp_path):
     out = tmp_path / "rgrid.csv"
     assert run_cli("rgrid", "--two-j", 40, "--kx", "1:6", "--ky", "1:6",

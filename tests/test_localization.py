@@ -90,6 +90,26 @@ def test_sphere_average_bounds_and_reuse():
     assert again.s2_mean == pytest.approx(result.s2_mean, abs=1e-12)
 
 
+@pytest.mark.parametrize("two_j", [20, 21])
+def test_sector_probe_rows_match_coupled_space_probes(two_j):
+    # one (2j+1)-row probe array serves both sectors: S2 at every node equals
+    # the IPR entropy of the full coupled-space probe in the embedded eigenbasis
+    grid = sphere_grid(4, 5)
+    spectrum = quasi_spectrum(floquet_operator(KickParams(1.5, 2.5, variant="sym1"), two_j))
+    probes = probe_columns(two_j, grid)
+    assert probes.shape == (two_j + 1, 20)
+    result = sphere_averaged_s2(spectrum, grid, probes)
+    basis = np.stack([spectrum.state(s, k) for s in range(2) for k in range(two_j + 1)],
+                     axis=1)
+    for i, z in enumerate(grid.z_nodes):
+        for k, phi in enumerate(grid.phi_nodes):
+            probe = probe_state(two_j, np.arccos(z), phi)
+            expected = renyi_entropy(ipr(basis, probe), 2 * (two_j + 1))
+            assert result.s2_nodes[i, k] == pytest.approx(expected, abs=1e-12)
+    with pytest.raises(ValueError):
+        sphere_averaged_s2(spectrum, grid, np.concatenate([probes, probes]))
+
+
 def test_quadrature_convergence():
     two_j = 200
     product = 6 * np.pi * (two_j / 2)

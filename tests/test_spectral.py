@@ -38,8 +38,8 @@ def test_chiral_pairing_of_spectrum():
     assert np.abs(eps + eps[:, ::-1]).max() < 1e-9
 
 
-def test_eigenpairs_and_parity_purity():
-    two_j = 14
+@pytest.mark.parametrize("two_j", [14, 15])
+def test_eigenpairs_and_parity_purity(two_j):
     op = floquet_operator(KickParams(1.7, 2.9), two_j)
     spec = quasi_spectrum(op)
     phases = np.exp(-1j * spec.epsilons)[:, None, :]
@@ -68,21 +68,18 @@ def test_sector_eigenphases_match_full_spectrum():
     assert np.abs(sector_eigenphases(op) - quasi_spectrum(op).epsilons).max() < 1e-10
 
 
-def test_non_unitary_rejected():
-    op = floquet_operator(KickParams(1.0, 1.0), 5)
-    bad = FloquetOperator(core=op.core * 1.001, frame=op.frame, params=op.params, two_j=5)
+@pytest.mark.parametrize("two_j", [5, 6])
+def test_non_unitary_rejected(two_j):
+    op = floquet_operator(KickParams(1.0, 1.0), two_j)
+    bad = FloquetOperator(core=op.core * 1.001, frame=op.frame, params=op.params, two_j=two_j)
     with pytest.raises(NumericalError):
         quasi_spectrum(bad)
     with pytest.raises(NumericalError):
         sector_eigenphases(bad)
 
 
-@pytest.mark.parametrize("two_j", [6, 7, 64, 65])
-@pytest.mark.parametrize("variant, delta", [("plain", 0.0), ("sym1", 0.0), ("sym2", 0.0),
-                                            ("plain", 0.7)])
-def test_sector_eigenphases_match_dense_oracle(two_j, variant, delta):
-    kx, ky = 1.9, 17.0
-    op = floquet_operator(KickParams(kx, ky, delta=delta, variant=variant), two_j)
+def _dense_sector_blocks(kx, ky, two_j, variant, delta=0.0):
+    """The parity-sector blocks of the dense kick_unitary product."""
     x, y = kick_unitary("x", kx, two_j, delta), kick_unitary("y", ky, two_j, delta)
     if variant == "plain":
         dense = y @ x
@@ -92,29 +89,55 @@ def test_sector_eigenphases_match_dense_oracle(two_j, variant, delta):
     else:
         half = kick_unitary("x", kx / 2.0, two_j)
         dense = half @ y @ half
+    return np.stack([dense[np.ix_(idx, idx)] for idx in sector_indices(two_j)])
+
+
+@pytest.mark.parametrize("two_j", [6, 7, 64, 65])
+@pytest.mark.parametrize("variant, delta", [("plain", 0.0), ("sym1", 0.0), ("sym2", 0.0),
+                                            ("plain", 0.7)])
+def test_sector_eigenphases_match_dense_oracle(two_j, variant, delta):
+    kx, ky = 1.9, 17.0
+    op = floquet_operator(KickParams(kx, ky, delta=delta, variant=variant), two_j)
     # compared as sets on the circle: a level at pi may sit at either end of (-pi, pi]
-    for eps, idx in zip(sector_eigenphases(op), sector_indices(two_j)):
-        oracle = -np.angle(np.linalg.eigvals(dense[np.ix_(idx, idx)]))
+    for eps, block in zip(sector_eigenphases(op),
+                          _dense_sector_blocks(kx, ky, two_j, variant, delta)):
+        oracle = -np.angle(np.linalg.eigvals(block))
         assert _circle_set_distance(eps, oracle) < 1e-12
 
 
 @pytest.mark.parametrize("two_j", [6, 64, 200])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_sectors_are_twins_at_even_two_j_without_delta(two_j, variant):
-    # at even 2j, T2 anticommutes with parity and maps each sector's levels onto
-    # the other's; delta breaks T2
-    eps_plus, eps_minus = sector_eigenphases(
-        floquet_operator(KickParams(1.9, 17.0, variant=variant), two_j))
-    assert _circle_set_distance(eps_plus, eps_minus) < 1e-12
+    # at even 2j the pi rotation about x commutes with both kicks, anticommutes
+    # with parity and reverses m: the -1 block is the +1 block reversed in both
+    # indices.  Checked on the dense product, which does not use that relation
+    plus, minus = _dense_sector_blocks(1.9, 17.0, two_j, variant)
+    assert np.abs(minus - plus[::-1, ::-1]).max() < 1e-12
+    op = floquet_operator(KickParams(1.9, 17.0, variant=variant), two_j)
+    assert op.twins
+    assert np.abs(op.sector_blocks() - np.stack([plus, minus])).max() < 1e-12
 
 
 @pytest.mark.parametrize("two_j, variant, delta", [
     *((two_j, variant, 0.0) for two_j in (7, 65, 201) for variant in VARIANTS),
     *((two_j, "plain", 0.7) for two_j in (6, 64, 200, 7, 65, 201))])
 def test_sectors_differ_at_odd_two_j_or_with_delta(two_j, variant, delta):
-    eps_plus, eps_minus = sector_eigenphases(
-        floquet_operator(KickParams(1.9, 17.0, delta=delta, variant=variant), two_j))
+    op = floquet_operator(KickParams(1.9, 17.0, delta=delta, variant=variant), two_j)
+    assert not op.twins
+    eps_plus, eps_minus = sector_eigenphases(op)
     assert _circle_set_distance(eps_plus, eps_minus) > 1e-3
+
+
+@pytest.mark.parametrize("two_j, delta, solves", [(12, 0.0, 1), (13, 0.0, 2), (12, 0.7, 2)])
+def test_twin_sectors_are_solved_once(monkeypatch, two_j, delta, solves):
+    op = floquet_operator(KickParams(1.9, 17.0, delta=delta), two_j)
+    calls = []
+    solve = spectral.sector_eigenpairs
+    monkeypatch.setattr(spectral, "sector_eigenpairs", lambda m: calls.append(1) or solve(m))
+    sector_eigenphases(op)
+    assert len(calls) == solves
+    quasi_spectrum(op)
+    assert len(calls) == 2 * solves
 
 
 def test_fallback_when_the_real_solver_mixes_eigenvectors(monkeypatch):
