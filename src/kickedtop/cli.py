@@ -265,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chirality-breaking strength in both kicks")
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--tol-bound", dest="tol_bound", type=float,
-                       default=DEFAULT_BOUND_TOL,
-                       help="bound-state detection tolerance in radians")
 
     p = sub.add_parser("spectrum", help="quasi-energies along a kick-product range")
     common(p)
@@ -288,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kxky", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--ratio", type=float, default=1.0)
+    p.add_argument("--tol-bound", dest="tol_bound", type=float, default=DEFAULT_BOUND_TOL,
+                   help="bound-state detection tolerance in radians")
     p.set_defaults(func=cmd_rcurve)
 
     p = sub.add_parser("entropy", help="sphere-averaged Renyi entropy along a product range")

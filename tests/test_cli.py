@@ -80,6 +80,13 @@ def test_workers_below_one_is_config_error(tmp_path, workers):
     assert not out.exists()
 
 
+def test_tol_bound_is_an_rcurve_option_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("spectrum", "--two-j", 4, "--kxky", "1:2", "--steps", 2, "--tol-bound", 0.1)
+    assert exc.value.code == 2
+    assert "--tol-bound" in capsys.readouterr().err
+
+
 def test_dynamics_rejects_z0_outside_the_sphere(tmp_path, capsys):
     out = tmp_path / "dyn.csv"
     assert run_cli("dynamics", "--two-j", 10, "--ky", "pi:2", "--z0", 1.5,

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kickedtop import floquet
+from kickedtop.errors import NumericalError
 from kickedtop.floquet import (FloquetOperator, KickParams, coupling_generator,
                                floquet_operator, kick_unitary, unitarity_defect)
 from kickedtop.spin import SIGMA_Z, angular_momentum_matrices, coupling_operator, dim_top
@@ -136,6 +138,31 @@ def test_refresh_sweep_unitary():
         for kappa in np.linspace(0.1, 12.0, 100):
             swept = KickParams(kappa, 0.7 * kappa, delta=delta, variant=variant)
             assert unitarity_defect(floquet_operator(swept, 40).u) < 1e-10
+
+
+@pytest.mark.parametrize("two_j", [6, 7])
+def test_non_orthogonal_cached_overlap_rejected(monkeypatch, two_j):
+    # C = V^T S V is certified once per two_j, before the cache entry is stored
+    eigensystem = floquet.jx_eigensystem
+    monkeypatch.setattr(floquet, "_SECTOR_CACHE", {})
+    monkeypatch.setattr(floquet, "jx_eigensystem",
+                        lambda n: (eigensystem(n)[0], 1.001 * eigensystem(n)[1]))
+    with pytest.raises(NumericalError):
+        floquet_operator(KickParams(1.0, 1.0), two_j)
+    assert two_j not in floquet._SECTOR_CACHE
+
+
+def test_non_orthogonal_delta_overlap_rejected(monkeypatch):
+    floquet_operator(KickParams(1.0, 1.0), 7)  # the cached entry is certified and stored
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def scaled(*args, **kwargs):
+        evals, evecs = solve(*args, **kwargs)
+        return evals, 1.001 * evecs
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", scaled)
+    with pytest.raises(NumericalError):
+        floquet_operator(KickParams(1.0, 1.0, delta=0.7), 7)
 
 
 def test_operator_records_inputs():

@@ -71,11 +71,17 @@ def test_sector_eigenphases_match_full_spectrum():
 @pytest.mark.parametrize("two_j", [5, 6])
 def test_non_unitary_rejected(two_j):
     op = floquet_operator(KickParams(1.0, 1.0), two_j)
-    bad = FloquetOperator(core=op.core * 1.001, frame=op.frame, params=op.params, two_j=two_j)
-    with pytest.raises(NumericalError):
-        quasi_spectrum(bad)
-    with pytest.raises(NumericalError):
-        sector_eigenphases(bad)
+    # complex-symmetric noise keeps M = M^T, the structure the real solver relies on
+    rng = np.random.default_rng(two_j)
+    noise = rng.standard_normal(op.core.shape) + 1j * rng.standard_normal(op.core.shape)
+    noise += noise.swapaxes(-1, -2)
+    noise *= 1e-6 / np.abs(noise).max()
+    for core in (op.core * 1.001, op.core + noise):
+        bad = FloquetOperator(core=core, frame=op.frame, params=op.params, two_j=two_j)
+        with pytest.raises(NumericalError):
+            quasi_spectrum(bad)
+        with pytest.raises(NumericalError):
+            sector_eigenphases(bad)
 
 
 def _dense_sector_blocks(kx, ky, two_j, variant, delta=0.0):
