@@ -8,6 +8,12 @@ full run configuration and a schema tag; records are ordered by grid
 index no matter how many workers run, so identical configurations give
 identical files.
 
+Each subcommand registers only the options it reads: --workers on the
+five sweeps, --delta on every command that builds an operator, and
+--variant on entropy, dynamics and symcheck.  spectrum, rgrid and rcurve
+use quasi-energies only, which agree across orderings, so they always
+build the plain ordering (recorded as "variant": "plain" in the config).
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -21,9 +27,9 @@ import numpy as np
 
 from .dynamics import dynamical_scan
 from .errors import NumericalError
-from .floquet import KickParams, floquet_operator
+from .floquet import VARIANTS, KickParams, floquet_operator
 from .localization import probe_columns, sphere_averaged_s2, sphere_grid
-from .spectral import (DEFAULT_BOUND_TOL, parity_resolved_r, quasi_spectrum,
+from .spectral import (DEFAULT_BOUND_TOL, bound_window, parity_resolved_r, quasi_spectrum,
                        sector_eigenphases, stage_borders, stage_classify)
 from .symmetry import verify_symmetries
 from .spin import validate_two_j
@@ -41,21 +47,10 @@ def parse_kappa(text: str) -> float:
 
 def parse_range(text: str) -> tuple[float, float]:
     """A 'lo:hi' range whose components may carry the pi: prefix."""
-    tokens = text.split(":")
-    values = []
-    i = 0
-    while i < len(tokens):
-        if tokens[i] == "pi":
-            if i + 1 >= len(tokens):
-                raise ValueError(f"dangling 'pi:' in range {text!r}")
-            values.append(float(tokens[i + 1]) * math.pi)
-            i += 2
-        else:
-            values.append(float(tokens[i]))
-            i += 1
-    if len(values) != 2:
-        raise ValueError(f"range must have exactly two components, got {text!r}")
-    lo, hi = values
+    cut = text.find(":", len("pi:") if text.startswith("pi:") else 0)
+    if cut < 0:
+        raise ValueError(f"range must have two components lo:hi, got {text!r}")
+    lo, hi = parse_kappa(text[:cut]), parse_kappa(text[cut + 1:])
     if hi < lo:
         raise ValueError(f"range is empty: {text!r}")
     return lo, hi
@@ -76,14 +71,7 @@ def _split_product(product: float, ratio: float) -> tuple[float, float]:
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    cfg = {}
-    for key, value in sorted(vars(args).items()):
-        if key == "func":
-            continue
-        if isinstance(value, (list, tuple)):
-            value = list(value)
-        cfg[key] = value
-    return cfg
+    return {key: value for key, value in vars(args).items() if key != "func"}
 
 
 def _fmt(value) -> str:
@@ -92,33 +80,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write(out: str | None, text: str) -> None:
+    """Write text to the file out, or to stdout when out is None."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _write_csv(out: str | None, command: str, config: dict,
                header: list[str], rows: list[list]) -> None:
     lines = [f"# schema: {SCHEMA_PREFIX}.{command}.{SCHEMA_VERSION}",
              f"# config: {json.dumps(config, sort_keys=True)}",
              ",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(out, "\n".join(lines) + "\n")
 
 
 def _write_json(out: str | None, command: str, config: dict, payload: dict) -> None:
     doc = {"schema": f"{SCHEMA_PREFIX}.{command}.{SCHEMA_VERSION}",
            "config": config, **payload}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _pool_map(fn, items, workers: int) -> list:
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
+    if workers == 1:
         return [fn(item) for item in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -172,8 +161,7 @@ def cmd_rgrid(args) -> None:
 def cmd_rcurve(args) -> None:
     def row(op) -> list:
         eps = sector_eigenphases(op)
-        n_bound = int((np.minimum(np.abs(eps), np.abs(np.pi - np.abs(eps)))
-                       <= args.tol_bound).sum())
+        n_bound = int(bound_window(eps, args.tol_bound)[1].sum())
         return [parity_resolved_r(eps)["r_mean"], _stage(op), n_bound]
 
     _sweep(args, "rcurve", ["kxky", "value", "stage", "n_bound"], _product_points(args), row)
@@ -185,11 +173,10 @@ def cmd_entropy(args) -> None:
     if parse_range(args.kxky)[0] <= 0:
         raise ValueError("entropy needs strictly positive kick products")
     points = _product_points(args)
-    grid = sphere_grid(args.grid, args.grid)
-    probes = probe_columns(two_j, grid)
+    probes = probe_columns(two_j, sphere_grid(args.grid, args.grid))
 
     def row(op) -> list:
-        result = sphere_averaged_s2(quasi_spectrum(op), grid, probes)
+        result = sphere_averaged_s2(quasi_spectrum(op), probes)
         return [result.s2_mean, _stage(op), result.baseline]
 
     _sweep(args, "entropy", ["kxky", "value", "stage", "baseline"], points, row)
@@ -253,67 +240,61 @@ def build_parser() -> argparse.ArgumentParser:
                     "of the twice-kicked coupled top.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, variant_default="plain"):
+    def command(name, func, help, delta=True, workers=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--two-j", dest="two_j", type=int, required=True,
                        help="twice the top spin (integer >= 1)")
-        if variant_default is None:
-            p.add_argument("--variant", choices=("plain", "sym1", "sym2"), default=None)
-        else:
-            p.add_argument("--variant", choices=("plain", "sym1", "sym2"),
-                           default=variant_default)
-        p.add_argument("--delta", type=float, default=0.0,
-                       help="chirality-breaking strength in both kicks")
-        p.add_argument("--workers", type=int, default=1)
+        if delta:
+            p.add_argument("--delta", type=float, default=0.0,
+                           help="chirality-breaking strength in both kicks")
+        if workers:
+            p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("spectrum", help="quasi-energies along a kick-product range")
-    common(p)
-    p.add_argument("--kxky", required=True, help="product range lo:hi")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--ratio", type=float, default=1.0, help="kappa_y / kappa_x")
-    p.set_defaults(func=cmd_spectrum)
+    def product_sweep(name, func, help):
+        p = command(name, func, help)
+        p.add_argument("--kxky", required=True, help="product range lo:hi")
+        p.add_argument("--steps", type=int, required=True)
+        p.add_argument("--ratio", type=float, default=1.0, help="kappa_y / kappa_x")
+        return p
 
-    p = sub.add_parser("rgrid", help="spacing-ratio statistics over a (kx, ky) grid")
-    common(p)
+    # quasi-energies agree across orderings, so spectrum, rgrid and rcurve build plain
+    p = product_sweep("spectrum", cmd_spectrum, "quasi-energies along a kick-product range")
+    p.set_defaults(variant="plain")
+
+    p = command("rgrid", cmd_rgrid, "spacing-ratio statistics over a (kx, ky) grid")
     p.add_argument("--kx", required=True, help="kappa_x range lo:hi")
     p.add_argument("--ky", required=True, help="kappa_y range lo:hi")
     p.add_argument("--steps", type=int, required=True, help="steps per axis")
-    p.set_defaults(func=cmd_rgrid)
+    p.set_defaults(variant="plain")
 
-    p = sub.add_parser("rcurve", help="spacing-ratio statistics along a product range")
-    common(p)
-    p.add_argument("--kxky", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--ratio", type=float, default=1.0)
+    p = product_sweep("rcurve", cmd_rcurve, "spacing-ratio statistics along a product range")
     p.add_argument("--tol-bound", dest="tol_bound", type=float, default=DEFAULT_BOUND_TOL,
                    help="bound-state detection tolerance in radians")
-    p.set_defaults(func=cmd_rcurve)
+    p.set_defaults(variant="plain")
 
-    p = sub.add_parser("entropy", help="sphere-averaged Renyi entropy along a product range")
-    common(p, variant_default="sym1")
-    p.add_argument("--kxky", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--ratio", type=float, default=1.0)
+    p = product_sweep("entropy", cmd_entropy,
+                      "sphere-averaged Renyi entropy along a product range")
+    p.add_argument("--variant", choices=VARIANTS, default="sym1")
     p.add_argument("--grid", type=int, default=32, help="sphere quadrature size per axis")
-    p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("dynamics", help="stroboscopic Jz series at allowed kick strengths")
-    common(p)
+    p = command("dynamics", cmd_dynamics, "stroboscopic Jz series at allowed kick strengths")
+    p.add_argument("--variant", choices=VARIANTS, default="plain")
     p.add_argument("--ky", required=True, help="kappa_y (accepts pi: prefix)")
     p.add_argument("--z0", type=float, default=0.5, help="initial <Jz>/j")
     p.add_argument("--nx", required=True, help="comma-separated n_x ladder indices")
     p.add_argument("--n-max", dest="n_max", type=int, default=500)
-    p.set_defaults(func=cmd_dynamics)
 
-    p = sub.add_parser("symcheck", help="symmetry-relation residuals at one point")
-    common(p, variant_default=None)
+    p = command("symcheck", cmd_symcheck, "symmetry-relation residuals at one point",
+                workers=False)
+    p.add_argument("--variant", choices=VARIANTS, default=None)
     p.add_argument("--kx", required=True, help="kappa_x (accepts pi: prefix)")
     p.add_argument("--ky", required=True, help="kappa_y (accepts pi: prefix)")
-    p.set_defaults(func=cmd_symcheck)
 
-    p = sub.add_parser("stages", help="kick-product borders between the four stages")
-    common(p)
-    p.set_defaults(func=cmd_stages)
+    command("stages", cmd_stages, "kick-product borders between the four stages",
+            delta=False, workers=False)
 
     return parser
 
@@ -322,8 +303,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.workers < 1:
-            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,6 +33,20 @@ class DynamicsSeries:
     jz_std: np.ndarray
 
 
+def _jz_series(two_j: int, params: KickParams, weights) -> DynamicsSeries:
+    """The Jz mean and standard deviation after each kick, from an iterable
+    of per-kick occupation weights on the m ladder (ascending m)."""
+    jz_diag = m_values(two_j)
+    means, stds = [], []
+    for w in weights:
+        m1 = float(jz_diag @ w)
+        m2 = float((jz_diag ** 2) @ w)
+        means.append(m1)
+        stds.append(math.sqrt(max(m2 - m1 * m1, 0.0)))
+    return DynamicsSeries(two_j=two_j, params=params, n=np.arange(len(means)),
+                          jz_mean=np.array(means), jz_std=np.array(stds))
+
+
 def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
                         n_max: int) -> DynamicsSeries:
     """Evolve psi0 by repeated application of the one-period unitary.
@@ -47,24 +61,19 @@ def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
     blocks = operator.sector_blocks()
-    # each sector holds one state per m, in ascending m
-    jz_diag = m_values(operator.two_j)
-    means = np.empty(n_max + 1)
-    stds = np.empty(n_max + 1)
-    sectors = [psi0[idx].astype(complex) for idx in sector_indices(operator.two_j)]
-    for n in range(n_max + 1):
-        if n > 0:
-            sectors = [block @ psi for block, psi in zip(blocks, sectors)]
-            drift = abs(math.hypot(*(np.linalg.norm(psi) for psi in sectors)) - 1.0)
-            if drift > NORM_DRIFT_TOL:
-                raise NumericalError(f"norm drifted by {drift:.2e} at kick {n}")
-        weights = sum(np.abs(psi) ** 2 for psi in sectors)
-        m1 = float(jz_diag @ weights)
-        m2 = float((jz_diag ** 2) @ weights)
-        means[n] = m1
-        stds[n] = math.sqrt(max(m2 - m1 * m1, 0.0))
-    return DynamicsSeries(two_j=operator.two_j, params=operator.params,
-                          n=np.arange(n_max + 1), jz_mean=means, jz_std=stds)
+
+    def weights():
+        # each sector holds one state per m, in ascending m
+        sectors = [psi0[idx].astype(complex) for idx in sector_indices(operator.two_j)]
+        for n in range(n_max + 1):
+            if n > 0:
+                sectors = [block @ psi for block, psi in zip(blocks, sectors)]
+                drift = abs(math.hypot(*(np.linalg.norm(psi) for psi in sectors)) - 1.0)
+                if drift > NORM_DRIFT_TOL:
+                    raise NumericalError(f"norm drifted by {drift:.2e} at kick {n}")
+            yield sum(np.abs(psi) ** 2 for psi in sectors)
+
+    return _jz_series(operator.two_j, operator.params, weights())
 
 
 def eigenbasis_series(spectrum: QuasiSpectrum, psi0: np.ndarray,
@@ -76,21 +85,12 @@ def eigenbasis_series(spectrum: QuasiSpectrum, psi0: np.ndarray,
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    # each sector holds one state per m, in ascending m
-    jz_diag = m_values(spectrum.two_j)
     coeffs = [vecs.conj().T @ psi0[idx] for idx, vecs
               in zip(sector_indices(spectrum.two_j), spectrum.vectors)]
-    means = np.empty(n_max + 1)
-    stds = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        weights = sum(np.abs(vecs @ (np.exp(-1j * eps * n) * c)) ** 2
-                      for eps, vecs, c in zip(spectrum.epsilons, spectrum.vectors, coeffs))
-        m1 = float(jz_diag @ weights)
-        m2 = float((jz_diag ** 2) @ weights)
-        means[n] = m1
-        stds[n] = math.sqrt(max(m2 - m1 * m1, 0.0))
-    return DynamicsSeries(two_j=spectrum.two_j, params=spectrum.params,
-                          n=np.arange(n_max + 1), jz_mean=means, jz_std=stds)
+    weights = (sum(np.abs(vecs @ (np.exp(-1j * eps * n) * c)) ** 2
+                   for eps, vecs, c in zip(spectrum.epsilons, spectrum.vectors, coeffs))
+               for n in range(n_max + 1))
+    return _jz_series(spectrum.two_j, spectrum.params, weights)
 
 
 @dataclass

@@ -56,6 +56,8 @@ breaks this (sigma_x sigma_z sigma_x = -sigma_z).  Such an operator
 core[1] = core[0], frame[1] = frame[0][::-1].
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +72,6 @@ VARIANTS = ("plain", "sym1", "sym2")
 
 UNITARITY_TOL = 1e-10
 
-# two_j -> _Sectors.  Values are immutable once stored; concurrent
-# callers may race on insertion and duplicate work, but reads stay safe.
-_SECTOR_CACHE: dict[int, "_Sectors"] = {}
-
 
 @dataclass(frozen=True)
 class KickParams:
@@ -85,6 +83,9 @@ class KickParams:
     variant: str = "plain"
 
     def __post_init__(self):
+        for name in ("kappa_x", "kappa_y", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.kappa_x < 0 or self.kappa_y < 0:
             raise ValueError("kick strengths must be non-negative")
         if self.delta < 0:
@@ -158,10 +159,8 @@ class _Sectors:
     overlap: np.ndarray      # (2, d, d)
 
 
+@functools.cache
 def _sectors(two_j: int) -> _Sectors:
-    cached = _SECTOR_CACHE.get(two_j)
-    if cached is not None:
-        return cached
     j = two_j / 2.0
     evals, vecs = jx_eigensystem(two_j)
     # flat index 2(j + m) + s: within a sector the spin s alternates with m
@@ -175,7 +174,7 @@ def _sectors(two_j: int) -> _Sectors:
                        vecs=vecs, z=z, gauge=gauge, overlap=overlap)
     for value in (sectors.offdiag, sectors.lam, sectors.z, sectors.gauge, sectors.overlap):
         value.setflags(write=False)
-    return _SECTOR_CACHE.setdefault(two_j, sectors)
+    return sectors
 
 
 def _sector_core(sectors: _Sectors, k: int, params: KickParams):

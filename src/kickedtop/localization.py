@@ -9,6 +9,11 @@ ratio against the Floquet eigenbasis is rescaled to
 so S2 = 0 for a probe equal to an eigenstate and S2 = 1 for a probe
 spread evenly over the basis.  Sphere averages use Gauss-Legendre nodes
 in cos(theta) times a uniform azimuthal grid.
+
+The sphere average reads its grid from the probes (probe_columns), so
+columns and quadrature weights always belong to the same nodes.  One
+function makes the coherent top states over z x phi nodes for both the
+probe columns and the Husimi scans.
 """
 
 import math
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import QuasiSpectrum
-from .spin import coherent_state, dim_top, m_values
+from .spin import coherent_state, m_values
 
 COMPLETENESS_TOL = 1e-10
 
@@ -79,9 +84,27 @@ class LocalizationResult:
     baseline: float
 
 
-def probe_columns(two_j: int, grid: SphereGrid) -> np.ndarray:
+def _coherent_columns(two_j: int, z_nodes: np.ndarray, phi_nodes: np.ndarray) -> np.ndarray:
+    """Coherent top states |arccos z, phi> at every node of z_nodes x
+    phi_nodes, as (2j+1, n_z * n_phi) columns ordered z-major."""
+    m = m_values(two_j)
+    tops = np.stack([coherent_state(two_j, math.acos(float(z)), 0.0) for z in z_nodes], axis=1)
+    phases = np.exp(-1j * np.outer(m, phi_nodes))
+    return (phases[:, None, :] * tops[:, :, None]).reshape(m.size, -1)
+
+
+@dataclass(frozen=True)
+class ProbeColumns:
     """The rows of all probe states in one parity sector, as (2j+1, n)
-    columns ordered theta-major.
+    columns ordered theta-major over the nodes of `grid`."""
+
+    two_j: int
+    grid: SphereGrid
+    columns: np.ndarray
+
+
+def probe_columns(two_j: int, grid: SphereGrid) -> ProbeColumns:
+    """The probe rows of every node of grid, with the grid they belong to.
 
     Each sector holds one state of each m, so the coherent top state times
     (|up> + |down>)/sqrt(2) has the same rows, top/sqrt(2) in ascending m,
@@ -89,48 +112,41 @@ def probe_columns(two_j: int, grid: SphereGrid) -> np.ndarray:
     sweep builds them once and passes them to every sphere_averaged_s2
     call.
     """
-    m = m_values(two_j)
-    cols = np.empty((dim_top(two_j), grid.z_nodes.size * grid.phi_nodes.size), dtype=complex)
-    k = 0
-    for z in grid.z_nodes:
-        top0 = coherent_state(two_j, math.acos(z), 0.0)
-        for phi in grid.phi_nodes:
-            cols[:, k] = np.exp(-1j * phi * m) * top0 / math.sqrt(2.0)
-            k += 1
-    return cols
+    columns = _coherent_columns(two_j, grid.z_nodes, grid.phi_nodes)
+    columns /= math.sqrt(2.0)
+    return ProbeColumns(two_j=two_j, grid=grid, columns=columns)
 
 
-def sphere_averaged_s2(spectrum: QuasiSpectrum, grid: SphereGrid | None = None,
-                       probes: np.ndarray | None = None) -> LocalizationResult:
+def sphere_averaged_s2(spectrum: QuasiSpectrum,
+                       probes: ProbeColumns | None = None) -> LocalizationResult:
     """Renyi entropy of the coherent probe averaged over the Bloch sphere.
 
-    probes, when given, must be probe_columns(two_j, grid), the probes'
-    rows in either sector; each sector's eigenvectors are overlapped
-    with them.
+    probes, by default probe_columns(two_j, sphere_grid()), sets the
+    quadrature grid; each sector's eigenvectors are overlapped with its
+    columns.  Probes built for another two_j are rejected.
     Kick strengths of zero are rejected: the eigenbasis of a degenerate
     operator is not unique, so the IPR would be gauge-dependent.
     """
     params = spectrum.params
     if params.kappa_x == 0.0 or params.kappa_y == 0.0:
         raise ValueError("zero kick strength leaves the eigenbasis degenerate")
-    if grid is None:
-        grid = sphere_grid()
-    dim = spectrum.dim
     if probes is None:
-        probes = probe_columns(spectrum.two_j, grid)
-    elif probes.shape != (dim // 2, grid.weights.size):
-        raise ValueError(f"probe columns of shape {probes.shape} do not match "
-                         f"sector dimension {dim // 2} and a grid of {grid.weights.size} nodes")
-    probs = np.concatenate([np.abs(vecs.conj().T @ probes) ** 2 for vecs in spectrum.vectors])
+        probes = probe_columns(spectrum.two_j, sphere_grid())
+    elif probes.two_j != spectrum.two_j:
+        raise ValueError(f"probe columns for two_j = {probes.two_j} do not match "
+                         f"a spectrum of two_j = {spectrum.two_j}")
+    dim = spectrum.dim
+    probs = np.concatenate([np.abs(vecs.conj().T @ probes.columns) ** 2
+                            for vecs in spectrum.vectors])
     defect = np.abs(probs.sum(axis=0) - 1.0).max()
     if defect > COMPLETENESS_TOL:
         raise ValueError(f"overlap completeness defect {defect:.2e}")
     ipr_cols = (probs ** 2).sum(axis=0)
     s2 = -np.log(ipr_cols) / math.log(dim)
-    s2_nodes = s2.reshape(grid.shape)
+    s2_nodes = s2.reshape(probes.grid.shape)
     return LocalizationResult(
         s2_nodes=s2_nodes,
-        s2_mean=float((grid.weights * s2_nodes).sum()),
+        s2_mean=float((probes.grid.weights * s2_nodes).sum()),
         baseline=coe_baseline(dim),
     )
 
@@ -138,14 +154,9 @@ def sphere_averaged_s2(spectrum: QuasiSpectrum, grid: SphereGrid | None = None,
 def _husimi_values(state: np.ndarray, two_j: int,
                    z_list: np.ndarray, phi_list: np.ndarray) -> np.ndarray:
     """Spin-summed coherent-state overlap on the outer grid z_list x phi_list."""
-    m = m_values(two_j)
-    up, down = state[0::2], state[1::2]
-    out = np.empty((z_list.size, phi_list.size))
-    for i, z in enumerate(z_list):
-        top0 = coherent_state(two_j, math.acos(float(z)), 0.0)
-        phase = np.exp(-1j * np.outer(phi_list, m)) * top0[None, :]
-        out[i] = np.abs(phase.conj() @ up) ** 2 + np.abs(phase.conj() @ down) ** 2
-    return out
+    cols = _coherent_columns(two_j, z_list, phi_list).conj().T
+    values = np.abs(cols @ state[0::2]) ** 2 + np.abs(cols @ state[1::2]) ** 2
+    return values.reshape(z_list.size, phi_list.size)
 
 
 def husimi_peak(state: np.ndarray, two_j: int,

@@ -230,24 +230,31 @@ def chiral_expectation(state: np.ndarray) -> float:
     return min(1.0, max(-1.0, value))
 
 
+def bound_window(epsilons: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each quasi-energy's distance to the nearer of 0 and pi, and the
+    mask of those within the bound-state window tol (radians, positive)."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    eps = np.asarray(epsilons)
+    distance = np.minimum(np.abs(eps), np.abs(np.pi - np.abs(eps)))
+    return distance, distance <= tol
+
+
 def detect_bound_states(spectrum: QuasiSpectrum,
                         tol: float = DEFAULT_BOUND_TOL) -> list[BoundStateRecord]:
     """All states within tol of quasi-energy 0 or pi, with chiral labels,
     +1 sector first."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     eps = spectrum.epsilons
-    dist0 = np.abs(eps)
-    dist_pi = np.abs(np.pi - np.abs(eps))
+    distance, inside = bound_window(eps, tol)
     records = []
-    for sector, i in zip(*np.nonzero(np.minimum(dist0, dist_pi) <= tol)):
-        near_zero = dist0[sector, i] <= dist_pi[sector, i]
+    for sector, i in zip(*np.nonzero(inside)):
         records.append(BoundStateRecord(
             sector=int(sector),
             index=int(i),
             epsilon=float(eps[sector, i]),
-            target=0.0 if near_zero else np.pi,
-            distance=float(dist0[sector, i] if near_zero else dist_pi[sector, i]),
+            # the distance is |eps| exactly when 0 is the nearer target
+            target=0.0 if distance[sector, i] == abs(eps[sector, i]) else np.pi,
+            distance=float(distance[sector, i]),
             chiral=chiral_expectation(spectrum.state(sector, i)),
         ))
     return records

@@ -17,6 +17,7 @@ G = diag((-i)^k), k = j + m; the Floquet engine reuses the same
 eigensystem for both kick axes.  Construction is deterministic.
 """
 
+import functools
 from collections import namedtuple
 
 import numpy as np
@@ -29,9 +30,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 AngularMomentum = namedtuple("AngularMomentum", ["jx", "jy", "jz", "jplus", "jminus"])
-
-# eigendecomposition of the real tridiagonal Jx per two_j, read-only once stored
-_JX_EIG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 # (-i)^k for k mod 4, exact; (-1j) ** k is off by up to 8e-14 for k <= 401
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
@@ -113,22 +111,19 @@ def coupling_operator(axis: str, two_j: int) -> np.ndarray:
     return np.kron(top, sigma)
 
 
+@functools.cache
 def jx_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached eigenvalues and real orthogonal eigenvectors of Jx (read-only).
 
     Jx is real symmetric tridiagonal with zero diagonal and off-diagonal
-    entries half the ladder elements.  Concurrent callers may race on the
-    first insertion and duplicate the work; reads stay safe.
+    entries half the ladder elements.
     """
     two_j = validate_two_j(two_j)
-    cached = _JX_EIG_CACHE.get(two_j)
-    if cached is None:
-        evals, evecs = scipy.linalg.eigh_tridiagonal(np.zeros(two_j + 1),
-                                                     ladder_elements(two_j) / 2.0)
-        evals.setflags(write=False)
-        evecs.setflags(write=False)
-        cached = _JX_EIG_CACHE.setdefault(two_j, (evals, evecs))
-    return cached
+    evals, evecs = scipy.linalg.eigh_tridiagonal(np.zeros(two_j + 1),
+                                                 ladder_elements(two_j) / 2.0)
+    evals.setflags(write=False)
+    evecs.setflags(write=False)
+    return evals, evecs
 
 
 def _y_gauge(two_j: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from kickedtop.cli import main as cli_main
 from kickedtop.dynamics import dynamical_scan
 from kickedtop.floquet import KickParams, floquet_operator, kick_unitary
 from kickedtop.localization import (angular_distance, coe_baseline, husimi_peak,
-                                    sphere_averaged_s2, sphere_grid)
+                                    probe_columns, sphere_averaged_s2, sphere_grid)
 from kickedtop.meanfield import (bound_state_predictions, predicted_count,
                                  topological_count_estimate)
 from kickedtop.spectral import (R_COE, R_CUE, detect_bound_states, mean_spacing_ratio,
@@ -142,7 +142,7 @@ def test_criterion_5_entropy_asymptote():
     product = 6 * math.pi * j
     kappa_x = math.sqrt(product / 1.7)
     op = floquet_operator(KickParams(kappa_x, 1.7 * kappa_x, variant="sym1"), two_j)
-    s2 = sphere_averaged_s2(quasi_spectrum(op), sphere_grid(32, 32)).s2_mean
+    s2 = sphere_averaged_s2(quasi_spectrum(op), probe_columns(two_j, sphere_grid(32, 32))).s2_mean
     target = coe_baseline(dim)
     ok = abs(s2 - target) <= 0.02
     assert report(5, ok, f"deep-chaotic sphere-averaged S2 at j = {j:g} "
@@ -154,12 +154,12 @@ def test_criterion_6_four_stage_shape():
     b1 = math.pi * (two_j + 1) / 4.0
     b2, b3 = 2.0 * b1, 4.0 * b1
     ratio = 1.7
-    grid = sphere_grid(32, 32)
+    probes = probe_columns(two_j, sphere_grid(32, 32))
 
     def s2_at(product):
         kappa_x = math.sqrt(product / ratio)
         op = floquet_operator(KickParams(kappa_x, ratio * kappa_x, variant="sym1"), two_j)
-        return sphere_averaged_s2(quasi_spectrum(op), grid).s2_mean
+        return sphere_averaged_s2(quasi_spectrum(op), probes).s2_mean
 
     s1_early, s1_end = s2_at(0.5 * b1), s2_at(0.85 * b1)
     s2_a, s2_b = s2_at(1.15 * b1), s2_at(0.9 * b2)

@@ -1,10 +1,15 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kickedtop.cli import main, parse_kappa, parse_range
+from kickedtop.cli import build_parser, main, parse_kappa, parse_range
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv):
@@ -85,6 +90,47 @@ def test_tol_bound_is_an_rcurve_option_only(capsys):
         run_cli("spectrum", "--two-j", 4, "--kxky", "1:2", "--steps", 2, "--tol-bound", 0.1)
     assert exc.value.code == 2
     assert "--tol-bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [0, -1])
+def test_non_positive_tol_bound_is_config_error(tmp_path, tol):
+    out = tmp_path / "curve.csv"
+    assert run_cli("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 2,
+                   "--tol-bound", tol, "--out", out) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("rcurve", "--two-j", 10, "--kxky", "nan:4", "--steps", 2), "kappa_x"),
+    (("symcheck", "--two-j", 10, "--kx", 1.0, "--ky", "inf"), "kappa_y"),
+    (("rgrid", "--two-j", 10, "--kx", "1:2", "--ky", "1:2", "--steps", 2,
+      "--delta", "inf"), "delta"),
+])
+def test_non_finite_kick_parameter_is_config_error(tmp_path, capsys, argv, field):
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", out) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_commands_parse_and_removed_options_are_rejected(capsys):
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", README.read_text(), re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("kickedtop ")]
+    assert len(commands) == 8
+    for argv in commands:
+        build_parser().parse_args(argv)
+    removed = [["stages", "--two-j", "4", "--workers", "2"],
+               ["stages", "--two-j", "4", "--delta", "1"],
+               ["stages", "--two-j", "4", "--variant", "sym1"],
+               ["symcheck", "--two-j", "4", "--kx", "1", "--ky", "1", "--workers", "2"]]
+    removed += [[*argv, "--variant", "sym1"] for argv in commands
+                if argv[0] in ("spectrum", "rgrid", "rcurve")]
+    for argv in removed:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
 
 
 def test_dynamics_rejects_z0_outside_the_sphere(tmp_path, capsys):

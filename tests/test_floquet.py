@@ -144,12 +144,12 @@ def test_refresh_sweep_unitary():
 def test_non_orthogonal_cached_overlap_rejected(monkeypatch, two_j):
     # C = V^T S V is certified once per two_j, before the cache entry is stored
     eigensystem = floquet.jx_eigensystem
-    monkeypatch.setattr(floquet, "_SECTOR_CACHE", {})
+    floquet._sectors.cache_clear()
     monkeypatch.setattr(floquet, "jx_eigensystem",
                         lambda n: (eigensystem(n)[0], 1.001 * eigensystem(n)[1]))
     with pytest.raises(NumericalError):
         floquet_operator(KickParams(1.0, 1.0), two_j)
-    assert two_j not in floquet._SECTOR_CACHE
+    assert floquet._sectors.cache_info().currsize == 0
 
 
 def test_non_orthogonal_delta_overlap_rejected(monkeypatch):
@@ -185,3 +185,11 @@ def test_param_validation():
         KickParams(1.0, 1.0, delta=0.5, variant="sym1")
     with pytest.raises(ValueError):
         kick_unitary("x", -1.0, 4)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["kappa_x", "kappa_y", "delta"])
+def test_non_finite_params_rejected(field, value):
+    values = {"kappa_x": 1.0, "kappa_y": 1.0, "delta": 0.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        KickParams(**values)

@@ -75,18 +75,18 @@ def test_sphere_average_rejects_degenerate_operator():
         with pytest.raises(ValueError):
             sphere_averaged_s2(spectrum)
         with pytest.raises(ValueError):
-            sphere_averaged_s2(spectrum, grid, probe_columns(10, grid))
+            sphere_averaged_s2(spectrum, probe_columns(10, grid))
 
 
 def test_sphere_average_bounds_and_reuse():
     op = floquet_operator(KickParams(1.5, 2.5, variant="sym1"), 20)
     grid = sphere_grid(12, 12)
-    result = sphere_averaged_s2(quasi_spectrum(op), grid)
+    result = sphere_averaged_s2(quasi_spectrum(op), probe_columns(20, grid))
     assert np.all(result.s2_nodes >= 0.0)
     assert np.all(result.s2_nodes <= 1.0)
     assert 0.0 <= result.s2_mean <= 1.0
     assert result.baseline == pytest.approx(coe_baseline(42))
-    again = sphere_averaged_s2(quasi_spectrum(op), grid, probe_columns(20, grid))
+    again = sphere_averaged_s2(quasi_spectrum(op), probe_columns(20, grid))
     assert again.s2_mean == pytest.approx(result.s2_mean, abs=1e-12)
 
 
@@ -97,8 +97,8 @@ def test_sector_probe_rows_match_coupled_space_probes(two_j):
     grid = sphere_grid(4, 5)
     spectrum = quasi_spectrum(floquet_operator(KickParams(1.5, 2.5, variant="sym1"), two_j))
     probes = probe_columns(two_j, grid)
-    assert probes.shape == (two_j + 1, 20)
-    result = sphere_averaged_s2(spectrum, grid, probes)
+    assert probes.columns.shape == (two_j + 1, 20)
+    result = sphere_averaged_s2(spectrum, probes)
     basis = np.stack([spectrum.state(s, k) for s in range(2) for k in range(two_j + 1)],
                      axis=1)
     for i, z in enumerate(grid.z_nodes):
@@ -107,7 +107,8 @@ def test_sector_probe_rows_match_coupled_space_probes(two_j):
             expected = renyi_entropy(ipr(basis, probe), 2 * (two_j + 1))
             assert result.s2_nodes[i, k] == pytest.approx(expected, abs=1e-12)
     with pytest.raises(ValueError):
-        sphere_averaged_s2(spectrum, grid, np.concatenate([probes, probes]))
+        # 2(2j+1) rows, as many as the coupled space
+        sphere_averaged_s2(spectrum, probe_columns(2 * two_j + 1, grid))
 
 
 def test_quadrature_convergence():
@@ -115,8 +116,8 @@ def test_quadrature_convergence():
     product = 6 * np.pi * (two_j / 2)
     kx = np.sqrt(product / 1.7)
     spectrum = quasi_spectrum(floquet_operator(KickParams(kx, 1.7 * kx, variant="sym1"), two_j))
-    coarse = sphere_averaged_s2(spectrum, sphere_grid(32, 32)).s2_mean
-    fine = sphere_averaged_s2(spectrum, sphere_grid(48, 48)).s2_mean
+    coarse = sphere_averaged_s2(spectrum, probe_columns(two_j, sphere_grid(32, 32))).s2_mean
+    fine = sphere_averaged_s2(spectrum, probe_columns(two_j, sphere_grid(48, 48))).s2_mean
     assert abs(coarse - fine) < 0.005
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -92,6 +94,20 @@ def test_delta_keeps_conjugation_up_to_similarity(two_j):
     report = verify_symmetries(op)
     for name in ("time_reversal_2", "particle_hole", "chiral"):
         assert report.residuals[name] > 1e-6, (name, report.residuals[name])
+
+
+def test_misassigned_sector_shows_in_parity_offblock(monkeypatch):
+    # with one state put into the wrong parity sector everywhere, U is still
+    # assembled block-diagonal on that split; the kick generators are not
+    from kickedtop import floquet, symmetry
+
+    plus, minus = (idx.copy() for idx in sector_indices(11))
+    plus[0], minus[0] = minus[0], plus[0]
+    for module in (floquet, symmetry):
+        monkeypatch.setattr(module, "sector_indices", lambda two_j: (plus, minus))
+    monkeypatch.setattr(floquet, "_sectors", functools.cache(floquet._sectors.__wrapped__))
+    report = verify_symmetries(floquet_operator(KickParams(1.3, 2.1, variant="sym1"), 11))
+    assert report.parity_offblock > 0.0
 
 
 def test_report_serializes():
