@@ -11,7 +11,7 @@ from .localization import (LocalizationResult, SphereGrid, angular_distance,
 from .meanfield import (BoundStatePrediction, allowed_kappa_x, bound_state_predictions,
                         mf_quasienergy, predicted_count, topological_count_estimate)
 from .spectral import (BoundStateRecord, QuasiSpectrum, R_COE, R_CUE, R_POISSON,
-                       bound_window, chiral_expectation, detect_bound_states,
+                       chiral_expectation, detect_bound_states,
                        mean_spacing_ratio, parity_resolved_r, quasi_spectrum,
                        sector_eigenphases, stage_borders, stage_classify)
 from .spin import (angular_momentum_matrices, coherent_state, coupling_operator,

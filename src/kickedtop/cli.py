@@ -159,6 +159,8 @@ def cmd_rgrid(args) -> None:
 
 
 def cmd_rcurve(args) -> None:
+    bound_window((), args.tol_bound)  # reject a bad --tol-bound before any solve
+
     def row(op) -> list:
         eps = sector_eigenphases(op)
         n_bound = int(bound_window(eps, args.tol_bound)[1].sum())

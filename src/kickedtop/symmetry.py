@@ -4,7 +4,9 @@ The operators and the relations verified here (U~ is a symmetrized
 one-period unitary, K is complex conjugation):
 
 * parity      Pi  = exp(-i pi (Jz + sigma_z/2)), times i when 2j is even
-              so that Pi^2 = 1 exactly;   Pi U~ Pi^-1 = U~
+              so that Pi^2 = 1 exactly;   [Pi, G] = 0 for the kick
+              generators G = Jx sigma_x/j, Jy sigma_y/j and sigma_z (U is
+              assembled block-diagonal, so it commutes with Pi by construction)
 * time rev.   T1 = K                       T1 U~* T1^-1 = U~^-1
               T2 = exp(-i pi (Jy + sigma_y/2)) K,  same relation;
               T2^2 = +1 for 2j odd, -1 for 2j even

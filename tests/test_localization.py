@@ -80,13 +80,14 @@ def test_sphere_average_rejects_degenerate_operator():
 
 def test_sphere_average_bounds_and_reuse():
     op = floquet_operator(KickParams(1.5, 2.5, variant="sym1"), 20)
-    grid = sphere_grid(12, 12)
-    result = sphere_averaged_s2(quasi_spectrum(op), probe_columns(20, grid))
+    spectrum = quasi_spectrum(op)
+    result = sphere_averaged_s2(spectrum)
     assert np.all(result.s2_nodes >= 0.0)
     assert np.all(result.s2_nodes <= 1.0)
     assert 0.0 <= result.s2_mean <= 1.0
     assert result.baseline == pytest.approx(coe_baseline(42))
-    again = sphere_averaged_s2(quasi_spectrum(op), probe_columns(20, grid))
+    probes = probe_columns(20, sphere_grid())
+    again = sphere_averaged_s2(spectrum, probes)
     assert again.s2_mean == pytest.approx(result.s2_mean, abs=1e-12)
 
 
