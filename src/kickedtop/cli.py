@@ -3,7 +3,8 @@
 Subcommands: spectrum | rgrid | rcurve | entropy | dynamics | symcheck |
 stages.  Kick strengths are accepted raw or as multiples of pi with a
 "pi:" prefix ("pi:16.4"); ranges are "lo:hi" with either component
-optionally prefixed ("pi:13:pi:20").  CSV and JSON outputs embed the
+optionally prefixed ("pi:13:pi:20").  Non-finite kick strengths and
+ratios are rejected as they are parsed.  CSV and JSON outputs embed the
 full run configuration and a schema tag; records are ordered by grid
 index no matter how many workers run, so identical configurations give
 identical files.
@@ -38,19 +39,21 @@ SCHEMA_PREFIX = "kickedtop"
 SCHEMA_VERSION = "v1"
 
 
-def parse_kappa(text: str) -> float:
-    """A kick strength, either a float or 'pi:<float>' for multiples of pi."""
-    if text.startswith("pi:"):
-        return float(text[3:]) * math.pi
-    return float(text)
+def parse_kappa(text: str, name: str = "kick strength") -> float:
+    """A finite kick strength, either a float or 'pi:<float>' for multiples
+    of pi; name is the quantity that an error message blames."""
+    value = float(text[3:]) * math.pi if text.startswith("pi:") else float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
 
 
-def parse_range(text: str) -> tuple[float, float]:
-    """A 'lo:hi' range whose components may carry the pi: prefix."""
+def parse_range(text: str, name: str = "kick strength") -> tuple[float, float]:
+    """A 'lo:hi' range of name whose components may carry the pi: prefix."""
     cut = text.find(":", len("pi:") if text.startswith("pi:") else 0)
     if cut < 0:
         raise ValueError(f"range must have two components lo:hi, got {text!r}")
-    lo, hi = parse_kappa(text[:cut]), parse_kappa(text[cut + 1:])
+    lo, hi = parse_kappa(text[:cut], name), parse_kappa(text[cut + 1:], name)
     if hi < lo:
         raise ValueError(f"range is empty: {text!r}")
     return lo, hi
@@ -64,8 +67,8 @@ def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
 
 def _split_product(product: float, ratio: float) -> tuple[float, float]:
     """Kick strengths with kappa_y / kappa_x = ratio at fixed product."""
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
+    if not (ratio > 0 and math.isfinite(ratio)):
+        raise ValueError(f"--ratio must be positive and finite, got {ratio!r}")
     kappa_x = math.sqrt(product / ratio)
     return kappa_x, kappa_x * ratio
 
@@ -115,7 +118,7 @@ def _pool_map(fn, items, workers: int) -> list:
 
 def _product_points(args) -> list:
     """The --kxky grid as ([kxky], kx, ky) points with ky / kx = --ratio."""
-    lo, hi = parse_range(args.kxky)
+    lo, hi = parse_range(args.kxky, "kxky")
     return [([product], *_split_product(product, args.ratio))
             for product in _grid(lo, hi, args.steps).tolist()]
 
@@ -147,8 +150,8 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_rgrid(args) -> None:
-    kx_values = _grid(*parse_range(args.kx), args.steps)
-    ky_values = _grid(*parse_range(args.ky), args.steps)
+    kx_values = _grid(*parse_range(args.kx, "kappa_x"), args.steps)
+    ky_values = _grid(*parse_range(args.ky, "kappa_y"), args.steps)
     points = [([kx, ky], kx, ky) for kx in kx_values for ky in ky_values]
 
     def row(op) -> list:
@@ -172,7 +175,7 @@ def cmd_rcurve(args) -> None:
 def cmd_entropy(args) -> None:
     two_j = validate_two_j(args.two_j)
     # the grid starts at lo, so it is positive exactly when lo is
-    if parse_range(args.kxky)[0] <= 0:
+    if parse_range(args.kxky, "kxky")[0] <= 0:
         raise ValueError("entropy needs strictly positive kick products")
     points = _product_points(args)
     probes = probe_columns(two_j, sphere_grid(args.grid, args.grid))
@@ -186,7 +189,7 @@ def cmd_entropy(args) -> None:
 
 def cmd_dynamics(args) -> None:
     two_j = validate_two_j(args.two_j)
-    kappa_y = parse_kappa(args.ky)
+    kappa_y = parse_kappa(args.ky, "kappa_y")
     n_x_list = [int(tok) for tok in args.nx.split(",") if tok]
     if not n_x_list:
         raise ValueError("--nx must list at least one integer")
@@ -211,7 +214,8 @@ def cmd_symcheck(args) -> None:
     variant = args.variant
     if variant is None:
         variant = "plain" if args.delta > 0 else "sym1"
-    params = KickParams(kappa_x=parse_kappa(args.kx), kappa_y=parse_kappa(args.ky),
+    params = KickParams(kappa_x=parse_kappa(args.kx, "kappa_x"),
+                        kappa_y=parse_kappa(args.ky, "kappa_y"),
                         delta=args.delta, variant=variant)
     report = verify_symmetries(floquet_operator(params, two_j))
     config = _config_dict(args)

@@ -5,6 +5,20 @@ mean and standard deviation of Jz after each kick distinguish a state
 pinned to a bound-state location (mean stays near its initial value)
 from chaotic spreading (mean decays to zero, the deviation approaches
 the uniform-ensemble value j/sqrt(3)).
+
+stroboscopic_series runs the recursion psi_{n+1} = B psi_n on the exact
+(2j+1)-dimensional parity-sector blocks B of the Floquet operator.  For
+mirror twins (even 2j, delta = 0) the -1 block is J B J, J the basis
+reversal, so one block is assembled and sector -1 is evolved reversed
+beside sector +1.  The first BATCH - 1 kicks take one product each; then
+P = B^BATCH, from repeated squaring, advances the last BATCH states at
+once, so each matrix product yields BATCH new states (2 BATCH columns for
+twins).  Only that last batch and the (n_max+1, 2j+1) real m-ladder
+weights are kept, and the norm of every kick is checked against
+NORM_DRIFT_TOL.  eigenbasis_series evolves by eigenphases instead.  It
+is the tests' independent oracle, not a production path: its error is
+set by the eigenvector residuals (up to spectral.EIGEN_RESIDUAL_TOL),
+not by rounding in the products.
 """
 
 import math
@@ -21,6 +35,9 @@ from .symmetry import sector_indices
 
 NORM_DRIFT_TOL = 1e-8
 
+# states per matrix product in stroboscopic_series after the first BATCH - 1 kicks
+BATCH = 8
+
 
 @dataclass
 class DynamicsSeries:
@@ -33,47 +50,75 @@ class DynamicsSeries:
     jz_std: np.ndarray
 
 
-def _jz_series(two_j: int, params: KickParams, weights) -> DynamicsSeries:
-    """The Jz mean and standard deviation after each kick, from an iterable
-    of per-kick occupation weights on the m ladder (ascending m)."""
+def _jz_series(two_j: int, params: KickParams, weights: np.ndarray) -> DynamicsSeries:
+    """The Jz mean and standard deviation after each kick, from the
+    (n+1, d) per-kick occupation weights on the m ladder (ascending m)."""
     jz_diag = m_values(two_j)
-    means, stds = [], []
-    for w in weights:
-        m1 = float(jz_diag @ w)
-        m2 = float((jz_diag ** 2) @ w)
-        means.append(m1)
-        stds.append(math.sqrt(max(m2 - m1 * m1, 0.0)))
-    return DynamicsSeries(two_j=two_j, params=params, n=np.arange(len(means)),
-                          jz_mean=np.array(means), jz_std=np.array(stds))
+    means = weights @ jz_diag
+    stds = np.sqrt(np.maximum(weights @ jz_diag ** 2 - means ** 2, 0.0))
+    return DynamicsSeries(two_j=two_j, params=params, n=np.arange(len(weights)),
+                          jz_mean=means, jz_std=stds)
+
+
+def _ladder_weights(states: np.ndarray, twins: bool) -> np.ndarray:
+    """The (n, d) m-ladder weights of n consecutive kicks, from their
+    states stacked as in stroboscopic_series: (1, d, n * 2) for twins,
+    sector -1 reversed, else (2, d, n)."""
+    p = states.real ** 2 + states.imag ** 2
+    if twins:
+        p = p.reshape(p.shape[1], -1, 2)
+        return (p[:, :, 0] + p[::-1, :, 1]).T
+    return (p[0] + p[1]).T
 
 
 def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
                         n_max: int) -> DynamicsSeries:
     """Evolve psi0 by repeated application of the one-period unitary.
 
-    The state is kicked one parity sector at a time with the two
-    (2j+1)-dimensional sector blocks.  Aborts with NumericalError if the
-    state norm drifts by more than 1e-8 at any kick.  Entry 0 of the
-    series is the initial state.
+    The recursion psi_{n+1} = B psi_n runs on the sector blocks B, one
+    block per distinct core: for twins sector -1 is evolved reversed by
+    the +1 block.  Kicks 1 to BATCH - 1 take one product each; after
+    that P = B^BATCH times the previous BATCH states gives the next
+    BATCH in one product.  Raises NumericalError naming the first kick
+    at which the state norm has drifted by more than NORM_DRIFT_TOL.
+    Entry 0 of the series is the initial state.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
-    blocks = operator.sector_blocks()
+    twins = operator.twins
+    blocks = operator.distinct_blocks()
+    # each sector holds one state per m, in ascending m
+    plus, minus = (psi0[idx].astype(complex) for idx in sector_indices(operator.two_j))
+    # the columns of states[k] are evolved by blocks[k]
+    if twins:
+        states = np.stack([plus, minus[::-1]], axis=-1)[None]
+    else:
+        states = np.stack([plus, minus])[..., None]
+    groups, d, width = states.shape
+    weights = np.empty((n_max + 1, d))
 
-    def weights():
-        # each sector holds one state per m, in ascending m
-        sectors = [psi0[idx].astype(complex) for idx in sector_indices(operator.two_j)]
-        for n in range(n_max + 1):
-            if n > 0:
-                sectors = [block @ psi for block, psi in zip(blocks, sectors)]
-                drift = abs(math.hypot(*(np.linalg.norm(psi) for psi in sectors)) - 1.0)
-                if drift > NORM_DRIFT_TOL:
-                    raise NumericalError(f"norm drifted by {drift:.2e} at kick {n}")
-            yield sum(np.abs(psi) ** 2 for psi in sectors)
+    first = min(BATCH, n_max + 1)
+    batch = np.empty((groups, d, first, width), dtype=complex)
+    batch[:, :, 0] = states
+    for n in range(1, first):
+        batch[:, :, n] = blocks @ batch[:, :, n - 1]
+    batch = batch.reshape(groups, d, first * width)
+    weights[:first] = _ladder_weights(batch, twins)
+    if n_max >= BATCH:
+        power = np.linalg.matrix_power(blocks, BATCH)
+        for start in range(BATCH, n_max + 1, BATCH):
+            count = min(BATCH, n_max + 1 - start)
+            batch = power @ batch[:, :, :count * width]
+            weights[start:start + count] = _ladder_weights(batch, twins)
 
-    return _jz_series(operator.two_j, operator.params, weights())
+    drift = np.abs(np.sqrt(weights.sum(axis=1)) - 1.0)
+    drifted = np.flatnonzero(~(drift <= NORM_DRIFT_TOL))   # a NaN drift counts
+    if drifted.size:
+        n = drifted[0]
+        raise NumericalError(f"norm drifted by {drift[n]:.2e} at kick {n}")
+    return _jz_series(operator.two_j, operator.params, weights)
 
 
 def eigenbasis_series(spectrum: QuasiSpectrum, psi0: np.ndarray,
@@ -85,11 +130,12 @@ def eigenbasis_series(spectrum: QuasiSpectrum, psi0: np.ndarray,
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    coeffs = [vecs.conj().T @ psi0[idx] for idx, vecs
-              in zip(sector_indices(spectrum.two_j), spectrum.vectors)]
-    weights = (sum(np.abs(vecs @ (np.exp(-1j * eps * n) * c)) ** 2
-                   for eps, vecs, c in zip(spectrum.epsilons, spectrum.vectors, coeffs))
-               for n in range(n_max + 1))
+    n = np.arange(n_max + 1)
+    weights = 0.0
+    for idx, eps, vecs in zip(sector_indices(spectrum.two_j), spectrum.epsilons,
+                              spectrum.vectors):
+        coeffs = vecs.conj().T @ psi0[idx]
+        weights = weights + np.abs((np.exp(-1j * np.outer(n, eps)) * coeffs) @ vecs.T) ** 2
     return _jz_series(spectrum.two_j, spectrum.params, weights)
 
 

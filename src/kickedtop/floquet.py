@@ -53,7 +53,10 @@ sector onto the other; in ascending-m sector order it reverses the
 basis, and block[-1] = J block[+1] J with J the reversal.  delta sigma_z
 breaks this (sigma_x sigma_z sigma_x = -sigma_z).  Such an operator
 (FloquetOperator.twins) builds sector +1 only and stores sector -1 as
-core[1] = core[0], frame[1] = frame[0][::-1].
+core[1] = core[0], frame[1] = frame[0][::-1].  Consumers work from the
+distinct cores too: distinct_blocks assembles one block for twins,
+sector_blocks reverses it for sector -1, and to_sectors maps solved
+eigenvectors once and reverses the rows.
 """
 
 import functools
@@ -132,9 +135,38 @@ class FloquetOperator:
         """The distinct cores: core[:1] when twins, else core."""
         return self.core[:1] if self.twins else self.core
 
+    def distinct_blocks(self) -> np.ndarray:
+        """The sector blocks of `cores`: (1, d, d) when twins, else (2, d, d)."""
+        frame = self.frame[:len(self.cores)]
+        return frame @ self.cores @ frame.conj().swapaxes(-1, -2)
+
     def sector_blocks(self) -> np.ndarray:
-        """The (2, d, d) stack of sector blocks of the one-period unitary."""
-        return self.frame @ self.core @ self.frame.conj().swapaxes(-1, -2)
+        """The (2, d, d) stack of sector blocks of the one-period unitary.
+
+        For twins the -1 block is the +1 block reversed in both indices,
+        so only one block is assembled.
+        """
+        blocks = self.distinct_blocks()
+        if self.twins:
+            blocks = np.stack([blocks[0], blocks[0, ::-1, ::-1]])
+        return blocks
+
+    def to_sectors(self, columns: np.ndarray) -> np.ndarray:
+        """Columns on the bases of `cores`, a (len(cores), d, n) stack,
+        mapped by the frames to (2, d, n) sector coordinates.
+
+        The sym1 and sym2 frames are real (stored complex), so real columns
+        take a real product.  For twins sector -1 is sector +1 with its rows
+        reversed.
+        """
+        frames = self.frame[:len(columns)]
+        if self.params.variant != "plain":
+            frames = np.ascontiguousarray(frames.real)
+        out = np.empty((2,) + columns.shape[1:], dtype=complex)
+        out[:len(columns)] = frames @ columns
+        if self.twins:
+            out[1] = out[0, ::-1]
+        return out
 
     @property
     def u(self) -> np.ndarray:

@@ -148,10 +148,9 @@ def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
         order = np.argsort(eps, kind="stable")
         epsilons.append(eps[order])
         vectors.append(vecs[:, order])
-    # one solved core of twins broadcasts over both frames: vectors[1] = vectors[0][::-1]
     return QuasiSpectrum(two_j=operator.two_j, params=operator.params,
                          epsilons=_both_sectors(np.stack(epsilons)),
-                         vectors=operator.frame @ np.stack(vectors))
+                         vectors=operator.to_sectors(np.stack(vectors)))
 
 
 def mean_spacing_ratio(epsilons: np.ndarray) -> float:

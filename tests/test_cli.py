@@ -101,7 +101,7 @@ def test_non_positive_tol_bound_is_config_error(tmp_path, tol):
 
 
 @pytest.mark.parametrize("argv, field", [
-    (("rcurve", "--two-j", 10, "--kxky", "nan:4", "--steps", 2), "kappa_x"),
+    (("rcurve", "--two-j", 10, "--kxky", "nan:4", "--steps", 2), "kxky"),
     (("symcheck", "--two-j", 10, "--kx", 1.0, "--ky", "inf"), "kappa_y"),
     (("rgrid", "--two-j", 10, "--kx", "1:2", "--ky", "1:2", "--steps", 2,
       "--delta", "inf"), "delta"),
@@ -110,6 +110,24 @@ def test_non_finite_kick_parameter_is_config_error(tmp_path, capsys, argv, field
     out = tmp_path / "out.csv"
     assert run_cli(*argv, "--out", out) == 2
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    (("dynamics", "--two-j", 10, "--ky", "nan", "--nx", "1", "--n-max", 5), "kappa_y", "'nan'"),
+    (("rcurve", "--two-j", 10, "--kxky", "1:inf", "--steps", 3), "kxky", "'inf'"),
+    (("rgrid", "--two-j", 10, "--kx", "1:pi:inf", "--ky", "1:2", "--steps", 2),
+     "kappa_x", "'pi:inf'"),
+    (("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--ratio", "nan"), "--ratio", "nan"),
+    (("spectrum", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--ratio", "inf"), "--ratio",
+     "inf"),
+])
+def test_non_finite_option_text_is_config_error(tmp_path, capsys, recwarn, argv, name, text):
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be") and text in err
+    assert "Warning" not in err and len(recwarn) == 0
     assert not out.exists()
 
 

@@ -1,10 +1,26 @@
 import numpy as np
 import pytest
 
+from kickedtop import dynamics
 from kickedtop.dynamics import dynamical_scan, eigenbasis_series, stroboscopic_series
-from kickedtop.floquet import KickParams, floquet_operator
+from kickedtop.errors import NumericalError
+from kickedtop.floquet import FloquetOperator, KickParams, floquet_operator
 from kickedtop.spectral import quasi_spectrum
-from kickedtop.spin import coherent_state, probe_state, product_state
+from kickedtop.spin import coherent_state, m_values, probe_state, product_state
+
+
+def _dense_moments(op, psi, n_max):
+    """<Jz> and its spread after each kick, iterating the dense op.u."""
+    jz = np.repeat(m_values(op.two_j), 2)       # flat index 2(j + m) + s
+    u = op.u
+    means, stds = [], []
+    for n in range(n_max + 1):
+        if n > 0:
+            psi = u @ psi
+        w = np.abs(psi) ** 2
+        means.append(jz @ w)
+        stds.append(np.sqrt(max(jz ** 2 @ w - means[-1] ** 2, 0.0)))
+    return np.array(means), np.array(stds)
 
 
 def test_zero_kick_series_constant():
@@ -24,6 +40,71 @@ def test_norm_conserved_over_many_kicks():
     for _ in range(500):
         psi = u @ psi
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
+
+
+def test_series_conserves_norm_over_many_kicks(monkeypatch):
+    # the series' own guard, held to the bound the dense loop above meets
+    monkeypatch.setattr(dynamics, "NORM_DRIFT_TOL", 1e-10)
+    two_j = 100
+    for params in (KickParams(2.3, 4.1), KickParams(2.3, 4.1, delta=0.7)):
+        op = floquet_operator(params, two_j)
+        psi = product_state(two_j, coherent_state(two_j, np.pi / 3, 0.0), np.array([1.0, 0.0]))
+        series = stroboscopic_series(op, psi, 500)
+        mean, std = _dense_moments(op, psi, 500)
+        assert np.abs(series.jz_mean - mean).max() < 1e-10
+        assert np.abs(series.jz_std - std).max() < 1e-10
+
+
+@pytest.mark.parametrize("n_max", [1, 7, 8, 9, 37])
+@pytest.mark.parametrize("two_j, variant, delta", [
+    (40, "plain", 0.0), (40, "sym1", 0.0), (40, "sym2", 0.0),
+    (41, "plain", 0.0), (41, "sym1", 0.0), (41, "sym2", 0.0),
+    (41, "plain", 0.7), (40, "plain", 0.7),
+])
+def test_series_matches_dense_oracle(two_j, variant, delta, n_max):
+    op = floquet_operator(KickParams(1.7, 2.9, delta=delta, variant=variant), two_j)
+    assert op.twins == (two_j % 2 == 0 and delta == 0.0)
+    psi0 = probe_state(two_j, 0.9, 0.4)
+    series = stroboscopic_series(op, psi0, n_max)
+    mean, std = _dense_moments(op, psi0, n_max)
+    assert series.n.tolist() == list(range(n_max + 1))
+    assert np.abs(series.jz_mean - mean).max() < 1e-12
+    assert np.abs(series.jz_std - std).max() < 1e-12
+
+
+@pytest.mark.parametrize("two_j", [12, 13])
+def test_series_assembles_one_block_per_distinct_core(monkeypatch, two_j):
+    shapes = []
+    distinct = FloquetOperator.distinct_blocks
+
+    def recorded(self):
+        blocks = distinct(self)
+        shapes.append(blocks.shape)
+        return blocks
+
+    def refused(self):
+        raise AssertionError("the series must not assemble both twin blocks")
+
+    monkeypatch.setattr(FloquetOperator, "distinct_blocks", recorded)
+    monkeypatch.setattr(FloquetOperator, "sector_blocks", refused)
+    stroboscopic_series(floquet_operator(KickParams(1.7, 2.9), two_j),
+                        probe_state(two_j, 0.9, 0.4), 20)
+    d = two_j + 1
+    assert shapes == [(1 if two_j % 2 == 0 else 2, d, d)]
+
+
+@pytest.mark.parametrize("two_j", [40, 41])
+@pytest.mark.parametrize("excess, kick", [(1e-6, 1), (3e-9, 4), (1e-8 / 20.5, 21)])
+def test_norm_drift_guard_names_first_drifting_kick(two_j, excess, kick):
+    # every block scales by 1 + excess, so the norm after n kicks is (1 + excess)^n
+    op = floquet_operator(KickParams(1.7, 2.9), two_j)
+    grown = FloquetOperator(core=op.core * (1.0 + excess), frame=op.frame,
+                            params=op.params, two_j=two_j)
+    psi0 = probe_state(two_j, 0.9, 0.4)
+    with pytest.raises(NumericalError, match=rf"at kick {kick}$"):
+        stroboscopic_series(grown, psi0, 37)
+    if kick > 1:
+        stroboscopic_series(grown, psi0, kick - 1)      # no drift before that kick
 
 
 def test_bounds_on_moments():

@@ -57,6 +57,24 @@ def test_eigenpairs_and_parity_purity(two_j):
             assert np.sign(value) == sign
 
 
+@pytest.mark.parametrize("solver", ["real", "schur"])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("two_j", [14, 15])
+def test_sector_vectors_of_every_frame(monkeypatch, two_j, variant, solver):
+    # sym1 and sym2 map real solver vectors through a real product; Schur's are complex
+    if solver == "schur":
+        monkeypatch.setattr(spectral, "sector_eigenpairs", spectral._schur_eigenpairs)
+    op = floquet_operator(KickParams(1.7, 2.9, variant=variant), two_j)
+    spec = quasi_spectrum(op)
+    assert spec.vectors.dtype == complex
+    phases = np.exp(-1j * spec.epsilons)[:, None, :]
+    residual = op.sector_blocks() @ spec.vectors - spec.vectors * phases
+    assert np.linalg.norm(residual, axis=1).max() < 1e-8
+    assert np.abs(np.linalg.norm(spec.vectors, axis=1) - 1.0).max() < 1e-12
+    if op.twins:
+        assert np.array_equal(spec.vectors[1], spec.vectors[0, ::-1])
+
+
 def test_exchange_symmetry_of_quasi_energies():
     a = quasi_spectrum(floquet_operator(KickParams(1.3, 3.1), 20)).epsilons
     b = quasi_spectrum(floquet_operator(KickParams(3.1, 1.3), 20)).epsilons
