@@ -70,7 +70,11 @@ def _split_product(product: float, ratio: float) -> tuple[float, float]:
     if not (ratio > 0 and math.isfinite(ratio)):
         raise ValueError(f"--ratio must be positive and finite, got {ratio!r}")
     kappa_x = math.sqrt(product / ratio)
-    return kappa_x, kappa_x * ratio
+    kappa_y = kappa_x * ratio
+    if not (math.isfinite(kappa_x) and math.isfinite(kappa_y)):
+        raise ValueError(f"kxky {product!r} with --ratio {ratio!r} gives an infinite "
+                         f"kick strength")
+    return kappa_x, kappa_y
 
 
 def _config_dict(args: argparse.Namespace) -> dict:

@@ -45,6 +45,12 @@ tridiagonal eigenbases).  The complex cores are not checked again: the
 eigenpair residual of spectral.sector_eigenpairs certifies every solved
 core.
 
+With delta = 0 every core also carries the chiral symmetry of the
+symmetrized frames: sigma_z anticommutes with T, so J = V^T Z V is a
+signed reversal of the eigenbasis and J conj(core) J = core.  Its signs
+are certified once per two_j next to C, and FloquetOperator.reversals
+hands them to the half-size eigenphase solver in spectral.
+
 For even 2j and delta = 0 the two sectors are mirror twins.  The pi
 rotation about x, R = exp(-i pi (Jx + sigma_x/2)), commutes with both
 kicks (it maps Jy sigma_y to itself) and sends m to -m.  The total spin
@@ -135,6 +141,17 @@ class FloquetOperator:
         """The distinct cores: core[:1] when twins, else core."""
         return self.core[:1] if self.twins else self.core
 
+    @property
+    def reversals(self) -> np.ndarray | None:
+        """For delta = 0, the signs of the chiral reversal J of each of
+        `cores`, J e_k = signs_k e_{d-1-k} on the core's basis, with
+        J core J = conj(core); None for delta > 0, which breaks it, and
+        where the cached eigensystem does not certify it."""
+        reversal = _sectors(self.two_j).reversal
+        if self.params.delta != 0.0 or reversal is None:
+            return None
+        return reversal[:len(self.cores)]
+
     def distinct_blocks(self) -> np.ndarray:
         """The sector blocks of `cores`: (1, d, d) when twins, else (2, d, d)."""
         frame = self.frame[:len(self.cores)]
@@ -180,8 +197,9 @@ class FloquetOperator:
 @dataclass(frozen=True)
 class _Sectors:
     """Per-two_j data shared by every operator: T's off-diagonal and
-    eigensystem, and per sector the sigma_z diagonal, the y gauge S and
-    C = V^T S V.  Arrays are read-only."""
+    eigensystem, and per sector the sigma_z diagonal, the y gauge S,
+    C = V^T S V and the signs of the chiral reversal V^T Z V (None where
+    V^T Z V is not a signed reversal).  Arrays are read-only."""
 
     offdiag: np.ndarray      # (d-1,)
     lam: np.ndarray          # (d,)
@@ -189,6 +207,7 @@ class _Sectors:
     z: np.ndarray            # (2, d)
     gauge: np.ndarray        # (2, d)
     overlap: np.ndarray      # (2, d, d)
+    reversal: np.ndarray | None  # (2, d)
 
 
 @functools.cache
@@ -203,10 +222,27 @@ def _sectors(two_j: int) -> _Sectors:
     overlap = (vecs.T * gauge[:, None, :]) @ vecs
     _check_orthogonal(overlap)
     sectors = _Sectors(offdiag=ladder_elements(two_j) / (2.0 * j), lam=evals / j,
-                       vecs=vecs, z=z, gauge=gauge, overlap=overlap)
-    for value in (sectors.offdiag, sectors.lam, sectors.z, sectors.gauge, sectors.overlap):
-        value.setflags(write=False)
+                       vecs=vecs, z=z, gauge=gauge, overlap=overlap,
+                       reversal=_chiral_reversal(vecs, z))
+    for value in (sectors.offdiag, sectors.lam, sectors.z, sectors.gauge, sectors.overlap,
+                  sectors.reversal):
+        if value is not None:
+            value.setflags(write=False)
     return sectors
+
+
+def _chiral_reversal(vecs: np.ndarray, z: np.ndarray) -> np.ndarray | None:
+    """The signs of J = V^T Z V = sum_k signs_k e_k e_{d-1-k}^T for each
+    sector, or None unless that holds at UNITARITY_TOL: Z anticommutes
+    with T, so J maps the eigenvector of lam_k to that of
+    -lam_k = lam_{d-1-k}.  Sector -1 has Z = -Z of sector +1 (each m
+    carries the other spin), so one product serves both."""
+    chiral = vecs.T @ (z[0][:, None] * vecs)
+    signs = np.sign(chiral[:, ::-1].diagonal())
+    if not np.array_equal(z[1], -z[0]) or not (
+            np.abs(chiral - np.diag(signs)[:, ::-1]).max() <= UNITARITY_TOL):
+        return None
+    return np.stack([signs, -signs])
 
 
 def _sector_core(sectors: _Sectors, k: int, params: KickParams):

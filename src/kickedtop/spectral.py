@@ -14,21 +14,34 @@ quasi-energies of sector +1, and its eigenvectors are those of sector +1
 with the basis reversed.
 
 Each sector of a FloquetOperator is a complex-symmetric unitary core
-M = R + i I.  Unitarity makes the real symmetric R and I commute, so one
-real symmetric eigh of R + MIX * I gives a real orthonormal eigenbasis
-of M, and Rayleigh quotients give the eigenphases.  Two eigenphases
-e1, e2 share an eigenvalue of R + MIX * I when e1 + e2 = -2 atan(MIX)
-(mod 2 pi), and eigh may then mix their eigenvectors; the eigenpair
-residual of every sector is checked, and a sector above
-EIGEN_RESIDUAL_TOL falls back to complex Schur.
+M = R + i I.  Two solvers serve it:
 
-That residual is the only check made here.  floquet_operator certifies
-unitarity at construction (the orthogonality of the real overlap that
-every core is built from), and the residual certifies each solved core
-again: with V orthogonal, |lambda| = 1 and every column residual at most
-tau, ||M - V Lambda V^T||_F <= sqrt(d) tau.  NumericalError is raised
-when a sector's residual exceeds EIGEN_RESIDUAL_TOL after the Schur
-fallback, which rejects a core that is not unitary.
+* sector_eigenpairs, for eigenvectors (quasi_spectrum), for delta > 0
+  and as the fallback.  Unitarity makes the real symmetric R and I
+  commute, so one real symmetric eigh of R + MIX * I gives a real
+  orthonormal eigenbasis of M, and Rayleigh quotients give the
+  eigenphases.  Two eigenphases e1, e2 share an eigenvalue of R + MIX * I
+  when e1 + e2 = -2 atan(MIX) (mod 2 pi), and eigh may then mix their
+  eigenvectors; the eigenpair residual of every sector is checked, and a
+  sector above EIGEN_RESIDUAL_TOL falls back to complex Schur.
+* The fold, for the eigenphases of every delta = 0 core
+  (sector_eigenphases through core_eigenphases).  The chiral symmetry
+  of the symmetrized frames is, on the core basis, a signed reversal J
+  with J conj(M) J = M (FloquetOperator.reversals, certified once per
+  two_j), which pairs every level eps with -eps.  On the basis
+  (e_k +- signs_k e_{d-1-k}) / sqrt(2) the core is [[A, iK], [iK^T, B]]
+  with real A, B, K of half size, and two half-size eighs and a small
+  SVD give the phases (_folded_eigenphases).  Its own guard, the
+  blockwise residual plus what the fold drops, sends a core it rejects
+  to sector_eigenpairs.
+
+floquet_operator certifies unitarity at construction (the orthogonality
+of the real overlap that every core is built from), and each solver's
+residual certifies each solved core again: with V orthogonal,
+|lambda| = 1 and every column residual at most tau,
+||M - V Lambda V^T||_F <= sqrt(d) tau.  NumericalError is raised when a
+sector's residual exceeds EIGEN_RESIDUAL_TOL after the Schur fallback,
+which rejects a core that is not unitary.
 """
 
 from dataclasses import dataclass
@@ -48,6 +61,12 @@ EIGEN_RESIDUAL_TOL = 1e-8
 # that cosine is flat, at eps = -atan(MIX) and pi - atan(MIX); MIX = 1 puts
 # those points, -pi/4 and 3pi/4, farthest from the bound states at 0 and pi.
 MIX = 1.0
+
+# Angles from 0 and pi (radians) between which the fold cuts its
+# bound-state clusters: levels nearer than the first are always
+# clustered, levels farther than the second never.  arccos loses at most
+# a factor 1 / sin 0.25 ~ 4 of its accuracy outside the cluster.
+FOLD_CLUSTER = (0.25, 0.45)
 
 STAGES = ("topological", "quasi_integrable", "transition", "chaotic")
 
@@ -118,6 +137,117 @@ def sector_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eps, vectors
 
 
+def _fold(m: np.ndarray, signs: np.ndarray):
+    """The blocks A, B, K of M = [[A, iK], [iK^T, B]] on the basis
+    (e_k +- signs_k e_{d-1-k}) / sqrt(2), the middle state e_k of odd d on
+    the side of its sign, read from the top rows of M; and an upper bound
+    on ||E||_F for the part E = (M - J conj(M) J) / 2 that the blocks
+    drop (for complex-symmetric M, the off-block of Re M and the diagonal
+    blocks of Im M)."""
+    d = len(signs)
+    half = (d + 1) // 2
+    top = m[:half]
+    # (M J)[k, l] = M[k, d-1-l] signs[l]
+    mirror = top[:, ::-1][:, :half] * signs[:half]
+    even, odd = top[:, :half] + mirror, top[:, :half] - mirror
+    # (J conj(M) J)[k, l] = signs[k] signs[l] conj(M[d-1-k, d-1-l]); J conj(E) J = -E,
+    # so row d-1-k of E has the norm of row k
+    rest = np.conj(m[::-1][:half, ::-1])
+    rest *= signs
+    rest *= signs[:half, None]
+    rest -= top
+    dropped = np.sqrt(0.5) * np.linalg.norm(rest)
+    n_even = half if d % 2 and signs[half - 1] > 0 else d // 2
+    # the middle state of odd d enters M + M J twice
+    weight = np.ones(half)
+    weight[-1] = np.sqrt(0.5) if d % 2 else 1.0
+    w_even, w_odd = weight[:n_even], weight[:d - n_even]
+    a = even.real[:n_even, :n_even] * np.outer(w_even, w_even)
+    b = odd.real[:d - n_even, :d - n_even] * np.outer(w_odd, w_odd)
+    k = odd.imag[:n_even, :d - n_even] * np.outer(w_even, w_odd)
+    return a, b, k, dropped
+
+
+def _cluster_cut(cos_a: np.ndarray, cos_b: np.ndarray) -> float:
+    """The middle of the widest gap of the cosines of A and B within
+    [cos FOLD_CLUSTER[1], cos FOLD_CLUSTER[0]]: one cut for both blocks,
+    so the two cosines of a +-eps pair, equal to rounding, are never split."""
+    lo, hi = np.cos(FOLD_CLUSTER[1]), np.cos(FOLD_CLUSTER[0])
+    c = np.concatenate([cos_a, cos_b])
+    edges = np.sort(np.concatenate([[lo, hi], c[(c > lo) & (c < hi)]]))
+    i = np.argmax(np.diff(edges))
+    return 0.5 * (edges[i] + edges[i + 1])
+
+
+def _folded_eigenphases(m: np.ndarray, signs: np.ndarray) -> np.ndarray | None:
+    """Eigenphases of a core with J conj(M) J = M, J e_k = signs_k e_{d-1-k},
+    from the half-size blocks of _fold; None when the guard rejects it.
+
+    Unitarity gives A^2 + K K^T = 1 and A K = K B, so each +-eps pair is
+    one eigenvector p of A with c = cos eps and one q = K^T p / |sin eps|
+    of B with the same c, and v = (p, +-q) / sqrt(2) are its eigenvectors.
+    Away from 0 and pi, eps = +-arccos c.  Near them c cannot resolve eps:
+    the eigenvectors of A and B past the cluster cut are paired instead by
+    the singular values s = |sin eps| of K between them, which are
+    accurate to rounding, and the unpaired modes of a cluster sit at
+    exactly 0 or pi.  The guard is the residual ||M v - exp(-i eps) v||,
+    taken blockwise against the unit-modulus phase for every pair and
+    unpaired mode, plus the bound on what the fold dropped; it rejects the
+    core above EIGEN_RESIDUAL_TOL, or when the cut leaves A and B unequal
+    numbers of unclustered levels.
+    """
+    a, b, k, dropped = _fold(m, signs)
+    cos_a, vec_a = np.linalg.eigh(a)
+    cos_b, vec_b = np.linalg.eigh(b)
+    hi, lo = _cluster_cut(cos_a, cos_b), -_cluster_cut(-cos_a, -cos_b)
+    mid = (cos_a > lo) & (cos_a < hi)
+    n_mid = mid.sum()
+    if n_mid != ((cos_b > lo) & (cos_b < hi)).sum():
+        return None
+    # column j of p and q and the cosine and sine of its level: the pairs
+    # (p, +-q) / sqrt(2), then the unpaired modes (p, 0) and (0, q), scaled
+    # by sqrt(2) so that one formula gives every residual
+    p, q, cos = [vec_a[:, mid]], [], [cos_a[mid]]
+    sin = [np.sqrt(1.0 - cos[0] ** 2)]
+    theta, paired = [np.arccos(cos[0])], [np.ones(n_mid, bool)]
+    for sign, cluster_a, cluster_b in ((1.0, cos_a >= hi, cos_b >= hi),
+                                      (-1.0, cos_a <= lo, cos_b <= lo)):
+        left, right = vec_a[:, cluster_a], vec_b[:, cluster_b]
+        u, s, wt = np.linalg.svd(left.T @ (k @ right))
+        s = np.minimum(s, 1.0)
+        n, free_a, free_b = s.size, left.shape[1] - s.size, right.shape[1] - s.size
+        p += [left @ u[:, :n], np.sqrt(2.0) * (left @ u[:, n:]), np.zeros((len(a), free_b))]
+        q += [right @ wt[:n].T, np.zeros((len(b), free_a)), np.sqrt(2.0) * (right @ wt[n:].T)]
+        cos += [sign * np.sqrt(1.0 - s ** 2), np.full(free_a + free_b, sign)]
+        sin += [s, np.zeros(free_a + free_b)]
+        pair_theta = np.arcsin(s) if sign > 0 else np.pi - np.arcsin(s)
+        theta += [pair_theta, np.full(free_a + free_b, np.arccos(sign))]
+        paired += [np.ones(n, bool), np.zeros(free_a + free_b, bool)]
+    p = np.concatenate(p, axis=1)
+    cos, sin, theta, paired = map(np.concatenate, (cos, sin, theta, paired))
+    k_t_p = k.T @ p
+    q_mid = k_t_p[:, :n_mid] / np.linalg.norm(k_t_p[:, :n_mid], axis=0)
+    q = np.concatenate([q_mid] + q, axis=1)
+    k_t_p -= q * sin
+    k_q = k @ q - p * sin
+    a_p = a @ p - p * cos
+    b_q = b @ q - q * cos
+    squares = sum(np.einsum("ij,ij->j", x, x) for x in (a_p, k_t_p, b_q, k_q))
+    if not np.sqrt(0.5 * squares.max()) + dropped <= EIGEN_RESIDUAL_TOL:
+        return None
+    return _branch(np.concatenate([theta, -theta[paired]]))
+
+
+def core_eigenphases(m: np.ndarray, signs: np.ndarray | None = None) -> np.ndarray:
+    """Sorted eigenphases of one sector core.  With the signs of its
+    chiral reversal (FloquetOperator.reversals) the half-size fold solves
+    it, else or when the fold's guard rejects the core, sector_eigenpairs."""
+    eps = None if signs is None else _folded_eigenphases(m, signs)
+    if eps is None:
+        eps = sector_eigenpairs(m)[0]
+    return np.sort(eps)
+
+
 def _both_sectors(stack: np.ndarray) -> np.ndarray:
     """A stack over FloquetOperator.cores as a new (2, ...) array: the one
     sector of twins is repeated."""
@@ -128,11 +258,15 @@ def sector_eigenphases(operator: FloquetOperator) -> np.ndarray:
     """The (2, d) stack of sorted quasi-energies of the parity sectors, +1 first.
 
     The light-weight path for spacing statistics over parameter sweeps:
-    the epsilons of quasi_spectrum without the eigenvectors.  Raises
-    NumericalError like quasi_spectrum, from the eigenpair residual.
+    the epsilons of quasi_spectrum without the eigenvectors, from
+    core_eigenphases (the fold for delta = 0).  Raises NumericalError
+    like quasi_spectrum, from the eigenpair residual.
     """
-    return _both_sectors(np.sort([sector_eigenpairs(core)[0] for core in operator.cores],
-                                 axis=-1))
+    reversals = operator.reversals
+    if reversals is None:
+        reversals = [None] * len(operator.cores)
+    return _both_sectors(np.stack([core_eigenphases(core, signs)
+                                   for core, signs in zip(operator.cores, reversals)]))
 
 
 def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:

@@ -131,6 +131,20 @@ def test_non_finite_option_text_is_config_error(tmp_path, capsys, recwarn, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--ratio", "1e-320"),
+    ("rcurve", "--two-j", 10, "--kxky", "1e308:1.7e308", "--steps", 2, "--ratio", "1e-5"),
+])
+def test_overflowing_ratio_names_ratio_and_kxky(tmp_path, capsys, recwarn, argv):
+    # product / ratio overflows: the inputs are to blame, not the derived kappa_x
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kxky") and "--ratio" in err and "kappa_x" not in err
+    assert len(recwarn) == 0
+    assert not out.exists()
+
+
 def test_readme_commands_parse_and_removed_options_are_rejected(capsys):
     block = re.search(r"## Command line\n.*?```\n(.*?)```", README.read_text(), re.S).group(1)
     commands = [shlex.split(line)[1:] for line in block.splitlines()

@@ -152,6 +152,22 @@ def test_non_orthogonal_cached_overlap_rejected(monkeypatch, two_j):
     assert floquet._sectors.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("two_j", [6, 7])
+def test_chiral_reversal_is_certified_once_per_two_j(monkeypatch, two_j):
+    sectors = floquet._sectors(two_j)
+    assert not sectors.reversal.flags.writeable
+    assert np.array_equal(sectors.reversal[1], -sectors.reversal[0])
+    # swapping two eigenvectors keeps C = V^T S V orthogonal but makes
+    # V^T Z V no signed reversal: the operator builds, without reversal signs
+    eigensystem = floquet.jx_eigensystem
+    floquet._sectors.cache_clear()
+    monkeypatch.setattr(floquet, "jx_eigensystem",
+                        lambda n: (eigensystem(n)[0], eigensystem(n)[1][:, [1, 0, *range(2, n + 1)]]))
+    assert floquet._sectors(two_j).reversal is None
+    assert floquet_operator(KickParams(1.0, 1.0), two_j).reversals is None
+    floquet._sectors.cache_clear()
+
+
 def test_non_orthogonal_delta_overlap_rejected(monkeypatch):
     floquet_operator(KickParams(1.0, 1.0), 7)  # the cached entry is certified and stored
     solve = scipy.linalg.eigh_tridiagonal

@@ -10,7 +10,7 @@ from kickedtop.spectral import (MIX, R_COE, R_CUE, R_POISSON, chiral_expectation
                                 detect_bound_states, mean_spacing_ratio,
                                 parity_resolved_r, quasi_spectrum, sector_eigenpairs,
                                 sector_eigenphases, stage_borders, stage_classify)
-from kickedtop.spin import probe_state
+from kickedtop.spin import SIGMA_Z, probe_state
 from kickedtop.symmetry import sector_indices, symmetry_operator
 
 
@@ -154,14 +154,152 @@ def test_sectors_differ_at_odd_two_j_or_with_delta(two_j, variant, delta):
 
 @pytest.mark.parametrize("two_j, delta, solves", [(12, 0.0, 1), (13, 0.0, 2), (12, 0.7, 2)])
 def test_twin_sectors_are_solved_once(monkeypatch, two_j, delta, solves):
+    # sector_eigenphases solves each distinct core with core_eigenphases,
+    # quasi_spectrum with sector_eigenpairs
     op = floquet_operator(KickParams(1.9, 17.0, delta=delta), two_j)
-    calls = []
-    solve = spectral.sector_eigenpairs
-    monkeypatch.setattr(spectral, "sector_eigenpairs", lambda m: calls.append(1) or solve(m))
+    calls = {"core_eigenphases": [], "sector_eigenpairs": []}
+    for name in calls:
+        solve = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name,
+                            lambda *a, solve=solve, name=name: calls[name].append(1) or solve(*a))
     sector_eigenphases(op)
-    assert len(calls) == solves
+    assert len(calls["core_eigenphases"]) == solves
+    calls["sector_eigenpairs"].clear()
     quasi_spectrum(op)
-    assert len(calls) == 2 * solves
+    assert len(calls["sector_eigenpairs"]) == solves
+
+
+def _reversal(signs):
+    """The signed reversal J e_k = signs_k e_{d-1-k} as a matrix."""
+    return np.diag(signs)[:, ::-1]
+
+
+@pytest.mark.parametrize("two_j", [6, 7, 64, 65])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_chiral_reversal_conjugates_every_core(two_j, variant):
+    # the invariant the fold rests on, on cores taken from the dense product
+    kx, ky = 1.9, 17.0
+    op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
+    assert op.reversals.shape == (len(op.cores), two_j + 1)
+    assert np.array_equal(np.abs(op.reversals), np.ones(op.reversals.shape))
+    z = np.diag(np.kron(np.eye(two_j + 1), SIGMA_Z).real)
+    blocks = _dense_sector_blocks(kx, ky, two_j, variant)
+    for k, (core, signs) in enumerate(zip(op.cores, op.reversals)):
+        frame = op.frame[k]
+        oracle = frame.conj().T @ blocks[k] @ frame
+        assert np.abs(oracle - core).max() < 1e-12
+        j = _reversal(signs)
+        assert np.abs(j @ oracle @ j - oracle.conj()).max() < 1e-12
+        if variant != "plain":  # a real frame: the sector's sigma_z is J on the core basis
+            sigma_z = frame.conj().T @ (z[sector_indices(two_j)[k]][:, None] * frame)
+            assert np.abs(sigma_z - j).max() < 1e-12
+
+
+@pytest.mark.parametrize("two_j", [12, 13])
+def test_delta_operator_never_takes_the_fold_path(monkeypatch, two_j):
+    calls = []
+    fold = spectral._folded_eigenphases
+    monkeypatch.setattr(spectral, "_folded_eigenphases",
+                        lambda m, signs: calls.append(1) or fold(m, signs))
+    op = floquet_operator(KickParams(1.9, 17.0, delta=0.7), two_j)
+    assert op.reversals is None
+    sector_eigenphases(op)
+    assert calls == []
+    sector_eigenphases(floquet_operator(KickParams(1.9, 17.0), two_j))
+    assert len(calls) == (1 if two_j % 2 == 0 else 2)
+
+
+@pytest.mark.parametrize("two_j", [5, 6, 200, 201])
+def test_fold_guard_rejects_scaled_and_noisy_cores(two_j):
+    op = floquet_operator(KickParams(1.0, 1.0), two_j)
+    core, signs = op.cores[0], op.reversals[0]
+    assert spectral._folded_eigenphases(core, signs) is not None
+    # the pairs alone cannot see a common scale: the phase must be unit-modulus
+    assert spectral._folded_eigenphases(core * 1.001, signs) is None
+    # the complex-symmetric noise of test_non_unitary_rejected
+    rng = np.random.default_rng(two_j)
+    noise = rng.standard_normal(core.shape) + 1j * rng.standard_normal(core.shape)
+    noise += noise.T
+    noise *= 1e-6 / np.abs(noise).max()
+    assert spectral._folded_eigenphases(core + noise, signs) is None
+    with pytest.raises(NumericalError):
+        spectral.core_eigenphases(core + noise, signs)
+    # the blocks are read from the top rows: noise confined to the bottom-right
+    # quarter leaves them as they were, and only the dropped part shows it
+    half = (two_j + 2) // 2
+    hidden = np.zeros_like(noise)
+    hidden[half:, half:] = noise[half:, half:]
+    assert spectral._folded_eigenphases(core + hidden, signs) is None
+
+
+@pytest.mark.parametrize("two_j, kxky", [(200, 10.0), (201, 10.0), (200, 2000.0),
+                                         (201, 2000.0), (13, 300.0)])
+def test_forced_fallback_gives_the_same_phases(monkeypatch, two_j, kxky):
+    kx = np.sqrt(kxky / 1.7)
+    op = floquet_operator(KickParams(kx, 1.7 * kx), two_j)
+    folded = sector_eigenphases(op)
+    monkeypatch.setattr(spectral, "_folded_eigenphases", lambda m, signs: None)
+    fallback = sector_eigenphases(op)
+    for a, b in zip(folded, fallback):
+        assert _circle_set_distance(a, b) < 1e-12
+
+
+@pytest.mark.parametrize("two_j", [200, 201, 400, 401])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_folded_phases_match_dense_oracle_at_zero_modes(two_j, variant):
+    # kxky 10: exactly degenerate bound states at both 0 and pi.  The product
+    # oracle is dense kick_unitary; at 400 and 401 the dense sector blocks
+    kx, ky = np.sqrt(10.0 / 1.7), np.sqrt(10.0 * 1.7)
+    op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
+    if two_j < 400:
+        blocks = _dense_sector_blocks(kx, ky, two_j, variant)
+    else:
+        blocks = op.distinct_blocks()
+    eps = sector_eigenphases(op)
+    assert (np.abs(eps) < 1e-6).any() and (np.abs(eps) > np.pi - 1e-6).any()
+    for sector, block in enumerate(blocks):
+        oracle = -np.angle(np.linalg.eigvals(block))
+        assert _circle_set_distance(eps[sector], oracle) < 1e-12
+
+
+def _folded_core(signs, theta, rng):
+    """A unitary core with J conj(M) J = M, J the reversal of signs, whose
+    phases are +-theta: the fold's block form [[A, iK], [iK^T, B]] with
+    A = P cos P^T, B = Q cos Q^T, K = P sin Q^T mapped back to the core basis."""
+    d = len(signs)
+    n = d // 2
+    p, q = ortho_group.rvs(n, random_state=rng), ortho_group.rvs(n, random_state=rng)
+    folded = np.block([[(p * np.cos(theta)) @ p.T, 1j * (p * np.sin(theta)) @ q.T],
+                       [1j * (q * np.sin(theta)) @ p.T, (q * np.cos(theta)) @ q.T]])
+    basis = np.zeros((d, d))
+    k = np.arange(n)
+    basis[k, k] = basis[k, n + k] = np.sqrt(0.5)
+    basis[d - 1 - k, k] = signs[k] * np.sqrt(0.5)
+    basis[d - 1 - k, n + k] = -signs[k] * np.sqrt(0.5)
+    return basis @ folded @ basis.T
+
+
+def test_fold_resolves_levels_at_the_cluster_cut():
+    # levels every 4e-3 rad through and past the window where the cluster
+    # cut is placed, near 0 and near pi: whatever gap the cut takes, levels
+    # sit within 1e-3 in cos of it on both sides, and A and B must split
+    # them alike
+    rng = np.random.default_rng(11)
+    lo, hi = spectral.FOLD_CLUSTER
+    window = np.arange(lo - 0.05, hi + 0.05, 4e-3)
+    theta = np.concatenate([window, np.pi - window, [0.0, 1e-9, 1.1, 2.0, np.pi - 1e-9]])
+    signs = rng.choice([-1.0, 1.0], size=2 * theta.size)
+    signs[theta.size:] = signs[:theta.size][::-1]
+    core = _folded_core(signs, theta, rng)
+    assert np.abs(core @ core.conj().T - np.eye(signs.size)).max() < 1e-12
+    cosines = np.cos(theta)
+    for cut in (spectral._cluster_cut(cosines, cosines), -spectral._cluster_cut(-cosines, -cosines)):
+        assert np.sort(np.abs(cosines - cut))[:2].max() < 1e-3
+        assert (cosines > cut).any() and (cosines < cut).any()
+    eps = spectral._folded_eigenphases(core, signs)
+    assert eps is not None
+    assert _circle_set_distance(eps, np.concatenate([theta, -theta])) < 1e-12
+    assert _circle_set_distance(eps, -np.angle(np.linalg.eigvals(core))) < 1e-12
 
 
 def test_fallback_when_the_real_solver_mixes_eigenvectors(monkeypatch):
