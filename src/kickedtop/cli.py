@@ -15,7 +15,8 @@ five sweeps, --delta on every command that builds an operator, and
 use quasi-energies only, which agree across orderings, so they always
 build the plain ordering (recorded as "variant": "plain" in the config).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (an --out path that cannot
+be written included), 3 numerical failure, with the grid point named.
 """
 
 import argparse
@@ -136,7 +137,11 @@ def _sweep(args, command: str, header: list[str], points: list, row) -> None:
     def evaluate(point) -> list:
         keys, kx, ky = point
         params = KickParams(kappa_x=kx, kappa_y=ky, delta=args.delta, variant=args.variant)
-        return keys + row(floquet_operator(params, two_j))
+        try:
+            return keys + row(floquet_operator(params, two_j))
+        except NumericalError as exc:
+            where = ", ".join(f"{name} {_fmt(key)}" for name, key in zip(header, keys))
+            raise NumericalError(f"at {where}: {exc}") from exc
 
     rows = _pool_map(evaluate, points, args.workers)
     _write_csv(args.out, command, _config_dict(args), header, rows)
@@ -199,8 +204,11 @@ def cmd_dynamics(args) -> None:
         raise ValueError("--nx must list at least one integer")
 
     def column(n_x: int):
-        return dynamical_scan(two_j, kappa_y, args.z0, [n_x], args.n_max,
-                              delta=args.delta, variant=args.variant)[0]
+        try:
+            return dynamical_scan(two_j, kappa_y, args.z0, [n_x], args.n_max,
+                                  delta=args.delta, variant=args.variant)[0]
+        except NumericalError as exc:
+            raise NumericalError(f"at n_x {n_x}: {exc}") from exc
 
     columns = _pool_map(column, n_x_list, args.workers)
     j = two_j / 2.0
@@ -314,7 +322,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:   # an OSError names the --out path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

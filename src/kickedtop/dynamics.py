@@ -155,8 +155,9 @@ def dynamical_scan(two_j: int, kappa_y: float, z0: float, n_x_list,
                    variant: str = "plain") -> list[ScanColumn]:
     """Evolve the z0 probe at every allowed kappa_x from the n_x ladder.
 
-    The initial state is |arccos(z0), 0> (x) |up>.  Raises ValueError if
-    |z0| >= 1 or if any requested n_x has no real allowed kick strength.
+    The initial state is |arccos(z0), 0> (x) |up>.  Every n_x >= 1 has an
+    allowed kick strength (meanfield.allowed_kappa_x with n_y = 0).
+    Raises ValueError if |z0| >= 1 or if an n_x is below 1.
     """
     if not abs(z0) < 1.0:
         raise ValueError(f"|z0| must be < 1, got {z0!r}")
@@ -166,8 +167,6 @@ def dynamical_scan(two_j: int, kappa_y: float, z0: float, n_x_list,
     columns = []
     for n_x in n_x_list:
         kappa_x = allowed_kappa_x(z0, kappa_y, n_x)
-        if kappa_x is None:
-            raise ValueError(f"no allowed kappa_x for n_x = {n_x} at kappa_y = {kappa_y}")
         params = KickParams(kappa_x=kappa_x, kappa_y=kappa_y, delta=delta, variant=variant)
         series = stroboscopic_series(floquet_operator(params, two_j), psi0, n_max)
         window = max(1, n_max // 5)

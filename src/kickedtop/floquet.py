@@ -73,7 +73,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .spin import (SIGMA_Z, coupling_operator, dim_top, jx_eigensystem, ladder_elements,
+from .spin import (SIGMA_Z, coupling_generator, dim_top, jx_eigensystem, ladder_elements,
                    validate_two_j)
 from .symmetry import sector_indices
 
@@ -274,11 +274,6 @@ def _sector_core(sectors: _Sectors, k: int, params: KickParams):
     core *= half[:, None] * half[None, :]
     frame = outer_vecs * half if params.variant == "plain" else outer_vecs.astype(complex)
     return core, frame
-
-
-def coupling_generator(axis: str, two_j: int) -> np.ndarray:
-    """The Hermitian kick generator J_a sigma_a / j."""
-    return coupling_operator(axis, two_j) / (validate_two_j(two_j) / 2.0)
 
 
 def kick_unitary(axis: str, kappa: float, two_j: int, delta: float = 0.0) -> np.ndarray:

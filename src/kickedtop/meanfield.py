@@ -9,7 +9,12 @@ sphere point,
 
 Bound states sit where eps = 0 or pi, i.e. where Kx and Ky are both
 integer multiples of pi; solving gives a lattice of (z, phi) points
-indexed by integer pairs (n_x, n_y).
+indexed by integer pairs (n_x, n_y).  The azimuths are
+atan2(+-n_y/kappa_y, +-n_x/kappa_x), and points that coincide are merged
+by exact equality, so no angle tolerance enters the count.
+allowed_kappa_x inverts the z equation for the dynamical probe and
+checks its result in squared form, which stays exact at z0 = 0.  The
+module imports nothing from the package.
 """
 
 import math
@@ -48,27 +53,15 @@ class BoundStatePrediction:
 
 
 def _phi_solutions(nx: int, ny: int, kappa_x: float, kappa_y: float) -> list[tuple[float, int]]:
-    """Distinct azimuths from +-arccos(+-(nx/kx)/rho), with collapse counts."""
-    ax = nx / kappa_x
-    ay = ny / kappa_y
-    rho = math.hypot(ax, ay)
-    angles = []
-    for s_in in (1.0, -1.0):
-        beta = math.acos(max(-1.0, min(1.0, s_in * ax / rho)))
-        for s_out in (1.0, -1.0):
-            val = s_out * beta
-            if val <= -math.pi + 1e-15:   # fold -pi onto +pi
-                val += 2.0 * math.pi
-            angles.append(val)
-    distinct: list[tuple[float, int]] = []
-    for val in angles:
-        for k, (ref, count) in enumerate(distinct):
-            if abs(val - ref) < 1e-12:
-                distinct[k] = (ref, count + 1)
-                break
-        else:
-            distinct.append((val, 1))
-    return distinct
+    """Distinct azimuths atan2(+-ny/ky, +-nx/kx), with -pi folded onto pi,
+    and how many of the four sign combinations give each."""
+    counts: dict[float, int] = {}
+    for sx in (1.0, -1.0):
+        for sy in (1.0, -1.0):
+            phi = math.atan2(sy * ny / kappa_y, sx * nx / kappa_x)
+            phi = math.pi if phi == -math.pi else phi
+            counts[phi] = counts.get(phi, 0) + 1   # exact keys: -0.0 merges with 0.0
+    return list(counts.items())
 
 
 def bound_state_predictions(kappa_x: float, kappa_y: float) -> list[BoundStatePrediction]:
@@ -120,9 +113,11 @@ def topological_count_estimate(kappa_x: float, kappa_y: float) -> float:
 def allowed_kappa_x(z0: float, kappa_y: float, n_x: int, n_y: int = 0) -> float | None:
     """Invert the z equation for the kick strength placing a bound state at z0.
 
-    Returns pi n_x / sqrt(1 - z0^2 - pi^2 n_y^2 / kappa_y^2) when the
-    radicand is positive, None otherwise.  The returned value is checked
-    by back-substitution before being handed out.
+    Returns pi n_x / sqrt(1 - z0^2 - (pi n_y / kappa_y)^2) when the
+    radicand is positive, None otherwise; with n_y = 0 the radicand is
+    1 - z0^2 > 0.  The returned value is checked by back-substitution,
+    in squared form so that z0 = 0 is not amplified by a square root,
+    before being handed out.
     """
     if not abs(z0) < 1.0:
         raise ValueError("|z0| must be < 1")
@@ -130,12 +125,13 @@ def allowed_kappa_x(z0: float, kappa_y: float, n_x: int, n_y: int = 0) -> float 
         raise ValueError("kappa_y must be positive")
     if n_x < 1:
         raise ValueError("n_x must be a positive integer")
-    radicand = 1.0 - z0 ** 2 - math.pi ** 2 * n_y ** 2 / kappa_y ** 2
+    y = math.pi * n_y / kappa_y
+    radicand = 1.0 - z0 ** 2 - y * y       # y * y overflows to inf, y ** 2 would raise
     if radicand <= 0.0:
         return None
     kappa_x = math.pi * n_x / math.sqrt(radicand)
-    back = 1.0 - math.pi ** 2 * ((n_x / kappa_x) ** 2 + (n_y / kappa_y) ** 2)
-    z_back = math.sqrt(max(back, 0.0))
-    if abs(z_back - abs(z0)) > 1e-12:
-        raise AssertionError(f"back-substitution drifted: {z_back} vs {abs(z0)}")
+    x = math.pi * n_x / kappa_x
+    back = 1.0 - x * x - y * y
+    if abs(back - z0 ** 2) > 1e-12:
+        raise AssertionError(f"back-substitution drifted: z^2 = {back} vs {z0 ** 2}")
     return kappa_x

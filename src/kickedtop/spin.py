@@ -10,11 +10,16 @@ Basis conventions used throughout the package:
 * spins are specified by the integer two_j = 2j, so integer and
   half-integer j share one code path.
 
-The matrix constructors return dense complex arrays.  Rotations about y and
-coherent states come from one cached eigensystem per two_j of the real
-tridiagonal Jx, through the exact gauge Jy = G Jx G^dag with
+The matrix constructors return dense complex arrays, among them the
+coupling J_a sigma_a and the kick generator J_a sigma_a / j that
+floquet exponentiates and symmetry checks parity against.  Rotations
+about y and coherent states come from one cached eigensystem per two_j
+of the real tridiagonal Jx, through the exact gauge Jy = G Jx G^dag with
 G = diag((-i)^k), k = j + m; the Floquet engine reuses the same
 eigensystem for both kick axes.  Construction is deterministic.
+
+This module sits at the bottom of the package's import graph: it
+imports nothing from the package.
 """
 
 import functools
@@ -109,6 +114,11 @@ def coupling_operator(axis: str, two_j: int) -> np.ndarray:
     ops = angular_momentum_matrices(two_j)
     top = {"x": ops.jx, "y": ops.jy, "z": ops.jz}[axis]
     return np.kron(top, sigma)
+
+
+def coupling_generator(axis: str, two_j: int) -> np.ndarray:
+    """The Hermitian kick generator J_a sigma_a / j."""
+    return coupling_operator(axis, two_j) / (validate_two_j(two_j) / 2.0)
 
 
 @functools.cache

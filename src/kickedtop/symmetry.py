@@ -27,19 +27,20 @@ stays in the COE class for every delta.
 Antiunitary operators are represented as (unitary matrix, flag) pairs
 and all relations are evaluated as dense matrix identities with
 explicit element-wise conjugation.
+
+The parity diagonal is an exact integer formula, so the sector split has
+no rounding to guard.  This module imports only spin: floquet imports
+sector_indices from here, and verify_symmetries reads the operator it is
+given without importing floquet, so the package's imports run one way.
 """
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .spin import SIGMA_Z, dim_top, m_values, rotation_about_y, validate_two_j
+from .spin import SIGMA_Z, coupling_generator, dim_top, rotation_about_y, validate_two_j
 
 KINDS = ("parity", "time_reversal_1", "time_reversal_2", "particle_hole", "chiral")
-
-if TYPE_CHECKING:  # floquet imports this module for the parity sectors
-    from .floquet import FloquetOperator
 
 _ANTIUNITARY = {
     "parity": False,
@@ -51,18 +52,14 @@ _ANTIUNITARY = {
 
 
 def parity_phases(two_j: int) -> np.ndarray:
-    """Exact diagonal of the parity operator (entries are +-1)."""
-    two_j = validate_two_j(two_j)
-    m = np.repeat(m_values(two_j), 2)
-    s = np.tile([0.5, -0.5], dim_top(two_j))
-    phases = np.exp(-1j * np.pi * (m + s))
-    if two_j % 2 == 0:
-        phases = 1j * phases
-    # the phase convention makes every entry exactly +-1; round away rounding noise
-    labels = np.real(np.round(np.real(phases)))
-    if np.abs(phases - labels).max() > 1e-12:
-        raise AssertionError("parity diagonal is not a sign pattern")
-    return labels
+    """Exact diagonal of the parity operator (entries are +-1).
+
+    |m, s> at flat index 2k + s, k = j + m, has the eigenvalue
+    exp(-i pi (m + s_z)), times i for even 2j, which is the integer sign
+    (-1)^(k + s + floor(j)) for both parities of 2j.
+    """
+    k, s = np.divmod(np.arange(2 * dim_top(two_j)), 2)
+    return 1.0 - 2.0 * ((k + s + two_j // 2) % 2)
 
 
 def parity_labels(two_j: int) -> np.ndarray:
@@ -116,20 +113,16 @@ class SymmetryReport:
     parity_offblock: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "two_j": self.two_j,
-            "residuals": dict(self.residuals),
-            "squared_signs": dict(self.squared_signs),
-            "parity_offblock": self.parity_offblock,
-        }
+        return asdict(self)
 
 
 def _maxabs(a: np.ndarray) -> float:
     return float(np.abs(a).max())
 
 
-def verify_symmetries(operator: "FloquetOperator") -> SymmetryReport:
-    """Evaluate every symmetry relation for the given operator.
+def verify_symmetries(operator) -> SymmetryReport:
+    """Evaluate every symmetry relation for the given operator, a
+    floquet.FloquetOperator (read through its .u and .two_j).
 
     The parity residual and parity_offblock are taken on the coupled-space
     kick generators Jx sigma_x / j, Jy sigma_y / j and sigma_z, not on U:
@@ -144,8 +137,6 @@ def verify_symmetries(operator: "FloquetOperator") -> SymmetryReport:
     operator Y^(1/2) X Y^(1/2) is complex symmetric for every delta, so K
     is kept up to similarity (see the module docstring).
     """
-    from .floquet import coupling_generator  # floquet imports this module
-
     u = operator.u
     two_j = operator.two_j
     u_conj = u.conj()

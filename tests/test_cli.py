@@ -1,15 +1,21 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kickedtop import cli, dynamics
 from kickedtop.cli import build_parser, main, parse_kappa, parse_range
+from kickedtop.errors import NumericalError
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run_cli(*argv):
@@ -163,6 +169,55 @@ def test_readme_commands_parse_and_removed_options_are_rejected(capsys):
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert argv[-2] in capsys.readouterr().err
+
+
+def test_readme_library_example_runs():
+    block = re.search(r"## Library example\n+```python\n(.*?)```", README.read_text(),
+                      re.S).group(1)
+    result = subprocess.run([sys.executable, "-c", block], cwd=ROOT, capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("\n") >= 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 2),
+    ("stages", "--two-j", 10),
+], ids=["rcurve", "stages"])
+def test_unwritable_out_is_config_error(capsys, argv):
+    path = "/nonexistent/dir/x.csv"
+    assert run_cli(*argv, "--out", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
+
+
+@pytest.mark.parametrize("argv, target, where", [
+    (("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 2),
+     (cli, "sector_eigenphases"), "at kxky 1: "),
+    (("rgrid", "--two-j", 10, "--kx", "1:2", "--ky", "3:3", "--steps", 1),
+     (cli, "sector_eigenphases"), "at kx 1, ky 3: "),
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "2", "--n-max", 5),
+     (dynamics, "stroboscopic_series"), "at n_x 2: "),
+], ids=["rcurve", "rgrid", "dynamics"])
+def test_numerical_failure_names_the_point(tmp_path, capsys, monkeypatch, argv, target, where):
+    def fail(*args, **kwargs):
+        raise NumericalError("forced failure")
+
+    monkeypatch.setattr(*target, fail)
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", out) == 3
+    assert capsys.readouterr().err == f"numerical failure: {where}forced failure\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--two-j", 40, "--ky", "pi:8", "--z0", 0, "--nx", "13"),
+    ("--two-j", 10, "--ky", "1e-300", "--nx", "1"),
+], ids=["z0-0", "ky-1e-300"])
+def test_dynamics_at_equator_and_tiny_ky(tmp_path, argv):
+    out = tmp_path / "dyn.csv"
+    assert run_cli("dynamics", *argv, "--n-max", 10, "--out", out) == 0
+    assert len(read_output(out)[2]) == 11
 
 
 def test_dynamics_rejects_z0_outside_the_sphere(tmp_path, capsys):

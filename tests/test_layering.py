@@ -1,0 +1,51 @@
+"""The package's import graph: one-way, and every import at module level."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kickedtop"
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The kickedtop modules that a module imports, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kickedtop."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("kickedtop.")}
+    return found
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_import_inside_a_function():
+    nested = []
+    for name, tree in _trees().items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested += [f"{name}:{node.lineno}" for node in ast.walk(func)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
+
+
+def test_intra_package_imports_are_acyclic():
+    graph = {name: _imported_modules(tree) - {name}
+             for name, tree in _trees().items()}
+    assert set().union(*graph.values()) <= set(graph)
+    done: set[str] = set()
+
+    def visit(name: str, path: tuple[str, ...]) -> None:
+        assert name not in path, f"import cycle: {' -> '.join(path + (name,))}"
+        if name not in done:
+            for dep in sorted(graph[name]):
+                visit(dep, path + (name,))
+            done.add(name)
+
+    for name in graph:
+        visit(name, ())

@@ -125,6 +125,13 @@ def test_allowed_kappa_x_values():
     assert allowed_kappa_x(0.5, 1.0, 1, n_y=5) is None
 
 
+@pytest.mark.parametrize("kappa_y", [1.0, 5.0, 8 * math.pi])
+def test_allowed_kappa_x_at_equator(kappa_y):
+    # z0 = 0: the back-substitution must not take a square root of rounding noise
+    for n_x in range(1, 41):
+        assert allowed_kappa_x(0.0, kappa_y, n_x) == pytest.approx(math.pi * n_x)
+
+
 def test_allowed_kappa_x_back_substitution():
     kappa_y = 8.0
     for n_x in (1, 2, 5):
