@@ -15,6 +15,13 @@ five sweeps, --delta on every command that builds an operator, and
 use quasi-energies only, which agree across orderings, so they always
 build the plain ordering (recorded as "variant": "plain" in the config).
 
+Each command parses and checks all of its options and returns the job
+that builds the operators.  main then opens --out for appending, so a
+path that cannot be written fails before any operator is built, and
+rewrites the file only once the job has succeeded.  A failed command
+leaves a file that was already at --out unchanged and removes one that
+it created.
+
 Exit codes: 0 success, 2 configuration error (an --out path that cannot
 be written included), 3 numerical failure, with the grid point named.
 """
@@ -23,11 +30,13 @@ import argparse
 import concurrent.futures
 import json
 import math
+import os
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
-from .dynamics import dynamical_scan
+from .dynamics import dynamical_scan, scan_params
 from .errors import NumericalError
 from .floquet import VARIANTS, KickParams, floquet_operator
 from .localization import probe_columns, sphere_averaged_s2, sphere_grid
@@ -88,37 +97,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write(out: str | None, text: str) -> None:
-    """Write text to the file out, or to stdout when out is None."""
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _write_csv(out: str | None, command: str, config: dict,
-               header: list[str], rows: list[list]) -> None:
+def _csv(command: str, config: dict, header: list[str], rows: list[list]) -> str:
     lines = [f"# schema: {SCHEMA_PREFIX}.{command}.{SCHEMA_VERSION}",
              f"# config: {json.dumps(config, sort_keys=True)}",
              ",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write(out, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(out: str | None, command: str, config: dict, payload: dict) -> None:
+def _json(command: str, config: dict, payload: dict) -> str:
     doc = {"schema": f"{SCHEMA_PREFIX}.{command}.{SCHEMA_VERSION}",
            "config": config, **payload}
-    _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _pool_map(fn, items, workers: int) -> list:
+def _mapper(workers: int) -> Callable:
+    """map(fn, items) as a list in item order, on `workers` threads."""
     if workers < 1:
         raise ValueError(f"--workers must be at least 1, got {workers}")
     if workers == 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return lambda fn, items: [fn(item) for item in items]
+
+    def pool_map(fn, items) -> list:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+
+    return pool_map
 
 
 def _product_points(args) -> list:
@@ -128,37 +132,48 @@ def _product_points(args) -> list:
             for product in _grid(lo, hi, args.steps).tolist()]
 
 
-def _sweep(args, command: str, header: list[str], points: list, row) -> None:
-    """Write, for every ([key columns], kx, ky) of points, the key columns
-    followed by row(operator at kx, ky) as one CSV record, in grid order
-    for any number of workers."""
+def _sweep(args, command: str, header: list[str], points: list,
+           row) -> Callable[[], str]:
+    """The job that gives, for every ([key columns], kx, ky) of points, the
+    key columns followed by row(operator at kx, ky) as one CSV record, in
+    grid order for any number of workers.  The kick parameters of every
+    point are checked here, before the job runs."""
     two_j = validate_two_j(args.two_j)
+    pool_map = _mapper(args.workers)
+    jobs = [(keys, KickParams(kappa_x=kx, kappa_y=ky, delta=args.delta, variant=args.variant))
+            for keys, kx, ky in points]
 
-    def evaluate(point) -> list:
-        keys, kx, ky = point
-        params = KickParams(kappa_x=kx, kappa_y=ky, delta=args.delta, variant=args.variant)
+    def evaluate(job) -> list:
+        keys, params = job
         try:
             return keys + row(floquet_operator(params, two_j))
         except NumericalError as exc:
             where = ", ".join(f"{name} {_fmt(key)}" for name, key in zip(header, keys))
             raise NumericalError(f"at {where}: {exc}") from exc
 
-    rows = _pool_map(evaluate, points, args.workers)
-    _write_csv(args.out, command, _config_dict(args), header, rows)
+    return lambda: _csv(command, _config_dict(args), header, pool_map(evaluate, jobs))
 
 
 def _stage(operator) -> str:
     return stage_classify(operator.params.kappa_x, operator.params.kappa_y, operator.two_j)
 
 
-def cmd_spectrum(args) -> None:
+def cmd_spectrum(args) -> Callable[[], str]:
     dim = 2 * (validate_two_j(args.two_j) + 1)
     header = ["kxky"] + [f"epsilon_{i}" for i in range(1, dim + 1)]
-    _sweep(args, "spectrum", header, _product_points(args),
-           lambda op: np.sort(sector_eigenphases(op), axis=None).tolist())
+    return _sweep(args, "spectrum", header, _product_points(args),
+                  lambda op: np.sort(sector_eigenphases(op), axis=None).tolist())
 
 
-def cmd_rgrid(args) -> None:
+def _check_ratio_levels(two_j) -> None:
+    """Reject a two_j whose parity sectors hold too few levels for r."""
+    if validate_two_j(two_j) < 2:
+        raise ValueError(f"spacing ratios need two_j >= 2 (three levels per parity "
+                         f"sector), got {two_j}")
+
+
+def cmd_rgrid(args) -> Callable[[], str]:
+    _check_ratio_levels(args.two_j)
     kx_values = _grid(*parse_range(args.kx, "kappa_x"), args.steps)
     ky_values = _grid(*parse_range(args.ky, "kappa_y"), args.steps)
     points = [([kx, ky], kx, ky) for kx in kx_values for ky in ky_values]
@@ -167,10 +182,11 @@ def cmd_rgrid(args) -> None:
         stats = parity_resolved_r(sector_eigenphases(op))
         return [stats["r_mean"], stats["r_plus"], stats["r_minus"], _stage(op)]
 
-    _sweep(args, "rgrid", ["kx", "ky", "r_mean", "r_plus", "r_minus", "stage"], points, row)
+    return _sweep(args, "rgrid", ["kx", "ky", "r_mean", "r_plus", "r_minus", "stage"], points, row)
 
 
-def cmd_rcurve(args) -> None:
+def cmd_rcurve(args) -> Callable[[], str]:
+    _check_ratio_levels(args.two_j)
     bound_window((), args.tol_bound)  # reject a bad --tol-bound before any solve
 
     def row(op) -> list:
@@ -178,10 +194,11 @@ def cmd_rcurve(args) -> None:
         n_bound = int(bound_window(eps, args.tol_bound)[1].sum())
         return [parity_resolved_r(eps)["r_mean"], _stage(op), n_bound]
 
-    _sweep(args, "rcurve", ["kxky", "value", "stage", "n_bound"], _product_points(args), row)
+    return _sweep(args, "rcurve", ["kxky", "value", "stage", "n_bound"], _product_points(args),
+                  row)
 
 
-def cmd_entropy(args) -> None:
+def cmd_entropy(args) -> Callable[[], str]:
     two_j = validate_two_j(args.two_j)
     # the grid starts at lo, so it is positive exactly when lo is
     if parse_range(args.kxky, "kxky")[0] <= 0:
@@ -193,15 +210,17 @@ def cmd_entropy(args) -> None:
         result = sphere_averaged_s2(quasi_spectrum(op), probes)
         return [result.s2_mean, _stage(op), result.baseline]
 
-    _sweep(args, "entropy", ["kxky", "value", "stage", "baseline"], points, row)
+    return _sweep(args, "entropy", ["kxky", "value", "stage", "baseline"], points, row)
 
 
-def cmd_dynamics(args) -> None:
+def cmd_dynamics(args) -> Callable[[], str]:
     two_j = validate_two_j(args.two_j)
     kappa_y = parse_kappa(args.ky, "kappa_y")
     n_x_list = [int(tok) for tok in args.nx.split(",") if tok]
     if not n_x_list:
         raise ValueError("--nx must list at least one integer")
+    scan_params(kappa_y, args.z0, n_x_list, args.n_max, args.delta, args.variant)
+    pool_map = _mapper(args.workers)
 
     def column(n_x: int):
         try:
@@ -210,18 +229,20 @@ def cmd_dynamics(args) -> None:
         except NumericalError as exc:
             raise NumericalError(f"at n_x {n_x}: {exc}") from exc
 
-    columns = _pool_map(column, n_x_list, args.workers)
-    j = two_j / 2.0
-    rows = []
-    for col in columns:
-        for n in range(col.series.n.size):
-            rows.append([int(col.series.n[n]), col.kappa_x,
-                         col.series.jz_mean[n] / j, col.series.jz_std[n] / j])
-    _write_csv(args.out, "dynamics", _config_dict(args),
-               ["n", "kx", "jz_mean_over_j", "jz_std_over_j"], rows)
+    def job() -> str:
+        j = two_j / 2.0
+        rows = []
+        for col in pool_map(column, n_x_list):
+            for n in range(col.series.n.size):
+                rows.append([int(col.series.n[n]), col.kappa_x,
+                             col.series.jz_mean[n] / j, col.series.jz_std[n] / j])
+        return _csv("dynamics", _config_dict(args),
+                    ["n", "kx", "jz_mean_over_j", "jz_std_over_j"], rows)
+
+    return job
 
 
-def cmd_symcheck(args) -> None:
+def cmd_symcheck(args) -> Callable[[], str]:
     two_j = validate_two_j(args.two_j)
     variant = args.variant
     if variant is None:
@@ -229,26 +250,26 @@ def cmd_symcheck(args) -> None:
     params = KickParams(kappa_x=parse_kappa(args.kx, "kappa_x"),
                         kappa_y=parse_kappa(args.ky, "kappa_y"),
                         delta=args.delta, variant=variant)
-    report = verify_symmetries(floquet_operator(params, two_j))
     config = _config_dict(args)
     config["variant"] = variant
-    _write_json(args.out, "symcheck", config, {"report": report.as_dict()})
+    return lambda: _json("symcheck", config, {
+        "report": verify_symmetries(floquet_operator(params, two_j)).as_dict()})
 
 
-def cmd_stages(args) -> None:
+def cmd_stages(args) -> Callable[[], str]:
     two_j = validate_two_j(args.two_j)
     j = two_j / 2.0
     exact = stage_borders(two_j)
     approx = (math.pi * j / 2.0, math.pi * j, 2.0 * math.pi * j)
     rows = [[i + 1, exact[i], approx[i]] for i in range(3)]
-    if args.out is None:
-        print(f"stage borders for two_j = {two_j} (j = {j:g})")
-        print(f"{'border':>6}  {'kxky exact':>14}  {'large-j approx':>16}")
-        for i, e, a in rows:
-            print(f"{i:>6}  {e:>14.4f}  {a:>16.4f}")
+    if args.out is not None:
+        text = _csv("stages", _config_dict(args), ["border", "kxky_exact", "kxky_approx"], rows)
     else:
-        _write_csv(args.out, "stages", _config_dict(args),
-                   ["border", "kxky_exact", "kxky_approx"], rows)
+        lines = [f"stage borders for two_j = {two_j} (j = {j:g})",
+                 f"{'border':>6}  {'kxky exact':>14}  {'large-j approx':>16}"]
+        lines.extend(f"{i:>6}  {e:>14.4f}  {a:>16.4f}" for i, e, a in rows)
+        text = "\n".join(lines) + "\n"
+    return lambda: text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,11 +338,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(job: Callable[[], str], out: str | None) -> None:
+    """Write the text of job() to the file out, or to stdout when out is
+    None.  Before the job runs, out is opened for appending, which checks
+    that it can be written and leaves a file already there unchanged;
+    the text replaces its contents once the job has succeeded.  If the
+    job fails, a file that was already there is left unchanged; if the
+    job or the write fails, a file this call created is removed."""
+    if out is None:
+        sys.stdout.write(job())
+        return
+    created = not os.path.lexists(out)
+    open(out, "a", encoding="utf-8").close()
+    try:
+        text = job()
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except BaseException:
+        if created:
+            os.remove(out)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        _run(args.func(args), args.out)    # the command checks its options first
     except (ValueError, OSError) as exc:   # an OSError names the --out path
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,13 +7,17 @@ from chaotic spreading (mean decays to zero, the deviation approaches
 the uniform-ensemble value j/sqrt(3)).
 
 stroboscopic_series runs the recursion psi_{n+1} = B psi_n on the exact
-(2j+1)-dimensional parity-sector blocks B of the Floquet operator.  For
-mirror twins (even 2j, delta = 0) the -1 block is J B J, J the basis
-reversal, so one block is assembled and sector -1 is evolved reversed
-beside sector +1.  The first BATCH - 1 kicks take one product each; then
-P = B^BATCH, from repeated squaring, advances the last BATCH states at
-once, so each matrix product yields BATCH new states (2 BATCH columns for
-twins).  Only that last batch and the (n_max+1, 2j+1) real m-ladder
+(2j+1)-dimensional parity-sector blocks B of the Floquet operator.  At
+even 2j one block is assembled and sector -1 is evolved through its
+mirror beside sector +1.  For mirror twins (delta = 0) the -1 block is
+J B J, J the basis reversal, so J psi_- is evolved by B.  For conjugate
+twins (delta > 0) it is G J conj(B) J G with G = diag((-1)^k), so B^n
+maps G J conj(psi_-) to G J conj(psi_-(n)).  Either way the mirrored
+column's m-ladder weights are those of sector -1 reversed.  The first
+BATCH - 1 kicks take one product each; then P = B^BATCH, from repeated
+squaring, advances the last BATCH states at once, so each matrix
+product yields BATCH new states (2 BATCH columns at even 2j).  Only
+that last batch and the (n_max+1, 2j+1) real m-ladder
 weights are kept, and the norm of every kick is checked against
 NORM_DRIFT_TOL.  eigenbasis_series evolves by eigenphases instead.  It
 is the tests' independent oracle, not a production path: its error is
@@ -60,12 +64,12 @@ def _jz_series(two_j: int, params: KickParams, weights: np.ndarray) -> DynamicsS
                           jz_mean=means, jz_std=stds)
 
 
-def _ladder_weights(states: np.ndarray, twins: bool) -> np.ndarray:
+def _ladder_weights(states: np.ndarray) -> np.ndarray:
     """The (n, d) m-ladder weights of n consecutive kicks, from their
-    states stacked as in stroboscopic_series: (1, d, n * 2) for twins,
-    sector -1 reversed, else (2, d, n)."""
+    states stacked as in stroboscopic_series: (1, d, n * 2) with one
+    distinct block, sector -1 mirrored, else (2, d, n)."""
     p = states.real ** 2 + states.imag ** 2
-    if twins:
+    if len(p) == 1:
         p = p.reshape(p.shape[1], -1, 2)
         return (p[:, :, 0] + p[::-1, :, 1]).T
     return (p[0] + p[1]).T
@@ -76,24 +80,24 @@ def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
     """Evolve psi0 by repeated application of the one-period unitary.
 
     The recursion psi_{n+1} = B psi_n runs on the sector blocks B, one
-    block per distinct core: for twins sector -1 is evolved reversed by
-    the +1 block.  Kicks 1 to BATCH - 1 take one product each; after
-    that P = B^BATCH times the previous BATCH states gives the next
-    BATCH in one product.  Raises NumericalError naming the first kick
-    at which the state norm has drifted by more than NORM_DRIFT_TOL.
-    Entry 0 of the series is the initial state.
+    block per distinct core: with one, sector -1 is evolved through its
+    mirror (FloquetOperator.mirror) by the +1 block.  Kicks 1 to
+    BATCH - 1 take one product each; after that P = B^BATCH times the
+    previous BATCH states gives the next BATCH in one product.  Raises
+    NumericalError naming the first kick at which the state norm has
+    drifted by more than NORM_DRIFT_TOL.  Entry 0 of the series is the
+    initial state.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
-    twins = operator.twins
     blocks = operator.distinct_blocks()
     # each sector holds one state per m, in ascending m
     plus, minus = (psi0[idx].astype(complex) for idx in sector_indices(operator.two_j))
     # the columns of states[k] are evolved by blocks[k]
-    if twins:
-        states = np.stack([plus, minus[::-1]], axis=-1)[None]
+    if len(blocks) == 1:
+        states = np.stack([plus, operator.mirror(minus)], axis=-1)[None]
     else:
         states = np.stack([plus, minus])[..., None]
     groups, d, width = states.shape
@@ -105,13 +109,13 @@ def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
     for n in range(1, first):
         batch[:, :, n] = blocks @ batch[:, :, n - 1]
     batch = batch.reshape(groups, d, first * width)
-    weights[:first] = _ladder_weights(batch, twins)
+    weights[:first] = _ladder_weights(batch)
     if n_max >= BATCH:
         power = np.linalg.matrix_power(blocks, BATCH)
         for start in range(BATCH, n_max + 1, BATCH):
             count = min(BATCH, n_max + 1 - start)
             batch = power @ batch[:, :, :count * width]
-            weights[start:start + count] = _ladder_weights(batch, twins)
+            weights[start:start + count] = _ladder_weights(batch)
 
     drift = np.abs(np.sqrt(weights.sum(axis=1)) - 1.0)
     drifted = np.flatnonzero(~(drift <= NORM_DRIFT_TOL))   # a NaN drift counts
@@ -150,29 +154,43 @@ class ScanColumn:
     late_std: float             # mean of sigma/j over the same window
 
 
+def scan_params(kappa_y: float, z0: float, n_x_list, n_max: int,
+                delta: float = 0.0, variant: str = "plain") -> list[KickParams]:
+    """The kick parameters of a dynamical scan, one per n_x, with every
+    option checked and no operator built.
+
+    Every n_x >= 1 has an allowed kick strength (meanfield.allowed_kappa_x
+    with n_y = 0).  Raises ValueError if |z0| >= 1, kappa_y <= 0, an n_x
+    or n_max is below 1, or delta and variant do not go together.
+    """
+    if not abs(z0) < 1.0:
+        raise ValueError(f"|z0| must be < 1, got {z0!r}")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    return [KickParams(kappa_x=allowed_kappa_x(z0, kappa_y, n_x), kappa_y=kappa_y,
+                       delta=delta, variant=variant)
+            for n_x in n_x_list]
+
+
 def dynamical_scan(two_j: int, kappa_y: float, z0: float, n_x_list,
                    n_max: int, delta: float = 0.0,
                    variant: str = "plain") -> list[ScanColumn]:
     """Evolve the z0 probe at every allowed kappa_x from the n_x ladder.
 
-    The initial state is |arccos(z0), 0> (x) |up>.  Every n_x >= 1 has an
-    allowed kick strength (meanfield.allowed_kappa_x with n_y = 0).
-    Raises ValueError if |z0| >= 1 or if an n_x is below 1.
+    The initial state is |arccos(z0), 0> (x) |up>.  The options are
+    checked by scan_params before any operator is built.
     """
-    if not abs(z0) < 1.0:
-        raise ValueError(f"|z0| must be < 1, got {z0!r}")
+    all_params = scan_params(kappa_y, z0, n_x_list, n_max, delta, variant)
     psi0 = product_state(two_j, coherent_state(two_j, math.acos(z0), 0.0),
                          np.array([1.0, 0.0]))
     j = two_j / 2.0
     columns = []
-    for n_x in n_x_list:
-        kappa_x = allowed_kappa_x(z0, kappa_y, n_x)
-        params = KickParams(kappa_x=kappa_x, kappa_y=kappa_y, delta=delta, variant=variant)
+    for n_x, params in zip(n_x_list, all_params):
         series = stroboscopic_series(floquet_operator(params, two_j), psi0, n_max)
         window = max(1, n_max // 5)
         columns.append(ScanColumn(
             n_x=int(n_x),
-            kappa_x=kappa_x,
+            kappa_x=params.kappa_x,
             series=series,
             late_mean=float(series.jz_mean[-window:].mean() / j),
             late_std=float(series.jz_std[-window:].mean() / j),

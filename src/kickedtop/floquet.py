@@ -59,10 +59,27 @@ sector onto the other; in ascending-m sector order it reverses the
 basis, and block[-1] = J block[+1] J with J the reversal.  delta sigma_z
 breaks this (sigma_x sigma_z sigma_x = -sigma_z).  Such an operator
 (FloquetOperator.twins) builds sector +1 only and stores sector -1 as
-core[1] = core[0], frame[1] = frame[0][::-1].  Consumers work from the
-distinct cores too: distinct_blocks assembles one block for twins,
-sector_blocks reverses it for sector -1, and to_sectors maps solved
-eigenvectors once and reverses the rows.
+core[1] = core[0], frame[1] = frame[0][::-1].
+
+For even 2j and delta > 0 sector -1 is the conjugate mirror of sector
++1 instead: block[-1] = G J conj(block[+1]) J G, with G = diag((-1)^k).
+G T G = -T for the tridiagonal T, and J T J = T because the ladder
+elements are a palindrome.  In sector order Z[-1] = -J Z[+1] J and
+S[-1] = +-J S[+1] J, so G J (kappa T + delta Z[+1]) J G is minus the
+generator of sector -1, and each kick of sector -1 is G J conj(kick) J G
+of sector +1.  The three exact +-1 facts are checked once per two_j
+(_Sectors.alternation); they hold at every even 2j and fail at odd 2j,
+which solves both sectors.  Such an operator
+(FloquetOperator.conjugate_twins) builds sector +1 only and stores
+core[1] = conj(core[0]), frame[1] = G J conj(frame[0]), so eps[-1] =
+-eps[+1] and the sector -1 eigenvectors are G J conj(v[+1]).  The same
+relation holds at delta = 0, but twins keep the reversal J, which
+leaves their eigenbasis at exact degeneracies as it was.
+
+Consumers work from the distinct cores (FloquetOperator.cores):
+distinct_blocks assembles one block for either kind of mirror,
+sector_blocks derives the sector -1 block from it, and to_sectors maps
+solved eigenvectors once and mirrors them (FloquetOperator.mirror).
 """
 
 import functools
@@ -109,6 +126,10 @@ def _twins(two_j: int, params: KickParams) -> bool:
     return two_j % 2 == 0 and params.delta == 0.0
 
 
+def _conjugate_twins(two_j: int, params: KickParams) -> bool:
+    return params.delta > 0.0 and _sectors(two_j).alternation is not None
+
+
 @dataclass
 class FloquetOperator:
     """One-period unitary, stored per parity sector.
@@ -119,7 +140,10 @@ class FloquetOperator:
     (2, d, d), also where the frame is real.  When twins (even 2j,
     delta = 0), core[1] equals core[0] and frame[1] is frame[0] with its
     rows reversed, so the -1 block is the +1 block reversed in both
-    indices; `cores` holds the distinct cores that checks and solvers use.
+    indices.  When conjugate twins (even 2j, delta > 0), core[1] is
+    conj(core[0]) and frame[1] is G J conj(frame[0]), G = diag((-1)^k) and
+    J the reversal.  `cores` holds the distinct cores that checks and
+    solvers use.
     """
 
     core: np.ndarray
@@ -137,9 +161,23 @@ class FloquetOperator:
         return _twins(self.two_j, self.params)
 
     @property
+    def conjugate_twins(self) -> bool:
+        """True when sector -1 is the conjugate mirror G J conj(.) J G of
+        sector +1: delta > 0 where the per-two_j check certifies it (even 2j)."""
+        return _conjugate_twins(self.two_j, self.params)
+
+    @property
     def cores(self) -> np.ndarray:
-        """The distinct cores: core[:1] when twins, else core."""
-        return self.core[:1] if self.twins else self.core
+        """The distinct cores: core[:1] when twins or conjugate twins, else core."""
+        return self.core[:1] if self.twins or self.conjugate_twins else self.core
+
+    def mirror(self, rows: np.ndarray) -> np.ndarray:
+        """Sector-coordinate rows (axis 0) of one sector mapped to the
+        other, for an operator with one distinct core: reversed for twins,
+        G J conj(rows) for conjugate twins.  The map is its own inverse."""
+        if self.twins:
+            return rows[::-1]
+        return _conjugate_mirror(rows, _sectors(self.two_j).alternation)
 
     @property
     def reversals(self) -> np.ndarray | None:
@@ -153,36 +191,45 @@ class FloquetOperator:
         return reversal[:len(self.cores)]
 
     def distinct_blocks(self) -> np.ndarray:
-        """The sector blocks of `cores`: (1, d, d) when twins, else (2, d, d)."""
-        frame = self.frame[:len(self.cores)]
-        return frame @ self.cores @ frame.conj().swapaxes(-1, -2)
+        """The sector blocks of `cores`: (1, d, d) with one distinct core,
+        else (2, d, d)."""
+        cores = self.cores
+        frame = self.frame[:len(cores)]
+        return frame @ cores @ frame.conj().swapaxes(-1, -2)
 
     def sector_blocks(self) -> np.ndarray:
         """The (2, d, d) stack of sector blocks of the one-period unitary.
 
-        For twins the -1 block is the +1 block reversed in both indices,
-        so only one block is assembled.
+        Only the blocks of `cores` are assembled: for twins the -1 block is
+        the +1 block reversed in both indices, for conjugate twins
+        G J conj(block) J G.
         """
         blocks = self.distinct_blocks()
+        if len(blocks) == 2:
+            return blocks
+        plus = blocks[0]
         if self.twins:
-            blocks = np.stack([blocks[0], blocks[0, ::-1, ::-1]])
-        return blocks
+            return np.stack([plus, plus[::-1, ::-1]])
+        g = _sectors(self.two_j).alternation
+        return np.stack([plus, np.outer(g, g) * plus[::-1, ::-1].conj()])
 
     def to_sectors(self, columns: np.ndarray) -> np.ndarray:
         """Columns on the bases of `cores`, a (len(cores), d, n) stack,
         mapped by the frames to (2, d, n) sector coordinates.
 
         The sym1 and sym2 frames are real (stored complex), so real columns
-        take a real product.  For twins sector -1 is sector +1 with its rows
-        reversed.
+        take a real product.  With one distinct core, sector -1 is the
+        mirror of sector +1: column k of sector -1 is then the eigenvector
+        of the mirrored level (the same eps for twins, -eps for conjugate
+        twins).
         """
         frames = self.frame[:len(columns)]
         if self.params.variant != "plain":
             frames = np.ascontiguousarray(frames.real)
         out = np.empty((2,) + columns.shape[1:], dtype=complex)
         out[:len(columns)] = frames @ columns
-        if self.twins:
-            out[1] = out[0, ::-1]
+        if len(columns) == 1:
+            out[1] = self.mirror(out[0])
         return out
 
     @property
@@ -199,7 +246,9 @@ class _Sectors:
     """Per-two_j data shared by every operator: T's off-diagonal and
     eigensystem, and per sector the sigma_z diagonal, the y gauge S,
     C = V^T S V and the signs of the chiral reversal V^T Z V (None where
-    V^T Z V is not a signed reversal).  Arrays are read-only."""
+    V^T Z V is not a signed reversal); and G = (-1)^k where sector -1 is
+    the conjugate mirror of sector +1 (None elsewhere).  Arrays are
+    read-only."""
 
     offdiag: np.ndarray      # (d-1,)
     lam: np.ndarray          # (d,)
@@ -208,6 +257,7 @@ class _Sectors:
     gauge: np.ndarray        # (2, d)
     overlap: np.ndarray      # (2, d, d)
     reversal: np.ndarray | None  # (2, d)
+    alternation: np.ndarray | None  # (d,)
 
 
 @functools.cache
@@ -221,11 +271,12 @@ def _sectors(two_j: int) -> _Sectors:
     gauge = np.concatenate([np.ones((2, 1)), np.cumprod(z[:, :-1], axis=1)], axis=1)
     overlap = (vecs.T * gauge[:, None, :]) @ vecs
     _check_orthogonal(overlap)
-    sectors = _Sectors(offdiag=ladder_elements(two_j) / (2.0 * j), lam=evals / j,
-                       vecs=vecs, z=z, gauge=gauge, overlap=overlap,
-                       reversal=_chiral_reversal(vecs, z))
+    offdiag = ladder_elements(two_j) / (2.0 * j)
+    sectors = _Sectors(offdiag=offdiag, lam=evals / j, vecs=vecs, z=z, gauge=gauge,
+                       overlap=overlap, reversal=_chiral_reversal(vecs, z),
+                       alternation=_alternation(offdiag, z, gauge))
     for value in (sectors.offdiag, sectors.lam, sectors.z, sectors.gauge, sectors.overlap,
-                  sectors.reversal):
+                  sectors.reversal, sectors.alternation):
         if value is not None:
             value.setflags(write=False)
     return sectors
@@ -243,6 +294,26 @@ def _chiral_reversal(vecs: np.ndarray, z: np.ndarray) -> np.ndarray | None:
             np.abs(chiral - np.diag(signs)[:, ::-1]).max() <= UNITARITY_TOL):
         return None
     return np.stack([signs, -signs])
+
+
+def _alternation(offdiag: np.ndarray, z: np.ndarray, gauge: np.ndarray) -> np.ndarray | None:
+    """G = (-1)^k when sector -1 is the conjugate mirror of sector +1 for
+    every kick, else None.  Three exact +-1 facts make it so, with J the
+    basis reversal: the off-diagonal of T is a palindrome (J T J = T,
+    and G T G = -T), Z[-1] = -J Z[+1] J, and S[-1] = +-J S[+1] J."""
+    flipped = gauge[0][::-1]
+    if (np.array_equal(offdiag, offdiag[::-1]) and np.array_equal(z[1], -z[0][::-1])
+            and (np.array_equal(gauge[1], flipped) or np.array_equal(gauge[1], -flipped))):
+        return 1.0 - 2.0 * (np.arange(z.shape[1]) % 2)
+    return None
+
+
+def _conjugate_mirror(rows: np.ndarray, alternation: np.ndarray) -> np.ndarray:
+    """G J conj(rows) for a (d, ...) array: rows reversed and conjugated,
+    row k times alternation[k]."""
+    out = rows[::-1].conj()
+    out *= alternation.reshape((-1,) + (1,) * (rows.ndim - 1))
+    return out
 
 
 def _sector_core(sectors: _Sectors, k: int, params: KickParams):
@@ -315,8 +386,13 @@ def floquet_operator(params: KickParams, two_j: int) -> FloquetOperator:
     two_j = validate_two_j(two_j)
     sectors = _sectors(two_j)
     twins = _twins(two_j, params)
-    cores, frames = zip(*(_sector_core(sectors, k, params) for k in range(1 if twins else 2)))
+    conjugate = _conjugate_twins(two_j, params)
+    cores, frames = zip(*(_sector_core(sectors, k, params)
+                          for k in range(1 if twins or conjugate else 2)))
     if twins:
         cores, frames = cores * 2, (frames[0], frames[0][::-1])
+    elif conjugate:
+        cores = cores[0], cores[0].conj()
+        frames = frames[0], _conjugate_mirror(frames[0], sectors.alternation)
     return FloquetOperator(core=np.stack(cores), frame=np.stack(frames), params=params,
                            two_j=two_j)

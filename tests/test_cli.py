@@ -13,6 +13,7 @@ import pytest
 from kickedtop import cli, dynamics
 from kickedtop.cli import build_parser, main, parse_kappa, parse_range
 from kickedtop.errors import NumericalError
+from kickedtop.floquet import floquet_operator
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -81,6 +82,79 @@ def test_empty_range_is_config_error(tmp_path):
 
 def test_bad_two_j_is_config_error(tmp_path):
     assert run_cli("stages", "--two-j", 0) == 2
+
+
+def test_unwritable_out_fails_before_any_operator_is_built(tmp_path, capsys, monkeypatch):
+    builds = []
+    monkeypatch.setattr(cli, "floquet_operator",
+                        lambda *args: builds.append(1) or floquet_operator(*args))
+    out = tmp_path / "missing" / "curve.csv"
+    assert run_cli("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 3,
+                   "--out", out) == 2
+    assert str(out) in capsys.readouterr().err
+    assert builds == []
+    assert run_cli("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 3,
+                   "--out", tmp_path / "curve.csv") == 0
+    assert len(builds) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--z0", 1.5),
+    ("dynamics", "--two-j", 10, "--ky", "0", "--nx", "1"),
+    ("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1,0"),
+    ("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--n-max", 0),
+    ("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--variant", "sym1",
+     "--delta", 0.5),
+    ("rcurve", "--two-j", 1, "--kxky", "1:4", "--steps", 2),
+    ("rgrid", "--two-j", 1, "--kx", "1:2", "--ky", "1:2", "--steps", 1),
+], ids=["dynamics-z0", "dynamics-ky", "dynamics-nx", "dynamics-n-max",
+        "dynamics-variant-delta", "rcurve-two-j-1", "rgrid-two-j-1"])
+def test_config_error_builds_nothing_and_keeps_an_existing_out(tmp_path, capsys,
+                                                               monkeypatch, argv):
+    builds = []
+    for module in (cli, dynamics):
+        monkeypatch.setattr(module, "floquet_operator",
+                            lambda *args: builds.append(1) or floquet_operator(*args))
+    out = tmp_path / "results.csv"
+    out.write_text("earlier results\n")
+    assert run_cli(*argv, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert builds == []
+    assert out.read_text() == "earlier results\n"
+    args = build_parser().parse_args([str(a) for a in argv])
+    with pytest.raises(ValueError):
+        args.func(args)     # the command rejects its options before it returns a job
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+@pytest.mark.parametrize("error", [NumericalError("forced failure"), KeyboardInterrupt()],
+                         ids=["numerical", "interrupt"])
+def test_failed_run_keeps_an_existing_out_and_removes_a_new_one(tmp_path, capsys,
+                                                                monkeypatch, existing, error):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "sector_eigenphases", fail)
+    out = tmp_path / "results.csv"
+    if existing:
+        out.write_text("earlier results\n")
+    argv = ("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--out", out)
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*argv)
+    else:
+        assert run_cli(*argv) == 3
+    assert out.exists() == existing
+    if existing:
+        assert out.read_text() == "earlier results\n"
+
+
+def test_successful_run_replaces_an_existing_out(tmp_path):
+    out = tmp_path / "results.csv"
+    out.write_text("earlier results\n" * 10_000)
+    assert run_cli("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--out", out) == 0
+    assert "earlier" not in out.read_text()
+    assert len(read_output(out)[2]) == 2
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -229,9 +303,11 @@ def test_dynamics_rejects_z0_outside_the_sphere(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("two_j, delta, twins", [(20, 0.0, True), (21, 0.0, False),
-                                                 (20, 0.7, False)])
+                                                 (20, 0.7, False), (21, 0.7, False)])
 def test_rgrid_sector_columns_equal_only_for_twins(tmp_path, two_j, delta, twins):
-    # even 2j without delta: the -1 sector mirrors the +1 sector, so r_plus = r_minus
+    # even 2j: the -1 sector mirrors the +1 sector, reversed without delta
+    # (twins, the same levels) and conjugated with delta (the levels -eps), so
+    # r_plus = r_minus, exactly for twins and up to rounding with delta
     out = tmp_path / "rgrid.csv"
     assert run_cli("rgrid", "--two-j", two_j, "--delta", delta, "--kx", "1.9:6",
                    "--ky", "2:17", "--steps", 3, "--out", out) == 0
@@ -241,8 +317,10 @@ def test_rgrid_sector_columns_equal_only_for_twins(tmp_path, two_j, delta, twins
     assert len(rows) == 9
     if twins:
         assert plus == minus
+    elif two_j % 2 == 0:
+        assert all(abs(float(p) - float(m)) <= 1e-12 for p, m in zip(plus, minus))
     else:
-        assert all(p != m for p, m in zip(plus, minus))
+        assert all(abs(float(p) - float(m)) > 1e-3 for p, m in zip(plus, minus))
 
 
 def test_rgrid_symmetric_under_kick_exchange(tmp_path):

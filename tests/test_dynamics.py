@@ -83,14 +83,16 @@ def test_series_assembles_one_block_per_distinct_core(monkeypatch, two_j):
         return blocks
 
     def refused(self):
-        raise AssertionError("the series must not assemble both twin blocks")
+        raise AssertionError("the series must not assemble both mirrored blocks")
 
     monkeypatch.setattr(FloquetOperator, "distinct_blocks", recorded)
     monkeypatch.setattr(FloquetOperator, "sector_blocks", refused)
-    stroboscopic_series(floquet_operator(KickParams(1.7, 2.9), two_j),
-                        probe_state(two_j, 0.9, 0.4), 20)
+    # even 2j: twins without delta, conjugate twins with it
+    psi0 = probe_state(two_j, 0.9, 0.4)
+    for delta in (0.0, 0.7):
+        stroboscopic_series(floquet_operator(KickParams(1.7, 2.9, delta=delta), two_j), psi0, 20)
     d = two_j + 1
-    assert shapes == [(1 if two_j % 2 == 0 else 2, d, d)]
+    assert shapes == [(1 if two_j % 2 == 0 else 2, d, d)] * 2
 
 
 @pytest.mark.parametrize("two_j", [40, 41])

@@ -142,6 +142,56 @@ def test_sectors_are_twins_at_even_two_j_without_delta(two_j, variant):
     assert np.abs(op.sector_blocks() - np.stack([plus, minus])).max() < 1e-12
 
 
+def _conjugate_mirror(block):
+    """G J conj(block) J G, with J the basis reversal and G = diag((-1)^k)."""
+    g = 1.0 - 2.0 * (np.arange(len(block)) % 2)
+    return np.outer(g, g) * block[::-1, ::-1].conj()
+
+
+@pytest.mark.parametrize("two_j, variant, delta", [
+    *((two_j, variant, 0.0) for two_j in (6, 64, 200, 7, 65) for variant in VARIANTS),
+    *((two_j, "plain", delta) for two_j in (6, 64, 200, 7, 65) for delta in (0.7, 5.0))])
+def test_sectors_are_conjugate_mirrors_only_at_even_two_j(two_j, variant, delta):
+    # at even 2j the -1 block is G J conj(+1 block) J G for every delta and
+    # ordering, and at odd 2j it is not.  Checked on the dense product, which
+    # does not use that relation
+    plus, minus = _dense_sector_blocks(1.9, 17.0, two_j, variant, delta)
+    defect = np.abs(minus - _conjugate_mirror(plus)).max()
+    op = floquet_operator(KickParams(1.9, 17.0, delta=delta, variant=variant), two_j)
+    if two_j % 2:
+        assert defect > 1e-3
+        assert not op.conjugate_twins and len(op.cores) == 2
+        return
+    assert defect < 1e-12
+    assert op.conjugate_twins == (delta > 0)
+    assert len(op.cores) == 1
+    assert np.abs(op.sector_blocks() - np.stack([plus, minus])).max() < 1e-12
+
+
+@pytest.mark.parametrize("solver", ["real", "schur"])
+@pytest.mark.parametrize("two_j", [14, 64])
+def test_conjugate_twin_eigenpairs_match_dense_blocks(monkeypatch, two_j, solver):
+    # sector -1 is derived, eps_- = -eps_+ and v_- = G J conj(v_+) reordered:
+    # both sectors' eigenpairs must hold on the dense product
+    if solver == "schur":
+        monkeypatch.setattr(spectral, "sector_eigenpairs", spectral._schur_eigenpairs)
+    kx, ky = 1.9, 17.0
+    op = floquet_operator(KickParams(kx, ky, delta=0.7), two_j)
+    assert op.conjugate_twins
+    spec = quasi_spectrum(op)
+    assert np.all(np.diff(spec.epsilons) >= 0)
+    assert _circle_set_distance(spec.epsilons[1], -spec.epsilons[0]) < 1e-14
+    phases = np.exp(-1j * spec.epsilons)[:, None, :]
+    blocks = _dense_sector_blocks(kx, ky, two_j, "plain", 0.7)
+    for stack in (blocks, op.sector_blocks()):
+        residual = stack @ spec.vectors - spec.vectors * phases
+        assert np.linalg.norm(residual, axis=1).max() < 1e-8
+    assert np.abs(np.linalg.norm(spec.vectors, axis=1) - 1.0).max() < 1e-12
+    gram = spec.vectors.conj().swapaxes(-1, -2) @ spec.vectors
+    assert np.abs(gram - np.eye(two_j + 1)).max() < 1e-12
+    assert np.abs(sector_eigenphases(op) - spec.epsilons).max() < 1e-10
+
+
 @pytest.mark.parametrize("two_j, variant, delta", [
     *((two_j, variant, 0.0) for two_j in (7, 65, 201) for variant in VARIANTS),
     *((two_j, "plain", 0.7) for two_j in (6, 64, 200, 7, 65, 201))])
@@ -152,7 +202,8 @@ def test_sectors_differ_at_odd_two_j_or_with_delta(two_j, variant, delta):
     assert _circle_set_distance(eps_plus, eps_minus) > 1e-3
 
 
-@pytest.mark.parametrize("two_j, delta, solves", [(12, 0.0, 1), (13, 0.0, 2), (12, 0.7, 2)])
+@pytest.mark.parametrize("two_j, delta, solves", [(12, 0.0, 1), (13, 0.0, 2), (12, 0.7, 1),
+                                                  (13, 0.7, 2)])
 def test_twin_sectors_are_solved_once(monkeypatch, two_j, delta, solves):
     # sector_eigenphases solves each distinct core with core_eigenphases,
     # quasi_spectrum with sector_eigenpairs
