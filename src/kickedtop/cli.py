@@ -216,7 +216,12 @@ def cmd_entropy(args) -> Callable[[], str]:
 def cmd_dynamics(args) -> Callable[[], str]:
     two_j = validate_two_j(args.two_j)
     kappa_y = parse_kappa(args.ky, "kappa_y")
-    n_x_list = [int(tok) for tok in args.nx.split(",") if tok]
+    n_x_list = []
+    for tok in filter(None, args.nx.split(",")):
+        try:
+            n_x_list.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--nx takes comma-separated integers, got {tok!r}") from None
     if not n_x_list:
         raise ValueError("--nx must list at least one integer")
     scan_params(kappa_y, args.z0, n_x_list, args.n_max, args.delta, args.variant)

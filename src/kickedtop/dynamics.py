@@ -9,17 +9,15 @@ the uniform-ensemble value j/sqrt(3)).
 stroboscopic_series runs the recursion psi_{n+1} = B psi_n on the exact
 (2j+1)-dimensional parity-sector blocks B of the Floquet operator.  At
 even 2j one block is assembled and sector -1 is evolved through its
-mirror beside sector +1.  For mirror twins (delta = 0) the -1 block is
-J B J, J the basis reversal, so J psi_- is evolved by B.  For conjugate
-twins (delta > 0) it is G J conj(B) J G with G = diag((-1)^k), so B^n
-maps G J conj(psi_-) to G J conj(psi_-(n)).  Either way the mirrored
-column's m-ladder weights are those of sector -1 reversed.  The first
-BATCH - 1 kicks take one product each; then P = B^BATCH, from repeated
-squaring, advances the last BATCH states at once, so each matrix
-product yields BATCH new states (2 BATCH columns at even 2j).  Only
-that last batch and the (n_max+1, 2j+1) real m-ladder
-weights are kept, and the norm of every kick is checked against
-NORM_DRIFT_TOL.  eigenbasis_series evolves by eigenphases instead.  It
+mirror beside sector +1: the -1 block is G J conj(B) J G, with J the
+basis reversal and G = diag((-1)^k), so B^n maps G J conj(psi_-) to
+G J conj(psi_-(n)), and the mirrored column's m-ladder weights are those
+of sector -1 reversed.  The first BATCH - 1 kicks take one product
+each; then P = B^BATCH, from repeated squaring, advances the last BATCH
+states at once, so each matrix product yields BATCH new states
+(2 BATCH columns at even 2j).  Only that last batch and the
+(n_max+1, 2j+1) real m-ladder weights are kept, and the norm of every
+kick is checked against NORM_DRIFT_TOL.  eigenbasis_series evolves by eigenphases instead.  It
 is the tests' independent oracle, not a production path: its error is
 set by the eigenvector residuals (up to spectral.EIGEN_RESIDUAL_TOL),
 not by rounding in the products.

@@ -51,33 +51,21 @@ signed reversal of the eigenbasis and J conj(core) J = core.  Its signs
 are certified once per two_j next to C, and FloquetOperator.reversals
 hands them to the half-size eigenphase solver in spectral.
 
-For even 2j and delta = 0 the two sectors are mirror twins.  The pi
-rotation about x, R = exp(-i pi (Jx + sigma_x/2)), commutes with both
-kicks (it maps Jy sigma_y to itself) and sends m to -m.  The total spin
-j + 1/2 is then half-integer, so R anticommutes with parity and maps one
-sector onto the other; in ascending-m sector order it reverses the
-basis, and block[-1] = J block[+1] J with J the reversal.  delta sigma_z
-breaks this (sigma_x sigma_z sigma_x = -sigma_z).  Such an operator
-(FloquetOperator.twins) builds sector +1 only and stores sector -1 as
-core[1] = core[0], frame[1] = frame[0][::-1].
-
-For even 2j and delta > 0 sector -1 is the conjugate mirror of sector
-+1 instead: block[-1] = G J conj(block[+1]) J G, with G = diag((-1)^k).
-G T G = -T for the tridiagonal T, and J T J = T because the ladder
-elements are a palindrome.  In sector order Z[-1] = -J Z[+1] J and
-S[-1] = +-J S[+1] J, so G J (kappa T + delta Z[+1]) J G is minus the
-generator of sector -1, and each kick of sector -1 is G J conj(kick) J G
-of sector +1.  The three exact +-1 facts are checked once per two_j
-(_Sectors.alternation); they hold at every even 2j and fail at odd 2j,
-which solves both sectors.  Such an operator
-(FloquetOperator.conjugate_twins) builds sector +1 only and stores
-core[1] = conj(core[0]), frame[1] = G J conj(frame[0]), so eps[-1] =
--eps[+1] and the sector -1 eigenvectors are G J conj(v[+1]).  The same
-relation holds at delta = 0, but twins keep the reversal J, which
-leaves their eigenbasis at exact degeneracies as it was.
+For even 2j sector -1 is the conjugate mirror of sector +1, for every
+delta and ordering: block[-1] = G J conj(block[+1]) J G, with J the basis
+reversal and G = diag((-1)^k).  G T G = -T for the tridiagonal T, and
+J T J = T because the ladder elements are a palindrome.  In sector order
+Z[-1] = -J Z[+1] J and S[-1] = +-J S[+1] J, so G J (kappa T + delta Z[+1]) J G
+is minus the generator of sector -1, and each kick of sector -1 is
+G J conj(kick) J G of sector +1.  The three exact +-1 facts are checked
+once per two_j (_Sectors.alternation); they hold at every even 2j and
+fail at odd 2j, which solves both sectors.  At even 2j floquet_operator
+builds sector +1 only and stores core[1] = conj(core[0]),
+frame[1] = G J conj(frame[0]), so eps[-1] = -eps[+1] and the sector -1
+eigenvectors are G J conj(v[+1]).
 
 Consumers work from the distinct cores (FloquetOperator.cores):
-distinct_blocks assembles one block for either kind of mirror,
+distinct_blocks assembles the sector +1 block alone at even 2j,
 sector_blocks derives the sector -1 block from it, and to_sectors maps
 solved eigenvectors once and mirrors them (FloquetOperator.mirror).
 """
@@ -122,14 +110,6 @@ class KickParams:
             raise ValueError("symmetrized variants are defined only for delta = 0")
 
 
-def _twins(two_j: int, params: KickParams) -> bool:
-    return two_j % 2 == 0 and params.delta == 0.0
-
-
-def _conjugate_twins(two_j: int, params: KickParams) -> bool:
-    return params.delta > 0.0 and _sectors(two_j).alternation is not None
-
-
 @dataclass
 class FloquetOperator:
     """One-period unitary, stored per parity sector.
@@ -137,13 +117,10 @@ class FloquetOperator:
     Sector k, in symmetry.sector_indices order (+1 first), has the block
     frame[k] @ core[k] @ frame[k]^dag, where core[k] is a complex-symmetric
     unitary and frame[k] is unitary; both stacks are complex with shape
-    (2, d, d), also where the frame is real.  When twins (even 2j,
-    delta = 0), core[1] equals core[0] and frame[1] is frame[0] with its
-    rows reversed, so the -1 block is the +1 block reversed in both
-    indices.  When conjugate twins (even 2j, delta > 0), core[1] is
-    conj(core[0]) and frame[1] is G J conj(frame[0]), G = diag((-1)^k) and
-    J the reversal.  `cores` holds the distinct cores that checks and
-    solvers use.
+    (2, d, d), also where the frame is real.  At even 2j sector -1 is the
+    conjugate mirror of sector +1: core[1] is conj(core[0]) and frame[1]
+    is G J conj(frame[0]), G = diag((-1)^k) and J the reversal.  `cores`
+    holds the distinct cores that checks and solvers use.
     """
 
     core: np.ndarray
@@ -156,28 +133,14 @@ class FloquetOperator:
         return 2 * self.core.shape[-1]
 
     @property
-    def twins(self) -> bool:
-        """True when sector -1 mirrors sector +1: even 2j and delta = 0."""
-        return _twins(self.two_j, self.params)
-
-    @property
-    def conjugate_twins(self) -> bool:
-        """True when sector -1 is the conjugate mirror G J conj(.) J G of
-        sector +1: delta > 0 where the per-two_j check certifies it (even 2j)."""
-        return _conjugate_twins(self.two_j, self.params)
-
-    @property
     def cores(self) -> np.ndarray:
-        """The distinct cores: core[:1] when twins or conjugate twins, else core."""
-        return self.core[:1] if self.twins or self.conjugate_twins else self.core
+        """The distinct cores: core[:1] at even 2j, else core."""
+        return self.core if _sectors(self.two_j).alternation is None else self.core[:1]
 
     def mirror(self, rows: np.ndarray) -> np.ndarray:
         """Sector-coordinate rows (axis 0) of one sector mapped to the
-        other, for an operator with one distinct core: reversed for twins,
-        G J conj(rows) for conjugate twins.  The map is its own inverse."""
-        if self.twins:
-            return rows[::-1]
-        return _conjugate_mirror(rows, _sectors(self.two_j).alternation)
+        other at even 2j: G J conj(rows).  The map is its own inverse."""
+        return _conjugate_mirror(rows)
 
     @property
     def reversals(self) -> np.ndarray | None:
@@ -191,8 +154,7 @@ class FloquetOperator:
         return reversal[:len(self.cores)]
 
     def distinct_blocks(self) -> np.ndarray:
-        """The sector blocks of `cores`: (1, d, d) with one distinct core,
-        else (2, d, d)."""
+        """The sector blocks of `cores`: (1, d, d) at even 2j, else (2, d, d)."""
         cores = self.cores
         frame = self.frame[:len(cores)]
         return frame @ cores @ frame.conj().swapaxes(-1, -2)
@@ -200,16 +162,13 @@ class FloquetOperator:
     def sector_blocks(self) -> np.ndarray:
         """The (2, d, d) stack of sector blocks of the one-period unitary.
 
-        Only the blocks of `cores` are assembled: for twins the -1 block is
-        the +1 block reversed in both indices, for conjugate twins
-        G J conj(block) J G.
+        Only the blocks of `cores` are assembled: at even 2j the -1 block
+        is G J conj(block) J G of the +1 block.
         """
         blocks = self.distinct_blocks()
         if len(blocks) == 2:
             return blocks
         plus = blocks[0]
-        if self.twins:
-            return np.stack([plus, plus[::-1, ::-1]])
         g = _sectors(self.two_j).alternation
         return np.stack([plus, np.outer(g, g) * plus[::-1, ::-1].conj()])
 
@@ -218,10 +177,8 @@ class FloquetOperator:
         mapped by the frames to (2, d, n) sector coordinates.
 
         The sym1 and sym2 frames are real (stored complex), so real columns
-        take a real product.  With one distinct core, sector -1 is the
-        mirror of sector +1: column k of sector -1 is then the eigenvector
-        of the mirrored level (the same eps for twins, -eps for conjugate
-        twins).
+        take a real product.  At even 2j column k of sector -1 is the
+        mirror of column k of sector +1, the eigenvector of level -eps.
         """
         frames = self.frame[:len(columns)]
         if self.params.variant != "plain":
@@ -229,7 +186,7 @@ class FloquetOperator:
         out = np.empty((2,) + columns.shape[1:], dtype=complex)
         out[:len(columns)] = frames @ columns
         if len(columns) == 1:
-            out[1] = self.mirror(out[0])
+            _conjugate_mirror(out[0], out=out[1])
         return out
 
     @property
@@ -308,11 +265,12 @@ def _alternation(offdiag: np.ndarray, z: np.ndarray, gauge: np.ndarray) -> np.nd
     return None
 
 
-def _conjugate_mirror(rows: np.ndarray, alternation: np.ndarray) -> np.ndarray:
-    """G J conj(rows) for a (d, ...) array: rows reversed and conjugated,
-    row k times alternation[k]."""
-    out = rows[::-1].conj()
-    out *= alternation.reshape((-1,) + (1,) * (rows.ndim - 1))
+def _conjugate_mirror(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """G J conj(rows) for a (d, ...) array, G = diag((-1)^k) as in
+    _Sectors.alternation and J the reversal: the rows reversed and
+    conjugated, the odd ones negated."""
+    out = np.conjugate(rows[::-1], out=out)
+    out[1::2] *= -1.0
     return out
 
 
@@ -385,14 +343,13 @@ def floquet_operator(params: KickParams, two_j: int) -> FloquetOperator:
     """
     two_j = validate_two_j(two_j)
     sectors = _sectors(two_j)
-    twins = _twins(two_j, params)
-    conjugate = _conjugate_twins(two_j, params)
-    cores, frames = zip(*(_sector_core(sectors, k, params)
-                          for k in range(1 if twins or conjugate else 2)))
-    if twins:
-        cores, frames = cores * 2, (frames[0], frames[0][::-1])
-    elif conjugate:
-        cores = cores[0], cores[0].conj()
-        frames = frames[0], _conjugate_mirror(frames[0], sectors.alternation)
-    return FloquetOperator(core=np.stack(cores), frame=np.stack(frames), params=params,
-                           two_j=two_j)
+    if sectors.alternation is None:
+        core, frame = map(np.stack, zip(*(_sector_core(sectors, k, params) for k in range(2))))
+    else:
+        # sector -1 is the conjugate mirror of sector +1
+        plus = _sector_core(sectors, 0, params)
+        core, frame = (np.empty((2,) + a.shape, dtype=complex) for a in plus)
+        core[0], frame[0] = plus
+        np.conjugate(plus[0], out=core[1])
+        _conjugate_mirror(plus[1], out=frame[1])
+    return FloquetOperator(core=core, frame=frame, params=params, two_j=two_j)

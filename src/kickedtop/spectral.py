@@ -9,12 +9,10 @@ symmetry.sector_indices.  Degenerate partners never mix across sectors,
 spacing statistics are computed within a sector and averaged, and
 coherent-probe overlaps are two (2j+1)-sized products.  Only the
 distinct cores (FloquetOperator.cores) are solved, so at every even 2j
-one sector is.  For mirror twins (delta = 0) sector -1 repeats the
-quasi-energies of sector +1, and its eigenvectors are those of sector +1
-with the basis reversed.  For conjugate twins (delta > 0) sector -1 is
-the conjugate mirror G J conj(.) J G of sector +1: its quasi-energies
-are -eps of sector +1, sorted on (-pi, pi], and its eigenvectors
-G J conj(v) of sector +1, reordered to match.
+one sector is.  There sector -1 is the conjugate mirror G J conj(.) J G
+of sector +1: its quasi-energies are -eps of sector +1, sorted on
+(-pi, pi], and its eigenvectors G J conj(v) of sector +1, reordered to
+match.
 
 Each sector of a FloquetOperator is a complex-symmetric unitary core
 M = R + i I.  Two solvers serve it:
@@ -251,16 +249,16 @@ def core_eigenphases(m: np.ndarray, signs: np.ndarray | None = None) -> np.ndarr
     return np.sort(eps)
 
 
-def _both_sectors(operator: FloquetOperator,
-                  eps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _both_sectors(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The (2, d) stack of sorted quasi-energies from those of
-    operator.cores, and for conjugate twins the order that sorts the
-    mirrored levels of sector -1 (the columns of
-    FloquetOperator.to_sectors), else None: twins repeat sector +1,
-    conjugate twins take -eps of sector +1 on (-pi, pi]."""
-    if not operator.conjugate_twins:
-        return np.repeat(eps, 2 // len(eps), axis=0), None
-    minus = _branch(-eps[0])
+    FloquetOperator.cores, and with one core the order that sorts the
+    mirrored levels -eps of sector -1 on (-pi, pi] (the columns of
+    FloquetOperator.to_sectors), else None."""
+    if len(eps) == 2:
+        return eps, None
+    # -eps, except that a level at exactly 0 keeps its sign: both sectors then
+    # hold the same +0 or -0, and outputs print it alike
+    minus = _branch(np.where(eps[0] == 0.0, eps[0], -eps[0]))
     order = np.argsort(minus, kind="stable")
     return np.stack([eps[0], minus[order]]), order
 
@@ -278,7 +276,7 @@ def sector_eigenphases(operator: FloquetOperator) -> np.ndarray:
         reversals = [None] * len(operator.cores)
     eps = np.stack([core_eigenphases(core, signs)
                     for core, signs in zip(operator.cores, reversals)])
-    return _both_sectors(operator, eps)[0]
+    return _both_sectors(eps)[0]
 
 
 def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
@@ -294,7 +292,7 @@ def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
         order = np.argsort(eps, kind="stable")
         epsilons.append(eps[order])
         vectors.append(vecs[:, order])
-    epsilons, order = _both_sectors(operator, np.stack(epsilons))
+    epsilons, order = _both_sectors(np.stack(epsilons))
     vectors = operator.to_sectors(np.stack(vectors))
     if order is not None:
         vectors[1] = vectors[1][:, order]

@@ -67,10 +67,10 @@ def flat_index(two_j: int, m: float, s: int) -> int:
     j = validate_two_j(two_j) / 2.0
     if s not in (0, 1):
         raise ValueError(f"spin index must be 0 or 1, got {s!r}")
-    k = round(2 * (j + m))
-    if k % 2 or not 0 <= k // 2 <= two_j:
+    twice = float(2 * (j + m))
+    if not (twice.is_integer() and twice % 2 == 0 and 0 <= twice <= 2 * two_j):
         raise ValueError(f"m = {m!r} is not a valid projection for two_j = {two_j}")
-    return k + s
+    return int(twice) + s
 
 
 def pauli_matrix(axis: str) -> np.ndarray:

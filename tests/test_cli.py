@@ -98,19 +98,20 @@ def test_unwritable_out_fails_before_any_operator_is_built(tmp_path, capsys, mon
     assert len(builds) == 3
 
 
-@pytest.mark.parametrize("argv", [
-    ("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--z0", 1.5),
-    ("dynamics", "--two-j", 10, "--ky", "0", "--nx", "1"),
-    ("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1,0"),
-    ("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--n-max", 0),
-    ("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--variant", "sym1",
-     "--delta", 0.5),
-    ("rcurve", "--two-j", 1, "--kxky", "1:4", "--steps", 2),
-    ("rgrid", "--two-j", 1, "--kx", "1:2", "--ky", "1:2", "--steps", 1),
+@pytest.mark.parametrize("argv, named", [
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--z0", 1.5), ("z0", "1.5")),
+    (("dynamics", "--two-j", 10, "--ky", "0", "--nx", "1"), ("kappa_y",)),
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1,0"), ("n_x",)),
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--n-max", 0), ("n_max",)),
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--variant", "sym1",
+      "--delta", 0.5), ("delta",)),
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "2.5"), ("--nx", "'2.5'")),
+    (("rcurve", "--two-j", 1, "--kxky", "1:4", "--steps", 2), ("two_j",)),
+    (("rgrid", "--two-j", 1, "--kx", "1:2", "--ky", "1:2", "--steps", 1), ("two_j",)),
 ], ids=["dynamics-z0", "dynamics-ky", "dynamics-nx", "dynamics-n-max",
-        "dynamics-variant-delta", "rcurve-two-j-1", "rgrid-two-j-1"])
+        "dynamics-variant-delta", "dynamics-nx-float", "rcurve-two-j-1", "rgrid-two-j-1"])
 def test_config_error_builds_nothing_and_keeps_an_existing_out(tmp_path, capsys,
-                                                               monkeypatch, argv):
+                                                               monkeypatch, argv, named):
     builds = []
     for module in (cli, dynamics):
         monkeypatch.setattr(module, "floquet_operator",
@@ -118,7 +119,9 @@ def test_config_error_builds_nothing_and_keeps_an_existing_out(tmp_path, capsys,
     out = tmp_path / "results.csv"
     out.write_text("earlier results\n")
     assert run_cli(*argv, "--out", out) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert all(text in err for text in named)      # the message names the input
     assert builds == []
     assert out.read_text() == "earlier results\n"
     args = build_parser().parse_args([str(a) for a in argv])
@@ -305,9 +308,10 @@ def test_dynamics_rejects_z0_outside_the_sphere(tmp_path, capsys):
 @pytest.mark.parametrize("two_j, delta, twins", [(20, 0.0, True), (21, 0.0, False),
                                                  (20, 0.7, False), (21, 0.7, False)])
 def test_rgrid_sector_columns_equal_only_for_twins(tmp_path, two_j, delta, twins):
-    # even 2j: the -1 sector mirrors the +1 sector, reversed without delta
-    # (twins, the same levels) and conjugated with delta (the levels -eps), so
-    # r_plus = r_minus, exactly for twins and up to rounding with delta
+    # even 2j: the -1 sector is the conjugate mirror of the +1 sector, with the
+    # levels -eps, so r_plus = r_minus; without delta (twins) the chiral
+    # symmetry makes -eps the same levels and the columns equal exactly, with
+    # delta up to rounding
     out = tmp_path / "rgrid.csv"
     assert run_cli("rgrid", "--two-j", two_j, "--delta", delta, "--kx", "1.9:6",
                    "--ky", "2:17", "--steps", 3, "--out", out) == 0

@@ -63,7 +63,7 @@ def test_series_conserves_norm_over_many_kicks(monkeypatch):
 ])
 def test_series_matches_dense_oracle(two_j, variant, delta, n_max):
     op = floquet_operator(KickParams(1.7, 2.9, delta=delta, variant=variant), two_j)
-    assert op.twins == (two_j % 2 == 0 and delta == 0.0)
+    assert len(op.cores) == 1 + two_j % 2
     psi0 = probe_state(two_j, 0.9, 0.4)
     series = stroboscopic_series(op, psi0, n_max)
     mean, std = _dense_moments(op, psi0, n_max)
@@ -87,7 +87,7 @@ def test_series_assembles_one_block_per_distinct_core(monkeypatch, two_j):
 
     monkeypatch.setattr(FloquetOperator, "distinct_blocks", recorded)
     monkeypatch.setattr(FloquetOperator, "sector_blocks", refused)
-    # even 2j: twins without delta, conjugate twins with it
+    # even 2j: sector -1 is the conjugate mirror, with and without delta
     psi0 = probe_state(two_j, 0.9, 0.4)
     for delta in (0.0, 0.7):
         stroboscopic_series(floquet_operator(KickParams(1.7, 2.9, delta=delta), two_j), psi0, 20)

@@ -49,3 +49,22 @@ def test_intra_package_imports_are_acyclic():
 
     for name in graph:
         visit(name, ())
+
+
+def test_no_private_name_crosses_a_module():
+    # an underscore name stays inside its module: `from .floquet import _sectors`
+    # and `floquet._sectors` through an imported module are both refused
+    crossing = []
+    for name, tree in _trees().items():
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level == 1 or (node.module or "").startswith("kickedtop")):
+                crossing += [f"{name}:{node.lineno} {alias.name}" for alias in node.names
+                             if alias.name.startswith("_")]
+                if node.module in (None, "kickedtop"):
+                    modules |= {alias.asname or alias.name for alias in node.names}
+        crossing += [f"{name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                     and isinstance(node.value, ast.Name) and node.value.id in modules]
+    assert crossing == []

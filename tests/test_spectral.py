@@ -71,8 +71,9 @@ def test_sector_vectors_of_every_frame(monkeypatch, two_j, variant, solver):
     residual = op.sector_blocks() @ spec.vectors - spec.vectors * phases
     assert np.linalg.norm(residual, axis=1).max() < 1e-8
     assert np.abs(np.linalg.norm(spec.vectors, axis=1) - 1.0).max() < 1e-12
-    if op.twins:
-        assert np.array_equal(spec.vectors[1], spec.vectors[0, ::-1])
+    if two_j % 2 == 0:    # sector -1 is the mirror of sector +1, reordered to -eps
+        order = np.argsort(spectral._branch(-spec.epsilons[0]), kind="stable")
+        assert np.array_equal(spec.vectors[1], op.mirror(spec.vectors[0])[:, order])
 
 
 def test_exchange_symmetry_of_quasi_energies():
@@ -138,7 +139,6 @@ def test_sectors_are_twins_at_even_two_j_without_delta(two_j, variant):
     plus, minus = _dense_sector_blocks(1.9, 17.0, two_j, variant)
     assert np.abs(minus - plus[::-1, ::-1]).max() < 1e-12
     op = floquet_operator(KickParams(1.9, 17.0, variant=variant), two_j)
-    assert op.twins
     assert np.abs(op.sector_blocks() - np.stack([plus, minus])).max() < 1e-12
 
 
@@ -160,29 +160,32 @@ def test_sectors_are_conjugate_mirrors_only_at_even_two_j(two_j, variant, delta)
     op = floquet_operator(KickParams(1.9, 17.0, delta=delta, variant=variant), two_j)
     if two_j % 2:
         assert defect > 1e-3
-        assert not op.conjugate_twins and len(op.cores) == 2
+        assert len(op.cores) == 2
         return
     assert defect < 1e-12
-    assert op.conjugate_twins == (delta > 0)
     assert len(op.cores) == 1
     assert np.abs(op.sector_blocks() - np.stack([plus, minus])).max() < 1e-12
 
 
-@pytest.mark.parametrize("solver", ["real", "schur"])
-@pytest.mark.parametrize("two_j", [14, 64])
-def test_conjugate_twin_eigenpairs_match_dense_blocks(monkeypatch, two_j, solver):
+@pytest.mark.parametrize("two_j, variant, delta, solver", [
+    pytest.param(two_j, variant, delta, solver,
+                 id=f"{two_j}-{solver}" if delta else f"{two_j}-{variant}-{solver}")
+    for two_j in (14, 64) for variant, delta in (("plain", 0.7), *((v, 0.0) for v in VARIANTS))
+    for solver in ("real", "schur")])
+def test_conjugate_twin_eigenpairs_match_dense_blocks(monkeypatch, two_j, variant, delta,
+                                                      solver):
     # sector -1 is derived, eps_- = -eps_+ and v_- = G J conj(v_+) reordered:
     # both sectors' eigenpairs must hold on the dense product
     if solver == "schur":
         monkeypatch.setattr(spectral, "sector_eigenpairs", spectral._schur_eigenpairs)
     kx, ky = 1.9, 17.0
-    op = floquet_operator(KickParams(kx, ky, delta=0.7), two_j)
-    assert op.conjugate_twins
+    op = floquet_operator(KickParams(kx, ky, delta=delta, variant=variant), two_j)
+    assert len(op.cores) == 1
     spec = quasi_spectrum(op)
     assert np.all(np.diff(spec.epsilons) >= 0)
     assert _circle_set_distance(spec.epsilons[1], -spec.epsilons[0]) < 1e-14
     phases = np.exp(-1j * spec.epsilons)[:, None, :]
-    blocks = _dense_sector_blocks(kx, ky, two_j, "plain", 0.7)
+    blocks = _dense_sector_blocks(kx, ky, two_j, variant, delta)
     for stack in (blocks, op.sector_blocks()):
         residual = stack @ spec.vectors - spec.vectors * phases
         assert np.linalg.norm(residual, axis=1).max() < 1e-8
@@ -197,7 +200,6 @@ def test_conjugate_twin_eigenpairs_match_dense_blocks(monkeypatch, two_j, solver
     *((two_j, "plain", 0.7) for two_j in (6, 64, 200, 7, 65, 201))])
 def test_sectors_differ_at_odd_two_j_or_with_delta(two_j, variant, delta):
     op = floquet_operator(KickParams(1.9, 17.0, delta=delta, variant=variant), two_j)
-    assert not op.twins
     eps_plus, eps_minus = sector_eigenphases(op)
     assert _circle_set_distance(eps_plus, eps_minus) > 1e-3
 

@@ -142,8 +142,9 @@ def test_flat_index_ordering():
     assert flat_index(1, 0.5, 0) == 2
     assert flat_index(1, 0.5, 1) == 3
     assert flat_index(4, 2.0, 1) == 9
-    with pytest.raises(ValueError):
-        flat_index(2, 0.5, 0)
+    for m in (0.5, 0.9, 1.2, -0.8):     # 2 (j + m) must be an even integer
+        with pytest.raises(ValueError):
+            flat_index(2, m, 0)
     with pytest.raises(ValueError):
         flat_index(2, 0.0, 2)
 

@@ -40,6 +40,35 @@ def test_time_reversal_2_matches_expm_oracle():
     assert np.abs(mat - oracle).max() < 1e-12
 
 
+@pytest.mark.parametrize("two_j", [6, 7, 40, 41])
+@pytest.mark.parametrize("variant", ["plain", "sym1", "sym2"])
+def test_pi_rotation_about_x_commutes_with_u_and_flips_parity_at_even_two_j(two_j, variant):
+    # R_x = exp(-i pi (Jx + sigma_x/2)) keeps Jx sigma_x and maps Jy sigma_y to
+    # itself, so it commutes with every ordering of the kicks.  It sends m to
+    # -m: with total spin j + 1/2 it anticommutes with parity at even 2j, which
+    # makes the sectors mirrors, and commutes with it at odd 2j
+    ops = angular_momentum_matrices(two_j)
+    gen = np.kron(ops.jx, np.eye(2)) + np.kron(np.eye(dim_top(two_j)), pauli_matrix("x") / 2)
+    r = scipy.linalg.expm(-1j * np.pi * gen)
+    kx, ky = 1.9, 17.0
+    x, y = kick_unitary("x", kx, two_j), kick_unitary("y", ky, two_j)
+    if variant == "plain":
+        u = y @ x
+    elif variant == "sym1":
+        half = kick_unitary("y", ky / 2.0, two_j)
+        u = half @ x @ half
+    else:
+        half = kick_unitary("x", kx / 2.0, two_j)
+        u = half @ y @ half
+    assert np.abs(r @ u - u @ r).max() < 1e-12
+    pi = np.diag(parity_phases(two_j))
+    anti, comm = np.abs(r @ pi + pi @ r).max(), np.abs(r @ pi - pi @ r).max()
+    if two_j % 2 == 0:
+        assert anti < 1e-12 and comm > 0.5
+    else:
+        assert comm < 1e-12 and anti > 0.5
+
+
 def test_squared_signs():
     for two_j in (10, 12):   # 2j even: T2 squares to -1
         assert squared_sign("time_reversal_2", two_j) == -1
