@@ -14,6 +14,17 @@ The sphere average reads its grid from the probes (probe_columns), so
 columns and quadrature weights always belong to the same nodes.  One
 function makes the coherent top states over z x phi nodes for both the
 probe columns and the Husimi scans.
+
+At even 2j the sector -1 eigenvectors of quasi_spectrum are the
+conjugate mirror G J conj(v) of those of sector +1
+(QuasiSpectrum.mirrored), and G J conj maps the coherent top state at
+(theta, phi) to a unit phase times the one at (pi - theta, phi + pi).
+A grid with an even number of azimuths is closed under that map
+(ProbeColumns.mirror), so sector -1's overlaps at a node are sector +1's
+at the mirrored node, and the sphere average takes one overlap product,
+a real one when the eigenvectors are real (sym1, sym2).  Odd 2j, an odd
+number of azimuths and a spectrum without the flag take one product per
+sector.
 """
 
 import math
@@ -96,11 +107,16 @@ def _coherent_columns(two_j: int, z_nodes: np.ndarray, phi_nodes: np.ndarray) ->
 @dataclass(frozen=True)
 class ProbeColumns:
     """The rows of all probe states in one parity sector, as (2j+1, n)
-    columns ordered theta-major over the nodes of `grid`."""
+    columns ordered theta-major over the nodes of `grid`.  For an even
+    number of azimuths, mirror[k] is the node (pi - theta, phi + pi) of
+    node k: G J conj(columns[:, k]) is a unit phase times
+    columns[:, mirror[k]].  None for an odd number, whose grid is not
+    closed under that map."""
 
     two_j: int
     grid: SphereGrid
     columns: np.ndarray
+    mirror: np.ndarray | None = None
 
 
 def probe_columns(two_j: int, grid: SphereGrid) -> ProbeColumns:
@@ -114,7 +130,26 @@ def probe_columns(two_j: int, grid: SphereGrid) -> ProbeColumns:
     """
     columns = _coherent_columns(two_j, grid.z_nodes, grid.phi_nodes)
     columns /= math.sqrt(2.0)
-    return ProbeColumns(two_j=two_j, grid=grid, columns=columns)
+    n_theta, n_phi = grid.shape
+    mirror = None
+    if n_phi % 2 == 0:
+        # node (i, l) -> (n_theta-1-i, l + n_phi/2): the Gauss-Legendre nodes
+        # are symmetric about z = 0 and the azimuths uniform
+        nodes = np.arange(n_theta * n_phi).reshape(n_theta, n_phi)
+        mirror = np.roll(nodes[::-1], n_phi // 2, axis=1).ravel()
+    return ProbeColumns(two_j=two_j, grid=grid, columns=columns, mirror=mirror)
+
+
+def _overlap_probabilities(vectors: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """|<v_k|c_n>|^2 for eigenvector columns v_k and probe columns c_n, as
+    re^2 + im^2 on the interleaved float view; real eigenvectors take one
+    real product with that view."""
+    if vectors.imag.any():
+        amps = (vectors.conj().T @ columns).view(float)
+    else:
+        amps = np.ascontiguousarray(vectors.real.T) @ columns.view(float)
+    amps *= amps
+    return amps[:, 0::2] + amps[:, 1::2]
 
 
 def sphere_averaged_s2(spectrum: QuasiSpectrum,
@@ -123,7 +158,10 @@ def sphere_averaged_s2(spectrum: QuasiSpectrum,
 
     probes, by default probe_columns(two_j, sphere_grid()), sets the
     quadrature grid; each sector's eigenvectors are overlapped with its
-    columns.  Probes built for another two_j are rejected.
+    columns.  When sector -1 is the mirror of sector +1
+    (spectrum.mirrored) and the grid has a mirror, only sector +1 is:
+    sector -1's sums over its eigenvectors at node k are sector +1's at
+    node mirror[k].  Probes built for another two_j are rejected.
     Kick strengths of zero are rejected: the eigenbasis of a degenerate
     operator is not unique, so the IPR would be gauge-dependent.
     """
@@ -136,12 +174,18 @@ def sphere_averaged_s2(spectrum: QuasiSpectrum,
         raise ValueError(f"probe columns for two_j = {probes.two_j} do not match "
                          f"a spectrum of two_j = {spectrum.two_j}")
     dim = spectrum.dim
-    probs = np.concatenate([np.abs(vecs.conj().T @ probes.columns) ** 2
-                            for vecs in spectrum.vectors])
-    defect = np.abs(probs.sum(axis=0) - 1.0).max()
+    if spectrum.mirrored and probes.mirror is not None:
+        probs = _overlap_probabilities(spectrum.vectors[0], probes.columns)
+        totals, ipr_cols = probs.sum(axis=0), (probs ** 2).sum(axis=0)
+        totals += totals[probes.mirror]
+        ipr_cols += ipr_cols[probes.mirror]
+    else:
+        probs = np.concatenate([np.abs(vecs.conj().T @ probes.columns) ** 2
+                                for vecs in spectrum.vectors])
+        totals, ipr_cols = probs.sum(axis=0), (probs ** 2).sum(axis=0)
+    defect = np.abs(totals - 1.0).max()
     if defect > COMPLETENESS_TOL:
         raise ValueError(f"overlap completeness defect {defect:.2e}")
-    ipr_cols = (probs ** 2).sum(axis=0)
     s2 = -np.log(ipr_cols) / math.log(dim)
     s2_nodes = s2.reshape(probes.grid.shape)
     return LocalizationResult(

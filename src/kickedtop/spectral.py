@@ -7,12 +7,13 @@ of sorted quasi-energies, +1 sector first, and for QuasiSpectrum a
 (2, d, d) stack of eigenvectors in the coordinates of
 symmetry.sector_indices.  Degenerate partners never mix across sectors,
 spacing statistics are computed within a sector and averaged, and
-coherent-probe overlaps are two (2j+1)-sized products.  Only the
-distinct cores (FloquetOperator.cores) are solved, so at every even 2j
-one sector is.  There sector -1 is the conjugate mirror G J conj(.) J G
-of sector +1: its quasi-energies are -eps of sector +1, sorted on
-(-pi, pi], and its eigenvectors G J conj(v) of sector +1, reordered to
-match.
+coherent-probe overlaps are (2j+1)-sized products.  Only the distinct
+cores (FloquetOperator.cores) are solved, so at every even 2j one sector
+is.  There sector -1 is the conjugate mirror G J conj(.) J G of sector
++1: its quasi-energies are -eps of sector +1, sorted on (-pi, pi], and
+its eigenvectors G J conj(v) of sector +1, reordered to match, which
+QuasiSpectrum.mirrored records so that the sphere-averaged entropy
+overlaps sector +1 only.
 
 Each sector of a FloquetOperator is a complex-symmetric unitary core
 M = R + i I.  Two solvers serve it:
@@ -85,13 +86,17 @@ class QuasiSpectrum:
     Row s of each stack is sector s in symmetry.sector_indices order
     (0: parity +1, 1: parity -1).  epsilons[s] ascends in (-pi, pi];
     column k of vectors[s] is the eigenvector of epsilons[s, k] on the
-    basis states sector_indices(two_j)[s].
+    basis states sector_indices(two_j)[s].  mirrored is True when the
+    columns of vectors[1] are G J conj of those of vectors[0], G =
+    diag((-1)^k) and J the reversal, in some order (quasi_spectrum at
+    even 2j).
     """
 
     two_j: int
     params: object
     epsilons: np.ndarray          # (2, d)
     vectors: np.ndarray           # (2, d, d)
+    mirrored: bool = False
 
     @property
     def dim(self) -> int:
@@ -105,8 +110,8 @@ class QuasiSpectrum:
 
 
 def _branch(eps: np.ndarray) -> np.ndarray:
-    """Map phases onto (-pi, pi], sending -pi to +pi."""
-    return np.where(eps <= -np.pi, eps + 2.0 * np.pi, eps)
+    """Map phases onto (-pi, pi], sending -pi to +pi and -0 to +0."""
+    return np.where(eps <= -np.pi, eps + 2.0 * np.pi, eps) + 0.0
 
 
 def _residual(m_vectors: np.ndarray, vectors: np.ndarray, eps: np.ndarray) -> float:
@@ -256,9 +261,7 @@ def _both_sectors(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     FloquetOperator.to_sectors), else None."""
     if len(eps) == 2:
         return eps, None
-    # -eps, except that a level at exactly 0 keeps its sign: both sectors then
-    # hold the same +0 or -0, and outputs print it alike
-    minus = _branch(np.where(eps[0] == 0.0, eps[0], -eps[0]))
+    minus = _branch(-eps[0])
     order = np.argsort(minus, kind="stable")
     return np.stack([eps[0], minus[order]]), order
 
@@ -297,7 +300,7 @@ def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
     if order is not None:
         vectors[1] = vectors[1][:, order]
     return QuasiSpectrum(two_j=operator.two_j, params=operator.params,
-                         epsilons=epsilons, vectors=vectors)
+                         epsilons=epsilons, vectors=vectors, mirrored=order is not None)
 
 
 def mean_spacing_ratio(epsilons: np.ndarray) -> float:

@@ -73,6 +73,16 @@ def test_spectrum_single_zero_row(tmp_path):
     assert np.abs(eps).max() < 1e-12
 
 
+@pytest.mark.parametrize("two_j", [40, 41])
+def test_levels_at_exactly_zero_print_unsigned(tmp_path, two_j):
+    # every level of the kxky = 0 row is exactly 0, in both sectors
+    out = tmp_path / "spec.csv"
+    assert run_cli("spectrum", "--two-j", two_j, "--kxky", "0:60", "--steps", 2,
+                   "--ratio", 1, "--out", out) == 0
+    _, _, rows = read_output(out)
+    assert rows[0] == ["0"] * (2 * two_j + 3)
+
+
 def test_empty_range_is_config_error(tmp_path):
     out = tmp_path / "spec.csv"
     assert run_cli("spectrum", "--two-j", 4, "--kxky", "5:1", "--steps", 3,

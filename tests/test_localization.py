@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from kickedtop.floquet import KickParams, floquet_operator
+from kickedtop import spectral
+from kickedtop.floquet import VARIANTS, KickParams, floquet_operator
 from kickedtop.localization import (angular_distance, coe_baseline, husimi_peak, ipr,
                                     probe_columns, renyi_entropy, sphere_averaged_s2,
                                     sphere_grid)
@@ -92,24 +95,80 @@ def test_sphere_average_bounds_and_reuse():
 
 
 @pytest.mark.parametrize("two_j", [20, 21])
+def test_probe_mirror_maps_each_column_to_its_mirrored_node(two_j):
+    # G J conj(c(theta, phi)) is a unit phase times c(pi - theta, phi + pi)
+    for n_phi in (2, 4, 6, 32):
+        probes = probe_columns(two_j, sphere_grid(n_phi + 1, n_phi))
+        assert np.array_equal(np.sort(probes.mirror), np.arange(probes.columns.shape[1]))
+        mirrored = np.conj(probes.columns[::-1])
+        mirrored[1::2] *= -1.0
+        target = probes.columns[:, probes.mirror]
+        phase = (np.einsum("ij,ij->j", target.conj(), mirrored)
+                 / np.einsum("ij,ij->j", target.conj(), target))
+        assert np.abs(np.abs(phase) - 1.0).max() < 1e-14
+        assert np.abs(mirrored - target * phase).max() < 1e-14
+    for n_phi in (1, 3, 5, 31):
+        assert probe_columns(two_j, sphere_grid(4, n_phi)).mirror is None
+
+
+@pytest.mark.parametrize("two_j", [20, 21])
 def test_sector_probe_rows_match_coupled_space_probes(two_j):
     # one (2j+1)-row probe array serves both sectors: S2 at every node equals
-    # the IPR entropy of the full coupled-space probe in the embedded eigenbasis
-    grid = sphere_grid(4, 5)
-    spectrum = quasi_spectrum(floquet_operator(KickParams(1.5, 2.5, variant="sym1"), two_j))
-    probes = probe_columns(two_j, grid)
-    assert probes.columns.shape == (two_j + 1, 20)
-    result = sphere_averaged_s2(spectrum, probes)
-    basis = np.stack([spectrum.state(s, k) for s in range(2) for k in range(two_j + 1)],
-                     axis=1)
-    for i, z in enumerate(grid.z_nodes):
-        for k, phi in enumerate(grid.phi_nodes):
-            probe = probe_state(two_j, np.arccos(z), phi)
-            expected = renyi_entropy(ipr(basis, probe), 2 * (two_j + 1))
-            assert result.s2_nodes[i, k] == pytest.approx(expected, abs=1e-12)
+    # the IPR entropy of the full coupled-space probe in the embedded eigenbasis;
+    # the 4 x 6 grid has a mirror, which at even 2j overlaps sector +1 only
+    for variant in VARIANTS:
+        spectrum = quasi_spectrum(floquet_operator(KickParams(1.5, 2.5, variant=variant), two_j))
+        assert spectrum.mirrored == (two_j % 2 == 0)
+        basis = np.stack([spectrum.state(s, k) for s in range(2) for k in range(two_j + 1)],
+                         axis=1)
+        for grid in (sphere_grid(4, 5), sphere_grid(4, 6)):
+            probes = probe_columns(two_j, grid)
+            assert probes.columns.shape == (two_j + 1, grid.weights.size)
+            result = sphere_averaged_s2(spectrum, probes)
+            for i, z in enumerate(grid.z_nodes):
+                for k, phi in enumerate(grid.phi_nodes):
+                    probe = probe_state(two_j, np.arccos(z), phi)
+                    expected = renyi_entropy(ipr(basis, probe), 2 * (two_j + 1))
+                    assert result.s2_nodes[i, k] == pytest.approx(expected, abs=1e-12)
     with pytest.raises(ValueError):
         # 2(2j+1) rows, as many as the coupled space
         sphere_averaged_s2(spectrum, probe_columns(2 * two_j + 1, grid))
+
+
+def _kicks(kxky, variant):
+    kx = np.sqrt(kxky / 1.7)
+    return KickParams(kx, 1.7 * kx, variant=variant)
+
+
+@pytest.mark.parametrize("two_j", [40, 41])
+def test_phased_and_schur_eigenvectors_give_the_same_s2(monkeypatch, two_j):
+    # sym1 eigenvectors are real and take the real product; a unit phase on
+    # every column, or the complex Schur fallback, takes the complex one
+    op = floquet_operator(_kicks(300.0, "sym1"), two_j)
+    probes = probe_columns(two_j, sphere_grid(8, 8))
+    spectrum = quasi_spectrum(op)
+    assert not spectrum.vectors.imag.any()
+    expected = sphere_averaged_s2(spectrum, probes).s2_nodes
+    angles = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, spectrum.vectors.shape[::2])
+    phased = dataclasses.replace(spectrum, vectors=spectrum.vectors * np.exp(1j * angles)[:, None])
+    monkeypatch.setattr(spectral, "sector_eigenpairs", spectral._schur_eigenpairs)
+    schur = quasi_spectrum(op)
+    assert schur.mirrored == spectrum.mirrored and schur.vectors.imag.any()
+    for other in (phased, schur):
+        assert np.abs(sphere_averaged_s2(other, probes).s2_nodes - expected).max() < 1e-13
+
+
+@pytest.mark.parametrize("variant", ["sym1", "plain"])
+@pytest.mark.parametrize("kxky", [10.0, 2600.0])
+def test_one_overlap_product_matches_one_per_sector(variant, kxky):
+    # kxky 10 holds exactly degenerate levels, whose eigenbasis is not unique
+    spectrum = quasi_spectrum(floquet_operator(_kicks(kxky, variant), 200))
+    assert spectrum.mirrored
+    probes = probe_columns(200, sphere_grid())
+    one = sphere_averaged_s2(spectrum, probes)
+    both = sphere_averaged_s2(dataclasses.replace(spectrum, mirrored=False), probes)
+    assert np.abs(one.s2_nodes - both.s2_nodes).max() < 1e-13
+    assert one.s2_mean == pytest.approx(both.s2_mean, abs=1e-13)
 
 
 def test_quadrature_convergence():
