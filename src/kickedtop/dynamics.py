@@ -7,20 +7,35 @@ from chaotic spreading (mean decays to zero, the deviation approaches
 the uniform-ensemble value j/sqrt(3)).
 
 stroboscopic_series runs the recursion psi_{n+1} = B psi_n on the exact
-(2j+1)-dimensional parity-sector blocks B of the Floquet operator.  At
-even 2j one block is assembled and sector -1 is evolved through its
+(2j+1)-dimensional parity sectors, one distinct core at a time
+(FloquetOperator.cores).  At even 2j sector -1 is evolved through its
 mirror beside sector +1: the -1 block is G J conj(B) J G, with J the
 basis reversal and G = diag((-1)^k), so B^n maps G J conj(psi_-) to
-G J conj(psi_-(n)), and the mirrored column's m-ladder weights are those
-of sector -1 reversed.  The first BATCH - 1 kicks take one product
-each; then P = B^BATCH, from repeated squaring, advances the last BATCH
-states at once, so each matrix product yields BATCH new states
-(2 BATCH columns at even 2j).  Only that last batch and the
-(n_max+1, 2j+1) real m-ladder weights are kept, and the norm of every
-kick is checked against NORM_DRIFT_TOL.  eigenbasis_series evolves by eigenphases instead.  It
-is the tests' independent oracle, not a production path: its error is
-set by the eigenvector residuals (up to spectral.EIGEN_RESIDUAL_TOL),
-not by rounding in the products.
+G J conj(psi_-(n)), and the mirrored state's m ladder is that of
+sector -1 reversed.  Two paths evolve the sectors:
+
+* Real fold (delta = 0).  Each core M has the chiral symmetry
+  J conj(M) J = M, so on the basis Q of spectral.chiral_fold and with
+  D = diag(1, i) it is M = Q D O D^dag Q^T, with O real orthogonal.  A
+  state enters as x = D^dag Q^T frame^dag psi, and each kick is one real
+  product O x with the real and imaginary parts of the states side by
+  side.  <Jz> needs no m-ladder projection: in the eigenbasis of Jx,
+  Jz is tridiagonal, so frame^dag Jz frame is a band
+  (FloquetOperator.jz_band), and y = Q D x gives the norm, <Jz> and
+  <Jz^2> of every kick in O(2j) steps.  The fold drops the part
+  (M - J conj(M) J) / 2 of each core; where that could move the state
+  by more than NORM_DRIFT_TOL within n_max kicks, the operator goes to
+  the complex path.
+* Complex blocks (delta > 0).  The sector blocks B are assembled; the
+  first BATCH - 1 kicks take one product each, then P = B^BATCH, from
+  repeated squaring, advances the last BATCH states at once.  Only that
+  last batch and the per-kick m-ladder weights are kept.
+
+The norm of every kick is checked against NORM_DRIFT_TOL.
+eigenbasis_series evolves by eigenphases instead.  It is the tests'
+independent oracle, not a production path: its error is set by the
+eigenvector residuals (up to spectral.EIGEN_RESIDUAL_TOL), not by
+rounding in the products.
 """
 
 import math
@@ -31,14 +46,17 @@ import numpy as np
 from .errors import NumericalError
 from .floquet import FloquetOperator, KickParams, floquet_operator
 from .meanfield import allowed_kappa_x
-from .spectral import QuasiSpectrum
+from .spectral import QuasiSpectrum, chiral_fold
 from .spin import coherent_state, m_values, product_state
 from .symmetry import sector_indices
 
 NORM_DRIFT_TOL = 1e-8
 
-# states per matrix product in stroboscopic_series after the first BATCH - 1 kicks
+# states per matrix product in the complex path after the first BATCH - 1 kicks
 BATCH = 8
+
+# kicks whose real states the fold path keeps at once for their moments
+CHUNK = 32
 
 
 @dataclass
@@ -52,19 +70,39 @@ class DynamicsSeries:
     jz_std: np.ndarray
 
 
-def _jz_series(two_j: int, params: KickParams, weights: np.ndarray) -> DynamicsSeries:
+def _check_state(psi0, two_j: int) -> np.ndarray:
+    """psi0 as an array; ValueError unless it is a finite, normalized
+    vector of the coupled space, of length 2(2j+1)."""
+    psi0 = np.asarray(psi0)
+    shape = (2 * (two_j + 1),)
+    if psi0.shape != shape:
+        raise ValueError(f"initial state must have shape {shape}, got {psi0.shape}")
+    if not np.isfinite(psi0).all():
+        raise ValueError("initial state must be finite")
+    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
+        raise ValueError("initial state must be normalized")
+    return psi0
+
+
+def _jz_series(two_j: int, params: KickParams, moments: np.ndarray) -> DynamicsSeries:
     """The Jz mean and standard deviation after each kick, from the
-    (n+1, d) per-kick occupation weights on the m ladder (ascending m)."""
-    jz_diag = m_values(two_j)
-    means = weights @ jz_diag
-    stds = np.sqrt(np.maximum(weights @ jz_diag ** 2 - means ** 2, 0.0))
-    return DynamicsSeries(two_j=two_j, params=params, n=np.arange(len(weights)),
+    (n+1, 3) per-kick squared norm, <Jz> and <Jz^2>."""
+    means = moments[:, 1]
+    stds = np.sqrt(np.maximum(moments[:, 2] - means ** 2, 0.0))
+    return DynamicsSeries(two_j=two_j, params=params, n=np.arange(len(moments)),
                           jz_mean=means, jz_std=stds)
+
+
+def _weight_moments(two_j: int, weights: np.ndarray) -> np.ndarray:
+    """The (n, 3) squared norm, <Jz> and <Jz^2> of (n, d) occupation
+    weights on the m ladder (ascending m)."""
+    jz_diag = m_values(two_j)
+    return np.stack([weights.sum(axis=1), weights @ jz_diag, weights @ jz_diag ** 2], axis=1)
 
 
 def _ladder_weights(states: np.ndarray) -> np.ndarray:
     """The (n, d) m-ladder weights of n consecutive kicks, from their
-    states stacked as in stroboscopic_series: (1, d, n * 2) with one
+    states stacked as in _batched_moments: (1, d, n * 2) with one
     distinct block, sector -1 mirrored, else (2, d, n)."""
     p = states.real ** 2 + states.imag ** 2
     if len(p) == 1:
@@ -73,31 +111,12 @@ def _ladder_weights(states: np.ndarray) -> np.ndarray:
     return (p[0] + p[1]).T
 
 
-def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
-                        n_max: int) -> DynamicsSeries:
-    """Evolve psi0 by repeated application of the one-period unitary.
-
-    The recursion psi_{n+1} = B psi_n runs on the sector blocks B, one
-    block per distinct core: with one, sector -1 is evolved through its
-    mirror (FloquetOperator.mirror) by the +1 block.  Kicks 1 to
-    BATCH - 1 take one product each; after that P = B^BATCH times the
-    previous BATCH states gives the next BATCH in one product.  Raises
-    NumericalError naming the first kick at which the state norm has
-    drifted by more than NORM_DRIFT_TOL.  Entry 0 of the series is the
-    initial state.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
-        raise ValueError("initial state must be normalized")
+def _batched_moments(operator: FloquetOperator, states: np.ndarray, n_max: int) -> np.ndarray:
+    """The moments of every kick from the complex sector blocks B of
+    `cores`: kicks 1 to BATCH - 1 take one product each; after that
+    P = B^BATCH times the previous BATCH states gives the next BATCH in
+    one product."""
     blocks = operator.distinct_blocks()
-    # each sector holds one state per m, in ascending m
-    plus, minus = (psi0[idx].astype(complex) for idx in sector_indices(operator.two_j))
-    # the columns of states[k] are evolved by blocks[k]
-    if len(blocks) == 1:
-        states = np.stack([plus, operator.mirror(minus)], axis=-1)[None]
-    else:
-        states = np.stack([plus, minus])[..., None]
     groups, d, width = states.shape
     weights = np.empty((n_max + 1, d))
 
@@ -114,13 +133,132 @@ def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
             count = min(BATCH, n_max + 1 - start)
             batch = power @ batch[:, :, :count * width]
             weights[start:start + count] = _ladder_weights(batch)
+    return _weight_moments(operator.two_j, weights)
 
-    drift = np.abs(np.sqrt(weights.sum(axis=1)) - 1.0)
+
+def _fold_in(y: np.ndarray, signs: np.ndarray, n_even: int) -> np.ndarray:
+    """x = D^dag Q^T y for core-basis states y (..., d): Q the basis of
+    spectral.chiral_fold with its n_even + states first, D = 1 on those
+    and i on the - states."""
+    d = len(signs)
+    half = d // 2
+    top, bottom = y[..., :half], signs[:half] * y[..., ::-1][..., :half]
+    x = np.empty_like(y)
+    x[..., :half] = np.sqrt(0.5) * (top + bottom)
+    x[..., n_even:n_even + half] = -1j * np.sqrt(0.5) * (top - bottom)
+    if d % 2:
+        # the middle state, on the side of its sign
+        if n_even > half:
+            x[..., half] = y[..., half]
+        else:
+            x[..., -1] = -1j * y[..., half]
+    return x
+
+
+def _unfold(x: np.ndarray, signs: np.ndarray, n_even: int) -> np.ndarray:
+    """y = Q D x, the inverse of _fold_in."""
+    d = len(signs)
+    half = d // 2
+    even, odd = x[..., :half], 1j * x[..., n_even:n_even + half]
+    y = np.empty_like(x)
+    y[..., :half] = np.sqrt(0.5) * (even + odd)
+    y[..., ::-1][..., :half] = np.sqrt(0.5) * signs[:half] * (even - odd)
+    if d % 2:
+        y[..., half] = x[..., half] if n_even > half else 1j * x[..., -1]
+    return y
+
+
+def _band_moments(y: np.ndarray, band: tuple, jz_sign: np.ndarray) -> np.ndarray:
+    """The (n, 3) squared norm, <Jz> and <Jz^2> of n kicks, from their
+    core-basis states y (n, c, d) and the tridiagonal Jz of the frame
+    (FloquetOperator.jz_band); state k's <Jz> counts with jz_sign[k]."""
+    diag, off = band
+    jz_y = diag * y
+    jz_y[..., :-1] += off * y[..., 1:]
+    jz_y[..., 1:] += off.conj() * y[..., :-1]
+    y, jz_y = y.view(float), jz_y.view(float)
+    return np.stack([np.einsum("ncd,ncd->n", y, y),
+                     np.einsum("ncd,ncd->nc", y, jz_y) @ jz_sign,
+                     np.einsum("ncd,ncd->n", jz_y, jz_y)], axis=1)
+
+
+def _folded_moments(operator: FloquetOperator, rows: np.ndarray,
+                    n_max: int) -> np.ndarray | None:
+    """The moments of every kick from the real orthogonal fold of each
+    of `cores`, or None where there is no fold (delta > 0) or the part
+    that the fold drops could move the state by more than NORM_DRIFT_TOL
+    within n_max kicks.
+
+    On the basis Q of spectral.chiral_fold a core is
+    M = [[A, iK], [iK^T, B]] = D O D^dag with D = diag(1, i) and the
+    real orthogonal O = [[A, -K], [K^T, B]].  A state psi of the core's
+    sector enters as x = D^dag Q^T frame^dag psi, each kick is one real
+    product with O (real and imaginary parts of every state as rows),
+    and y = Q D x = frame^dag psi gives the moments through the
+    tridiagonal frame^dag Jz frame.
+    """
+    signs, band = operator.reversals, operator.jz_band
+    if signs is None or band is None:
+        return None
+    folds = [chiral_fold(core, s) for core, s in zip(operator.cores, signs)]
+    if not n_max * max(fold[3] for fold in folds) <= NORM_DRIFT_TOL:
+        return None
+    width = rows.shape[1]
+    # a mirrored state holds sector -1 with its m ladder reversed
+    jz_sign = np.array([1.0, -1.0])[:width]
+    moments = np.zeros((n_max + 1, 3))
+    for (a, b, k, _), s, frame, core_rows in zip(folds, signs, operator.frame, rows):
+        n_even = len(a)
+        # O^T, as the states are rows; psi^T conj(frame) without a conjugated frame
+        o_t = np.block([[a.T, k], [-k.T, b.T]])
+        x = _fold_in((core_rows.conj() @ frame).conj(), s, n_even)
+        x = np.concatenate([x.real, x.imag])
+        kicks = np.empty((CHUNK,) + x.shape)
+        for n in range(n_max + 1):
+            if n:
+                x = x @ o_t
+            kicks[n % CHUNK] = x
+            if n % CHUNK == CHUNK - 1 or n == n_max:
+                done = kicks[:n % CHUNK + 1]
+                y = _unfold(done[:, :width] + 1j * done[:, width:], s, n_even)
+                moments[n + 1 - len(done):n + 1] += _band_moments(y, band, jz_sign)
+    return moments
+
+
+def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
+                        n_max: int) -> DynamicsSeries:
+    """Evolve psi0 by repeated application of the one-period unitary.
+
+    Each distinct core (FloquetOperator.cores) evolves its sector; with
+    one, sector -1 is evolved through its mirror (FloquetOperator.mirror)
+    beside sector +1.  With delta = 0 the kicks are real products on the
+    chiral fold of each core (_folded_moments), else, or when the fold
+    drops too much of a core, complex products on the sector blocks
+    (_batched_moments).  Raises ValueError unless psi0 is a finite,
+    normalized vector of the coupled space, and NumericalError naming
+    the first kick at which the state norm has drifted by more than
+    NORM_DRIFT_TOL.  Entry 0 of the series is the initial state.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    psi0 = _check_state(psi0, operator.two_j)
+    # each sector holds one state per m, in ascending m
+    plus, minus = (psi0[idx].astype(complex) for idx in sector_indices(operator.two_j))
+    # the states in rows[k] are evolved by core k
+    if len(operator.cores) == 1:
+        rows = np.stack([plus, operator.mirror(minus)])[None]
+    else:
+        rows = np.stack([plus, minus])[:, None]
+    moments = _folded_moments(operator, rows, n_max)
+    if moments is None:
+        moments = _batched_moments(operator, rows.swapaxes(1, 2), n_max)
+
+    drift = np.abs(np.sqrt(moments[:, 0]) - 1.0)
     drifted = np.flatnonzero(~(drift <= NORM_DRIFT_TOL))   # a NaN drift counts
     if drifted.size:
         n = drifted[0]
         raise NumericalError(f"norm drifted by {drift[n]:.2e} at kick {n}")
-    return _jz_series(operator.two_j, operator.params, weights)
+    return _jz_series(operator.two_j, operator.params, moments)
 
 
 def eigenbasis_series(spectrum: QuasiSpectrum, psi0: np.ndarray,
@@ -128,17 +266,19 @@ def eigenbasis_series(spectrum: QuasiSpectrum, psi0: np.ndarray,
     """Same series computed by phase evolution in the eigenbasis.
 
     Cross-check for stroboscopic_series: expand psi0 over each sector's
-    eigenvectors, attach exp(-i n eps) phases, transform back.
+    eigenvectors, attach exp(-i n eps) phases, transform back.  Raises
+    ValueError like stroboscopic_series for psi0.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    psi0 = _check_state(psi0, spectrum.two_j)
     n = np.arange(n_max + 1)
     weights = 0.0
     for idx, eps, vecs in zip(sector_indices(spectrum.two_j), spectrum.epsilons,
                               spectrum.vectors):
         coeffs = vecs.conj().T @ psi0[idx]
         weights = weights + np.abs((np.exp(-1j * np.outer(n, eps)) * coeffs) @ vecs.T) ** 2
-    return _jz_series(spectrum.two_j, spectrum.params, weights)
+    return _jz_series(spectrum.two_j, spectrum.params, _weight_moments(spectrum.two_j, weights))
 
 
 @dataclass

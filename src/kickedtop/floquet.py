@@ -49,7 +49,11 @@ With delta = 0 every core also carries the chiral symmetry of the
 symmetrized frames: sigma_z anticommutes with T, so J = V^T Z V is a
 signed reversal of the eigenbasis and J conj(core) J = core.  Its signs
 are certified once per two_j next to C, and FloquetOperator.reversals
-hands them to the half-size eigenphase solver in spectral.
+hands them to the half-size eigenphase solver in spectral.  Jz, the
+diagonal m of each sector, is tridiagonal in the eigenbasis of T; that
+band is certified once per two_j (_jz_band), and
+FloquetOperator.jz_band gives frame^dag Jz frame from it, for the real
+evolution of dynamics.stroboscopic_series.
 
 For even 2j sector -1 is the conjugate mirror of sector +1, for every
 delta and ordering: block[-1] = G J conj(block[+1]) J G, with J the basis
@@ -79,7 +83,7 @@ import scipy.linalg
 
 from .errors import NumericalError
 from .spin import (SIGMA_Z, coupling_generator, dim_top, jx_eigensystem, ladder_elements,
-                   validate_two_j)
+                   m_values, validate_two_j)
 from .symmetry import sector_indices
 
 VARIANTS = ("plain", "sym1", "sym2")
@@ -152,6 +156,24 @@ class FloquetOperator:
         if self.params.delta != 0.0 or reversal is None:
             return None
         return reversal[:len(self.cores)]
+
+    @property
+    def jz_band(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """For delta = 0, frame^dag Jz frame of each of `cores` (Jz on the
+        sector's m ladder) as its real diagonal and complex upper
+        off-diagonal, one band for every core; None for delta > 0, whose
+        frames are not eigenbases of Jx, and where the cached
+        eigensystem does not certify it.  The plain frames carry the half
+        y kick h, so their off-diagonal is conj(h_k) h_{k+1} times that
+        of sym1 and sym2."""
+        band = _jz_band(self.two_j)
+        if self.params.delta != 0.0 or band is None:
+            return None
+        diag, off = band
+        if self.params.variant == "plain":
+            half = np.exp(-0.5j * self.params.kappa_y * _sectors(self.two_j).lam)
+            return diag, off * half[:-1].conj() * half[1:]
+        return diag, off.astype(complex)
 
     def distinct_blocks(self) -> np.ndarray:
         """The sector blocks of `cores`: (1, d, d) at even 2j, else (2, d, d)."""
@@ -239,6 +261,27 @@ def _sectors(two_j: int) -> _Sectors:
     return sectors
 
 
+@functools.cache
+def _jz_band(two_j: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The diagonal and off-diagonal of V^T Jz V, V the eigenbasis of
+    T = Jx / j, or None unless the band is all of it: ||Jz V - V band||_F,
+    the norm of what lies off the band, is checked at UNITARITY_TOL * j.
+    The quarter turn about y maps Jz to Jx, so in the eigenbasis of Jx,
+    Jz couples neighbouring levels only.  Arrays are read-only."""
+    vecs = _sectors(two_j).vecs
+    jz_vecs = m_values(two_j)[:, None] * vecs
+    diag = np.einsum("ij,ij->j", vecs, jz_vecs)
+    off = np.einsum("ij,ij->j", vecs[:, :-1], jz_vecs[:, 1:])
+    rest = jz_vecs - vecs * diag
+    rest[:, 1:] -= vecs[:, :-1] * off
+    rest[:, :-1] -= vecs[:, 1:] * off
+    if not np.linalg.norm(rest) <= UNITARITY_TOL * two_j / 2.0:
+        return None
+    diag.setflags(write=False)
+    off.setflags(write=False)
+    return diag, off
+
+
 def _chiral_reversal(vecs: np.ndarray, z: np.ndarray) -> np.ndarray | None:
     """The signs of J = V^T Z V = sum_k signs_k e_k e_{d-1-k}^T for each
     sector, or None unless that holds at UNITARITY_TOL: Z anticommutes
@@ -274,9 +317,11 @@ def _conjugate_mirror(rows: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return out
 
 
-def _sector_core(sectors: _Sectors, k: int, params: KickParams):
-    """Core and frame of sector k: outer kick exp(-i outer_lam) in the
-    real basis outer_vecs, inner kick exp(-i inner_lam), C their overlap."""
+def _sector_core(sectors: _Sectors, k: int, params: KickParams, core: np.ndarray,
+                 frame: np.ndarray) -> None:
+    """Write core and frame of sector k into the complex (d, d) arrays
+    core and frame: outer kick exp(-i outer_lam) in the real basis
+    outer_vecs, inner kick exp(-i inner_lam), C their overlap."""
     gauge = sectors.gauge[k]
     if params.delta == 0.0:
         overlap = sectors.overlap[k]
@@ -298,11 +343,13 @@ def _sector_core(sectors: _Sectors, k: int, params: KickParams):
         _check_orthogonal(overlap)
     half = np.exp(-0.5j * outer_lam)
     # C exp(-i inner_lam) C^T as two real products
-    core = (overlap * np.cos(inner_lam)) @ overlap.T
-    core = core - 1j * ((overlap * np.sin(inner_lam)) @ overlap.T)
+    np.subtract((overlap * np.cos(inner_lam)) @ overlap.T,
+                1j * ((overlap * np.sin(inner_lam)) @ overlap.T), out=core)
     core *= half[:, None] * half[None, :]
-    frame = outer_vecs * half if params.variant == "plain" else outer_vecs.astype(complex)
-    return core, frame
+    if params.variant == "plain":
+        np.multiply(outer_vecs, half, out=frame)
+    else:
+        frame[...] = outer_vecs
 
 
 def kick_unitary(axis: str, kappa: float, two_j: int, delta: float = 0.0) -> np.ndarray:
@@ -343,13 +390,16 @@ def floquet_operator(params: KickParams, two_j: int) -> FloquetOperator:
     """
     two_j = validate_two_j(two_j)
     sectors = _sectors(two_j)
+    # each sector is written into the stacks in place, so a build never holds
+    # a second copy of its operator
+    shape = (2, two_j + 1, two_j + 1)
+    core, frame = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     if sectors.alternation is None:
-        core, frame = map(np.stack, zip(*(_sector_core(sectors, k, params) for k in range(2))))
+        for k in range(2):
+            _sector_core(sectors, k, params, core[k], frame[k])
     else:
         # sector -1 is the conjugate mirror of sector +1
-        plus = _sector_core(sectors, 0, params)
-        core, frame = (np.empty((2,) + a.shape, dtype=complex) for a in plus)
-        core[0], frame[0] = plus
-        np.conjugate(plus[0], out=core[1])
-        _conjugate_mirror(plus[1], out=frame[1])
+        _sector_core(sectors, 0, params, core[0], frame[0])
+        np.conjugate(core[0], out=core[1])
+        _conjugate_mirror(frame[0], out=frame[1])
     return FloquetOperator(core=core, frame=frame, params=params, two_j=two_j)

@@ -143,13 +143,15 @@ def sector_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eps, vectors
 
 
-def _fold(m: np.ndarray, signs: np.ndarray):
+def chiral_fold(m: np.ndarray, signs: np.ndarray):
     """The blocks A, B, K of M = [[A, iK], [iK^T, B]] on the basis
     (e_k +- signs_k e_{d-1-k}) / sqrt(2), the middle state e_k of odd d on
     the side of its sign, read from the top rows of M; and an upper bound
     on ||E||_F for the part E = (M - J conj(M) J) / 2 that the blocks
     drop (for complex-symmetric M, the off-block of Re M and the diagonal
-    blocks of Im M)."""
+    blocks of Im M).  Row and column k of A belong to the + state of k
+    and those of B to the - state of k, k ascending from 0, so the
+    middle state is the last row of the larger block."""
     d = len(signs)
     half = (d + 1) // 2
     top = m[:half]
@@ -187,7 +189,7 @@ def _cluster_cut(cos_a: np.ndarray, cos_b: np.ndarray) -> float:
 
 def _folded_eigenphases(m: np.ndarray, signs: np.ndarray) -> np.ndarray | None:
     """Eigenphases of a core with J conj(M) J = M, J e_k = signs_k e_{d-1-k},
-    from the half-size blocks of _fold; None when the guard rejects it.
+    from the half-size blocks of chiral_fold; None when the guard rejects it.
 
     Unitarity gives A^2 + K K^T = 1 and A K = K B, so each +-eps pair is
     one eigenvector p of A with c = cos eps and one q = K^T p / |sin eps|
@@ -202,7 +204,7 @@ def _folded_eigenphases(m: np.ndarray, signs: np.ndarray) -> np.ndarray | None:
     core above EIGEN_RESIDUAL_TOL, or when the cut leaves A and B unequal
     numbers of unclustered levels.
     """
-    a, b, k, dropped = _fold(m, signs)
+    a, b, k, dropped = chiral_fold(m, signs)
     cos_a, vec_a = np.linalg.eigh(a)
     cos_b, vec_b = np.linalg.eigh(b)
     hi, lo = _cluster_cut(cos_a, cos_b), -_cluster_cut(-cos_a, -cos_b)

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kickedtop import dynamics
 from kickedtop.dynamics import dynamical_scan, eigenbasis_series, stroboscopic_series
 from kickedtop.errors import NumericalError
-from kickedtop.floquet import FloquetOperator, KickParams, floquet_operator
+from kickedtop.floquet import FloquetOperator, KickParams, floquet_operator, kick_unitary
 from kickedtop.spectral import quasi_spectrum
 from kickedtop.spin import coherent_state, m_values, probe_state, product_state
 
 
-def _dense_moments(op, psi, n_max):
-    """<Jz> and its spread after each kick, iterating the dense op.u."""
+def _dense_moments(op, psi, n_max, u=None):
+    """<Jz> and its spread after each kick, iterating the dense op.u
+    (or u)."""
     jz = np.repeat(m_values(op.two_j), 2)       # flat index 2(j + m) + s
-    u = op.u
+    u = op.u if u is None else u
     means, stds = [], []
     for n in range(n_max + 1):
         if n > 0:
@@ -72,6 +74,66 @@ def test_series_matches_dense_oracle(two_j, variant, delta, n_max):
     assert np.abs(series.jz_std - std).max() < 1e-12
 
 
+@pytest.mark.parametrize("two_j", [1, 2, 6, 7, 64, 65, 200, 201])
+@pytest.mark.parametrize("variant", ["plain", "sym1", "sym2"])
+def test_fold_path_matches_batched_path(monkeypatch, two_j, variant):
+    op = floquet_operator(KickParams(1.7, 2.9, variant=variant), two_j)
+    psi0 = probe_state(two_j, 0.9, 0.4)
+    folded = [stroboscopic_series(op, psi0, n_max) for n_max in (1, 7, 8, 9, 37)]
+    # without a Jz band every operator takes the complex path
+    monkeypatch.setattr(FloquetOperator, "jz_band", property(lambda self: None))
+    for series in folded:
+        batched = stroboscopic_series(op, psi0, len(series.n) - 1)
+        assert np.abs(series.jz_mean - batched.jz_mean).max() < 1e-12 * two_j / 2.0
+        assert np.abs(series.jz_std - batched.jz_std).max() < 1e-12 * two_j / 2.0
+
+
+@pytest.mark.parametrize("two_j", [40, 41])
+@pytest.mark.parametrize("variant", ["plain", "sym1", "sym2"])
+def test_fold_path_matches_dense_kicks_over_many_kicks(two_j, variant):
+    kx, ky = 1.7, 2.9
+    op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
+    x, y = kick_unitary("x", kx, two_j), kick_unitary("y", ky, two_j)
+    if variant == "plain":
+        u = y @ x
+    elif variant == "sym1":
+        half = kick_unitary("y", ky / 2.0, two_j)
+        u = half @ x @ half
+    else:
+        half = kick_unitary("x", kx / 2.0, two_j)
+        u = half @ y @ half
+    psi0 = probe_state(two_j, 0.9, 0.4)
+    series = stroboscopic_series(op, psi0, 200)
+    mean, std = _dense_moments(op, psi0, 200, u)
+    assert np.abs(series.jz_mean - mean).max() < 1e-10
+    assert np.abs(series.jz_std - std).max() < 1e-10
+
+
+@pytest.mark.parametrize("two_j", [40, 41])
+def test_core_that_breaks_the_chiral_fold_takes_the_batched_path(monkeypatch, two_j):
+    # a unitary J-breaking kick: the fold would drop ~1e-7 of every core per kick
+    op = floquet_operator(KickParams(1.7, 2.9), two_j)
+    noise = np.random.default_rng(5).standard_normal((2,) + op.core.shape[1:])
+    noise = noise + noise.swapaxes(1, 2)
+    broken = FloquetOperator(core=op.core @ scipy.linalg.expm(1e-7j * noise), frame=op.frame,
+                             params=op.params, two_j=two_j)
+    psi0 = probe_state(two_j, 0.9, 0.4)
+    mean, std = _dense_moments(broken, psi0, 20)
+    calls = []
+    distinct = FloquetOperator.distinct_blocks
+
+    def recorded(self):
+        calls.append(len(self.cores))
+        return distinct(self)
+
+    monkeypatch.setattr(FloquetOperator, "distinct_blocks", recorded)
+    series = stroboscopic_series(broken, psi0, 20)
+    assert calls == [1 + two_j % 2]
+    assert np.abs(series.jz_mean - mean).max() < 1e-12
+    stroboscopic_series(op, psi0, 20)                   # the intact core folds
+    assert calls == [1 + two_j % 2]
+
+
 @pytest.mark.parametrize("two_j", [12, 13])
 def test_series_assembles_one_block_per_distinct_core(monkeypatch, two_j):
     shapes = []
@@ -87,26 +149,29 @@ def test_series_assembles_one_block_per_distinct_core(monkeypatch, two_j):
 
     monkeypatch.setattr(FloquetOperator, "distinct_blocks", recorded)
     monkeypatch.setattr(FloquetOperator, "sector_blocks", refused)
-    # even 2j: sector -1 is the conjugate mirror, with and without delta
+    # even 2j: sector -1 is the conjugate mirror, with and without delta;
+    # delta = 0 kicks the real fold of each core and assembles no block
     psi0 = probe_state(two_j, 0.9, 0.4)
     for delta in (0.0, 0.7):
         stroboscopic_series(floquet_operator(KickParams(1.7, 2.9, delta=delta), two_j), psi0, 20)
     d = two_j + 1
-    assert shapes == [(1 if two_j % 2 == 0 else 2, d, d)] * 2
+    assert shapes == [(1 if two_j % 2 == 0 else 2, d, d)]
 
 
 @pytest.mark.parametrize("two_j", [40, 41])
 @pytest.mark.parametrize("excess, kick", [(1e-6, 1), (3e-9, 4), (1e-8 / 20.5, 21)])
 def test_norm_drift_guard_names_first_drifting_kick(two_j, excess, kick):
-    # every block scales by 1 + excess, so the norm after n kicks is (1 + excess)^n
-    op = floquet_operator(KickParams(1.7, 2.9), two_j)
-    grown = FloquetOperator(core=op.core * (1.0 + excess), frame=op.frame,
-                            params=op.params, two_j=two_j)
+    # every block scales by 1 + excess, so the norm after n kicks is (1 + excess)^n;
+    # delta = 0 runs the scaled core through the fold path, delta = 0.7 through the blocks
     psi0 = probe_state(two_j, 0.9, 0.4)
-    with pytest.raises(NumericalError, match=rf"at kick {kick}$"):
-        stroboscopic_series(grown, psi0, 37)
-    if kick > 1:
-        stroboscopic_series(grown, psi0, kick - 1)      # no drift before that kick
+    for delta in (0.0, 0.7):
+        op = floquet_operator(KickParams(1.7, 2.9, delta=delta), two_j)
+        grown = FloquetOperator(core=op.core * (1.0 + excess), frame=op.frame,
+                                params=op.params, two_j=two_j)
+        with pytest.raises(NumericalError, match=rf"at kick {kick}$"):
+            stroboscopic_series(grown, psi0, 37)
+        if kick > 1:
+            stroboscopic_series(grown, psi0, kick - 1)      # no drift before that kick
 
 
 def test_bounds_on_moments():
@@ -136,6 +201,29 @@ def test_initial_state_validation():
     psi0 = probe_state(6, 0.3, 0.3)
     with pytest.raises(ValueError):
         stroboscopic_series(op, psi0, 0)
+
+
+@pytest.mark.parametrize("series", ["stroboscopic", "eigenbasis"])
+def test_initial_state_must_be_a_finite_normalized_vector(series):
+    op = floquet_operator(KickParams(1.0, 1.0), 6)
+    if series == "stroboscopic":
+        def run(psi):
+            return stroboscopic_series(op, psi, 10)
+    else:
+        spectrum = quasi_spectrum(op)
+
+        def run(psi):
+            return eigenbasis_series(spectrum, psi, 10)
+    psi0 = probe_state(6, 0.3, 0.3)
+    nan = psi0.copy()
+    nan[3] = np.nan
+    cases = [(nan, "finite"), (psi0[:, None], r"shape \(14,\)"),
+             (psi0[:-2] / np.linalg.norm(psi0[:-2]), r"shape \(14,\)"),
+             (2.0 * psi0, "normalized")]
+    for psi, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run(psi)
+    assert run(psi0).jz_mean.shape == (11,)
 
 
 def test_scan_equator_ladder():

@@ -6,7 +6,8 @@ from kickedtop import floquet
 from kickedtop.errors import NumericalError
 from kickedtop.floquet import (FloquetOperator, KickParams, coupling_generator,
                                floquet_operator, kick_unitary, unitarity_defect)
-from kickedtop.spin import SIGMA_Z, angular_momentum_matrices, coupling_operator, dim_top
+from kickedtop.spin import (SIGMA_Z, angular_momentum_matrices, coupling_operator, dim_top,
+                           m_values)
 from kickedtop.symmetry import sector_indices
 
 
@@ -166,6 +167,48 @@ def test_chiral_reversal_is_certified_once_per_two_j(monkeypatch, two_j):
     assert floquet._sectors(two_j).reversal is None
     assert floquet_operator(KickParams(1.0, 1.0), two_j).reversals is None
     floquet._sectors.cache_clear()
+
+
+def _frame_jz(op):
+    """frame^dag Jz frame of each of op.cores, Jz on the sector's m ladder."""
+    m = m_values(op.two_j)
+    return [frame.conj().T @ (m[:, None] * frame) for frame in op.frame[:len(op.cores)]]
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 6, 7, 64, 65])
+@pytest.mark.parametrize("variant", ["plain", "sym1", "sym2"])
+def test_jz_band_is_the_frame_jz(two_j, variant):
+    # Jz couples neighbouring eigenstates of Jx only, and the plain frames'
+    # half kicks put their phases on the off-diagonal
+    op = floquet_operator(KickParams(1.7, 2.9, variant=variant), two_j)
+    diag, off = op.jz_band
+    band = np.diag(diag) + np.diag(off, 1) + np.diag(off.conj(), -1)
+    for dense in _frame_jz(op):
+        assert np.abs(dense - band).max() < 1e-12 * two_j / 2.0
+
+
+@pytest.mark.parametrize("two_j", [3, 6, 7, 64, 65])
+def test_delta_frames_have_no_jz_band(two_j):
+    op = floquet_operator(KickParams(1.7, 2.9, delta=0.7), two_j)
+    assert op.jz_band is None
+    for dense in _frame_jz(op):
+        off_band = dense - np.triu(np.tril(dense, 1), -1)
+        assert np.abs(off_band).max() > 1e-3 * two_j / 2.0
+
+
+def test_jz_band_is_certified_once_per_two_j(monkeypatch):
+    two_j = 6
+    diag, off = floquet._jz_band(two_j)
+    assert not diag.flags.writeable and not off.flags.writeable
+    # with two eigenvectors swapped V^T Jz V is no longer tridiagonal
+    eigensystem = floquet.jx_eigensystem
+    floquet._sectors.cache_clear()
+    floquet._jz_band.cache_clear()
+    monkeypatch.setattr(floquet, "jx_eigensystem",
+                        lambda n: (eigensystem(n)[0], eigensystem(n)[1][:, [1, 0, *range(2, n + 1)]]))
+    assert floquet_operator(KickParams(1.0, 1.0, variant="sym1"), two_j).jz_band is None
+    floquet._sectors.cache_clear()
+    floquet._jz_band.cache_clear()
 
 
 def test_non_orthogonal_delta_overlap_rejected(monkeypatch):
