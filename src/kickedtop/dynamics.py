@@ -15,17 +15,19 @@ G J conj(psi_-(n)), and the mirrored state's m ladder is that of
 sector -1 reversed.  Two paths evolve the sectors:
 
 * Real fold (delta = 0).  Each core M has the chiral symmetry
-  J conj(M) J = M, so on the basis Q of spectral.chiral_fold and with
-  D = diag(1, i) it is M = Q D O D^dag Q^T, with O real orthogonal.  A
-  state enters as x = D^dag Q^T frame^dag psi, and each kick is one real
-  product O x with the real and imaginary parts of the states side by
-  side.  <Jz> needs no m-ladder projection: in the eigenbasis of Jx,
-  Jz is tridiagonal, so frame^dag Jz frame is a band
-  (FloquetOperator.jz_band), and y = Q D x gives the norm, <Jz> and
-  <Jz^2> of every kick in O(2j) steps.  The fold drops the part
-  (M - J conj(M) J) / 2 of each core; where that could move the state
-  by more than NORM_DRIFT_TOL within n_max kicks, the operator goes to
-  the complex path.
+  J conj(M) J = M, so on the basis Q of floquet.chiral_fold and with
+  D = diag(1, i) it is M = Q D O D^dag Q^T, with O real orthogonal.  The
+  blocks of O are the fold that floquet_operator builds and stores with
+  the operator (FloquetOperator.folds).  A state enters as
+  x = D^dag Q^T frame^dag psi, and each kick is one real product O x
+  with the real and imaginary parts of the states side by side.  <Jz>
+  needs no m-ladder projection: in the eigenbasis of Jx, Jz is
+  tridiagonal, so frame^dag Jz frame is a band (FloquetOperator.jz_band),
+  and y = Q D x gives the norm, <Jz> and <Jz^2> of every kick in O(2j)
+  steps.  An operator built from explicit cores has its fold read from
+  each core by chiral_fold, which drops the part (M - J conj(M) J) / 2;
+  where that could move the state by more than NORM_DRIFT_TOL within
+  n_max kicks, the operator goes to the complex path.
 * Complex blocks (delta > 0).  The sector blocks B are assembled; the
   first BATCH - 1 kicks take one product each, then P = B^BATCH, from
   repeated squaring, advances the last BATCH states at once.  Only that
@@ -44,9 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .floquet import FloquetOperator, KickParams, floquet_operator
+from .floquet import (FloquetOperator, KickParams, chiral_fold, floquet_operator, fold_states,
+                      unfold_states)
 from .meanfield import allowed_kappa_x
-from .spectral import QuasiSpectrum, chiral_fold
+from .spectral import QuasiSpectrum
 from .spin import coherent_state, m_values, product_state
 from .symmetry import sector_indices
 
@@ -136,38 +139,6 @@ def _batched_moments(operator: FloquetOperator, states: np.ndarray, n_max: int) 
     return _weight_moments(operator.two_j, weights)
 
 
-def _fold_in(y: np.ndarray, signs: np.ndarray, n_even: int) -> np.ndarray:
-    """x = D^dag Q^T y for core-basis states y (..., d): Q the basis of
-    spectral.chiral_fold with its n_even + states first, D = 1 on those
-    and i on the - states."""
-    d = len(signs)
-    half = d // 2
-    top, bottom = y[..., :half], signs[:half] * y[..., ::-1][..., :half]
-    x = np.empty_like(y)
-    x[..., :half] = np.sqrt(0.5) * (top + bottom)
-    x[..., n_even:n_even + half] = -1j * np.sqrt(0.5) * (top - bottom)
-    if d % 2:
-        # the middle state, on the side of its sign
-        if n_even > half:
-            x[..., half] = y[..., half]
-        else:
-            x[..., -1] = -1j * y[..., half]
-    return x
-
-
-def _unfold(x: np.ndarray, signs: np.ndarray, n_even: int) -> np.ndarray:
-    """y = Q D x, the inverse of _fold_in."""
-    d = len(signs)
-    half = d // 2
-    even, odd = x[..., :half], 1j * x[..., n_even:n_even + half]
-    y = np.empty_like(x)
-    y[..., :half] = np.sqrt(0.5) * (even + odd)
-    y[..., ::-1][..., :half] = np.sqrt(0.5) * signs[:half] * (even - odd)
-    if d % 2:
-        y[..., half] = x[..., half] if n_even > half else 1j * x[..., -1]
-    return y
-
-
 def _band_moments(y: np.ndarray, band: tuple, jz_sign: np.ndarray) -> np.ndarray:
     """The (n, 3) squared norm, <Jz> and <Jz^2> of n kicks, from their
     core-basis states y (n, c, d) and the tridiagonal Jz of the frame
@@ -189,18 +160,22 @@ def _folded_moments(operator: FloquetOperator, rows: np.ndarray,
     that the fold drops could move the state by more than NORM_DRIFT_TOL
     within n_max kicks.
 
-    On the basis Q of spectral.chiral_fold a core is
+    On the basis Q of floquet.chiral_fold a core is
     M = [[A, iK], [iK^T, B]] = D O D^dag with D = diag(1, i) and the
-    real orthogonal O = [[A, -K], [K^T, B]].  A state psi of the core's
-    sector enters as x = D^dag Q^T frame^dag psi, each kick is one real
-    product with O (real and imaginary parts of every state as rows),
-    and y = Q D x = frame^dag psi gives the moments through the
+    real orthogonal O = [[A, -K], [K^T, B]].  The blocks are the
+    operator's stored folds (FloquetOperator.folds), which drop nothing,
+    or else read from each core by chiral_fold.  A state psi of the
+    core's sector enters as x = D^dag Q^T frame^dag psi, each kick is one
+    real product with O (real and imaginary parts of every state as
+    rows), and y = Q D x = frame^dag psi gives the moments through the
     tridiagonal frame^dag Jz frame.
     """
     signs, band = operator.reversals, operator.jz_band
     if signs is None or band is None:
         return None
-    folds = [chiral_fold(core, s) for core, s in zip(operator.cores, signs)]
+    folds = operator.folds
+    if folds is None:
+        folds = [chiral_fold(core, s) for core, s in zip(operator.cores, signs)]
     if not n_max * max(fold[3] for fold in folds) <= NORM_DRIFT_TOL:
         return None
     width = rows.shape[1]
@@ -208,10 +183,9 @@ def _folded_moments(operator: FloquetOperator, rows: np.ndarray,
     jz_sign = np.array([1.0, -1.0])[:width]
     moments = np.zeros((n_max + 1, 3))
     for (a, b, k, _), s, frame, core_rows in zip(folds, signs, operator.frame, rows):
-        n_even = len(a)
         # O^T, as the states are rows; psi^T conj(frame) without a conjugated frame
         o_t = np.block([[a.T, k], [-k.T, b.T]])
-        x = _fold_in((core_rows.conj() @ frame).conj(), s, n_even)
+        x = fold_states((core_rows.conj() @ frame).conj(), s)
         x = np.concatenate([x.real, x.imag])
         kicks = np.empty((CHUNK,) + x.shape)
         for n in range(n_max + 1):
@@ -220,7 +194,7 @@ def _folded_moments(operator: FloquetOperator, rows: np.ndarray,
             kicks[n % CHUNK] = x
             if n % CHUNK == CHUNK - 1 or n == n_max:
                 done = kicks[:n % CHUNK + 1]
-                y = _unfold(done[:, :width] + 1j * done[:, width:], s, n_even)
+                y = unfold_states(done[:, :width] + 1j * done[:, width:], s)
                 moments[n + 1 - len(done):n + 1] += _band_moments(y, band, jz_sign)
     return moments
 

@@ -33,9 +33,12 @@ M = R + i I.  Two solvers serve it:
   two_j), which pairs every level eps with -eps.  On the basis
   (e_k +- signs_k e_{d-1-k}) / sqrt(2) the core is [[A, iK], [iK^T, B]]
   with real A, B, K of half size, and two half-size eighs and a small
-  SVD give the phases (_folded_eigenphases).  Its own guard, the
-  blockwise residual plus what the fold drops, sends a core it rejects
-  to sector_eigenpairs.
+  SVD give the phases (_solve_fold).  floquet_operator builds A, B and K
+  directly and stores them (FloquetOperator.folds), so the sweeps take
+  them as they are; an operator without them, such as one built from
+  explicit cores, has them read from each core by floquet.chiral_fold.
+  The fold's own guard, the blockwise residual plus what the fold drops,
+  sends a core it rejects to sector_eigenpairs.
 
 floquet_operator certifies unitarity at construction (the orthogonality
 of the real overlap that every core is built from), and each solver's
@@ -52,7 +55,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .floquet import FloquetOperator
+from .floquet import FloquetOperator, chiral_fold
 from .symmetry import sector_indices
 
 EIGEN_RESIDUAL_TOL = 1e-8
@@ -143,39 +146,6 @@ def sector_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eps, vectors
 
 
-def chiral_fold(m: np.ndarray, signs: np.ndarray):
-    """The blocks A, B, K of M = [[A, iK], [iK^T, B]] on the basis
-    (e_k +- signs_k e_{d-1-k}) / sqrt(2), the middle state e_k of odd d on
-    the side of its sign, read from the top rows of M; and an upper bound
-    on ||E||_F for the part E = (M - J conj(M) J) / 2 that the blocks
-    drop (for complex-symmetric M, the off-block of Re M and the diagonal
-    blocks of Im M).  Row and column k of A belong to the + state of k
-    and those of B to the - state of k, k ascending from 0, so the
-    middle state is the last row of the larger block."""
-    d = len(signs)
-    half = (d + 1) // 2
-    top = m[:half]
-    # (M J)[k, l] = M[k, d-1-l] signs[l]
-    mirror = top[:, ::-1][:, :half] * signs[:half]
-    even, odd = top[:, :half] + mirror, top[:, :half] - mirror
-    # (J conj(M) J)[k, l] = signs[k] signs[l] conj(M[d-1-k, d-1-l]); J conj(E) J = -E,
-    # so row d-1-k of E has the norm of row k
-    rest = np.conj(m[::-1][:half, ::-1])
-    rest *= signs
-    rest *= signs[:half, None]
-    rest -= top
-    dropped = np.sqrt(0.5) * np.linalg.norm(rest)
-    n_even = half if d % 2 and signs[half - 1] > 0 else d // 2
-    # the middle state of odd d enters M + M J twice
-    weight = np.ones(half)
-    weight[-1] = np.sqrt(0.5) if d % 2 else 1.0
-    w_even, w_odd = weight[:n_even], weight[:d - n_even]
-    a = even.real[:n_even, :n_even] * np.outer(w_even, w_even)
-    b = odd.real[:d - n_even, :d - n_even] * np.outer(w_odd, w_odd)
-    k = odd.imag[:n_even, :d - n_even] * np.outer(w_even, w_odd)
-    return a, b, k, dropped
-
-
 def _cluster_cut(cos_a: np.ndarray, cos_b: np.ndarray) -> float:
     """The middle of the widest gap of the cosines of A and B within
     [cos FOLD_CLUSTER[1], cos FOLD_CLUSTER[0]]: one cut for both blocks,
@@ -189,7 +159,15 @@ def _cluster_cut(cos_a: np.ndarray, cos_b: np.ndarray) -> float:
 
 def _folded_eigenphases(m: np.ndarray, signs: np.ndarray) -> np.ndarray | None:
     """Eigenphases of a core with J conj(M) J = M, J e_k = signs_k e_{d-1-k},
-    from the half-size blocks of chiral_fold; None when the guard rejects it.
+    from the half-size blocks of chiral_fold; None when the guard rejects it."""
+    return _solve_fold(*chiral_fold(m, signs))
+
+
+def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray,
+                dropped: float) -> np.ndarray | None:
+    """Eigenphases of the core M = [[A, iK], [iK^T, B]] of a chiral fold
+    (floquet.chiral_fold, or FloquetOperator.folds), of which the fold
+    dropped a part of norm at most `dropped`; None when the guard rejects it.
 
     Unitarity gives A^2 + K K^T = 1 and A K = K B, so each +-eps pair is
     one eigenvector p of A with c = cos eps and one q = K^T p / |sin eps|
@@ -204,7 +182,6 @@ def _folded_eigenphases(m: np.ndarray, signs: np.ndarray) -> np.ndarray | None:
     core above EIGEN_RESIDUAL_TOL, or when the cut leaves A and B unequal
     numbers of unclustered levels.
     """
-    a, b, k, dropped = chiral_fold(m, signs)
     cos_a, vec_a = np.linalg.eigh(a)
     cos_b, vec_b = np.linalg.eigh(b)
     hi, lo = _cluster_cut(cos_a, cos_b), -_cluster_cut(-cos_a, -cos_b)
@@ -246,11 +223,17 @@ def _folded_eigenphases(m: np.ndarray, signs: np.ndarray) -> np.ndarray | None:
     return _branch(np.concatenate([theta, -theta[paired]]))
 
 
-def core_eigenphases(m: np.ndarray, signs: np.ndarray | None = None) -> np.ndarray:
-    """Sorted eigenphases of one sector core.  With the signs of its
-    chiral reversal (FloquetOperator.reversals) the half-size fold solves
-    it, else or when the fold's guard rejects the core, sector_eigenpairs."""
-    eps = None if signs is None else _folded_eigenphases(m, signs)
+def core_eigenphases(m: np.ndarray, signs: np.ndarray | None = None,
+                     fold: tuple | None = None) -> np.ndarray:
+    """Sorted eigenphases of one sector core.  The half-size fold solves
+    it: the core's stored fold (FloquetOperator.folds), else the fold read
+    from the core with the signs of its chiral reversal
+    (FloquetOperator.reversals).  Without either, or when the fold's guard
+    rejects the core, sector_eigenpairs does."""
+    if fold is not None:
+        eps = _solve_fold(*fold)
+    else:
+        eps = None if signs is None else _folded_eigenphases(m, signs)
     if eps is None:
         eps = sector_eigenpairs(m)[0]
     return np.sort(eps)
@@ -273,14 +256,14 @@ def sector_eigenphases(operator: FloquetOperator) -> np.ndarray:
 
     The light-weight path for spacing statistics over parameter sweeps:
     the epsilons of quasi_spectrum without the eigenvectors, from
-    core_eigenphases (the fold for delta = 0).  Raises NumericalError
-    like quasi_spectrum, from the eigenpair residual.
+    core_eigenphases (the fold for delta = 0, as the operator stores it).
+    Raises NumericalError like quasi_spectrum, from the eigenpair residual.
     """
-    reversals = operator.reversals
-    if reversals is None:
-        reversals = [None] * len(operator.cores)
-    eps = np.stack([core_eigenphases(core, signs)
-                    for core, signs in zip(operator.cores, reversals)])
+    none = [None] * len(operator.cores)
+    reversals = none if operator.reversals is None else operator.reversals
+    folds = none if operator.folds is None else operator.folds
+    eps = np.stack([core_eigenphases(core, signs, fold)
+                    for core, signs, fold in zip(operator.cores, reversals, folds)])
     return _both_sectors(eps)[0]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kickedtop import cli, dynamics
+from kickedtop import cli, dynamics, spectral
 from kickedtop.cli import build_parser, main, parse_kappa, parse_range
 from kickedtop.errors import NumericalError
-from kickedtop.floquet import floquet_operator
+from kickedtop.floquet import KickParams, floquet_operator
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -295,6 +296,25 @@ def test_numerical_failure_names_the_point(tmp_path, capsys, monkeypatch, argv, 
     assert run_cli(*argv, "--out", out) == 3
     assert capsys.readouterr().err == f"numerical failure: {where}forced failure\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("two_j", [12, 13])
+def test_delta_zero_commands_take_the_stored_fold(tmp_path, monkeypatch, two_j):
+    # floquet_operator stores the fold of every delta = 0 core, so neither
+    # the solver nor the real evolution reads it back with chiral_fold
+    calls = []
+    for module in (spectral, dynamics):
+        monkeypatch.setattr(module, "chiral_fold",
+                            lambda *a, read=module.chiral_fold: calls.append(1) or read(*a))
+    for argv in (("rcurve", "--kxky", "1:300", "--steps", 3),
+                 ("spectrum", "--kxky", "1:300", "--steps", 3),
+                 ("dynamics", "--ky", "pi:2", "--nx", "1,2", "--n-max", 5)):
+        assert run_cli(*argv, "--two-j", two_j, "--out", tmp_path / f"{argv[0]}.csv") == 0
+    assert calls == []
+    # an operator without its fold is read back: the count above is not vacuous
+    op = dataclasses.replace(floquet_operator(KickParams(1.9, 17.0), two_j), folds=None)
+    spectral.sector_eigenphases(op)
+    assert len(calls) == len(op.cores)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
-from kickedtop import spectral
+from kickedtop import floquet, spectral
 from kickedtop.errors import NumericalError
-from kickedtop.floquet import (VARIANTS, FloquetOperator, KickParams, floquet_operator,
-                               kick_unitary)
+from kickedtop.floquet import (UNITARITY_TOL, VARIANTS, FloquetOperator, KickParams,
+                               chiral_fold, floquet_operator, kick_unitary)
 from kickedtop.spectral import (MIX, R_COE, R_CUE, R_POISSON, chiral_expectation,
                                 detect_bound_states, mean_spacing_ratio,
                                 parity_resolved_r, quasi_spectrum, sector_eigenpairs,
@@ -248,14 +250,62 @@ def test_chiral_reversal_conjugates_every_core(two_j, variant):
             assert np.abs(sigma_z - j).max() < 1e-12
 
 
+@pytest.mark.parametrize("two_j", [1, 2, 6, 7, 64, 65, 200, 201])
+def test_stored_fold_matches_the_fold_of_the_dense_core(two_j):
+    # the fold built from C+ and C- against chiral_fold of the dense product
+    # mapped onto the core basis, every variant from one set of dense kicks
+    kx, ky = 1.9, 17.0
+    half_x, half_y = kick_unitary("x", kx / 2.0, two_j), kick_unitary("y", ky / 2.0, two_j)
+    x, y = half_x @ half_x, half_y @ half_y
+    dense = {"plain": y @ x, "sym1": half_y @ x @ half_y, "sym2": half_x @ y @ half_x}
+    for variant in VARIANTS:
+        op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
+        assert len(op.folds) == len(op.cores)
+        for k, (fold, signs) in enumerate(zip(op.folds, op.reversals)):
+            idx = sector_indices(two_j)[k]
+            frame = op.frame[k]
+            oracle = chiral_fold(frame.conj().T @ dense[variant][np.ix_(idx, idx)] @ frame, signs)
+            assert fold[3] == 0.0
+            for built, read in zip(fold[:3], oracle[:3]):
+                assert built.shape == read.shape
+                assert np.abs(built - read).max() < 1e-13
+
+
+@pytest.mark.parametrize("two_j", [6, 7])
+def test_uncertified_overlap_split_takes_the_complex_build(monkeypatch, two_j):
+    # an overlap C that does not split into C+ and C- at UNITARITY_TOL leaves
+    # the halves uncached: the cores come from the full-size products and
+    # carry no fold, which the solver then reads from each core
+    params = KickParams(1.9, 17.0)
+    certified = floquet_operator(params, two_j)
+    fold = floquet.chiral_fold
+    with monkeypatch.context() as patch:
+        patch.setattr(floquet, "chiral_fold",
+                      lambda m, signs: (*fold(m, signs)[:3], 2.0 * UNITARITY_TOL))
+        floquet._sectors.cache_clear()
+        try:
+            op = floquet_operator(params, two_j)
+            assert floquet._sectors(two_j).halves is None
+        finally:
+            floquet._sectors.cache_clear()
+    assert op.folds is None and op.reversals is not None
+    assert np.abs(op.core - certified.core).max() < 1e-13
+    calls = []
+    read = spectral.chiral_fold
+    monkeypatch.setattr(spectral, "chiral_fold", lambda *a: calls.append(1) or read(*a))
+    for a, b in zip(sector_eigenphases(op), sector_eigenphases(certified)):
+        assert _circle_set_distance(a, b) < 1e-12
+    assert len(calls) == len(op.cores)
+
+
 @pytest.mark.parametrize("two_j", [12, 13])
 def test_delta_operator_never_takes_the_fold_path(monkeypatch, two_j):
+    # every fold, stored or read from a core, is solved by _solve_fold
     calls = []
-    fold = spectral._folded_eigenphases
-    monkeypatch.setattr(spectral, "_folded_eigenphases",
-                        lambda m, signs: calls.append(1) or fold(m, signs))
+    solve = spectral._solve_fold
+    monkeypatch.setattr(spectral, "_solve_fold", lambda *fold: calls.append(1) or solve(*fold))
     op = floquet_operator(KickParams(1.9, 17.0, delta=0.7), two_j)
-    assert op.reversals is None
+    assert op.reversals is None and op.folds is None
     sector_eigenphases(op)
     assert calls == []
     sector_eigenphases(floquet_operator(KickParams(1.9, 17.0), two_j))
@@ -291,8 +341,12 @@ def test_forced_fallback_gives_the_same_phases(monkeypatch, two_j, kxky):
     kx = np.sqrt(kxky / 1.7)
     op = floquet_operator(KickParams(kx, 1.7 * kx), two_j)
     folded = sector_eigenphases(op)
-    monkeypatch.setattr(spectral, "_folded_eigenphases", lambda m, signs: None)
+    monkeypatch.setattr(spectral, "_solve_fold", lambda *fold: None)
+    calls = []
+    eigenpairs = spectral.sector_eigenpairs
+    monkeypatch.setattr(spectral, "sector_eigenpairs", lambda m: calls.append(1) or eigenpairs(m))
     fallback = sector_eigenphases(op)
+    assert len(calls) == len(op.cores)
     for a, b in zip(folded, fallback):
         assert _circle_set_distance(a, b) < 1e-12
 
