@@ -22,16 +22,21 @@ generator is real:
 * sigma_z is a diagonal +-1, Z.
 
 One cached eigensystem T = V diag(lam) V^T per two_j (spin.jx_eigensystem)
-therefore serves both axes and both sectors, and a delta kick is the
-tridiagonal eigenproblem of kappa T + delta Z, of size d.
+therefore serves both axes and both sectors, and a delta kick is a
+pair-by-pair rotation of the cached eigenbasis: Z anticommutes with T,
+so J = V^T Z V is a signed reversal of the eigenbasis (certified once
+per two_j, below), and kappa T + delta Z couples each eigenvector of
+lam_k only to that of -lam_k.  A delta build needs that certificate and
+raises NumericalError without it.
 
 Each sector is stored as a complex-symmetric unitary core, the
 symmetrized ordering O^(1/2) I O^(1/2) of an outer kick O and an inner
 kick I written in the eigenbasis of O, plus the unitary frame that maps
 it to the sector block: block = frame @ core @ frame^dag.  Every core is
 D C D_i C^T D, with diagonal phases D, D_i and the real orthogonal
-overlap C of the two kick eigenbases (with delta = 0 the cached
-C = V^T S V).  The frame is the real eigenbasis of O for sym1 (O = Y)
+overlap C of the two kick eigenbases: with delta = 0 the cached
+C = V^T S V, with delta > 0 that C turned pair by pair on its rows and
+its columns.  The frame is the real eigenbasis of O for sym1 (O = Y)
 and sym2 (O = X); for plain it also carries the half y kick, because
 Y X = Y^(1/2) (Y^(1/2) X Y^(1/2)) Y^(-1/2).  The dense coupled-space
 matrix (FloquetOperator.u) and kick_unitary are built on demand, for
@@ -40,19 +45,19 @@ the tests' oracle and for symcheck.
 Unitarity is certified where it originates: a core is unitary exactly
 when C is orthogonal.  C is checked at UNITARITY_TOL once per two_j,
 before the cache entry is stored, and on the delta path once per build
-(the overlap of the two tridiagonal eigenbases).  The complex cores are
-not checked again: the eigenpair residual of the solvers in spectral
+(the cached C after its pair rotations).  The complex cores are not
+checked again: the eigenpair residual of the solvers in spectral
 certifies every solved core.
 
 With delta = 0 every core also carries the chiral symmetry of the
-symmetrized frames: sigma_z anticommutes with T, so J = V^T Z V is a
-signed reversal of the eigenbasis and J conj(core) J = core.  Its signs
-are certified once per two_j next to C, and FloquetOperator.reversals
-hands them to the consumers.  On the fold basis Q of chiral_fold, the
-+1 and -1 eigenvectors of J, a core is [[A, iK], [iK^T, B]] with real
-blocks of half size.  J commutes with C, so C splits there into C+ and
-C-, certified once per two_j (_Sectors.halves), and every diagonal kick
-exp(-i theta lam) turns each pair of + and - states by theta lam_k.  A
+symmetrized frames: J conj(core) J = core, with J = V^T Z V the signed
+reversal of the eigenbasis.  Its signs are certified once per two_j
+next to C, and FloquetOperator.reversals hands them to the consumers.
+On the fold basis Q of chiral_fold, the +1 and -1 eigenvectors of J, a
+core is [[A, iK], [iK^T, B]] with real blocks of half size.  J commutes
+with C, so C splits there into C+ and C-, certified once per two_j
+(_Sectors.halves), and every diagonal kick exp(-i theta lam) turns each
+pair of + and - states by theta lam_k.  A
 delta = 0 build therefore forms A, B and K from three half-size real
 products, C+ cos C+^T, C- cos C-^T and C+ sin C-^T, and O(d^2) pair
 rotations (_fold); writes the complex core from them (_unfold_core); and
@@ -89,7 +94,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .spin import (SIGMA_Z, coupling_generator, dim_top, jx_eigensystem, ladder_elements,
@@ -237,21 +241,19 @@ class FloquetOperator:
 
 @dataclass(frozen=True)
 class _Sectors:
-    """Per-two_j data shared by every operator: T's off-diagonal and
-    eigensystem, and per sector the sigma_z diagonal, the y gauge S,
-    C = V^T S V and the signs of the chiral reversal V^T Z V (None where
-    V^T Z V is not a signed reversal); G = (-1)^k where sector -1 is the
-    conjugate mirror of sector +1 (None elsewhere); and the blocks C+ and
-    C- of C on the fold basis of that reversal, for each sector that
-    floquet_operator builds (None where the reversal or the split is not
+    """Per-two_j data shared by every operator: T's eigensystem, and per
+    sector the y gauge S and the signs of the chiral reversal V^T Z V
+    (None where V^T Z V is not a signed reversal); G = (-1)^k where
+    sector -1 is the conjugate mirror of sector +1 (None elsewhere); and,
+    for each sector that floquet_operator builds (sector +1 alone at even
+    2j), C = V^T S V and the blocks C+ and C- of C on the fold basis of
+    that reversal (None where the reversal or the split is not
     certified).  Arrays are read-only."""
 
-    offdiag: np.ndarray      # (d-1,)
     lam: np.ndarray          # (d,)
     vecs: np.ndarray         # (d, d)
-    z: np.ndarray            # (2, d)
     gauge: np.ndarray        # (2, d)
-    overlap: np.ndarray      # (2, d, d)
+    overlap: np.ndarray      # (built, d, d)
     reversal: np.ndarray | None  # (2, d)
     alternation: np.ndarray | None  # (d,)
     halves: tuple | None     # per built sector, (C+, C-)
@@ -266,19 +268,17 @@ def _sectors(two_j: int) -> _Sectors:
     z = 1.0 - 2.0 * spin
     # <m+1, 1-s| Jy sigma_y |m, s> = +-<m+1| Jx |m>, the sign set by s
     gauge = np.concatenate([np.ones((2, 1)), np.cumprod(z[:, :-1], axis=1)], axis=1)
-    overlap = (vecs.T * gauge[:, None, :]) @ vecs
-    _check_orthogonal(overlap)
     offdiag = ladder_elements(two_j) / (2.0 * j)
     reversal, alternation = _chiral_reversal(vecs, z), _alternation(offdiag, z, gauge)
     # at even 2j only sector +1 is built
     built = 2 if alternation is None else 1
-    halves = None if reversal is None else _overlap_halves(overlap[:built], reversal)
-    sectors = _Sectors(offdiag=offdiag, lam=evals / j, vecs=vecs, z=z, gauge=gauge,
-                       overlap=overlap, reversal=reversal, alternation=alternation,
-                       halves=halves)
-    for value in (sectors.offdiag, sectors.lam, sectors.z, sectors.gauge, sectors.overlap,
-                  sectors.reversal, sectors.alternation,
-                  *(c for pair in halves or () for c in pair)):
+    overlap = (vecs.T * gauge[:built, None, :]) @ vecs
+    _check_orthogonal(overlap)
+    halves = None if reversal is None else _overlap_halves(overlap, reversal)
+    sectors = _Sectors(lam=evals / j, vecs=vecs, gauge=gauge, overlap=overlap,
+                       reversal=reversal, alternation=alternation, halves=halves)
+    for value in (sectors.lam, sectors.gauge, sectors.overlap, sectors.reversal,
+                  sectors.alternation, *(c for pair in halves or () for c in pair)):
         if value is not None:
             value.setflags(write=False)
     return sectors
@@ -454,15 +454,15 @@ def unfold_states(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return y
 
 
-def _turn(rows: np.ndarray, n: int, cos: np.ndarray, sin: np.ndarray) -> None:
-    """Turn each pair of rows (k, n + k), k < len(cos), by
-    [[cos_k, sin_k], [-sin_k, cos_k]], in place."""
-    m = len(cos)
-    top = rows[:m].copy()
-    rows[:m] *= cos[:, None]
-    rows[:m] += sin[:, None] * rows[n:n + m]
-    rows[n:n + m] *= cos[:, None]
-    rows[n:n + m] -= sin[:, None] * top
+def _turn(top: np.ndarray, bottom: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Turn each pair of rows (top[k], bottom[k]) by
+    [[cos_k, sin_k], [-sin_k, cos_k]], in place; top and bottom are
+    disjoint views of one array, len(cos) rows each."""
+    saved = top.copy()
+    top *= cos[:, None]
+    top += sin[:, None] * bottom
+    bottom *= cos[:, None]
+    bottom -= sin[:, None] * saved
 
 
 def _fold(halves: tuple, lam: np.ndarray, outer: float, inner: float) -> tuple:
@@ -487,10 +487,32 @@ def _fold(halves: tuple, lam: np.ndarray, outer: float, inner: float) -> tuple:
     o[:n, n:] = (plus[:, :m] * sin[:m]) @ minus[:, :m].T
     o[n:, :n] = -o[:n, n:].T
     half_cos, half_sin = np.cos(0.5 * outer * lam[:m]), np.sin(0.5 * outer * lam[:m])
-    _turn(o, n, half_cos, half_sin)
+    _turn(o[:m], o[n:n + m], half_cos, half_sin)
     # O R = (R^T O^T)^T, and R^T turns each pair the other way
-    _turn(o.T, n, half_cos, -half_sin)
+    _turn(o.T[:m], o.T[n:n + m], half_cos, -half_sin)
     return o[:n, :n], o[n:, n:], -o[:n, n:], 0.0
+
+
+def _delta_kick(sectors: _Sectors, k: int, kappa: float, delta: float) -> tuple:
+    """The eigenvalues of kappa T + delta Z in sector k, and the cos and
+    sin of the turn phi of each pair (V e_k, V e_{d-1-k}), k < d // 2,
+    that gives its eigenvectors.
+
+    On the cached basis V the generator is kappa lam + delta J, J the
+    chiral reversal of the sector: one block [[kappa lam_k, delta s_k],
+    [delta s_k, -kappa lam_k]] per pair, with eigenvalues +-omega_k,
+    omega_k = hypot(kappa lam_k, delta s_k), and eigenvectors the pair
+    turned by phi_k = atan2(delta s_k, kappa lam_k) / 2 (_turn).  The
+    middle state of odd d keeps the eigenvalue delta s_m.
+    """
+    lam, signs = sectors.lam, sectors.reversal[k]
+    m = len(lam) // 2
+    a, b = kappa * lam[:m], delta * signs[:m]
+    evals = delta * signs
+    evals[:m] = np.hypot(a, b)
+    evals[::-1][:m] = -evals[:m]
+    phi = 0.5 * np.arctan2(b, a)
+    return evals, np.cos(phi), np.sin(phi)
 
 
 def _sector_core(sectors: _Sectors, k: int, params: KickParams, core: np.ndarray,
@@ -499,31 +521,39 @@ def _sector_core(sectors: _Sectors, k: int, params: KickParams, core: np.ndarray
     core and frame: outer kick exp(-i outer_lam) in the real basis
     outer_vecs, inner kick exp(-i inner_lam), C their overlap.  Return the
     core's chiral fold where the core is built from it (delta = 0 with
-    certified halves), else None."""
-    gauge = sectors.gauge[k]
+    certified halves), else None.
+
+    With delta > 0 both kick bases are the cached V turned pair by pair
+    (_delta_kick): the inner basis is V R_x and the outer one S V R_y, so
+    their overlap R_y^T C R_x is the cached C = V^T S V turned on its rows
+    and its columns: no eigensolve, and O(d^2) work in place of a product.
+    """
+    if params.variant == "sym2":
+        outer, inner = params.kappa_x, params.kappa_y
+        outer_vecs = sectors.vecs
+    else:
+        outer, inner = params.kappa_y, params.kappa_x
+        outer_vecs = sectors.gauge[k][:, None] * sectors.vecs
     fold = None
     if params.delta == 0.0:
         overlap = sectors.overlap[k]
-        if params.variant == "sym2":
-            outer, inner = params.kappa_x, params.kappa_y
-            outer_vecs = sectors.vecs
-        else:
-            outer, inner = params.kappa_y, params.kappa_x
-            outer_vecs = gauge[:, None] * sectors.vecs
         outer_lam, inner_lam = outer * sectors.lam, inner * sectors.lam
         if sectors.halves is not None:
             fold = _fold(sectors.halves[k], sectors.lam, outer, inner)
             _unfold_core(*fold[:3], sectors.reversal[k], core)
     else:
+        if sectors.reversal is None:
+            raise NumericalError("a delta kick needs the chiral reversal V^T Z V, "
+                                 "which the cached eigensystem does not certify")
         # y kick in the gauge S: S (kappa_y T + delta Z) S is the y generator
-        diag = params.delta * sectors.z[k]
-        outer_lam, outer_vecs = scipy.linalg.eigh_tridiagonal(
-            diag, params.kappa_y * sectors.offdiag)
-        inner_lam, inner_vecs = scipy.linalg.eigh_tridiagonal(
-            diag, params.kappa_x * sectors.offdiag)
-        outer_vecs = gauge[:, None] * outer_vecs
-        overlap = outer_vecs.T @ inner_vecs
+        outer_lam, outer_cos, outer_sin = _delta_kick(sectors, k, outer, params.delta)
+        inner_lam, inner_cos, inner_sin = _delta_kick(sectors, k, inner, params.delta)
+        m = len(outer_cos)
+        overlap = sectors.overlap[k].copy()
+        _turn(overlap[:m], overlap[::-1][:m], outer_cos, outer_sin)
+        _turn(overlap.T[:m], overlap.T[::-1][:m], inner_cos, inner_sin)
         _check_orthogonal(overlap)
+        _turn(outer_vecs.T[:m], outer_vecs.T[::-1][:m], outer_cos, outer_sin)
     half = np.exp(-0.5j * outer_lam)
     if fold is None:
         # C exp(-i inner_lam) C^T as two real products

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from kickedtop import cli, dynamics, spectral
+from kickedtop import cli, dynamics, spectral, spin
 from kickedtop.cli import build_parser, main, parse_kappa, parse_range
 from kickedtop.errors import NumericalError
 from kickedtop.floquet import KickParams, floquet_operator
@@ -315,6 +316,24 @@ def test_delta_zero_commands_take_the_stored_fold(tmp_path, monkeypatch, two_j):
     op = dataclasses.replace(floquet_operator(KickParams(1.9, 17.0), two_j), folds=None)
     spectral.sector_eigenphases(op)
     assert len(calls) == len(op.cores)
+
+
+@pytest.mark.parametrize("two_j", [12, 13])
+def test_delta_builds_solve_no_tridiagonal_eigenproblem(tmp_path, monkeypatch, two_j):
+    # a delta kick is the cached eigenbasis turned pair by pair, so once the
+    # cached eigensystem is built a delta sweep solves no eigenproblem
+    floquet_operator(KickParams(1.0, 1.0), two_j)
+    calls = []
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                        lambda *a, solve=scipy.linalg.eigh_tridiagonal, **kw:
+                        calls.append(1) or solve(*a, **kw))
+    floquet_operator(KickParams(1.9, 17.0, delta=0.7), two_j)
+    assert run_cli("rcurve", "--kxky", "1:300", "--steps", 3, "--delta", 0.7,
+                   "--two-j", two_j, "--out", tmp_path / "rcurve.csv") == 0
+    assert calls == []
+    # the patch sees the solve of the cached eigensystem: the count is not vacuous
+    spin.jx_eigensystem.__wrapped__(two_j)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [

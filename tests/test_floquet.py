@@ -7,7 +7,7 @@ from kickedtop.errors import NumericalError
 from kickedtop.floquet import (FloquetOperator, KickParams, coupling_generator,
                                floquet_operator, kick_unitary, unitarity_defect)
 from kickedtop.spin import (SIGMA_Z, angular_momentum_matrices, coupling_operator, dim_top,
-                           m_values)
+                           ladder_elements, m_values)
 from kickedtop.symmetry import sector_indices
 
 
@@ -166,7 +166,53 @@ def test_chiral_reversal_is_certified_once_per_two_j(monkeypatch, two_j):
                         lambda n: (eigensystem(n)[0], eigensystem(n)[1][:, [1, 0, *range(2, n + 1)]]))
     assert floquet._sectors(two_j).reversal is None
     assert floquet_operator(KickParams(1.0, 1.0), two_j).reversals is None
+    # a delta kick is built from the reversal, so without it a delta build fails
+    with pytest.raises(NumericalError, match="reversal"):
+        floquet_operator(KickParams(1.0, 1.0, delta=0.7), two_j)
     floquet._sectors.cache_clear()
+
+
+@pytest.mark.parametrize("two_j, built", [(6, 1), (7, 2)])
+def test_stored_overlaps_are_the_built_sectors(two_j, built):
+    # at even 2j only sector +1 is built, so only its C = V^T S V is kept
+    sectors = floquet._sectors(two_j)
+    assert sectors.overlap.shape == (built, two_j + 1, two_j + 1)
+    assert not sectors.overlap.flags.writeable
+    for c, gauge in zip(sectors.overlap, sectors.gauge):
+        assert np.abs(c - sectors.vecs.T @ (gauge[:, None] * sectors.vecs)).max() < 1e-14
+
+
+DELTA_KICKS = [(kappa, delta) for kappa in (0.0, 1e-9, 1.7, 300.0) for delta in (1e-9, 0.7, 40.0)]
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 6, 7, 64, 65, 200, 201])
+def test_delta_kick_matches_the_tridiagonal_and_dense_oracles(two_j):
+    # kappa T + delta Z is one 2 x 2 block per pair (k, d-1-k) of the cached
+    # eigenbasis: its eigenvalues are those of the tridiagonal eigenproblem,
+    # and the basis turned pair by pair diagonalizes it.  The dense kick
+    # oracle costs one eigh of size 2d per kick, so at two_j 200 and 201 it
+    # checks four of the twelve kicks, which take every kappa and every delta
+    sectors = floquet._sectors(two_j)
+    m = (two_j + 1) // 2
+    offdiag = ladder_elements(two_j) / two_j
+    z = np.tile(np.diag(SIGMA_Z).real, two_j + 1)
+    dense_kicks = DELTA_KICKS if two_j < 100 else DELTA_KICKS[::4] + DELTA_KICKS[-1:]
+    for kappa, delta in DELTA_KICKS:
+        dense = kick_unitary("x", kappa, two_j, delta) if (kappa, delta) in dense_kicks else None
+        scale = max(1.0, kappa, delta)
+        for k, idx in enumerate(sector_indices(two_j)):
+            evals, cos, sin = floquet._delta_kick(sectors, k, kappa, delta)
+            oracle = scipy.linalg.eigh_tridiagonal(delta * z[idx], kappa * offdiag,
+                                                   eigvals_only=True)
+            assert np.abs(np.sort(evals) - oracle).max() < 1e-13 * scale
+            vecs = np.array(sectors.vecs)
+            floquet._turn(vecs.T[:m], vecs.T[::-1][:m], cos, sin)
+            generator = kappa * np.diag(offdiag, 1) + np.diag(delta * z[idx])
+            generator += np.triu(generator, 1).T
+            assert np.abs((vecs * evals) @ vecs.T - generator).max() < 1e-13 * scale
+            if dense is not None:
+                kick = (vecs * np.exp(-1j * evals)) @ vecs.T
+                assert np.abs(kick - dense[np.ix_(idx, idx)]).max() < 1e-12
 
 
 def _frame_jz(op):
@@ -213,13 +259,13 @@ def test_jz_band_is_certified_once_per_two_j(monkeypatch):
 
 def test_non_orthogonal_delta_overlap_rejected(monkeypatch):
     floquet_operator(KickParams(1.0, 1.0), 7)  # the cached entry is certified and stored
-    solve = scipy.linalg.eigh_tridiagonal
+    kick = floquet._delta_kick
 
-    def scaled(*args, **kwargs):
-        evals, evecs = solve(*args, **kwargs)
-        return evals, 1.001 * evecs
+    def scaled(*args):
+        evals, cos, sin = kick(*args)
+        return evals, 1.001 * cos, 1.001 * sin
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", scaled)
+    monkeypatch.setattr(floquet, "_delta_kick", scaled)
     with pytest.raises(NumericalError):
         floquet_operator(KickParams(1.0, 1.0, delta=0.7), 7)
 
