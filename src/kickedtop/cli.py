@@ -28,6 +28,7 @@ be written included), 3 numerical failure, with the grid point named.
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -277,7 +278,11 @@ def cmd_stages(args) -> Callable[[], str]:
     return lambda: text
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args returns
+    a fresh namespace on every call, so one main call leaves nothing to the
+    next."""
     parser = argparse.ArgumentParser(
         prog="kickedtop",
         description="Quasi-energy spectra, chaos diagnostics, and dynamics "

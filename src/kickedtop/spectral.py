@@ -25,7 +25,9 @@ M = R + i I.  Two solvers serve it:
   eigenphases.  Two eigenphases e1, e2 share an eigenvalue of R + MIX * I
   when e1 + e2 = -2 atan(MIX) (mod 2 pi), and eigh may then mix their
   eigenvectors; the eigenpair residual of every sector is checked, and a
-  sector above EIGEN_RESIDUAL_TOL falls back to complex Schur.
+  sector above EIGEN_RESIDUAL_TOL falls back to a complex eig
+  (_schur_eigenpairs: numpy's eig, whose eigenvectors LAPACK takes from
+  the complex Schur form, made orthonormal by QR).
 * The fold, for the eigenphases of every delta = 0 core
   (sector_eigenphases through core_eigenphases).  The chiral symmetry
   of the symmetrized frames is, on the core basis, a signed reversal J
@@ -45,14 +47,13 @@ of the real overlap that every core is built from), and each solver's
 residual certifies each solved core again: with V orthogonal,
 |lambda| = 1 and every column residual at most tau,
 ||M - V Lambda V^T||_F <= sqrt(d) tau.  NumericalError is raised when a
-sector's residual exceeds EIGEN_RESIDUAL_TOL after the Schur fallback,
+sector's residual exceeds EIGEN_RESIDUAL_TOL after the eig fallback,
 which rejects a core that is not unitary.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .floquet import FloquetOperator, chiral_fold
@@ -123,12 +124,17 @@ def _residual(m_vectors: np.ndarray, vectors: np.ndarray, eps: np.ndarray) -> fl
 
 
 def _schur_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases and eigenvectors of a unitary from complex Schur."""
+    """Eigenphases and orthonormal eigenvectors of a unitary, from the
+    complex Schur form inside LAPACK's geev (np.linalg.eig).  Its
+    eigenvectors are the Schur vectors of a unitary up to rounding, except
+    that they may mix inside a degenerate cluster; QR makes them
+    orthonormal again without leaving the cluster."""
     try:
-        t, q = scipy.linalg.schur(m, output="complex")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    eps = _branch(-np.angle(np.diag(t)))
+        w, vectors = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    q = np.linalg.qr(vectors)[0]
+    eps = _branch(-np.angle(w))
     worst = _residual(m @ q, q, eps)
     if worst > EIGEN_RESIDUAL_TOL:
         raise NumericalError(f"eigenpair residual {worst:.2e} exceeds {EIGEN_RESIDUAL_TOL}")
@@ -137,7 +143,7 @@ def _schur_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sector_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases (unsorted) and orthonormal eigenvectors of a
-    complex-symmetric unitary, with a complex Schur fallback."""
+    complex-symmetric unitary, with a complex eig fallback."""
     _, vectors = np.linalg.eigh(m.real + MIX * m.imag)
     m_vectors = m.real @ vectors + 1j * (m.imag @ vectors)
     eps = _branch(-np.angle(np.einsum("ij,ij->j", vectors, m_vectors)))
@@ -272,7 +278,7 @@ def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
 
     Raises NumericalError when an eigenpair residual
     ||M v - exp(-i eps) v|| of a sector core M exceeds EIGEN_RESIDUAL_TOL
-    even after the Schur fallback; a core that is not unitary fails there.
+    even after the eig fallback; a core that is not unitary fails there.
     """
     epsilons, vectors = [], []
     for core in operator.cores:

@@ -16,7 +16,9 @@ floquet exponentiates and symmetry checks parity against.  Rotations
 about y and coherent states come from one cached eigensystem per two_j
 of the real tridiagonal Jx, through the exact gauge Jy = G Jx G^dag with
 G = diag((-i)^k), k = j + m; the Floquet engine reuses the same
-eigensystem for both kick axes.  Construction is deterministic.
+eigensystem for both kick axes.  It is solved once per two_j by numpy's
+dense symmetric eigh of the tridiagonal matrix (_tridiagonal_eigh), which
+keeps the package free of scipy.  Construction is deterministic.
 
 This module sits at the bottom of the package's import graph: it
 imports nothing from the package.
@@ -26,7 +28,6 @@ import functools
 from collections import namedtuple
 
 import numpy as np
-import scipy.linalg
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -121,6 +122,16 @@ def coupling_generator(axis: str, two_j: int) -> np.ndarray:
     return coupling_operator(axis, two_j) / (validate_two_j(two_j) / 2.0)
 
 
+def _tridiagonal_eigh(offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of the real
+    symmetric tridiagonal matrix with zero diagonal and the given
+    off-diagonal, from a dense eigh of its lower triangle.  The vectors
+    are stored column-major: the layout picks the BLAS kernels, and so the
+    last bits, of every product built on them."""
+    evals, evecs = np.linalg.eigh(np.diag(offdiag, -1))
+    return evals, np.asfortranarray(evecs)
+
+
 @functools.cache
 def jx_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached eigenvalues and real orthogonal eigenvectors of Jx (read-only).
@@ -128,9 +139,7 @@ def jx_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     Jx is real symmetric tridiagonal with zero diagonal and off-diagonal
     entries half the ladder elements.
     """
-    two_j = validate_two_j(two_j)
-    evals, evecs = scipy.linalg.eigh_tridiagonal(np.zeros(two_j + 1),
-                                                 ladder_elements(two_j) / 2.0)
+    evals, evecs = _tridiagonal_eigh(ladder_elements(two_j) / 2.0)
     evals.setflags(write=False)
     evecs.setflags(write=False)
     return evals, evecs

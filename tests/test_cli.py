@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from kickedtop import cli, dynamics, spectral, spin
 from kickedtop.cli import build_parser, main, parse_kappa, parse_range
@@ -324,9 +323,8 @@ def test_delta_builds_solve_no_tridiagonal_eigenproblem(tmp_path, monkeypatch, t
     # cached eigensystem is built a delta sweep solves no eigenproblem
     floquet_operator(KickParams(1.0, 1.0), two_j)
     calls = []
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
-                        lambda *a, solve=scipy.linalg.eigh_tridiagonal, **kw:
-                        calls.append(1) or solve(*a, **kw))
+    monkeypatch.setattr(spin, "_tridiagonal_eigh",
+                        lambda *a, solve=spin._tridiagonal_eigh: calls.append(1) or solve(*a))
     floquet_operator(KickParams(1.9, 17.0, delta=0.7), two_j)
     assert run_cli("rcurve", "--kxky", "1:300", "--steps", 3, "--delta", 0.7,
                    "--two-j", two_j, "--out", tmp_path / "rcurve.csv") == 0
@@ -494,6 +492,23 @@ def test_reruns_are_byte_identical(tmp_path):
     first = out.read_bytes()
     assert run_cli(*argv) == 0
     assert out.read_bytes() == first
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path):
+    assert build_parser() is build_parser()
+    runs = [("rcurve", "--kxky", "1:40", "--steps", 2, "--delta", 0.7),
+            ("rcurve", "--kxky", "1:40", "--steps", 2),
+            ("dynamics", "--ky", "pi:2", "--nx", "1", "--n-max", 3)]
+    configs = []
+    for i, argv in enumerate(runs):
+        argv = [str(a) for a in argv + ("--two-j", 10, "--out", tmp_path / f"{i}.csv")]
+        assert main(argv) == 0
+        configs.append(read_output(tmp_path / f"{i}.csv")[0])
+        # the config of a parser built for this call alone
+        fresh = vars(build_parser.__wrapped__().parse_args(argv))
+        assert configs[-1] == {key: value for key, value in fresh.items() if key != "func"}
+    assert [config["delta"] for config in configs] == [0.7, 0.0, 0.0]
+    assert "kxky" not in configs[2] and "nx" not in configs[1]
 
 
 def test_worker_count_does_not_change_records(tmp_path):

@@ -1,7 +1,13 @@
-"""The package's import graph: one-way, and every import at module level."""
+"""The package's import graph: one-way, every import at module level, and
+nothing from outside the standard library but numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kickedtop"
 
@@ -68,3 +74,43 @@ def test_no_private_name_crosses_a_module():
                      if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                      and isinstance(node.value, ast.Name) and node.value.id in modules]
     assert crossing == []
+
+
+def test_only_the_standard_library_and_numpy_are_imported():
+    foreign = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [f"{name}:{node.lineno} {top}" for top in tops
+                        if top not in sys.stdlib_module_names | {"numpy", "kickedtop"}]
+    assert foreign == []
+
+
+@pytest.mark.parametrize("two_j", [12, 13])
+def test_every_command_runs_without_loading_scipy(tmp_path, two_j):
+    commands = [["rcurve", "--kxky", "1:300", "--steps", "3"],
+                ["rcurve", "--kxky", "1:300", "--steps", "3", "--delta", "0.7"],
+                ["entropy", "--kxky", "10:300", "--steps", "2", "--grid", "6"],
+                ["dynamics", "--ky", "pi:2", "--nx", "1,2", "--n-max", "5"],
+                ["spectrum", "--kxky", "1:300", "--steps", "2"],
+                ["symcheck", "--kx", "1.3", "--ky", "2.9"]]
+    argvs = [argv + ["--two-j", str(two_j), "--out", str(tmp_path / f"{i}.out")]
+             for i, argv in enumerate(commands)]
+    script = ("import sys\n"
+              "import kickedtop\n"
+              "from kickedtop.cli import main\n"
+              f"codes = [main(argv) for argv in {argvs!r}]\n"
+              "print(kickedtop.__file__)\n"
+              "print(codes)\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}).stdout
+    where, codes, loaded = out.splitlines()
+    assert Path(where).parent == PACKAGE
+    assert codes == str([0] * len(commands))
+    assert loaded == "[]"

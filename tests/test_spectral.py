@@ -425,6 +425,38 @@ def test_fallback_when_the_real_solver_mixes_eigenvectors(monkeypatch):
     assert np.abs(m @ vectors - vectors * np.exp(-1j * got)).max() < 1e-12
 
 
+def _check_fallback_eigenpairs(m):
+    eps, vectors = spectral._schur_eigenpairs(m)
+    assert np.linalg.norm(m @ vectors - vectors * np.exp(-1j * eps), axis=0).max() < 1e-12
+    assert np.abs(vectors.conj().T @ vectors - np.eye(len(m))).max() < 1e-12
+    assert _circle_set_distance(eps, -np.angle(np.linalg.eigvals(m))) < 1e-12
+
+
+@pytest.mark.parametrize("multiplicity", [2, 10, 50])
+@pytest.mark.parametrize("n", [200, 201])
+def test_fallback_orthonormalizes_exactly_degenerate_levels(n, multiplicity):
+    # eig's eigenvectors of one degenerate level are far from orthogonal
+    rng = np.random.default_rng(n + multiplicity)
+    eps = rng.uniform(-np.pi, np.pi, n - multiplicity + 1)
+    eps = np.concatenate([np.full(multiplicity - 1, eps[0]), eps])
+    basis = ortho_group.rvs(n, random_state=rng)
+    _check_fallback_eigenpairs((basis * np.exp(-1j * eps)) @ basis.T)
+
+
+@pytest.mark.parametrize("variant", ["sym1", "plain"])
+def test_fallback_on_degenerate_cores(variant):
+    # at kxky 10 a sector of two_j 200 holds exactly degenerate levels
+    kx = np.sqrt(10.0 / 1.7)
+    op = floquet_operator(KickParams(kx, 1.7 * kx, variant=variant), 200)
+    for core in op.cores:
+        _check_fallback_eigenpairs(core)
+
+
+def test_fallback_failure_is_a_numerical_error():
+    with pytest.raises(NumericalError, match="eigendecomposition failed"):
+        spectral._schur_eigenpairs(np.full((4, 4), np.nan, dtype=complex))
+
+
 def test_mean_spacing_ratio_hand_case():
     # spacings 0.1, 0.2, 0.4 -> ratios 0.5, 0.5
     assert mean_spacing_ratio([0.0, 0.1, 0.3, 0.7]) == pytest.approx(0.5, abs=1e-15)

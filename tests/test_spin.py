@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kickedtop.spin import (SIGMA_X, SIGMA_Y, SIGMA_Z, angular_momentum_matrices,
                             coherent_state, coupling_operator, dim_coupled, dim_top,
-                            expectation, flat_index, m_values, probe_state,
-                            product_state)
+                            expectation, flat_index, jx_eigensystem, ladder_elements,
+                            m_values, probe_state, product_state)
 
 
 def test_spin_half_matrices():
@@ -24,6 +25,19 @@ def test_spin_one_ladder_elements():
     assert jp[1, 0] == pytest.approx(raising, abs=1e-12)
     assert jp[2, 1] == pytest.approx(raising, abs=1e-12)
     assert np.count_nonzero(jp) == 2
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 7, 64, 65, 400, 401])
+def test_jx_eigensystem_matches_the_tridiagonal_solver(two_j):
+    # numpy's dense eigh against scipy's tridiagonal one, each column's sign fixed
+    evals, evecs = jx_eigensystem(two_j)
+    oracle, oracle_vecs = scipy.linalg.eigh_tridiagonal(np.zeros(two_j + 1),
+                                                        ladder_elements(two_j) / 2.0)
+    signs = np.sign(np.einsum("ij,ij->j", evecs, oracle_vecs))
+    assert np.abs(evals - oracle).max() < 1e-13
+    assert np.abs(evecs * signs - oracle_vecs).max() < 1e-13
+    assert not evals.flags.writeable and not evecs.flags.writeable
+    assert evecs.flags.f_contiguous
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 5, 10, 11])
