@@ -21,9 +21,11 @@ M = R + i I.  Two solvers serve it:
 * sector_eigenpairs, for eigenvectors (quasi_spectrum), for delta > 0
   and as the fallback.  Unitarity makes the real symmetric R and I
   commute, so one real symmetric eigh of R + MIX * I gives a real
-  orthonormal eigenbasis of M, and Rayleigh quotients give the
-  eigenphases.  Two eigenphases e1, e2 share an eigenvalue of R + MIX * I
-  when e1 + e2 = -2 atan(MIX) (mod 2 pi), and eigh may then mix their
+  orthonormal eigenbasis V of M.  The real products R V and I V give
+  the eigenphases, eps = -atan2(v.I v, v.R v), and the eigenpair
+  residual, whose real and imaginary parts are R v - v cos eps and
+  I v + v sin eps.  Two eigenphases e1, e2 share an eigenvalue of
+  R + MIX * I when e1 + e2 = -2 atan(MIX) (mod 2 pi), and eigh may mix their
   eigenvectors; the eigenpair residual of every sector is checked, and a
   sector above EIGEN_RESIDUAL_TOL falls back to a complex eig
   (_schur_eigenpairs: numpy's eig, whose eigenvectors LAPACK takes from
@@ -118,11 +120,6 @@ def _branch(eps: np.ndarray) -> np.ndarray:
     return np.where(eps <= -np.pi, eps + 2.0 * np.pi, eps) + 0.0
 
 
-def _residual(m_vectors: np.ndarray, vectors: np.ndarray, eps: np.ndarray) -> float:
-    """Largest ||M v - exp(-i eps) v|| over the eigenpairs, given M @ vectors."""
-    return float(np.linalg.norm(m_vectors - vectors * np.exp(-1j * eps), axis=0).max())
-
-
 def _schur_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases and orthonormal eigenvectors of a unitary, from the
     complex Schur form inside LAPACK's geev (np.linalg.eig).  Its
@@ -135,7 +132,7 @@ def _schur_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     q = np.linalg.qr(vectors)[0]
     eps = _branch(-np.angle(w))
-    worst = _residual(m @ q, q, eps)
+    worst = np.linalg.norm(m @ q - q * np.exp(-1j * eps), axis=0).max()
     if worst > EIGEN_RESIDUAL_TOL:
         raise NumericalError(f"eigenpair residual {worst:.2e} exceeds {EIGEN_RESIDUAL_TOL}")
     return eps, q
@@ -145,9 +142,14 @@ def sector_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases (unsorted) and orthonormal eigenvectors of a
     complex-symmetric unitary, with a complex eig fallback."""
     _, vectors = np.linalg.eigh(m.real + MIX * m.imag)
-    m_vectors = m.real @ vectors + 1j * (m.imag @ vectors)
-    eps = _branch(-np.angle(np.einsum("ij,ij->j", vectors, m_vectors)))
-    if _residual(m_vectors, vectors, eps) > EIGEN_RESIDUAL_TOL:
+    re_v, im_v = m.real @ vectors, m.imag @ vectors
+    eps = _branch(-np.arctan2(np.einsum("ij,ij->j", vectors, im_v),
+                              np.einsum("ij,ij->j", vectors, re_v)))
+    # M v - exp(-i eps) v = (Re M v - v cos eps) + i (Im M v + v sin eps)
+    re_v -= vectors * np.cos(eps)
+    im_v += vectors * np.sin(eps)
+    squares = np.einsum("ij,ij->j", re_v, re_v) + np.einsum("ij,ij->j", im_v, im_v)
+    if np.sqrt(squares.max()) > EIGEN_RESIDUAL_TOL:
         return _schur_eigenpairs(m)
     return eps, vectors
 

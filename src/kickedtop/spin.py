@@ -171,6 +171,20 @@ def coherent_state(two_j: int, theta: float, phi: float) -> np.ndarray:
     return np.exp(-1j * phi * m_values(two_j)) * top
 
 
+def coherent_tops(two_j: int, thetas: np.ndarray) -> np.ndarray:
+    """exp(-i theta Jy) |j, j> for every theta, as real (2j+1, n) columns.
+
+    Row k = j + m of it is i^(2j-k) times row k of V (exp(-i theta
+    lambda) * V[-1]): the cosine half of that product at even 2j - k, the
+    sine half at odd, negated where 2j - k is 2 or 3 mod 4.
+    """
+    evals, evecs = jx_eigensystem(two_j)
+    angles = np.outer(evals, thetas)
+    halves = evecs @ (evecs[-1][:, None] * np.hstack([np.cos(angles), np.sin(angles)]))
+    power = two_j - np.arange(two_j + 1)[:, None]
+    return np.where(power % 2 == 0, *np.hsplit(halves, 2)) * np.where(power % 4 < 2, 1.0, -1.0)
+
+
 def probe_state(two_j: int, theta: float, phi: float) -> np.ndarray:
     """Coherent top state tensored with (|up> + |down>)/sqrt(2)."""
     return product_state(two_j, coherent_state(two_j, theta, phi),

@@ -111,17 +111,23 @@ def test_probe_mirror_maps_each_column_to_its_mirrored_node(two_j):
         assert probe_columns(two_j, sphere_grid(4, n_phi)).mirror is None
 
 
-@pytest.mark.parametrize("two_j", [20, 21])
+@pytest.mark.parametrize("two_j", [1, 2, 20, 21])
 def test_sector_probe_rows_match_coupled_space_probes(two_j):
     # one (2j+1)-row probe array serves both sectors: S2 at every node equals
     # the IPR entropy of the full coupled-space probe in the embedded eigenbasis;
-    # the 4 x 6 grid has a mirror, which at even 2j overlaps sector +1 only
-    for variant in VARIANTS:
-        spectrum = quasi_spectrum(floquet_operator(KickParams(1.5, 2.5, variant=variant), two_j))
+    # the 4 x 6 and 3 x 32 grids have a mirror, which at even 2j overlaps
+    # sector +1 only; 32 azimuths exceed 2j+1 rows at every two_j here, so
+    # the azimuthal DFT aliases, and delta 0.7 gives complex eigenvectors
+    cases = [KickParams(1.5, 2.5, variant=variant) for variant in VARIANTS]
+    cases.append(KickParams(1.5, 2.5, delta=0.7))
+    for params in cases:
+        spectrum = quasi_spectrum(floquet_operator(params, two_j))
         assert spectrum.mirrored == (two_j % 2 == 0)
+        assert spectrum.vectors.imag.any() == (params.variant == "plain")
         basis = np.stack([spectrum.state(s, k) for s in range(2) for k in range(two_j + 1)],
                          axis=1)
-        for grid in (sphere_grid(4, 5), sphere_grid(4, 6)):
+        for grid in (sphere_grid(4, 5), sphere_grid(4, 6), sphere_grid(1, 1),
+                     sphere_grid(3, 32)):
             probes = probe_columns(two_j, grid)
             assert probes.columns.shape == (two_j + 1, grid.weights.size)
             result = sphere_averaged_s2(spectrum, probes)
@@ -188,6 +194,17 @@ def test_husimi_peak_pole_state():
     z, phi, value = husimi_peak(state, two_j, sphere_grid(24, 24))
     assert z > 0.97
     assert value > 0.9
+
+
+def test_husimi_peak_on_one_z_node():
+    # one Gauss-Legendre node (z = 0): the refinement spans all of [-1, 1]
+    two_j = 16
+    state = np.zeros(2 * (two_j + 1), dtype=complex)
+    state[-2] = 1.0     # (m = j, up)
+    for n_phi in (1, 8):
+        z, phi, value = husimi_peak(state, two_j, sphere_grid(1, n_phi))
+        assert z == 1.0
+        assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_husimi_peak_probe_self_overlap():

@@ -425,6 +425,24 @@ def test_fallback_when_the_real_solver_mixes_eigenvectors(monkeypatch):
     assert np.abs(m @ vectors - vectors * np.exp(-1j * got)).max() < 1e-12
 
 
+@pytest.mark.parametrize("part", ["imag", "real"])
+def test_residual_guard_sees_a_defect_in_either_part(monkeypatch, part):
+    # M = i B diag(sigma (1 + defect)) B^T, or the same without the i: its
+    # phases sit at +-pi/2 (or 0 and pi), so a modulus defect of 1e-6 lies
+    # in Im M (or Re M) only, and only that half of the residual sees it
+    rng = np.random.default_rng(11)
+    basis = ortho_group.rvs(12, random_state=rng)
+    moduli = rng.choice([-1.0, 1.0], 12) * (1.0 + rng.uniform(1e-6, 2e-6, 12))
+    m = (basis * moduli) @ basis.T
+    m = 1j * m if part == "imag" else m.astype(complex)
+    calls = []
+    schur = spectral._schur_eigenpairs
+    monkeypatch.setattr(spectral, "_schur_eigenpairs", lambda a: calls.append(1) or schur(a))
+    with pytest.raises(NumericalError, match="eigenpair residual"):
+        sector_eigenpairs(m)
+    assert calls == [1]
+
+
 def _check_fallback_eigenpairs(m):
     eps, vectors = spectral._schur_eigenpairs(m)
     assert np.linalg.norm(m @ vectors - vectors * np.exp(-1j * eps), axis=0).max() < 1e-12

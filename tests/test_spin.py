@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 
 from kickedtop.spin import (SIGMA_X, SIGMA_Y, SIGMA_Z, angular_momentum_matrices,
-                            coherent_state, coupling_operator, dim_coupled, dim_top,
-                            expectation, flat_index, jx_eigensystem, ladder_elements,
-                            m_values, probe_state, product_state)
+                            coherent_state, coherent_tops, coupling_operator, dim_coupled,
+                            dim_top, expectation, flat_index, jx_eigensystem,
+                            ladder_elements, m_values, probe_state, product_state)
 
 
 def test_spin_half_matrices():
@@ -113,6 +113,17 @@ def test_coherent_known_points():
 
     state = coherent_state(20, np.pi / 2.0, np.pi / 4.0)
     assert expectation(ops.jx, state).real == pytest.approx(7.07106781186547524, abs=1e-10)
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 7, 64, 65, 400])
+def test_coherent_tops_match_coherent_states(two_j):
+    # real Wigner-d columns from one product, at the poles and 32 Gauss-Legendre nodes
+    z_nodes = np.polynomial.legendre.leggauss(32)[0]
+    thetas = np.concatenate([[0.0, np.pi], np.arccos(z_nodes)])
+    tops = coherent_tops(two_j, thetas)
+    assert tops.dtype == float and tops.shape == (two_j + 1, thetas.size)
+    states = np.stack([coherent_state(two_j, theta, 0.0) for theta in thetas], axis=1)
+    assert np.abs(tops - states).max() < 1e-13
 
 
 def test_probe_state_structure():
