@@ -15,20 +15,19 @@ G J conj(psi_-(n)), and the mirrored state's m ladder is that of
 sector -1 reversed.  Two paths evolve the sectors:
 
 * Real fold (delta = 0).  Each core M has the chiral symmetry
-  J conj(M) J = M, so on the basis Q of floquet.chiral_fold and with
-  D = diag(1, i) it is M = Q D O D^dag Q^T, with O real orthogonal.  The
-  blocks of O are the fold that floquet_operator builds and stores with
-  the operator (FloquetOperator.folds).  A state enters as
-  x = D^dag Q^T frame^dag psi, and each kick is one real product O x
-  with the real and imaginary parts of the states side by side.  <Jz>
-  needs no m-ladder projection: in the eigenbasis of Jx, Jz is
-  tridiagonal, so frame^dag Jz frame is a band (FloquetOperator.jz_band),
-  and y = Q D x gives the norm, <Jz> and <Jz^2> of every kick in O(2j)
-  steps.  An operator built from explicit cores has its fold read from
-  each core by chiral_fold, which drops the part (M - J conj(M) J) / 2;
-  where that could move the state by more than NORM_DRIFT_TOL within
-  n_max kicks, the operator goes to the complex path.
-* Complex blocks (delta > 0).  The sector blocks B are assembled; the
+  J conj(M) J = M, so on the fold basis Q of its reversal
+  (FloquetOperator.reversals) and with D = diag(1, i) it is
+  M = Q D O D^dag Q^T, with O real orthogonal.  The blocks of O are the
+  fold that floquet_operator builds and stores with the operator
+  (FloquetOperator.folds, which exists exactly when delta = 0).  A state
+  enters as x = D^dag Q^T frame^dag psi (floquet.fold_states), and each
+  kick is one real product O x with the real and imaginary parts of the
+  states side by side.  <Jz> needs no m-ladder projection: in the
+  eigenbasis of Jx, Jz is tridiagonal, so frame^dag Jz frame is a band
+  (FloquetOperator.jz_band), and y = Q D x gives the norm, <Jz> and
+  <Jz^2> of every kick in O(2j) steps.
+* Complex blocks (delta > 0, and any operator without a fold, such as
+  one built from explicit cores).  The sector blocks B are assembled; the
   first BATCH - 1 kicks take one product each, then P = B^BATCH, from
   repeated squaring, advances the last BATCH states at once.  Only that
   last batch and the per-kick m-ladder weights are kept.
@@ -46,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .floquet import (FloquetOperator, KickParams, chiral_fold, floquet_operator, fold_states,
-                      unfold_states)
+from .floquet import FloquetOperator, KickParams, floquet_operator, fold_states, unfold_states
 from .meanfield import allowed_kappa_x
 from .spectral import QuasiSpectrum
 from .spin import coherent_state, m_values, product_state
@@ -153,36 +151,25 @@ def _band_moments(y: np.ndarray, band: tuple, jz_sign: np.ndarray) -> np.ndarray
                      np.einsum("ncd,ncd->n", jz_y, jz_y)], axis=1)
 
 
-def _folded_moments(operator: FloquetOperator, rows: np.ndarray,
-                    n_max: int) -> np.ndarray | None:
+def _folded_moments(operator: FloquetOperator, rows: np.ndarray, n_max: int) -> np.ndarray:
     """The moments of every kick from the real orthogonal fold of each
-    of `cores`, or None where there is no fold (delta > 0) or the part
-    that the fold drops could move the state by more than NORM_DRIFT_TOL
-    within n_max kicks.
+    of `cores`, as the operator stores it (FloquetOperator.folds, at
+    delta = 0).
 
-    On the basis Q of floquet.chiral_fold a core is
+    On the fold basis Q of the core's reversal a core is
     M = [[A, iK], [iK^T, B]] = D O D^dag with D = diag(1, i) and the
-    real orthogonal O = [[A, -K], [K^T, B]].  The blocks are the
-    operator's stored folds (FloquetOperator.folds), which drop nothing,
-    or else read from each core by chiral_fold.  A state psi of the
-    core's sector enters as x = D^dag Q^T frame^dag psi, each kick is one
-    real product with O (real and imaginary parts of every state as
-    rows), and y = Q D x = frame^dag psi gives the moments through the
+    real orthogonal O = [[A, -K], [K^T, B]].  A state psi of the core's
+    sector enters as x = D^dag Q^T frame^dag psi, each kick is one real
+    product with O (real and imaginary parts of every state as rows),
+    and y = Q D x = frame^dag psi gives the moments through the
     tridiagonal frame^dag Jz frame.
     """
     signs, band = operator.reversals, operator.jz_band
-    if signs is None or band is None:
-        return None
-    folds = operator.folds
-    if folds is None:
-        folds = [chiral_fold(core, s) for core, s in zip(operator.cores, signs)]
-    if not n_max * max(fold[3] for fold in folds) <= NORM_DRIFT_TOL:
-        return None
     width = rows.shape[1]
     # a mirrored state holds sector -1 with its m ladder reversed
     jz_sign = np.array([1.0, -1.0])[:width]
     moments = np.zeros((n_max + 1, 3))
-    for (a, b, k, _), s, frame, core_rows in zip(folds, signs, operator.frame, rows):
+    for (a, b, k, _), s, frame, core_rows in zip(operator.folds, signs, operator.frame, rows):
         # O^T, as the states are rows; psi^T conj(frame) without a conjugated frame
         o_t = np.block([[a.T, k], [-k.T, b.T]])
         x = fold_states((core_rows.conj() @ frame).conj(), s)
@@ -205,13 +192,14 @@ def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
 
     Each distinct core (FloquetOperator.cores) evolves its sector; with
     one, sector -1 is evolved through its mirror (FloquetOperator.mirror)
-    beside sector +1.  With delta = 0 the kicks are real products on the
-    chiral fold of each core (_folded_moments), else, or when the fold
-    drops too much of a core, complex products on the sector blocks
-    (_batched_moments).  Raises ValueError unless psi0 is a finite,
-    normalized vector of the coupled space, and NumericalError naming
-    the first kick at which the state norm has drifted by more than
-    NORM_DRIFT_TOL.  Entry 0 of the series is the initial state.
+    beside sector +1.  An operator with a chiral fold
+    (FloquetOperator.folds, exactly when delta = 0) is kicked by real
+    products on the fold of each core (_folded_moments); one without, by
+    complex products on the sector blocks (_batched_moments).  Raises
+    ValueError unless psi0 is a finite, normalized vector of the coupled
+    space, and NumericalError naming the first kick at which the state
+    norm has drifted by more than NORM_DRIFT_TOL.  Entry 0 of the series
+    is the initial state.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -223,8 +211,9 @@ def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
         rows = np.stack([plus, operator.mirror(minus)])[None]
     else:
         rows = np.stack([plus, minus])[:, None]
-    moments = _folded_moments(operator, rows, n_max)
-    if moments is None:
+    if operator.folds is not None:
+        moments = _folded_moments(operator, rows, n_max)
+    else:
         moments = _batched_moments(operator, rows.swapaxes(1, 2), n_max)
 
     drift = np.abs(np.sqrt(moments[:, 0]) - 1.0)

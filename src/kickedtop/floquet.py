@@ -26,8 +26,7 @@ therefore serves both axes and both sectors, and a delta kick is a
 pair-by-pair rotation of the cached eigenbasis: Z anticommutes with T,
 so J = V^T Z V is a signed reversal of the eigenbasis (certified once
 per two_j, below), and kappa T + delta Z couples each eigenvector of
-lam_k only to that of -lam_k.  A delta build needs that certificate and
-raises NumericalError without it.
+lam_k only to that of -lam_k.
 
 Each sector is stored as a complex-symmetric unitary core, the
 symmetrized ordering O^(1/2) I O^(1/2) of an outer kick O and an inner
@@ -47,7 +46,9 @@ when C is orthogonal.  C is checked at UNITARITY_TOL once per two_j,
 before the cache entry is stored, and on the delta path once per build
 (the cached C after its pair rotations).  The complex cores are not
 checked again: the eigenpair residual of the solvers in spectral
-certifies every solved core.
+certifies every solved core.  Every certificate of this module, per
+two_j or per build, raises NumericalError naming itself where it fails;
+nothing is built around a failed one.
 
 With delta = 0 every core also carries the chiral symmetry of the
 symmetrized frames: J conj(core) J = core, with J = V^T Z V the signed
@@ -62,12 +63,10 @@ delta = 0 build therefore forms A, B and K from three half-size real
 products, C+ cos C+^T, C- cos C-^T and C+ sin C-^T, and O(d^2) pair
 rotations (_fold); writes the complex core from them (_unfold_core); and
 keeps them as FloquetOperator.folds, which the eigenphase solver and the
-real evolution of dynamics take as they are.  Where the halves are not
-certified, the core is built from two full-size real products, the
-formula of the delta path, and carries no fold.  Jz, the diagonal m of
-each sector, is tridiagonal in the eigenbasis of T; that band is
-certified once per two_j (_jz_band), and FloquetOperator.jz_band gives
-frame^dag Jz frame from it.
+real evolution of dynamics take as they are: a fold exists exactly
+when delta = 0.  Jz, the diagonal m of each sector, is tridiagonal in
+the eigenbasis of T; that band is certified once per two_j (_jz_band),
+and FloquetOperator.jz_band gives frame^dag Jz frame from it.
 
 For even 2j sector -1 is the conjugate mirror of sector +1, for every
 delta and ordering: block[-1] = G J conj(block[+1]) J G, with J the basis
@@ -82,8 +81,8 @@ builds sector +1 only and stores core[1] = conj(core[0]),
 frame[1] = G J conj(frame[0]), so eps[-1] = -eps[+1] and the sector -1
 eigenvectors are G J conj(v[+1]).
 
-Consumers work from the distinct cores (FloquetOperator.cores) and,
-where it is stored, their folds (FloquetOperator.folds): distinct_blocks
+Consumers work from the distinct cores (FloquetOperator.cores) and, at
+delta = 0, their folds (FloquetOperator.folds): distinct_blocks
 assembles the sector +1 block alone at even 2j, sector_blocks derives
 the sector -1 block from it, and to_sectors maps solved eigenvectors
 once and mirrors them (FloquetOperator.mirror).
@@ -139,10 +138,11 @@ class FloquetOperator:
     conjugate mirror of sector +1: core[1] is conj(core[0]) and frame[1]
     is G J conj(frame[0]), G = diag((-1)^k) and J the reversal.  `cores`
     holds the distinct cores that checks and solvers use.  `folds`, set
-    by floquet_operator at delta = 0, holds the chiral fold of each of
-    `cores` as chiral_fold returns it, (A, B, K, 0.0): built directly, so
-    nothing is dropped.  An operator built from explicit cores has none,
-    and its consumers read the fold from each core with chiral_fold.
+    by floquet_operator exactly when delta = 0, holds the chiral fold of
+    each of `cores` as chiral_fold returns it, (A, B, K, 0.0): built
+    directly, so nothing is dropped.  An operator without folds (delta > 0,
+    or one built from explicit cores) is solved and evolved on its complex
+    cores.
     """
 
     core: np.ndarray
@@ -169,26 +169,22 @@ class FloquetOperator:
     def reversals(self) -> np.ndarray | None:
         """For delta = 0, the signs of the chiral reversal J of each of
         `cores`, J e_k = signs_k e_{d-1-k} on the core's basis, with
-        J core J = conj(core); None for delta > 0, which breaks it, and
-        where the cached eigensystem does not certify it."""
-        reversal = _sectors(self.two_j).reversal
-        if self.params.delta != 0.0 or reversal is None:
+        J core J = conj(core); None for delta > 0, which breaks it."""
+        if self.params.delta != 0.0:
             return None
-        return reversal[:len(self.cores)]
+        return _sectors(self.two_j).reversal[:len(self.cores)]
 
     @property
     def jz_band(self) -> tuple[np.ndarray, np.ndarray] | None:
         """For delta = 0, frame^dag Jz frame of each of `cores` (Jz on the
         sector's m ladder) as its real diagonal and complex upper
         off-diagonal, one band for every core; None for delta > 0, whose
-        frames are not eigenbases of Jx, and where the cached
-        eigensystem does not certify it.  The plain frames carry the half
+        frames are not eigenbases of Jx.  The plain frames carry the half
         y kick h, so their off-diagonal is conj(h_k) h_{k+1} times that
         of sym1 and sym2."""
-        band = _jz_band(self.two_j)
-        if self.params.delta != 0.0 or band is None:
+        if self.params.delta != 0.0:
             return None
-        diag, off = band
+        diag, off = _jz_band(self.two_j)
         if self.params.variant == "plain":
             half = np.exp(-0.5j * self.params.kappa_y * _sectors(self.two_j).lam)
             return diag, off * half[:-1].conj() * half[1:]
@@ -242,27 +238,32 @@ class FloquetOperator:
 @dataclass(frozen=True)
 class _Sectors:
     """Per-two_j data shared by every operator: T's eigensystem, and per
-    sector the y gauge S and the signs of the chiral reversal V^T Z V
-    (None where V^T Z V is not a signed reversal); G = (-1)^k where
-    sector -1 is the conjugate mirror of sector +1 (None elsewhere); and,
-    for each sector that floquet_operator builds (sector +1 alone at even
-    2j), C = V^T S V and the blocks C+ and C- of C on the fold basis of
-    that reversal (None where the reversal or the split is not
-    certified).  Arrays are read-only."""
+    sector the y gauge S and the signs of the chiral reversal V^T Z V;
+    G = (-1)^k where sector -1 is the conjugate mirror of sector +1 (None
+    elsewhere); and, for each sector that floquet_operator builds (sector
+    +1 alone at even 2j), C = V^T S V and the blocks C+ and C- of C on the
+    fold basis of that reversal.  The reversal, the orthogonality of C and
+    its split are certified before the entry is cached: _sectors raises
+    NumericalError where one fails.  Arrays are read-only."""
 
     lam: np.ndarray          # (d,)
     vecs: np.ndarray         # (d, d)
     gauge: np.ndarray        # (2, d)
     overlap: np.ndarray      # (built, d, d)
-    reversal: np.ndarray | None  # (2, d)
+    reversal: np.ndarray     # (2, d)
     alternation: np.ndarray | None  # (d,)
-    halves: tuple | None     # per built sector, (C+, C-)
+    halves: tuple            # per built sector, (C+, C-)
 
 
 @functools.cache
 def _sectors(two_j: int) -> _Sectors:
     j = two_j / 2.0
     evals, vecs = jx_eigensystem(two_j)
+    lam = evals / j
+    if two_j % 2 == 0:
+        # the unpaired middle level of odd d: T's spectrum is antisymmetric, so
+        # it is exactly 0, which the fold's pair rotations take it to be
+        lam[two_j // 2] = 0.0
     # flat index 2(j + m) + s: within a sector the spin s alternates with m
     spin = np.array([idx % 2 for idx in sector_indices(two_j)])
     z = 1.0 - 2.0 * spin
@@ -274,23 +275,23 @@ def _sectors(two_j: int) -> _Sectors:
     built = 2 if alternation is None else 1
     overlap = (vecs.T * gauge[:built, None, :]) @ vecs
     _check_orthogonal(overlap)
-    halves = None if reversal is None else _overlap_halves(overlap, reversal)
-    sectors = _Sectors(lam=evals / j, vecs=vecs, gauge=gauge, overlap=overlap,
+    halves = _overlap_halves(overlap, reversal)
+    sectors = _Sectors(lam=lam, vecs=vecs, gauge=gauge, overlap=overlap,
                        reversal=reversal, alternation=alternation, halves=halves)
-    for value in (sectors.lam, sectors.gauge, sectors.overlap, sectors.reversal,
-                  sectors.alternation, *(c for pair in halves or () for c in pair)):
+    for value in (lam, gauge, overlap, reversal, alternation, *(c for p in halves for c in p)):
         if value is not None:
             value.setflags(write=False)
     return sectors
 
 
 @functools.cache
-def _jz_band(two_j: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _jz_band(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """The diagonal and off-diagonal of V^T Jz V, V the eigenbasis of
-    T = Jx / j, or None unless the band is all of it: ||Jz V - V band||_F,
-    the norm of what lies off the band, is checked at UNITARITY_TOL * j.
-    The quarter turn about y maps Jz to Jx, so in the eigenbasis of Jx,
-    Jz couples neighbouring levels only.  Arrays are read-only."""
+    T = Jx / j; NumericalError unless the band is all of it:
+    ||Jz V - V band||_F, the norm of what lies off the band, is checked at
+    UNITARITY_TOL * j.  The quarter turn about y maps Jz to Jx, so in the
+    eigenbasis of Jx, Jz couples neighbouring levels only.  Arrays are
+    read-only."""
     vecs = _sectors(two_j).vecs
     jz_vecs = m_values(two_j)[:, None] * vecs
     diag = np.einsum("ij,ij->j", vecs, jz_vecs)
@@ -298,37 +299,40 @@ def _jz_band(two_j: int) -> tuple[np.ndarray, np.ndarray] | None:
     rest = jz_vecs - vecs * diag
     rest[:, 1:] -= vecs[:, :-1] * off
     rest[:, :-1] -= vecs[:, 1:] * off
-    if not np.linalg.norm(rest) <= UNITARITY_TOL * two_j / 2.0:
-        return None
+    defect = np.linalg.norm(rest)
+    if not defect <= UNITARITY_TOL * two_j / 2.0:
+        raise NumericalError(f"Jz in the kick eigenbasis is no band: off-band norm {defect:.2e}")
     diag.setflags(write=False)
     off.setflags(write=False)
     return diag, off
 
 
-def _chiral_reversal(vecs: np.ndarray, z: np.ndarray) -> np.ndarray | None:
+def _chiral_reversal(vecs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The signs of J = V^T Z V = sum_k signs_k e_k e_{d-1-k}^T for each
-    sector, or None unless that holds at UNITARITY_TOL: Z anticommutes
+    sector; NumericalError unless that holds at UNITARITY_TOL: Z anticommutes
     with T, so J maps the eigenvector of lam_k to that of
     -lam_k = lam_{d-1-k}.  Sector -1 has Z = -Z of sector +1 (each m
     carries the other spin), so one product serves both."""
     chiral = vecs.T @ (z[0][:, None] * vecs)
     signs = np.sign(chiral[:, ::-1].diagonal())
-    if not np.array_equal(z[1], -z[0]) or not (
-            np.abs(chiral - np.diag(signs)[:, ::-1]).max() <= UNITARITY_TOL):
-        return None
+    defect = np.abs(chiral - np.diag(signs)[:, ::-1]).max()
+    if not (np.array_equal(z[1], -z[0]) and defect <= UNITARITY_TOL):
+        raise NumericalError(f"V^T Z V is no signed chiral reversal: defect {defect:.2e}")
     return np.stack([signs, -signs])
 
 
-def _overlap_halves(overlap: np.ndarray, reversal: np.ndarray) -> tuple | None:
+def _overlap_halves(overlap: np.ndarray, reversal: np.ndarray) -> tuple:
     """C+ and C- of each overlap C, the blocks of C on the fold basis of
-    its sector's reversal J (chiral_fold), or None unless every C commutes
-    with J at UNITARITY_TOL (what chiral_fold drops is the part that does
-    not).  C = V^T S V and J = V^T Z V commute, as S and Z are diagonal."""
+    its sector's reversal J (chiral_fold); NumericalError unless every C
+    commutes with J at UNITARITY_TOL (what chiral_fold drops is the part
+    that does not).  C = V^T S V and J = V^T Z V commute, as S and Z are
+    diagonal."""
     halves = []
     for c, signs in zip(overlap, reversal):
         plus, minus, _, dropped = chiral_fold(c, signs)
         if not dropped <= UNITARITY_TOL:
-            return None
+            raise NumericalError(f"kick eigenbasis overlap does not split on the chiral fold: "
+                                 f"dropped part {dropped:.2e}")
         halves.append((plus, minus))
     return tuple(halves)
 
@@ -520,8 +524,7 @@ def _sector_core(sectors: _Sectors, k: int, params: KickParams, core: np.ndarray
     """Write core and frame of sector k into the complex (d, d) arrays
     core and frame: outer kick exp(-i outer_lam) in the real basis
     outer_vecs, inner kick exp(-i inner_lam), C their overlap.  Return the
-    core's chiral fold where the core is built from it (delta = 0 with
-    certified halves), else None.
+    chiral fold that the core is built from at delta = 0, else None.
 
     With delta > 0 both kick bases are the cached V turned pair by pair
     (_delta_kick): the inner basis is V R_x and the outer one S V R_y, so
@@ -534,17 +537,12 @@ def _sector_core(sectors: _Sectors, k: int, params: KickParams, core: np.ndarray
     else:
         outer, inner = params.kappa_y, params.kappa_x
         outer_vecs = sectors.gauge[k][:, None] * sectors.vecs
-    fold = None
     if params.delta == 0.0:
-        overlap = sectors.overlap[k]
-        outer_lam, inner_lam = outer * sectors.lam, inner * sectors.lam
-        if sectors.halves is not None:
-            fold = _fold(sectors.halves[k], sectors.lam, outer, inner)
-            _unfold_core(*fold[:3], sectors.reversal[k], core)
+        fold = _fold(sectors.halves[k], sectors.lam, outer, inner)
+        _unfold_core(*fold[:3], sectors.reversal[k], core)
+        half = np.exp(-0.5j * outer * sectors.lam)
     else:
-        if sectors.reversal is None:
-            raise NumericalError("a delta kick needs the chiral reversal V^T Z V, "
-                                 "which the cached eigensystem does not certify")
+        fold = None
         # y kick in the gauge S: S (kappa_y T + delta Z) S is the y generator
         outer_lam, outer_cos, outer_sin = _delta_kick(sectors, k, outer, params.delta)
         inner_lam, inner_cos, inner_sin = _delta_kick(sectors, k, inner, params.delta)
@@ -554,8 +552,7 @@ def _sector_core(sectors: _Sectors, k: int, params: KickParams, core: np.ndarray
         _turn(overlap.T[:m], overlap.T[::-1][:m], inner_cos, inner_sin)
         _check_orthogonal(overlap)
         _turn(outer_vecs.T[:m], outer_vecs.T[::-1][:m], outer_cos, outer_sin)
-    half = np.exp(-0.5j * outer_lam)
-    if fold is None:
+        half = np.exp(-0.5j * outer_lam)
         # C exp(-i inner_lam) C^T as two real products
         np.subtract((overlap * np.cos(inner_lam)) @ overlap.T,
                     1j * ((overlap * np.sin(inner_lam)) @ overlap.T), out=core)
@@ -619,4 +616,4 @@ def floquet_operator(params: KickParams, two_j: int) -> FloquetOperator:
         np.conjugate(core[0], out=core[1])
         _conjugate_mirror(frame[0], out=frame[1])
     return FloquetOperator(core=core, frame=frame, params=params, two_j=two_j,
-                           folds=None if folds[0] is None else folds)
+                           folds=folds if params.delta == 0.0 else None)

@@ -38,11 +38,12 @@ M = R + i I.  Two solvers serve it:
   (e_k +- signs_k e_{d-1-k}) / sqrt(2) the core is [[A, iK], [iK^T, B]]
   with real A, B, K of half size, and two half-size eighs and a small
   SVD give the phases (_solve_fold).  floquet_operator builds A, B and K
-  directly and stores them (FloquetOperator.folds), so the sweeps take
-  them as they are; an operator without them, such as one built from
-  explicit cores, has them read from each core by floquet.chiral_fold.
-  The fold's own guard, the blockwise residual plus what the fold drops,
-  sends a core it rejects to sector_eigenpairs.
+  directly and stores them (FloquetOperator.folds) exactly when
+  delta = 0, or raises NumericalError where a certificate of the fold
+  fails, so the sweeps take them as they are.  An operator without
+  them, such as one built from explicit cores, goes to
+  sector_eigenpairs, as does a core whose fold the fold's own guard
+  rejects.
 
 floquet_operator certifies unitarity at construction (the orthogonality
 of the real overlap that every core is built from), and each solver's
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .floquet import FloquetOperator, chiral_fold
+from .floquet import FloquetOperator
 from .symmetry import sector_indices
 
 EIGEN_RESIDUAL_TOL = 1e-8
@@ -165,17 +166,12 @@ def _cluster_cut(cos_a: np.ndarray, cos_b: np.ndarray) -> float:
     return 0.5 * (edges[i] + edges[i + 1])
 
 
-def _folded_eigenphases(m: np.ndarray, signs: np.ndarray) -> np.ndarray | None:
-    """Eigenphases of a core with J conj(M) J = M, J e_k = signs_k e_{d-1-k},
-    from the half-size blocks of chiral_fold; None when the guard rejects it."""
-    return _solve_fold(*chiral_fold(m, signs))
-
-
 def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray,
                 dropped: float) -> np.ndarray | None:
     """Eigenphases of the core M = [[A, iK], [iK^T, B]] of a chiral fold
-    (floquet.chiral_fold, or FloquetOperator.folds), of which the fold
-    dropped a part of norm at most `dropped`; None when the guard rejects it.
+    (A, B, K, dropped), as FloquetOperator.folds holds it, of which the
+    fold dropped a part of norm at most `dropped`; None when the guard
+    rejects it.
 
     Unitarity gives A^2 + K K^T = 1 and A K = K B, so each +-eps pair is
     one eigenvector p of A with c = cos eps and one q = K^T p / |sin eps|
@@ -231,17 +227,12 @@ def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     return _branch(np.concatenate([theta, -theta[paired]]))
 
 
-def core_eigenphases(m: np.ndarray, signs: np.ndarray | None = None,
-                     fold: tuple | None = None) -> np.ndarray:
-    """Sorted eigenphases of one sector core.  The half-size fold solves
-    it: the core's stored fold (FloquetOperator.folds), else the fold read
-    from the core with the signs of its chiral reversal
-    (FloquetOperator.reversals).  Without either, or when the fold's guard
-    rejects the core, sector_eigenpairs does."""
-    if fold is not None:
-        eps = _solve_fold(*fold)
-    else:
-        eps = None if signs is None else _folded_eigenphases(m, signs)
+def core_eigenphases(m: np.ndarray, fold: tuple | None = None) -> np.ndarray:
+    """Sorted eigenphases of one sector core M.  Its chiral fold
+    (FloquetOperator.folds, which exists exactly when delta = 0) is solved
+    at half size; without one, or when the fold's guard rejects it,
+    sector_eigenpairs solves M."""
+    eps = None if fold is None else _solve_fold(*fold)
     if eps is None:
         eps = sector_eigenpairs(m)[0]
     return np.sort(eps)
@@ -267,11 +258,8 @@ def sector_eigenphases(operator: FloquetOperator) -> np.ndarray:
     core_eigenphases (the fold for delta = 0, as the operator stores it).
     Raises NumericalError like quasi_spectrum, from the eigenpair residual.
     """
-    none = [None] * len(operator.cores)
-    reversals = none if operator.reversals is None else operator.reversals
-    folds = none if operator.folds is None else operator.folds
-    eps = np.stack([core_eigenphases(core, signs, fold)
-                    for core, signs, fold in zip(operator.cores, reversals, folds)])
+    folds = [None] * len(operator.cores) if operator.folds is None else operator.folds
+    eps = np.stack([core_eigenphases(core, fold) for core, fold in zip(operator.cores, folds)])
     return _both_sectors(eps)[0]
 
 

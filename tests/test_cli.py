@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -11,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kickedtop import cli, dynamics, spectral, spin
+from kickedtop import cli, dynamics, floquet, spectral, spin
 from kickedtop.cli import build_parser, main, parse_kappa, parse_range
 from kickedtop.errors import NumericalError
 from kickedtop.floquet import KickParams, floquet_operator
@@ -300,21 +299,21 @@ def test_numerical_failure_names_the_point(tmp_path, capsys, monkeypatch, argv, 
 
 @pytest.mark.parametrize("two_j", [12, 13])
 def test_delta_zero_commands_take_the_stored_fold(tmp_path, monkeypatch, two_j):
-    # floquet_operator stores the fold of every delta = 0 core, so neither
-    # the solver nor the real evolution reads it back with chiral_fold
+    # floquet_operator stores the fold of every delta = 0 core, and the
+    # solver and the real evolution take it as it is: once the per-two_j
+    # data are cached, no fold is read from a core, and no sweep falls back
+    # to a complex solve or evolution
+    floquet_operator(KickParams(1.0, 1.0), two_j)
     calls = []
-    for module in (spectral, dynamics):
-        monkeypatch.setattr(module, "chiral_fold",
-                            lambda *a, read=module.chiral_fold: calls.append(1) or read(*a))
+    for module, name in ((floquet, "chiral_fold"), (spectral, "sector_eigenpairs"),
+                         (dynamics, "_batched_moments")):
+        monkeypatch.setattr(module, name, lambda *a, call=getattr(module, name), name=name:
+                            calls.append(name) or call(*a))
     for argv in (("rcurve", "--kxky", "1:300", "--steps", 3),
                  ("spectrum", "--kxky", "1:300", "--steps", 3),
                  ("dynamics", "--ky", "pi:2", "--nx", "1,2", "--n-max", 5)):
         assert run_cli(*argv, "--two-j", two_j, "--out", tmp_path / f"{argv[0]}.csv") == 0
     assert calls == []
-    # an operator without its fold is read back: the count above is not vacuous
-    op = dataclasses.replace(floquet_operator(KickParams(1.9, 17.0), two_j), folds=None)
-    spectral.sector_eigenphases(op)
-    assert len(calls) == len(op.cores)
 
 
 @pytest.mark.parametrize("two_j", [12, 13])
@@ -396,6 +395,17 @@ def test_rcurve_counts_bound_states(tmp_path):
     # deep topological points keep at least the two polar states
     assert all(int(row[3]) >= 2 for row in rows)
     assert all(row[2] == "topological" for row in rows)
+
+
+@pytest.mark.parametrize("two_j", [4, 400])
+def test_rcurve_at_huge_kicks(tmp_path, two_j):
+    # kx near 1e150 multiplies every rounding residue of the eigenvalues of Jx;
+    # the unpaired middle level of even 2j is exactly 0, so the core stays
+    # unitary and the point solves
+    out = tmp_path / "rcurve.csv"
+    assert run_cli("rcurve", "--two-j", two_j, "--kxky", "1e300:1e300", "--steps", 1,
+                   "--out", out) == 0
+    assert len(read_output(out)[2]) == 1
 
 
 def test_entropy_columns_and_baseline(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -76,14 +78,14 @@ def test_series_matches_dense_oracle(two_j, variant, delta, n_max):
 
 @pytest.mark.parametrize("two_j", [1, 2, 6, 7, 64, 65, 200, 201])
 @pytest.mark.parametrize("variant", ["plain", "sym1", "sym2"])
-def test_fold_path_matches_batched_path(monkeypatch, two_j, variant):
+def test_fold_path_matches_batched_path(two_j, variant):
     op = floquet_operator(KickParams(1.7, 2.9, variant=variant), two_j)
     psi0 = probe_state(two_j, 0.9, 0.4)
     folded = [stroboscopic_series(op, psi0, n_max) for n_max in (1, 7, 8, 9, 37)]
-    # without a Jz band every operator takes the complex path
-    monkeypatch.setattr(FloquetOperator, "jz_band", property(lambda self: None))
+    # without its fold the operator takes the complex path
+    unfolded = dataclasses.replace(op, folds=None)
     for series in folded:
-        batched = stroboscopic_series(op, psi0, len(series.n) - 1)
+        batched = stroboscopic_series(unfolded, psi0, len(series.n) - 1)
         assert np.abs(series.jz_mean - batched.jz_mean).max() < 1e-12 * two_j / 2.0
         assert np.abs(series.jz_std - batched.jz_std).max() < 1e-12 * two_j / 2.0
 
@@ -111,7 +113,8 @@ def test_fold_path_matches_dense_kicks_over_many_kicks(two_j, variant):
 
 @pytest.mark.parametrize("two_j", [40, 41])
 def test_core_that_breaks_the_chiral_fold_takes_the_batched_path(monkeypatch, two_j):
-    # a unitary J-breaking kick: the fold would drop ~1e-7 of every core per kick
+    # an operator built from explicit cores carries no fold; here they are
+    # broken by a unitary J-breaking kick, which no fold could represent
     op = floquet_operator(KickParams(1.7, 2.9), two_j)
     noise = np.random.default_rng(5).standard_normal((2,) + op.core.shape[1:])
     noise = noise + noise.swapaxes(1, 2)
@@ -162,12 +165,14 @@ def test_series_assembles_one_block_per_distinct_core(monkeypatch, two_j):
 @pytest.mark.parametrize("excess, kick", [(1e-6, 1), (3e-9, 4), (1e-8 / 20.5, 21)])
 def test_norm_drift_guard_names_first_drifting_kick(two_j, excess, kick):
     # every block scales by 1 + excess, so the norm after n kicks is (1 + excess)^n;
-    # delta = 0 runs the scaled core through the fold path, delta = 0.7 through the blocks
+    # delta = 0 runs the scaled fold through the fold path, the scaled core
+    # without it and delta = 0.7 through the blocks
     psi0 = probe_state(two_j, 0.9, 0.4)
-    for delta in (0.0, 0.7):
+    for delta, folded in ((0.0, True), (0.0, False), (0.7, False)):
         op = floquet_operator(KickParams(1.7, 2.9, delta=delta), two_j)
-        grown = FloquetOperator(core=op.core * (1.0 + excess), frame=op.frame,
-                                params=op.params, two_j=two_j)
+        folds = [tuple(block * (1.0 + excess) for block in fold[:3]) + fold[3:]
+                 for fold in op.folds] if folded else None
+        grown = dataclasses.replace(op, core=op.core * (1.0 + excess), folds=folds)
         with pytest.raises(NumericalError, match=rf"at kick {kick}$"):
             stroboscopic_series(grown, psi0, 37)
         if kick > 1:

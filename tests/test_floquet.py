@@ -159,17 +159,16 @@ def test_chiral_reversal_is_certified_once_per_two_j(monkeypatch, two_j):
     assert not sectors.reversal.flags.writeable
     assert np.array_equal(sectors.reversal[1], -sectors.reversal[0])
     # swapping two eigenvectors keeps C = V^T S V orthogonal but makes
-    # V^T Z V no signed reversal: the operator builds, without reversal signs
+    # V^T Z V no signed reversal: both the fold and the delta kicks are built
+    # from it, so no operator is built and nothing is cached
     eigensystem = floquet.jx_eigensystem
     floquet._sectors.cache_clear()
     monkeypatch.setattr(floquet, "jx_eigensystem",
                         lambda n: (eigensystem(n)[0], eigensystem(n)[1][:, [1, 0, *range(2, n + 1)]]))
-    assert floquet._sectors(two_j).reversal is None
-    assert floquet_operator(KickParams(1.0, 1.0), two_j).reversals is None
-    # a delta kick is built from the reversal, so without it a delta build fails
-    with pytest.raises(NumericalError, match="reversal"):
-        floquet_operator(KickParams(1.0, 1.0, delta=0.7), two_j)
-    floquet._sectors.cache_clear()
+    for delta in (0.0, 0.7):
+        with pytest.raises(NumericalError, match="reversal"):
+            floquet_operator(KickParams(1.0, 1.0, delta=delta), two_j)
+    assert floquet._sectors.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("two_j, built", [(6, 1), (7, 2)])
@@ -246,15 +245,28 @@ def test_jz_band_is_certified_once_per_two_j(monkeypatch):
     two_j = 6
     diag, off = floquet._jz_band(two_j)
     assert not diag.flags.writeable and not off.flags.writeable
-    # with two eigenvectors swapped V^T Jz V is no longer tridiagonal
-    eigensystem = floquet.jx_eigensystem
-    floquet._sectors.cache_clear()
+    # Jz + Jz^2 / 2j is no band in the eigenbasis of Jx, as Jz^2 couples
+    # next-nearest levels; only the band reads m_values, so the operator
+    # builds and its band is refused
     floquet._jz_band.cache_clear()
-    monkeypatch.setattr(floquet, "jx_eigensystem",
-                        lambda n: (eigensystem(n)[0], eigensystem(n)[1][:, [1, 0, *range(2, n + 1)]]))
-    assert floquet_operator(KickParams(1.0, 1.0, variant="sym1"), two_j).jz_band is None
-    floquet._sectors.cache_clear()
-    floquet._jz_band.cache_clear()
+    monkeypatch.setattr(floquet, "m_values", lambda n: m_values(n) + m_values(n) ** 2 / n)
+    op = floquet_operator(KickParams(1.0, 1.0, variant="sym1"), two_j)
+    with pytest.raises(NumericalError, match="band"):
+        op.jz_band
+    assert floquet._jz_band.cache_info().currsize == 0
+
+
+def test_certificates_hold_at_every_workload_size():
+    # the per-two_j certificates refuse a build where they fail; at the sizes
+    # that the tests, the README and the benchmark use, none does, and a fold,
+    # reversal signs and a Jz band exist exactly when delta = 0
+    for two_j in (*range(1, 66), 200, 201, 400, 401):
+        floquet._sectors(two_j)
+        floquet._jz_band(two_j)
+        for params in (KickParams(1.9, 17.0), KickParams(1.9, 17.0, delta=0.7)):
+            op = floquet_operator(params, two_j)
+            present = [value is not None for value in (op.folds, op.reversals, op.jz_band)]
+            assert present == [params.delta == 0.0] * 3, two_j
 
 
 def test_non_orthogonal_delta_overlap_rejected(monkeypatch):

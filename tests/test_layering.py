@@ -114,3 +114,11 @@ def test_every_command_runs_without_loading_scipy(tmp_path, two_j):
     assert Path(where).parent == PACKAGE
     assert codes == str([0] * len(commands))
     assert loaded == "[]"
+
+
+def test_only_floquet_names_the_chiral_fold():
+    # floquet builds every fold and stores it with the operator; no other
+    # module reads one back from a core
+    naming = [path.name for path in sorted(PACKAGE.glob("*.py"))
+              if path.stem != "floquet" and "chiral_fold" in path.read_text()]
+    assert naming == []

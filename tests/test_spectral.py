@@ -7,7 +7,7 @@ from scipy.stats import ortho_group
 from kickedtop import floquet, spectral
 from kickedtop.errors import NumericalError
 from kickedtop.floquet import (UNITARITY_TOL, VARIANTS, FloquetOperator, KickParams,
-                               chiral_fold, floquet_operator, kick_unitary)
+                               chiral_fold, floquet_operator, kick_unitary, unitarity_defect)
 from kickedtop.spectral import (MIX, R_COE, R_CUE, R_POISSON, chiral_expectation,
                                 detect_bound_states, mean_spacing_ratio,
                                 parity_resolved_r, quasi_spectrum, sector_eigenpairs,
@@ -272,35 +272,37 @@ def test_stored_fold_matches_the_fold_of_the_dense_core(two_j):
 
 
 @pytest.mark.parametrize("two_j", [6, 7])
-def test_uncertified_overlap_split_takes_the_complex_build(monkeypatch, two_j):
-    # an overlap C that does not split into C+ and C- at UNITARITY_TOL leaves
-    # the halves uncached: the cores come from the full-size products and
-    # carry no fold, which the solver then reads from each core
-    params = KickParams(1.9, 17.0)
-    certified = floquet_operator(params, two_j)
+def test_uncertified_overlap_split_is_refused(monkeypatch, two_j):
+    # an overlap C that does not split into C+ and C- at UNITARITY_TOL is
+    # refused when the per-two_j data are built: no operator is built, with
+    # or without delta, and nothing is cached
     fold = floquet.chiral_fold
-    with monkeypatch.context() as patch:
-        patch.setattr(floquet, "chiral_fold",
-                      lambda m, signs: (*fold(m, signs)[:3], 2.0 * UNITARITY_TOL))
-        floquet._sectors.cache_clear()
-        try:
-            op = floquet_operator(params, two_j)
-            assert floquet._sectors(two_j).halves is None
-        finally:
-            floquet._sectors.cache_clear()
-    assert op.folds is None and op.reversals is not None
-    assert np.abs(op.core - certified.core).max() < 1e-13
-    calls = []
-    read = spectral.chiral_fold
-    monkeypatch.setattr(spectral, "chiral_fold", lambda *a: calls.append(1) or read(*a))
-    for a, b in zip(sector_eigenphases(op), sector_eigenphases(certified)):
-        assert _circle_set_distance(a, b) < 1e-12
-    assert len(calls) == len(op.cores)
+    monkeypatch.setattr(floquet, "chiral_fold",
+                        lambda m, signs: (*fold(m, signs)[:3], 2.0 * UNITARITY_TOL))
+    floquet._sectors.cache_clear()
+    for delta in (0.0, 0.7):
+        with pytest.raises(NumericalError, match="split"):
+            floquet_operator(KickParams(1.9, 17.0, delta=delta), two_j)
+    assert floquet._sectors.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("two_j", [4, 5, 400, 401])
+@pytest.mark.parametrize("kx", [1e12, 1e150])
+def test_huge_kicks_keep_the_core_unitary(two_j, kx):
+    # the unpaired middle level of odd d is exactly 0, as the fold takes it
+    # to be: a rounding residue there, times kx, would turn the core off
+    # the unitary group
+    if two_j % 2 == 0:
+        assert floquet._sectors(two_j).lam[two_j // 2] == 0.0
+    for variant in VARIANTS:
+        op = floquet_operator(KickParams(kx, 1.7 * kx, variant=variant), two_j)
+        assert unitarity_defect(op.core) <= 1e-12
+        assert sector_eigenphases(op).shape == (2, two_j + 1)
 
 
 @pytest.mark.parametrize("two_j", [12, 13])
 def test_delta_operator_never_takes_the_fold_path(monkeypatch, two_j):
-    # every fold, stored or read from a core, is solved by _solve_fold
+    # every stored fold is solved by _solve_fold
     calls = []
     solve = spectral._solve_fold
     monkeypatch.setattr(spectral, "_solve_fold", lambda *fold: calls.append(1) or solve(*fold))
@@ -316,23 +318,23 @@ def test_delta_operator_never_takes_the_fold_path(monkeypatch, two_j):
 def test_fold_guard_rejects_scaled_and_noisy_cores(two_j):
     op = floquet_operator(KickParams(1.0, 1.0), two_j)
     core, signs = op.cores[0], op.reversals[0]
-    assert spectral._folded_eigenphases(core, signs) is not None
+    assert spectral._solve_fold(*chiral_fold(core, signs)) is not None
     # the pairs alone cannot see a common scale: the phase must be unit-modulus
-    assert spectral._folded_eigenphases(core * 1.001, signs) is None
+    assert spectral._solve_fold(*chiral_fold(core * 1.001, signs)) is None
     # the complex-symmetric noise of test_non_unitary_rejected
     rng = np.random.default_rng(two_j)
     noise = rng.standard_normal(core.shape) + 1j * rng.standard_normal(core.shape)
     noise += noise.T
     noise *= 1e-6 / np.abs(noise).max()
-    assert spectral._folded_eigenphases(core + noise, signs) is None
+    assert spectral._solve_fold(*chiral_fold(core + noise, signs)) is None
     with pytest.raises(NumericalError):
-        spectral.core_eigenphases(core + noise, signs)
+        spectral.core_eigenphases(core + noise, chiral_fold(core + noise, signs))
     # the blocks are read from the top rows: noise confined to the bottom-right
     # quarter leaves them as they were, and only the dropped part shows it
     half = (two_j + 2) // 2
     hidden = np.zeros_like(noise)
     hidden[half:, half:] = noise[half:, half:]
-    assert spectral._folded_eigenphases(core + hidden, signs) is None
+    assert spectral._solve_fold(*chiral_fold(core + hidden, signs)) is None
 
 
 @pytest.mark.parametrize("two_j, kxky", [(200, 10.0), (201, 10.0), (200, 2000.0),
@@ -403,7 +405,7 @@ def test_fold_resolves_levels_at_the_cluster_cut():
     for cut in (spectral._cluster_cut(cosines, cosines), -spectral._cluster_cut(-cosines, -cosines)):
         assert np.sort(np.abs(cosines - cut))[:2].max() < 1e-3
         assert (cosines > cut).any() and (cosines < cut).any()
-    eps = spectral._folded_eigenphases(core, signs)
+    eps = spectral._solve_fold(*chiral_fold(core, signs))
     assert eps is not None
     assert _circle_set_distance(eps, np.concatenate([theta, -theta])) < 1e-12
     assert _circle_set_distance(eps, -np.angle(np.linalg.eigvals(core))) < 1e-12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kickedtop.errors import NumericalError
 from kickedtop.floquet import KickParams, floquet_operator, kick_unitary
 from kickedtop.spin import angular_momentum_matrices, dim_top, pauli_matrix
 from kickedtop.symmetry import (KINDS, parity_labels, parity_phases, sector_indices,
@@ -126,17 +127,24 @@ def test_delta_keeps_conjugation_up_to_similarity(two_j):
 
 
 def test_misassigned_sector_shows_in_parity_offblock(monkeypatch):
-    # with one state put into the wrong parity sector everywhere, U is still
-    # assembled block-diagonal on that split; the kick generators are not
+    # one state put into the wrong parity sector
     from kickedtop import floquet, symmetry
 
     plus, minus = (idx.copy() for idx in sector_indices(11))
     plus[0], minus[0] = minus[0], plus[0]
-    for module in (floquet, symmetry):
-        monkeypatch.setattr(module, "sector_indices", lambda two_j: (plus, minus))
-    monkeypatch.setattr(floquet, "_sectors", functools.cache(floquet._sectors.__wrapped__))
-    report = verify_symmetries(floquet_operator(KickParams(1.3, 2.1, variant="sym1"), 11))
-    assert report.parity_offblock > 0.0
+    params = KickParams(1.3, 2.1, variant="sym1")
+    # the operator refuses to build on that split: sigma_z is then no signed
+    # reversal of the kick eigenbasis
+    with monkeypatch.context() as patch:
+        patch.setattr(floquet, "sector_indices", lambda two_j: (plus, minus))
+        patch.setattr(floquet, "_sectors", functools.cache(floquet._sectors.__wrapped__))
+        with pytest.raises(NumericalError, match="reversal"):
+            floquet_operator(params, 11)
+    # U built on the correct split is block-diagonal there; the kick
+    # generators are not block-diagonal on the wrong one, and the report shows it
+    op = floquet_operator(params, 11)
+    monkeypatch.setattr(symmetry, "sector_indices", lambda two_j: (plus, minus))
+    assert verify_symmetries(op).parity_offblock > 0.0
 
 
 def test_report_serializes():
