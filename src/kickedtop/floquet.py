@@ -445,16 +445,17 @@ def fold_states(y: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return x
 
 
-def unfold_states(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """y = Q D x, the inverse of fold_states."""
+def unfold_states(x: np.ndarray, signs: np.ndarray, phase: complex = 1j) -> np.ndarray:
+    """y = Q D x, the inverse of fold_states; phase = 1 takes D = 1, so
+    that real states on the fold basis Q give real states."""
     d, n_plus = len(signs), _n_plus(signs)
     half = d // 2
-    even, odd = x[..., :half], 1j * x[..., n_plus:n_plus + half]
+    even, odd = x[..., :half], phase * x[..., n_plus:n_plus + half]
     y = np.empty_like(x)
     y[..., :half] = np.sqrt(0.5) * (even + odd)
     y[..., ::-1][..., :half] = np.sqrt(0.5) * signs[:half] * (even - odd)
     if d % 2:
-        y[..., half] = x[..., half] if n_plus > half else 1j * x[..., -1]
+        y[..., half] = x[..., half] if n_plus > half else phase * x[..., -1]
     return y
 
 
@@ -603,10 +604,11 @@ def floquet_operator(params: KickParams, two_j: int) -> FloquetOperator:
     two_j = validate_two_j(two_j)
     sectors = _sectors(two_j)
     # each sector is written into the stacks in place, so a build never holds
-    # a second copy of its operator.  Both stacks are one allocation: the
-    # allocator keeps a freed block of that size for the next build of a sweep,
-    # where two blocks were returned to the system and faulted in again (about
-    # 3000 page faults per build at two_j 400)
+    # a second copy of its operator.  Both stacks are one allocation (2.6 MB at
+    # two_j 200).  Whether the next build of a sweep faults its pages in again
+    # is the allocator's choice: glibc returns freed memory at the top of its
+    # heap to the system (about 870 page faults per build in an entropy sweep
+    # at two_j 200) unless asked to keep it, as cli.main does (M_TOP_PAD)
     core, frame = np.empty((2, 2, two_j + 1, two_j + 1), dtype=complex)
     if sectors.alternation is None:
         folds = [_sector_core(sectors, k, params, core[k], frame[k]) for k in range(2)]

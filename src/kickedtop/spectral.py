@@ -16,34 +16,43 @@ QuasiSpectrum.mirrored records so that the sphere-averaged entropy
 overlaps sector +1 only.
 
 Each sector of a FloquetOperator is a complex-symmetric unitary core
-M = R + i I.  Two solvers serve it:
+M = R + i I.  Two solvers serve it; which one runs depends on the
+operator, not on the caller:
 
-* sector_eigenpairs, for eigenvectors (quasi_spectrum), for delta > 0
-  and as the fallback.  Unitarity makes the real symmetric R and I
-  commute, so one real symmetric eigh of R + MIX * I gives a real
-  orthonormal eigenbasis V of M.  The real products R V and I V give
-  the eigenphases, eps = -atan2(v.I v, v.R v), and the eigenpair
-  residual, whose real and imaginary parts are R v - v cos eps and
-  I v + v sin eps.  Two eigenphases e1, e2 share an eigenvalue of
-  R + MIX * I when e1 + e2 = -2 atan(MIX) (mod 2 pi), and eigh may mix their
-  eigenvectors; the eigenpair residual of every sector is checked, and a
-  sector above EIGEN_RESIDUAL_TOL falls back to a complex eig
-  (_schur_eigenpairs: numpy's eig, whose eigenvectors LAPACK takes from
-  the complex Schur form, made orthonormal by QR).
-* The fold, for the eigenphases of every delta = 0 core
-  (sector_eigenphases through core_eigenphases).  The chiral symmetry
-  of the symmetrized frames is, on the core basis, a signed reversal J
-  with J conj(M) J = M (FloquetOperator.reversals, certified once per
-  two_j), which pairs every level eps with -eps.  On the basis
+* The fold, for every delta = 0 core, the eigenphases
+  (sector_eigenphases through core_eigenphases: spectrum, rgrid,
+  rcurve) and the eigenvectors (quasi_spectrum: entropy, bound states)
+  alike.  The chiral symmetry of the symmetrized frames is, on the core
+  basis, a signed reversal J with J conj(M) J = M
+  (FloquetOperator.reversals, certified once per two_j), which pairs
+  every level eps with -eps.  On the basis
   (e_k +- signs_k e_{d-1-k}) / sqrt(2) the core is [[A, iK], [iK^T, B]]
   with real A, B, K of half size, and two half-size eighs and a small
-  SVD give the phases (_solve_fold).  floquet_operator builds A, B and K
-  directly and stores them (FloquetOperator.folds) exactly when
-  delta = 0, or raises NumericalError where a certificate of the fold
-  fails, so the sweeps take them as they are.  An operator without
-  them, such as one built from explicit cores, goes to
-  sector_eigenpairs, as does a core whose fold the fold's own guard
-  rejects.
+  SVD give the phases and the half-size vectors p and q of every level
+  (_solve_fold).  The phases alone cost nothing more; quasi_spectrum
+  maps (p, +-q) / sqrt(2) back to the core basis (floquet.unfold_states)
+  and through the frames.  floquet_operator builds A, B and K directly
+  and stores them (FloquetOperator.folds) exactly when delta = 0, or
+  raises NumericalError where a certificate of the fold fails, so the
+  sweeps take them as they are.
+* sector_eigenpairs, for every core without a fold (delta > 0, or an
+  operator built from explicit cores), and the fallback for a core whose
+  fold the fold's own guard rejects.  Unitarity makes the real symmetric
+  R and I commute, so one real symmetric eigh of R + MIX * I gives a
+  real orthonormal eigenbasis V of M.  The real products R V and I V
+  give the eigenphases, eps = -atan2(v.I v, v.R v), and the eigenpair
+  residual, whose real and imaginary parts are R v - v cos eps and
+  I v + v sin eps.  Two eigenphases e1, e2 share an eigenvalue of
+  R + MIX * I when e1 + e2 = -2 atan(MIX) (mod 2 pi), and eigh may mix
+  their eigenvectors; the eigenpair residual of every sector is checked,
+  and a sector above EIGEN_RESIDUAL_TOL falls back to a complex eig
+  (_schur_eigenpairs: numpy's eig, whose eigenvectors LAPACK takes from
+  the complex Schur form, made orthonormal by QR).
+
+Inside an exactly degenerate level the eigenbasis is the solver's
+choice, and the two solvers choose differently, so a quantity summed
+over single eigenvectors (the entropy's IPR) depends on which one ran
+there; elsewhere they agree to rounding.
 
 floquet_operator certifies unitarity at construction (the orthogonality
 of the real overlap that every core is built from), and each solver's
@@ -59,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .floquet import FloquetOperator
+from .floquet import FloquetOperator, unfold_states
 from .symmetry import sector_indices
 
 EIGEN_RESIDUAL_TOL = 1e-8
@@ -167,24 +176,31 @@ def _cluster_cut(cos_a: np.ndarray, cos_b: np.ndarray) -> float:
 
 
 def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray,
-                dropped: float) -> np.ndarray | None:
-    """Eigenphases of the core M = [[A, iK], [iK^T, B]] of a chiral fold
-    (A, B, K, dropped), as FloquetOperator.folds holds it, of which the
-    fold dropped a part of norm at most `dropped`; None when the guard
-    rejects it.
+                dropped: float) -> tuple | None:
+    """Eigenphases and half-size eigenvectors of the core
+    M = [[A, iK], [iK^T, B]] of a chiral fold (A, B, K, dropped), as
+    FloquetOperator.folds holds it, of which the fold dropped a part of
+    norm at most `dropped`; None when the guard rejects it.
 
     Unitarity gives A^2 + K K^T = 1 and A K = K B, so each +-eps pair is
     one eigenvector p of A with c = cos eps and one q = K^T p / |sin eps|
-    of B with the same c, and v = (p, +-q) / sqrt(2) are its eigenvectors.
-    Away from 0 and pi, eps = +-arccos c.  Near them c cannot resolve eps:
-    the eigenvectors of A and B past the cluster cut are paired instead by
-    the singular values s = |sin eps| of K between them, which are
-    accurate to rounding, and the unpaired modes of a cluster sit at
-    exactly 0 or pi.  The guard is the residual ||M v - exp(-i eps) v||,
-    taken blockwise against the unit-modulus phase for every pair and
-    unpaired mode, plus the bound on what the fold dropped; it rejects the
-    core above EIGEN_RESIDUAL_TOL, or when the cut leaves A and B unequal
-    numbers of unclustered levels.
+    of B with the same c.  With theta = arccos c in [0, pi],
+    M (p, +-q) = exp(+-i theta) (p, +-q): (p, q) / sqrt(2) is the
+    eigenvector of -theta and (p, -q) / sqrt(2) that of +theta.  Away from
+    0 and pi, theta comes from c.  Near them c cannot resolve it: the
+    eigenvectors of A and B past the cluster cut are paired instead by
+    the singular values s = sin theta of K between them, which are
+    accurate to rounding, and the unpaired modes of a cluster, (p, 0) or
+    (0, q), sit at exactly 0 or pi.  The guard is the residual
+    ||M v - exp(-i eps) v||, taken blockwise against the unit-modulus
+    phase for every pair and unpaired mode, plus the bound on what the
+    fold dropped; it rejects the core above EIGEN_RESIDUAL_TOL, or when
+    the cut leaves A and B unequal numbers of unclustered levels.
+
+    Returns (eps, p, q, paired), with n columns in p and q: column i is
+    the level eps[i] = -theta_i as (p_i, q_i) / sqrt(2), and eps[n:] are
+    the levels +theta_i of (p_i, -q_i) / sqrt(2) of the pairs' columns
+    (the mask paired), in order.
     """
     cos_a, vec_a = np.linalg.eigh(a)
     cos_b, vec_b = np.linalg.eigh(b)
@@ -224,7 +240,7 @@ def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     squares = sum(np.einsum("ij,ij->j", x, x) for x in (a_p, k_t_p, b_q, k_q))
     if not np.sqrt(0.5 * squares.max()) + dropped <= EIGEN_RESIDUAL_TOL:
         return None
-    return _branch(np.concatenate([theta, -theta[paired]]))
+    return _branch(np.concatenate([-theta, theta[paired]])), p, q, paired
 
 
 def core_eigenphases(m: np.ndarray, fold: tuple | None = None) -> np.ndarray:
@@ -232,9 +248,8 @@ def core_eigenphases(m: np.ndarray, fold: tuple | None = None) -> np.ndarray:
     (FloquetOperator.folds, which exists exactly when delta = 0) is solved
     at half size; without one, or when the fold's guard rejects it,
     sector_eigenpairs solves M."""
-    eps = None if fold is None else _solve_fold(*fold)
-    if eps is None:
-        eps = sector_eigenpairs(m)[0]
+    solved = None if fold is None else _solve_fold(*fold)
+    eps = sector_eigenpairs(m)[0] if solved is None else solved[0]
     return np.sort(eps)
 
 
@@ -263,16 +278,33 @@ def sector_eigenphases(operator: FloquetOperator) -> np.ndarray:
     return _both_sectors(eps)[0]
 
 
+def _fold_eigenpairs(solved: tuple, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenphases and real orthonormal eigenvectors of a core from its
+    solved fold (_solve_fold): the columns (p, q) / sqrt(2), then
+    (p, -q) / sqrt(2) of the pairs, mapped from the fold basis of the
+    reversal `signs` to the core basis."""
+    eps, p, q, paired = solved
+    x = np.sqrt(0.5) * np.block([[p, p[:, paired]], [q, -q[:, paired]]])
+    return eps, unfold_states(x.T, signs, phase=1.0).T
+
+
 def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
     """Diagonalize each parity sector, sorted within the sector.
 
+    A core with a fold (delta = 0) takes its eigenvectors from the fold's
+    half-size solve, the one that sector_eigenphases runs; a core without
+    one, or whose fold the guard rejects, takes sector_eigenpairs.
     Raises NumericalError when an eigenpair residual
     ||M v - exp(-i eps) v|| of a sector core M exceeds EIGEN_RESIDUAL_TOL
     even after the eig fallback; a core that is not unitary fails there.
     """
     epsilons, vectors = [], []
-    for core in operator.cores:
-        eps, vecs = sector_eigenpairs(core)
+    for k, core in enumerate(operator.cores):
+        solved = None if operator.folds is None else _solve_fold(*operator.folds[k])
+        if solved is None:
+            eps, vecs = sector_eigenpairs(core)
+        else:
+            eps, vecs = _fold_eigenpairs(solved, operator.reversals[k])
         order = np.argsort(eps, kind="stable")
         epsilons.append(eps[order])
         vectors.append(vecs[:, order])

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -311,6 +313,7 @@ def test_delta_zero_commands_take_the_stored_fold(tmp_path, monkeypatch, two_j):
                             calls.append(name) or call(*a))
     for argv in (("rcurve", "--kxky", "1:300", "--steps", 3),
                  ("spectrum", "--kxky", "1:300", "--steps", 3),
+                 ("entropy", "--kxky", "10:300", "--steps", 2, "--grid", 6),
                  ("dynamics", "--ky", "pi:2", "--nx", "1,2", "--n-max", 5)):
         assert run_cli(*argv, "--two-j", two_j, "--out", tmp_path / f"{argv[0]}.csv") == 0
     assert calls == []
@@ -534,3 +537,52 @@ def test_worker_count_does_not_change_records(tmp_path):
         assert row_a[:2] == row_b[:2] and row_a[5] == row_b[5]
         for x, y in zip(row_a[2:5], row_b[2:5]):
             assert abs(float(x) - float(y)) <= 1e-12
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_sweep_points_take_no_page_faults():
+    # main keeps freed heap instead of handing it back to the kernel, so the
+    # second of two identical sweeps in one process maps no fresh pages;
+    # without that, a point at two_j 200 takes about 1300 page faults
+    argv = ["entropy", "--two-j", "200", "--kxky", "10:2600", "--steps", "5", "--ratio", "1.7",
+            "--grid", "8"]
+    script = ("import contextlib, io, resource\n"
+              "from kickedtop.cli import main\n"
+              "def faults():\n"
+              "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"        assert main({argv!r}) == 0\n"
+              "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+              "faults()\n"
+              "print(faults())\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert int(out) / 5 < 50
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("libc", [lambda name: SimpleNamespace(), _no_libc],
+                         ids=["no-mallopt", "no-libc"])
+def test_main_runs_where_the_heap_cannot_be_padded(tmp_path, monkeypatch, libc):
+    out = tmp_path / "s2.csv"
+    argv = ["entropy", "--two-j", 12, "--kxky", "10:300", "--steps", 2, "--grid", 6,
+            "--out", out]
+    assert run_cli(*argv) == 0
+    padded = out.read_bytes()
+    monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=libc, c_int=ctypes.c_int))
+    cli._pad_heap.cache_clear()
+    try:
+        assert run_cli(*argv) == 0
+    finally:
+        cli._pad_heap.cache_clear()
+    assert out.read_bytes() == padded

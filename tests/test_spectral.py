@@ -8,12 +8,20 @@ from kickedtop import floquet, spectral
 from kickedtop.errors import NumericalError
 from kickedtop.floquet import (UNITARITY_TOL, VARIANTS, FloquetOperator, KickParams,
                                chiral_fold, floquet_operator, kick_unitary, unitarity_defect)
+from kickedtop.localization import probe_columns, sphere_averaged_s2, sphere_grid
 from kickedtop.spectral import (MIX, R_COE, R_CUE, R_POISSON, chiral_expectation,
                                 detect_bound_states, mean_spacing_ratio,
                                 parity_resolved_r, quasi_spectrum, sector_eigenpairs,
                                 sector_eigenphases, stage_borders, stage_classify)
 from kickedtop.spin import SIGMA_Z, probe_state
 from kickedtop.symmetry import sector_indices, symmetry_operator
+
+
+def _force_schur(monkeypatch):
+    """Send every core to the complex fallback: the fold refuses, and
+    sector_eigenpairs is _schur_eigenpairs."""
+    monkeypatch.setattr(spectral, "_solve_fold", lambda *fold: None)
+    monkeypatch.setattr(spectral, "sector_eigenpairs", spectral._schur_eigenpairs)
 
 
 def _circle_set_distance(a, b):
@@ -65,7 +73,7 @@ def test_eigenpairs_and_parity_purity(two_j):
 def test_sector_vectors_of_every_frame(monkeypatch, two_j, variant, solver):
     # sym1 and sym2 map real solver vectors through a real product; Schur's are complex
     if solver == "schur":
-        monkeypatch.setattr(spectral, "sector_eigenpairs", spectral._schur_eigenpairs)
+        _force_schur(monkeypatch)
     op = floquet_operator(KickParams(1.7, 2.9, variant=variant), two_j)
     spec = quasi_spectrum(op)
     assert spec.vectors.dtype == complex
@@ -85,8 +93,22 @@ def test_exchange_symmetry_of_quasi_energies():
 
 
 def test_sector_eigenphases_match_full_spectrum():
+    # at delta = 0 both come from one solve of the fold
     op = floquet_operator(KickParams(2.2, 0.9), 12)
+    assert np.array_equal(sector_eigenphases(op), quasi_spectrum(op).epsilons)
+    op = floquet_operator(KickParams(2.2, 0.9, delta=0.7), 12)
     assert np.abs(sector_eigenphases(op) - quasi_spectrum(op).epsilons).max() < 1e-10
+
+
+def test_quasi_energies_on_the_diagonal_match_dense_eigvals():
+    # the README `spectrum --ratio 1` point kxky 7.53 at two_j 100: the full
+    # real solver's Rayleigh-quotient phases sat 3e-13 from eigvals there
+    kappa = np.sqrt(7.53)
+    op = floquet_operator(KickParams(kappa, kappa), 100)
+    eps = quasi_spectrum(op).epsilons
+    for sector, block in enumerate(op.sector_blocks()):
+        oracle = -np.angle(np.linalg.eigvals(block))
+        assert _circle_set_distance(eps[sector], oracle) < 1e-13
 
 
 @pytest.mark.parametrize("two_j", [5, 6])
@@ -179,7 +201,7 @@ def test_conjugate_twin_eigenpairs_match_dense_blocks(monkeypatch, two_j, varian
     # sector -1 is derived, eps_- = -eps_+ and v_- = G J conj(v_+) reordered:
     # both sectors' eigenpairs must hold on the dense product
     if solver == "schur":
-        monkeypatch.setattr(spectral, "sector_eigenpairs", spectral._schur_eigenpairs)
+        _force_schur(monkeypatch)
     kx, ky = 1.9, 17.0
     op = floquet_operator(KickParams(kx, ky, delta=delta, variant=variant), two_j)
     assert len(op.cores) == 1
@@ -209,19 +231,62 @@ def test_sectors_differ_at_odd_two_j_or_with_delta(two_j, variant, delta):
 @pytest.mark.parametrize("two_j, delta, solves", [(12, 0.0, 1), (13, 0.0, 2), (12, 0.7, 1),
                                                   (13, 0.7, 2)])
 def test_twin_sectors_are_solved_once(monkeypatch, two_j, delta, solves):
-    # sector_eigenphases solves each distinct core with core_eigenphases,
-    # quasi_spectrum with sector_eigenpairs
+    # sector_eigenphases solves each distinct core with core_eigenphases;
+    # quasi_spectrum solves its fold at delta = 0, else sector_eigenpairs
     op = floquet_operator(KickParams(1.9, 17.0, delta=delta), two_j)
-    calls = {"core_eigenphases": [], "sector_eigenpairs": []}
+    calls = {"core_eigenphases": [], "sector_eigenpairs": [], "_solve_fold": []}
     for name in calls:
         solve = getattr(spectral, name)
         monkeypatch.setattr(spectral, name,
                             lambda *a, solve=solve, name=name: calls[name].append(1) or solve(*a))
     sector_eigenphases(op)
     assert len(calls["core_eigenphases"]) == solves
-    calls["sector_eigenpairs"].clear()
+    for done in calls.values():
+        done.clear()
     quasi_spectrum(op)
-    assert len(calls["sector_eigenpairs"]) == solves
+    solver, unused = ("_solve_fold", "sector_eigenpairs")
+    if delta > 0.0:
+        solver, unused = unused, solver
+    assert len(calls[solver]) == solves
+    assert calls[unused] == []
+
+
+def _smallest_spacing(epsilons):
+    """The smallest gap on the circle between neighbouring levels of a sector."""
+    eps = np.sort(epsilons, axis=-1)
+    wrap = 2.0 * np.pi - (eps[:, -1] - eps[:, 0])
+    return min(np.diff(eps, axis=-1).min(), wrap.min())
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 6, 7, 64, 65, 200, 201])
+@pytest.mark.parametrize("kxky", [10.0, 300.0, 2600.0])
+def test_fold_eigenvectors_match_dense_blocks(monkeypatch, two_j, kxky):
+    # at delta = 0 quasi_spectrum takes its eigenvectors from the fold: the
+    # residual pins each phase to its own vector, and S2 equals that of the
+    # full real solver wherever the levels are resolved (kxky 10 holds exactly
+    # degenerate levels at 65 and above, whose basis is the solver's choice)
+    kx = np.sqrt(kxky / 1.7)
+    probes = probe_columns(two_j, sphere_grid(8, 8))
+    calls = []
+    eigenpairs = spectral.sector_eigenpairs
+    monkeypatch.setattr(spectral, "sector_eigenpairs", lambda m: calls.append(1) or eigenpairs(m))
+    for variant in VARIANTS:
+        op = floquet_operator(KickParams(kx, 1.7 * kx, variant=variant), two_j)
+        with monkeypatch.context() as forced:
+            forced.setattr(spectral, "_solve_fold", lambda *fold: None)
+            full = quasi_spectrum(op)
+        assert len(calls) == len(op.cores)
+        calls.clear()
+        spec = quasi_spectrum(op)
+        assert calls == []
+        phases = np.exp(-1j * spec.epsilons)[:, None, :]
+        residual = op.sector_blocks() @ spec.vectors - spec.vectors * phases
+        assert np.linalg.norm(residual, axis=1).max() <= 1e-10
+        gram = spec.vectors.conj().swapaxes(-1, -2) @ spec.vectors
+        assert np.abs(gram - np.eye(two_j + 1)).max() <= 1e-12
+        if _smallest_spacing(spec.epsilons) >= 1e-6:
+            s2 = sphere_averaged_s2(spec, probes).s2_nodes
+            assert np.abs(s2 - sphere_averaged_s2(full, probes).s2_nodes).max() <= 1e-12
 
 
 def _reversal(signs):
@@ -405,8 +470,9 @@ def test_fold_resolves_levels_at_the_cluster_cut():
     for cut in (spectral._cluster_cut(cosines, cosines), -spectral._cluster_cut(-cosines, -cosines)):
         assert np.sort(np.abs(cosines - cut))[:2].max() < 1e-3
         assert (cosines > cut).any() and (cosines < cut).any()
-    eps = spectral._solve_fold(*chiral_fold(core, signs))
-    assert eps is not None
+    solved = spectral._solve_fold(*chiral_fold(core, signs))
+    assert solved is not None
+    eps = solved[0]
     assert _circle_set_distance(eps, np.concatenate([theta, -theta])) < 1e-12
     assert _circle_set_distance(eps, -np.angle(np.linalg.eigvals(core))) < 1e-12
 
