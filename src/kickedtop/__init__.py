@@ -14,8 +14,8 @@ from .spectral import (BoundStateRecord, QuasiSpectrum, R_COE, R_CUE, R_POISSON,
                        chiral_expectation, detect_bound_states,
                        mean_spacing_ratio, parity_resolved_r, quasi_spectrum,
                        sector_eigenphases, stage_borders, stage_classify)
-from .spin import (angular_momentum_matrices, coherent_state, coupling_operator,
-                   dim_coupled, dim_top, expectation, probe_state, product_state)
+from .spin import (angular_momentum_matrices, coherent_state, coupling_operator, dim_top,
+                   probe_state, product_state)
 from .symmetry import (SymmetryReport, parity_labels, sector_indices,
                        symmetry_operator, verify_symmetries)
 

@@ -20,12 +20,11 @@ M = R + i I.  Two solvers serve it; which one runs depends on the
 operator, not on the caller:
 
 * The fold, for every delta = 0 core, the eigenphases
-  (sector_eigenphases through core_eigenphases: spectrum, rgrid,
-  rcurve) and the eigenvectors (quasi_spectrum: entropy, bound states)
-  alike.  The chiral symmetry of the symmetrized frames is, on the core
-  basis, a signed reversal J with J conj(M) J = M
-  (FloquetOperator.reversals, certified once per two_j), which pairs
-  every level eps with -eps.  On the basis
+  (sector_eigenphases: spectrum, rgrid, rcurve) and the eigenvectors
+  (quasi_spectrum: entropy, bound states) alike.  The chiral symmetry
+  of the symmetrized frames is, on the core basis, a signed reversal J
+  with J conj(M) J = M (FloquetOperator.reversals, certified once per
+  two_j), which pairs every level eps with -eps.  On the basis
   (e_k +- signs_k e_{d-1-k}) / sqrt(2) the core is [[A, iK], [iK^T, B]]
   with real A, B, K of half size, and two half-size eighs and a small
   SVD give the phases and the half-size vectors p and q of every level
@@ -63,12 +62,14 @@ sector's residual exceeds EIGEN_RESIDUAL_TOL after the eig fallback,
 which rejects a core that is not unitary.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 from .floquet import FloquetOperator, unfold_states
+from .spin import validate_two_j
 from .symmetry import sector_indices
 
 EIGEN_RESIDUAL_TOL = 1e-8
@@ -243,16 +244,6 @@ def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     return _branch(np.concatenate([-theta, theta[paired]])), p, q, paired
 
 
-def core_eigenphases(m: np.ndarray, fold: tuple | None = None) -> np.ndarray:
-    """Sorted eigenphases of one sector core M.  Its chiral fold
-    (FloquetOperator.folds, which exists exactly when delta = 0) is solved
-    at half size; without one, or when the fold's guard rejects it,
-    sector_eigenpairs solves M."""
-    solved = None if fold is None else _solve_fold(*fold)
-    eps = sector_eigenpairs(m)[0] if solved is None else solved[0]
-    return np.sort(eps)
-
-
 def _both_sectors(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The (2, d) stack of sorted quasi-energies from those of
     FloquetOperator.cores, and with one core the order that sorts the
@@ -269,13 +260,17 @@ def sector_eigenphases(operator: FloquetOperator) -> np.ndarray:
     """The (2, d) stack of sorted quasi-energies of the parity sectors, +1 first.
 
     The light-weight path for spacing statistics over parameter sweeps:
-    the epsilons of quasi_spectrum without the eigenvectors, from
-    core_eigenphases (the fold for delta = 0, as the operator stores it).
-    Raises NumericalError like quasi_spectrum, from the eigenpair residual.
+    the epsilons of quasi_spectrum without the eigenvectors.  A core's
+    stored fold (FloquetOperator.folds, which exists exactly when
+    delta = 0) is solved at half size; a core without one, or whose fold
+    the guard rejects, takes sector_eigenpairs.  Raises NumericalError
+    like quasi_spectrum, from the eigenpair residual.
     """
-    folds = [None] * len(operator.cores) if operator.folds is None else operator.folds
-    eps = np.stack([core_eigenphases(core, fold) for core, fold in zip(operator.cores, folds)])
-    return _both_sectors(eps)[0]
+    eps = []
+    for k, core in enumerate(operator.cores):
+        solved = None if operator.folds is None else _solve_fold(*operator.folds[k])
+        eps.append(sector_eigenpairs(core)[0] if solved is None else solved[0])
+    return _both_sectors(np.sort(eps))[0]
 
 
 def _fold_eigenpairs(solved: tuple, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,23 +348,15 @@ def parity_resolved_r(epsilons: np.ndarray) -> dict:
 
 def stage_borders(two_j: int) -> tuple[float, float, float]:
     """The three kappa_x*kappa_y border values pi(2j+1) * (1/4, 1/2, 1)."""
-    base = np.pi * (two_j + 1)
+    base = np.pi * (validate_two_j(two_j) + 1)
     return base / 4.0, base / 2.0, base
 
 
 def stage_classify(kappa_x: float, kappa_y: float, two_j: int) -> str:
-    """Stage label from kappa_x*kappa_y; intervals are closed on the left."""
+    """Stage label of STAGES from kappa_x*kappa_y; intervals are closed on the left."""
     if kappa_x < 0 or kappa_y < 0:
         raise ValueError("kick strengths must be non-negative")
-    product = kappa_x * kappa_y
-    b1, b2, b3 = stage_borders(two_j)
-    if product < b1:
-        return "topological"
-    if product < b2:
-        return "quasi_integrable"
-    if product < b3:
-        return "transition"
-    return "chaotic"
+    return STAGES[bisect.bisect_right(stage_borders(two_j), kappa_x * kappa_y)]
 
 
 @dataclass
@@ -394,9 +381,10 @@ def chiral_expectation(state: np.ndarray) -> float:
 
 def bound_window(epsilons: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Each quasi-energy's distance to the nearer of 0 and pi, and the
-    mask of those within the bound-state window tol (radians, positive)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    mask of those within the bound-state window tol (radians, positive
+    and finite)."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     eps = np.asarray(epsilons)
     distance = np.minimum(np.abs(eps), np.abs(np.pi - np.abs(eps)))
     return distance, distance <= tol

@@ -52,26 +52,10 @@ def dim_top(two_j: int) -> int:
     return validate_two_j(two_j) + 1
 
 
-def dim_coupled(two_j: int) -> int:
-    """Dimension D = 2(2j+1) of the coupled top + spin-1/2 space."""
-    return 2 * dim_top(two_j)
-
-
 def m_values(two_j: int) -> np.ndarray:
     """Magnetic quantum numbers -j..j in ascending order."""
     j = validate_two_j(two_j) / 2.0
     return np.arange(two_j + 1) - j
-
-
-def flat_index(two_j: int, m: float, s: int) -> int:
-    """Flat index of |m, s> in the coupled basis (s = 0 up, 1 down)."""
-    j = validate_two_j(two_j) / 2.0
-    if s not in (0, 1):
-        raise ValueError(f"spin index must be 0 or 1, got {s!r}")
-    twice = float(2 * (j + m))
-    if not (twice.is_integer() and twice % 2 == 0 and 0 <= twice <= 2 * two_j):
-        raise ValueError(f"m = {m!r} is not a valid projection for two_j = {two_j}")
-    return int(twice) + s
 
 
 def pauli_matrix(axis: str) -> np.ndarray:
@@ -200,10 +184,3 @@ def product_state(two_j: int, top: np.ndarray, spin: np.ndarray) -> np.ndarray:
     out[0::2] = top * spin[0]
     out[1::2] = top * spin[1]
     return out
-
-
-def expectation(op: np.ndarray, psi: np.ndarray) -> complex:
-    """<psi| op |psi>."""
-    if op.shape != (psi.size, psi.size):
-        raise ValueError(f"operator shape {op.shape} does not match state of size {psi.size}")
-    return complex(np.vdot(psi, op @ psi))

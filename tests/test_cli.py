@@ -187,7 +187,7 @@ def test_tol_bound_is_an_rcurve_option_only(capsys):
     assert "--tol-bound" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", [0, -1])
+@pytest.mark.parametrize("tol", [0, -1, "nan", "inf"])
 def test_non_positive_tol_bound_is_config_error(tmp_path, tol):
     out = tmp_path / "curve.csv"
     assert run_cli("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 2,

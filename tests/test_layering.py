@@ -1,8 +1,10 @@
 """The package's import graph: one-way, every import at module level, and
-nothing from outside the standard library but numpy."""
+nothing from outside the standard library but numpy; and no public name
+that nothing reads."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,18 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kickedtop"
+
+# public names that no package code or README reads, kept as the oracles
+# that these test modules compare against
+ORACLES = {
+    "ipr": "test_localization",
+    "renyi_entropy": "test_localization",
+    "angular_distance": "test_localization",
+    "mf_quasienergy": "test_meanfield",
+    "predicted_count": "test_meanfield",
+    "topological_count_estimate": "test_meanfield",
+    "probe_state": "test_spin",
+}
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:
@@ -122,3 +136,33 @@ def test_only_floquet_names_the_chiral_fold():
     naming = [path.name for path in sorted(PACKAGE.glob("*.py"))
               if path.stem != "floquet" and "chiral_fold" in path.read_text()]
     assert naming == []
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads: bare names, attributes and from-imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_every_public_name_has_a_reader():
+    # matched on the syntax tree, so a docstring's word does not count as a reader
+    trees = _trees()
+    read = set().union(*(_read_names(tree) for name, tree in trees.items()
+                         if name != "__init__"))
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    unread = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read | set(ORACLES)
+              and not re.search(rf"\b{node.name}\b", readme)]
+    assert unread == []
+    tests = Path(__file__).resolve().parent
+    stale = [name for name, module in ORACLES.items()
+             if name not in _read_names(ast.parse((tests / f"{module}.py").read_text()))]
+    assert stale == []

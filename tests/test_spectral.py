@@ -231,24 +231,23 @@ def test_sectors_differ_at_odd_two_j_or_with_delta(two_j, variant, delta):
 @pytest.mark.parametrize("two_j, delta, solves", [(12, 0.0, 1), (13, 0.0, 2), (12, 0.7, 1),
                                                   (13, 0.7, 2)])
 def test_twin_sectors_are_solved_once(monkeypatch, two_j, delta, solves):
-    # sector_eigenphases solves each distinct core with core_eigenphases;
-    # quasi_spectrum solves its fold at delta = 0, else sector_eigenpairs
+    # sector_eigenphases and quasi_spectrum each solve every distinct core
+    # once: its fold at delta = 0, else with sector_eigenpairs
     op = floquet_operator(KickParams(1.9, 17.0, delta=delta), two_j)
-    calls = {"core_eigenphases": [], "sector_eigenpairs": [], "_solve_fold": []}
+    calls = {"sector_eigenpairs": [], "_solve_fold": []}
     for name in calls:
         solve = getattr(spectral, name)
         monkeypatch.setattr(spectral, name,
                             lambda *a, solve=solve, name=name: calls[name].append(1) or solve(*a))
-    sector_eigenphases(op)
-    assert len(calls["core_eigenphases"]) == solves
-    for done in calls.values():
-        done.clear()
-    quasi_spectrum(op)
     solver, unused = ("_solve_fold", "sector_eigenpairs")
     if delta > 0.0:
         solver, unused = unused, solver
-    assert len(calls[solver]) == solves
-    assert calls[unused] == []
+    for spectrum in (sector_eigenphases, quasi_spectrum):
+        for done in calls.values():
+            done.clear()
+        spectrum(op)
+        assert len(calls[solver]) == solves
+        assert calls[unused] == []
 
 
 def _smallest_spacing(epsilons):
@@ -392,8 +391,11 @@ def test_fold_guard_rejects_scaled_and_noisy_cores(two_j):
     noise += noise.T
     noise *= 1e-6 / np.abs(noise).max()
     assert spectral._solve_fold(*chiral_fold(core + noise, signs)) is None
+    # the refused fold falls through to sector_eigenpairs and Schur, which raise
+    noisy = dataclasses.replace(op, core=op.core + noise)
+    noisy.folds = [chiral_fold(*pair) for pair in zip(noisy.cores, op.reversals)]
     with pytest.raises(NumericalError):
-        spectral.core_eigenphases(core + noise, chiral_fold(core + noise, signs))
+        sector_eigenphases(noisy)
     # the blocks are read from the top rows: noise confined to the bottom-right
     # quarter leaves them as they were, and only the dropped part shows it
     half = (two_j + 2) // 2
@@ -600,6 +602,9 @@ def test_stage_classification():
     assert stage_classify(scale, scale, two_j) == "chaotic"   # left-closed border
     with pytest.raises(ValueError):
         stage_classify(-1.0, 1.0, two_j)
+    for bad_two_j in (0, -1):
+        with pytest.raises(ValueError):
+            stage_classify(1.0, 1.0, bad_two_j)
 
 
 def test_stage_borders_values():

@@ -3,9 +3,14 @@ import pytest
 import scipy.linalg
 
 from kickedtop.spin import (SIGMA_X, SIGMA_Y, SIGMA_Z, angular_momentum_matrices,
-                            coherent_state, coherent_tops, coupling_operator, dim_coupled,
-                            dim_top, expectation, flat_index, jx_eigensystem,
-                            ladder_elements, m_values, probe_state, product_state)
+                            coherent_state, coherent_tops, coupling_operator, dim_top,
+                            jx_eigensystem, ladder_elements, m_values, probe_state,
+                            product_state)
+
+
+def expectation(op, psi):
+    """<psi| op |psi>."""
+    return complex(np.vdot(psi, op @ psi))
 
 
 def test_spin_half_matrices():
@@ -160,20 +165,6 @@ def test_expectation_hermitian_real():
     assert abs(value.imag) < 1e-12
 
 
-def test_flat_index_ordering():
-    # |m, s> at index 2(j+m)+s, m ascending, spin-minor
-    assert flat_index(1, -0.5, 0) == 0
-    assert flat_index(1, -0.5, 1) == 1
-    assert flat_index(1, 0.5, 0) == 2
-    assert flat_index(1, 0.5, 1) == 3
-    assert flat_index(4, 2.0, 1) == 9
-    for m in (0.5, 0.9, 1.2, -0.8):     # 2 (j + m) must be an even integer
-        with pytest.raises(ValueError):
-            flat_index(2, m, 0)
-    with pytest.raises(ValueError):
-        flat_index(2, 0.0, 2)
-
-
 def test_product_state_interleaving():
     top = np.array([1.0, 2.0, 3.0], dtype=complex)
     spin = np.array([1.0, -1j])
@@ -193,7 +184,6 @@ def test_construction_deterministic():
 
 def test_dimensions_and_validation():
     assert dim_top(10) == 11
-    assert dim_coupled(10) == 22
     with pytest.raises(ValueError):
         dim_top(0)
     with pytest.raises(ValueError):
