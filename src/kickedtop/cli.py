@@ -137,6 +137,8 @@ def _mapper(workers: int) -> Callable:
 def _product_points(args) -> list:
     """The --kxky grid as ([kxky], kx, ky) points with ky / kx = --ratio."""
     lo, hi = parse_range(args.kxky, "kxky")
+    if lo < 0:
+        raise ValueError(f"kxky must be non-negative, got {args.kxky!r}")
     return [([product], *_split_product(product, args.ratio))
             for product in _grid(lo, hi, args.steps).tolist()]
 

@@ -14,18 +14,19 @@ basis reversal and G = diag((-1)^k), so B^n maps G J conj(psi_-) to
 G J conj(psi_-(n)), and the mirrored state's m ladder is that of
 sector -1 reversed.  Two paths evolve the sectors:
 
-* Real fold (delta = 0).  Each core M has the chiral symmetry
-  J conj(M) J = M, so on the fold basis Q of its reversal
-  (FloquetOperator.reversals) and with D = diag(1, i) it is
-  M = Q D O D^dag Q^T, with O real orthogonal.  The blocks of O are the
+* Real fold (delta = 0).  Each core is stored on the fold basis of the
+  chiral symmetry, where it is M = D O D^dag with D = 1 on the + states
+  and i on the - states and O real orthogonal.  The blocks of O are the
   fold that floquet_operator builds and stores with the operator
   (FloquetOperator.folds, which exists exactly when delta = 0).  A state
-  enters as x = D^dag Q^T frame^dag psi (floquet.fold_states), and each
-  kick is one real product O x with the real and imaginary parts of the
-  states side by side.  <Jz> needs no m-ladder projection: in the
-  eigenbasis of Jx, Jz is tridiagonal, so frame^dag Jz frame is a band
-  (FloquetOperator.jz_band), and y = Q D x gives the norm, <Jz> and
-  <Jz^2> of every kick in O(2j) steps.
+  enters as x = D^dag frame^dag psi, and each kick is one real product
+  O x with the real and imaginary parts of the states side by side.
+  <Jz> needs no m-ladder projection: in the eigenbasis of Jx, Jz is
+  tridiagonal, and it keeps the spin, so on the fold basis it is a real
+  band that D leaves alone (FloquetOperator.jz_band), which gives the
+  norm, <Jz> and <Jz^2> of every kick from x in O(2j) steps.  The plain
+  frames carry the half y kick, a turn of each pair (+k, -k); there x
+  and O are turned once, so that the band holds.
 * Complex blocks (delta > 0, and any operator without a fold, such as
   one built from explicit cores).  The sector blocks B are assembled; the
   first BATCH - 1 kicks take one product each, then P = B^BATCH, from
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .floquet import FloquetOperator, KickParams, floquet_operator, fold_states, unfold_states
+from .floquet import FloquetOperator, KickParams, floquet_operator, turn_pairs
 from .meanfield import allowed_kappa_x
 from .spectral import QuasiSpectrum
 from .spin import coherent_state, m_values, product_state
@@ -137,18 +138,17 @@ def _batched_moments(operator: FloquetOperator, states: np.ndarray, n_max: int) 
     return _weight_moments(operator.two_j, weights)
 
 
-def _band_moments(y: np.ndarray, band: tuple, jz_sign: np.ndarray) -> np.ndarray:
-    """The (n, 3) squared norm, <Jz> and <Jz^2> of n kicks, from their
-    core-basis states y (n, c, d) and the tridiagonal Jz of the frame
-    (FloquetOperator.jz_band); state k's <Jz> counts with jz_sign[k]."""
+def _band_moments(x: np.ndarray, band: tuple, jz_sign: np.ndarray) -> np.ndarray:
+    """The (n, 3) squared norm, <Jz> and <Jz^2> of n kicks, from their real
+    fold-basis states x (n, c, d) and the real tridiagonal Jz of that basis
+    (FloquetOperator.jz_band); row k's <Jz> counts with jz_sign[k]."""
     diag, off = band
-    jz_y = diag * y
-    jz_y[..., :-1] += off * y[..., 1:]
-    jz_y[..., 1:] += off.conj() * y[..., :-1]
-    y, jz_y = y.view(float), jz_y.view(float)
-    return np.stack([np.einsum("ncd,ncd->n", y, y),
-                     np.einsum("ncd,ncd->nc", y, jz_y) @ jz_sign,
-                     np.einsum("ncd,ncd->n", jz_y, jz_y)], axis=1)
+    jz_x = diag * x
+    jz_x[..., :-1] += off * x[..., 1:]
+    jz_x[..., 1:] += off * x[..., :-1]
+    return np.stack([np.einsum("ncd,ncd->n", x, x),
+                     np.einsum("ncd,ncd->nc", x, jz_x) @ jz_sign,
+                     np.einsum("ncd,ncd->n", jz_x, jz_x)], axis=1)
 
 
 def _folded_moments(operator: FloquetOperator, rows: np.ndarray, n_max: int) -> np.ndarray:
@@ -156,24 +156,34 @@ def _folded_moments(operator: FloquetOperator, rows: np.ndarray, n_max: int) -> 
     of `cores`, as the operator stores it (FloquetOperator.folds, at
     delta = 0).
 
-    On the fold basis Q of the core's reversal a core is
-    M = [[A, iK], [iK^T, B]] = D O D^dag with D = diag(1, i) and the
-    real orthogonal O = [[A, -K], [K^T, B]].  A state psi of the core's
-    sector enters as x = D^dag Q^T frame^dag psi, each kick is one real
-    product with O (real and imaginary parts of every state as rows),
-    and y = Q D x = frame^dag psi gives the moments through the
-    tridiagonal frame^dag Jz frame.
+    A core is M = [[A, iK], [iK^T, B]] = D O D^dag on its fold basis, with
+    D = 1 on the + states and i on the - states and the real orthogonal
+    O = [[A, -K], [K^T, B]].  A state psi of the core's sector enters as
+    x = D^dag frame^dag psi, and each kick is one real product with O
+    (real and imaginary parts of every state as rows).  Jz keeps the
+    spin, so D drops out of it and the real band of D^dag frame^dag Jz
+    frame D gives the moments from x as it is.  The plain frames carry
+    the half y kick, a turn R of each pair (+k, -k), so there the
+    states are evolved as R x, by R O R^T.
     """
-    signs, band = operator.reversals, operator.jz_band
+    diags, offs, turn = operator.jz_band
     width = rows.shape[1]
     # a mirrored state holds sector -1 with its m ladder reversed
-    jz_sign = np.array([1.0, -1.0])[:width]
+    jz_sign = np.tile(np.array([1.0, -1.0])[:width], 2)
     moments = np.zeros((n_max + 1, 3))
-    for (a, b, k, _), s, frame, core_rows in zip(operator.folds, signs, operator.frame, rows):
+    for (a, b, k, _), frame, band, core_rows in zip(operator.folds, operator.frame,
+                                                    zip(diags, offs), rows):
         # O^T, as the states are rows; psi^T conj(frame) without a conjugated frame
         o_t = np.block([[a.T, k], [-k.T, b.T]])
-        x = fold_states((core_rows.conj() @ frame).conj(), s)
+        x = (core_rows.conj() @ frame).conj()
+        n_plus = len(a)
+        x[:, n_plus:] *= -1j
         x = np.concatenate([x.real, x.imag])
+        if turn is not None:
+            # R O^T R^T on its rows and its columns, and x R^T on its columns
+            m = len(turn[0])
+            for pairs in (o_t, o_t.T, x.T):
+                turn_pairs(pairs[:m], pairs[n_plus:n_plus + m], *turn)
         kicks = np.empty((CHUNK,) + x.shape)
         for n in range(n_max + 1):
             if n:
@@ -181,8 +191,7 @@ def _folded_moments(operator: FloquetOperator, rows: np.ndarray, n_max: int) -> 
             kicks[n % CHUNK] = x
             if n % CHUNK == CHUNK - 1 or n == n_max:
                 done = kicks[:n % CHUNK + 1]
-                y = unfold_states(done[:, :width] + 1j * done[:, width:], s)
-                moments[n + 1 - len(done):n + 1] += _band_moments(y, band, jz_sign)
+                moments[n + 1 - len(done):n + 1] += _band_moments(done, band, jz_sign)
     return moments
 
 

@@ -30,16 +30,17 @@ lam_k only to that of -lam_k.
 
 Each sector is stored as a complex-symmetric unitary core, the
 symmetrized ordering O^(1/2) I O^(1/2) of an outer kick O and an inner
-kick I written in the eigenbasis of O, plus the unitary frame that maps
-it to the sector block: block = frame @ core @ frame^dag.  Every core is
+kick I, plus the unitary frame that maps it to the sector block:
+block = frame @ core @ frame^dag.  On the eigenbasis of O the core is
 D C D_i C^T D, with diagonal phases D, D_i and the real orthogonal
 overlap C of the two kick eigenbases: with delta = 0 the cached
 C = V^T S V, with delta > 0 that C turned pair by pair on its rows and
 its columns.  The frame is the real eigenbasis of O for sym1 (O = Y)
 and sym2 (O = X); for plain it also carries the half y kick, because
-Y X = Y^(1/2) (Y^(1/2) X Y^(1/2)) Y^(-1/2).  The dense coupled-space
-matrix (FloquetOperator.u) and kick_unitary are built on demand, for
-the tests' oracle and for symcheck.
+Y X = Y^(1/2) (Y^(1/2) X Y^(1/2)) Y^(-1/2).  A delta > 0 core is kept on
+that eigenbasis; a delta = 0 core on the fold basis below.  The dense
+coupled-space matrix (FloquetOperator.u) and kick_unitary are built on
+demand, for the tests' oracle and for symcheck.
 
 Unitarity is certified where it originates: a core is unitary exactly
 when C is orthogonal.  C is checked at UNITARITY_TOL once per two_j,
@@ -50,23 +51,29 @@ certifies every solved core.  Every certificate of this module, per
 two_j or per build, raises NumericalError naming itself where it fails;
 nothing is built around a failed one.
 
-With delta = 0 every core also carries the chiral symmetry of the
-symmetrized frames: J conj(core) J = core, with J = V^T Z V the signed
-reversal of the eigenbasis.  Its signs are certified once per two_j
-next to C, and FloquetOperator.reversals hands them to the consumers.
-On the fold basis Q of chiral_fold, the +1 and -1 eigenvectors of J, a
-core is [[A, iK], [iK^T, B]] with real blocks of half size.  J commutes
-with C, so C splits there into C+ and C-, certified once per two_j
+With delta = 0 the symmetrized drive has the chiral symmetry
+sigma_z U sigma_z = U^-1, which on the eigenbasis of O reads
+J conj(core) J = core, with J = V^T Z V the signed reversal of the
+eigenbasis (certified once per two_j next to C).  On the fold basis Q of
+chiral_fold, the +1 and -1 eigenvectors of J, the core is
+[[A, iK], [iK^T, B]] with real blocks of half size.  J commutes with C,
+so C splits there into C+ and C-, certified once per two_j
 (_Sectors.halves), and every diagonal kick exp(-i theta lam) turns each
-pair of + and - states by theta lam_k.  A
-delta = 0 build therefore forms A, B and K from three half-size real
-products, C+ cos C+^T, C- cos C-^T and C+ sin C-^T, and O(d^2) pair
-rotations (_fold); writes the complex core from them (_unfold_core); and
-keeps them as FloquetOperator.folds, which the eigenphase solver and the
-real evolution of dynamics take as they are: a fold exists exactly
-when delta = 0.  Jz, the diagonal m of each sector, is tridiagonal in
-the eigenbasis of T; that band is certified once per two_j (_jz_band),
-and FloquetOperator.jz_band gives frame^dag Jz frame from it.
+pair of + and - states by theta lam_k.  A delta = 0 build therefore
+forms A, B and K from three half-size real products, C+ cos C+^T,
+C- cos C-^T and C+ sin C-^T, and O(d^2) pair rotations (_fold); writes
+them as the core, which is stored on the fold basis; and keeps them as
+FloquetOperator.folds, which the eigenphase solver and the real
+evolution of dynamics take as they are: a fold exists exactly when
+delta = 0.  The frame is then the eigenbasis times Q, written without
+Q (_fold_frame): Z v_k = s_k v_{d-1-k}, so the + state of pair k is
+(1 + Z) v_k / sqrt(2), sqrt(2) v_k on the spin-up rows of the sector,
+and the - state the same on the spin-down rows; the half y kick of the
+plain frames turns each pair (+k, -k).  Jz, the diagonal m of each
+sector, keeps the spin and is tridiagonal in the eigenbasis of T, so on
+the fold basis it is a real band that couples no + state to a - state;
+that band is certified once per two_j (_jz_band) and handed out by
+FloquetOperator.jz_band.
 
 For even 2j sector -1 is the conjugate mirror of sector +1, for every
 delta and ordering: block[-1] = G J conj(block[+1]) J G, with J the basis
@@ -140,9 +147,10 @@ class FloquetOperator:
     holds the distinct cores that checks and solvers use.  `folds`, set
     by floquet_operator exactly when delta = 0, holds the chiral fold of
     each of `cores` as chiral_fold returns it, (A, B, K, 0.0): built
-    directly, so nothing is dropped.  An operator without folds (delta > 0,
-    or one built from explicit cores) is solved and evolved on its complex
-    cores.
+    directly, so nothing is dropped, and the core is
+    [[A, iK], [iK^T, B]] on the fold basis, its len(A) + states first.
+    An operator without folds (delta > 0, or one built from explicit
+    cores) is solved and evolved on its complex cores.
     """
 
     core: np.ndarray
@@ -166,29 +174,23 @@ class FloquetOperator:
         return _conjugate_mirror(rows)
 
     @property
-    def reversals(self) -> np.ndarray | None:
-        """For delta = 0, the signs of the chiral reversal J of each of
-        `cores`, J e_k = signs_k e_{d-1-k} on the core's basis, with
-        J core J = conj(core); None for delta > 0, which breaks it."""
-        if self.params.delta != 0.0:
-            return None
-        return _sectors(self.two_j).reversal[:len(self.cores)]
-
-    @property
-    def jz_band(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """For delta = 0, frame^dag Jz frame of each of `cores` (Jz on the
-        sector's m ladder) as its real diagonal and complex upper
-        off-diagonal, one band for every core; None for delta > 0, whose
-        frames are not eigenbases of Jx.  The plain frames carry the half
-        y kick h, so their off-diagonal is conj(h_k) h_{k+1} times that
-        of sym1 and sym2."""
+    def jz_band(self) -> tuple | None:
+        """For delta = 0, Jz (on the sector's m ladder) on the fold basis of
+        each of `cores`: the real diagonal and off-diagonal of
+        D^dag frame^dag Jz frame D, D = 1 on the + states and i on the -
+        states, as (len(cores), d) and (len(cores), d - 1) arrays; and None,
+        or for plain the cos and sin of the half y kick's angle of each pair
+        (+k, -k).  The plain frames carry that kick, so their band holds
+        after each pair is turned by it (turn_pairs).  None for delta > 0,
+        whose frames are not eigenbases of Jx."""
         if self.params.delta != 0.0:
             return None
         diag, off = _jz_band(self.two_j)
+        turn = None
         if self.params.variant == "plain":
-            half = np.exp(-0.5j * self.params.kappa_y * _sectors(self.two_j).lam)
-            return diag, off * half[:-1].conj() * half[1:]
-        return diag, off.astype(complex)
+            angle = 0.5 * self.params.kappa_y * _sectors(self.two_j).lam[:self.dim // 4]
+            turn = np.cos(angle), np.sin(angle)
+        return diag, off, turn
 
     def distinct_blocks(self) -> np.ndarray:
         """The sector blocks of `cores`: (1, d, d) at even 2j, else (2, d, d)."""
@@ -238,7 +240,8 @@ class FloquetOperator:
 @dataclass(frozen=True)
 class _Sectors:
     """Per-two_j data shared by every operator: T's eigensystem, and per
-    sector the y gauge S and the signs of the chiral reversal V^T Z V;
+    sector the y gauge S, the first spin-up row (0 or 1: the spin
+    alternates with m) and the signs of the chiral reversal V^T Z V;
     G = (-1)^k where sector -1 is the conjugate mirror of sector +1 (None
     elsewhere); and, for each sector that floquet_operator builds (sector
     +1 alone at even 2j), C = V^T S V and the blocks C+ and C- of C on the
@@ -249,6 +252,7 @@ class _Sectors:
     lam: np.ndarray          # (d,)
     vecs: np.ndarray         # (d, d)
     gauge: np.ndarray        # (2, d)
+    up: tuple                # (2,)
     overlap: np.ndarray      # (built, d, d)
     reversal: np.ndarray     # (2, d)
     alternation: np.ndarray | None  # (d,)
@@ -276,8 +280,9 @@ def _sectors(two_j: int) -> _Sectors:
     overlap = (vecs.T * gauge[:built, None, :]) @ vecs
     _check_orthogonal(overlap)
     halves = _overlap_halves(overlap, reversal)
-    sectors = _Sectors(lam=lam, vecs=vecs, gauge=gauge, overlap=overlap,
-                       reversal=reversal, alternation=alternation, halves=halves)
+    sectors = _Sectors(lam=lam, vecs=vecs, gauge=gauge, up=tuple(spin[:, 0].tolist()),
+                       overlap=overlap, reversal=reversal, alternation=alternation,
+                       halves=halves)
     for value in (lam, gauge, overlap, reversal, alternation, *(c for p in halves for c in p)):
         if value is not None:
             value.setflags(write=False)
@@ -286,22 +291,34 @@ def _sectors(two_j: int) -> _Sectors:
 
 @functools.cache
 def _jz_band(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal and off-diagonal of V^T Jz V, V the eigenbasis of
-    T = Jx / j; NumericalError unless the band is all of it:
-    ||Jz V - V band||_F, the norm of what lies off the band, is checked at
+    """The diagonals and off-diagonals of W^T Jz W, a (built, d) and a
+    (built, d - 1) array, for each sector that floquet_operator builds:
+    W = V Q is the eigenbasis V of T = Jx / j on the fold basis Q of the
+    sector (_fold_frame); NumericalError unless the band is all of it:
+    ||Jz W - W band||_F, the norm of what lies off the band, is checked at
     UNITARITY_TOL * j.  The quarter turn about y maps Jz to Jx, so in the
-    eigenbasis of Jx, Jz couples neighbouring levels only.  Arrays are
-    read-only."""
-    vecs = _sectors(two_j).vecs
-    jz_vecs = m_values(two_j)[:, None] * vecs
-    diag = np.einsum("ij,ij->j", vecs, jz_vecs)
-    off = np.einsum("ij,ij->j", vecs[:, :-1], jz_vecs[:, 1:])
-    rest = jz_vecs - vecs * diag
-    rest[:, 1:] -= vecs[:, :-1] * off
-    rest[:, :-1] -= vecs[:, 1:] * off
-    defect = np.linalg.norm(rest)
-    if not defect <= UNITARITY_TOL * two_j / 2.0:
-        raise NumericalError(f"Jz in the kick eigenbasis is no band: off-band norm {defect:.2e}")
+    eigenbasis of Jx, Jz couples neighbouring levels only; and Jz keeps
+    the spin, so the band is exactly 0 between the + and - states, which
+    live on the spin-up and spin-down rows.  Arrays are read-only."""
+    sectors = _sectors(two_j)
+    d = two_j + 1
+    diags, offs = [], []
+    for up, (plus, _) in zip(sectors.up, sectors.halves):
+        frame = np.empty((d, d), dtype=complex)
+        _fold_frame(sectors.vecs, np.ones(d), up, len(plus), np.ones(d // 2), frame)
+        w = frame.real
+        jz_w = m_values(two_j)[:, None] * w
+        diag = np.einsum("ij,ij->j", w, jz_w)
+        off = np.einsum("ij,ij->j", w[:, :-1], jz_w[:, 1:])
+        rest = jz_w - w * diag
+        rest[:, 1:] -= w[:, :-1] * off
+        rest[:, :-1] -= w[:, 1:] * off
+        defect = np.linalg.norm(rest)
+        if not defect <= UNITARITY_TOL * two_j / 2.0:
+            raise NumericalError(f"Jz on the fold basis is no band: off-band norm {defect:.2e}")
+        diags.append(diag)
+        offs.append(off)
+    diag, off = np.array(diags), np.array(offs)
     diag.setflags(write=False)
     off.setflags(write=False)
     return diag, off
@@ -358,14 +375,6 @@ def _conjugate_mirror(rows: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return out
 
 
-def _n_plus(signs: np.ndarray) -> int:
-    """The number of + states of the fold basis of a reversal: one per
-    pair (e_k, e_{d-1-k}), and the middle state of odd d where its sign
-    is +."""
-    d = len(signs)
-    return d // 2 + int(d % 2 == 1 and signs[d // 2] > 0)
-
-
 def chiral_fold(m: np.ndarray, signs: np.ndarray):
     """The blocks A, B, K of M = [[A, iK], [iK^T, B]] on the basis
     (e_k +- signs_k e_{d-1-k}) / sqrt(2), the middle state e_k of odd d on
@@ -388,7 +397,8 @@ def chiral_fold(m: np.ndarray, signs: np.ndarray):
     rest *= signs[:half, None]
     rest -= top
     dropped = np.sqrt(0.5) * np.linalg.norm(rest)
-    n_plus = _n_plus(signs)
+    # one + state per pair (e_k, e_{d-1-k}), and the middle one of odd d where its sign is +
+    n_plus = d // 2 + int(d % 2 == 1 and signs[d // 2] > 0)
     # the middle state of odd d enters M + M J twice
     weight = np.ones(half)
     weight[-1] = np.sqrt(0.5) if d % 2 else 1.0
@@ -399,67 +409,7 @@ def chiral_fold(m: np.ndarray, signs: np.ndarray):
     return a, b, k, dropped
 
 
-def _unfold_core(a: np.ndarray, b: np.ndarray, k: np.ndarray, signs: np.ndarray,
-                 out: np.ndarray) -> None:
-    """Write M = [[A, iK], [iK^T, B]] of chiral_fold, back on the core's
-    basis, into the complex (d, d) array out: the inverse of chiral_fold.
-    Pair k holds e_k (top) and e_{d-1-k} (bottom); the middle state of odd
-    d is the last row of A or of B."""
-    d, m = len(signs), len(signs) // 2
-    s = signs[:m]
-    ap, bp, kp = a[:m, :m], b[:m, :m], k[:m, :m]
-    # among the top states of the pairs, and from those to the bottom ones
-    top = 0.5 * (ap + bp) + 0.5j * (kp + kp.T)
-    cross = (0.5 * (ap - bp) + 0.5j * (kp.T - kp)) * s
-    out[:m, :m] = top
-    out[::-1, ::-1][:m, :m] = np.outer(s, s) * top.conj()
-    out[:m, ::-1][:, :m] = cross
-    out[::-1, :m][:m] = cross.T
-    if d % 2:
-        # the middle state and its couplings to the pairs
-        if len(a) > m:
-            same, other, sign, middle = a[:m, m], k[m, :m], 1.0, a[m, m]
-        else:
-            same, other, sign, middle = b[:m, m], k[:m, m], -1.0, b[m, m]
-        out[:m, m] = out[m, :m] = np.sqrt(0.5) * (same + 1j * other)
-        out[::-1][:m, m] = out[m, ::-1][:m] = sign * s * np.sqrt(0.5) * (same - 1j * other)
-        out[m, m] = middle
-
-
-def fold_states(y: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """x = D^dag Q^T y for core-basis states y (..., d): Q the basis of
-    chiral_fold with its + states first, D = 1 on those and i on the -
-    states."""
-    d, n_plus = len(signs), _n_plus(signs)
-    half = d // 2
-    top, bottom = y[..., :half], signs[:half] * y[..., ::-1][..., :half]
-    x = np.empty_like(y)
-    x[..., :half] = np.sqrt(0.5) * (top + bottom)
-    x[..., n_plus:n_plus + half] = -1j * np.sqrt(0.5) * (top - bottom)
-    if d % 2:
-        # the middle state, on the side of its sign
-        if n_plus > half:
-            x[..., half] = y[..., half]
-        else:
-            x[..., -1] = -1j * y[..., half]
-    return x
-
-
-def unfold_states(x: np.ndarray, signs: np.ndarray, phase: complex = 1j) -> np.ndarray:
-    """y = Q D x, the inverse of fold_states; phase = 1 takes D = 1, so
-    that real states on the fold basis Q give real states."""
-    d, n_plus = len(signs), _n_plus(signs)
-    half = d // 2
-    even, odd = x[..., :half], phase * x[..., n_plus:n_plus + half]
-    y = np.empty_like(x)
-    y[..., :half] = np.sqrt(0.5) * (even + odd)
-    y[..., ::-1][..., :half] = np.sqrt(0.5) * signs[:half] * (even - odd)
-    if d % 2:
-        y[..., half] = x[..., half] if n_plus > half else phase * x[..., -1]
-    return y
-
-
-def _turn(top: np.ndarray, bottom: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+def turn_pairs(top: np.ndarray, bottom: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
     """Turn each pair of rows (top[k], bottom[k]) by
     [[cos_k, sin_k], [-sin_k, cos_k]], in place; top and bottom are
     disjoint views of one array, len(cos) rows each."""
@@ -492,9 +442,9 @@ def _fold(halves: tuple, lam: np.ndarray, outer: float, inner: float) -> tuple:
     o[:n, n:] = (plus[:, :m] * sin[:m]) @ minus[:, :m].T
     o[n:, :n] = -o[:n, n:].T
     half_cos, half_sin = np.cos(0.5 * outer * lam[:m]), np.sin(0.5 * outer * lam[:m])
-    _turn(o[:m], o[n:n + m], half_cos, half_sin)
+    turn_pairs(o[:m], o[n:n + m], half_cos, half_sin)
     # O R = (R^T O^T)^T, and R^T turns each pair the other way
-    _turn(o.T[:m], o.T[n:n + m], half_cos, -half_sin)
+    turn_pairs(o.T[:m], o.T[n:n + m], half_cos, -half_sin)
     return o[:n, :n], o[n:, n:], -o[:n, n:], 0.0
 
 
@@ -507,7 +457,7 @@ def _delta_kick(sectors: _Sectors, k: int, kappa: float, delta: float) -> tuple:
     chiral reversal of the sector: one block [[kappa lam_k, delta s_k],
     [delta s_k, -kappa lam_k]] per pair, with eigenvalues +-omega_k,
     omega_k = hypot(kappa lam_k, delta s_k), and eigenvectors the pair
-    turned by phi_k = atan2(delta s_k, kappa lam_k) / 2 (_turn).  The
+    turned by phi_k = atan2(delta s_k, kappa lam_k) / 2 (turn_pairs).  The
     middle state of odd d keeps the eigenvalue delta s_m.
     """
     lam, signs = sectors.lam, sectors.reversal[k]
@@ -520,49 +470,78 @@ def _delta_kick(sectors: _Sectors, k: int, kappa: float, delta: float) -> tuple:
     return evals, np.cos(phi), np.sin(phi)
 
 
+def _fold_frame(vecs: np.ndarray, gauge: np.ndarray, up: int, n_plus: int, half: np.ndarray,
+                out: np.ndarray) -> None:
+    """Write S V Q H into the complex (d, d) array out, in one pass: S the
+    diagonal gauge, V the eigenbasis of T with Z v_k = s_k v_{d-1-k}, Q
+    the fold basis of chiral_fold for the signs s, its n_plus + states
+    first, and H the turn [[Re h_k, i Im h_k], [i Im h_k, Re h_k]] of each
+    pair (+k, -k), which is diag(h, conj(h)) on the eigenbasis.
+
+    The + state of pair k is (1 + Z) v_k / sqrt(2): sqrt(2) v_k on the
+    spin-up rows (up, up + 2, ...) and 0 on the others; the - state is the
+    same on the spin-down rows.  The middle state of odd d is v_m, which
+    lives on one spin, the last state of the larger block.
+    """
+    d, m = len(vecs), len(vecs) // 2
+    root = np.sqrt(2.0) * half
+    for rows, own, other in ((slice(up, None, 2), slice(0, m), slice(n_plus, n_plus + m)),
+                             (slice(1 - up, None, 2), slice(n_plus, n_plus + m), slice(0, m))):
+        spin = gauge[rows, None] * vecs[rows, :m]
+        np.multiply(spin, root.real, out=out[rows, own])
+        np.multiply(spin, 1j * root.imag, out=out[rows, other])
+    if d % 2:
+        np.multiply(gauge, vecs[:, m], out=out[:, m if n_plus > m else d - 1])
+
+
 def _sector_core(sectors: _Sectors, k: int, params: KickParams, core: np.ndarray,
                  frame: np.ndarray) -> tuple | None:
     """Write core and frame of sector k into the complex (d, d) arrays
     core and frame: outer kick exp(-i outer_lam) in the real basis
     outer_vecs, inner kick exp(-i inner_lam), C their overlap.  Return the
-    chiral fold that the core is built from at delta = 0, else None.
+    chiral fold that the core is built from at delta = 0, written as the
+    core on the fold basis, else None.
 
-    With delta > 0 both kick bases are the cached V turned pair by pair
-    (_delta_kick): the inner basis is V R_x and the outer one S V R_y, so
-    their overlap R_y^T C R_x is the cached C = V^T S V turned on its rows
-    and its columns: no eigensolve, and O(d^2) work in place of a product.
+    With delta > 0 (plain only) both kick bases are the cached V turned
+    pair by pair (_delta_kick): the inner basis is V R_x and the outer one
+    S V R_y, so their overlap R_y^T C R_x is the cached C = V^T S V turned
+    on its rows and its columns: no eigensolve, and O(d^2) work in place
+    of a product.
     """
+    d = len(sectors.lam)
     if params.variant == "sym2":
-        outer, inner = params.kappa_x, params.kappa_y
-        outer_vecs = sectors.vecs
+        outer, inner, gauge = params.kappa_x, params.kappa_y, np.ones(d)
     else:
-        outer, inner = params.kappa_y, params.kappa_x
-        outer_vecs = sectors.gauge[k][:, None] * sectors.vecs
+        outer, inner, gauge = params.kappa_y, params.kappa_x, sectors.gauge[k]
     if params.delta == 0.0:
         fold = _fold(sectors.halves[k], sectors.lam, outer, inner)
-        _unfold_core(*fold[:3], sectors.reversal[k], core)
-        half = np.exp(-0.5j * outer * sectors.lam)
-    else:
-        fold = None
-        # y kick in the gauge S: S (kappa_y T + delta Z) S is the y generator
-        outer_lam, outer_cos, outer_sin = _delta_kick(sectors, k, outer, params.delta)
-        inner_lam, inner_cos, inner_sin = _delta_kick(sectors, k, inner, params.delta)
-        m = len(outer_cos)
-        overlap = sectors.overlap[k].copy()
-        _turn(overlap[:m], overlap[::-1][:m], outer_cos, outer_sin)
-        _turn(overlap.T[:m], overlap.T[::-1][:m], inner_cos, inner_sin)
-        _check_orthogonal(overlap)
-        _turn(outer_vecs.T[:m], outer_vecs.T[::-1][:m], outer_cos, outer_sin)
-        half = np.exp(-0.5j * outer_lam)
-        # C exp(-i inner_lam) C^T as two real products
-        np.subtract((overlap * np.cos(inner_lam)) @ overlap.T,
-                    1j * ((overlap * np.sin(inner_lam)) @ overlap.T), out=core)
-        core *= half[:, None] * half[None, :]
-    if params.variant == "plain":
-        np.multiply(outer_vecs, half, out=frame)
-    else:
-        frame[...] = outer_vecs
-    return fold
+        a, b, kk = fold[:3]
+        n = len(a)
+        core[:n, :n], core[n:, n:] = a, b
+        np.multiply(1j, kk, out=core[:n, n:])
+        np.multiply(1j, kk.T, out=core[n:, :n])
+        half = np.ones(d // 2)
+        if params.variant == "plain":
+            half = np.exp(-0.5j * outer * sectors.lam[:d // 2])
+        _fold_frame(sectors.vecs, gauge, sectors.up[k], n, half, frame)
+        return fold
+    # y kick in the gauge S: S (kappa_y T + delta Z) S is the y generator
+    outer_lam, outer_cos, outer_sin = _delta_kick(sectors, k, outer, params.delta)
+    inner_lam, inner_cos, inner_sin = _delta_kick(sectors, k, inner, params.delta)
+    m = len(outer_cos)
+    overlap = sectors.overlap[k].copy()
+    turn_pairs(overlap[:m], overlap[::-1][:m], outer_cos, outer_sin)
+    turn_pairs(overlap.T[:m], overlap.T[::-1][:m], inner_cos, inner_sin)
+    _check_orthogonal(overlap)
+    outer_vecs = gauge[:, None] * sectors.vecs
+    turn_pairs(outer_vecs.T[:m], outer_vecs.T[::-1][:m], outer_cos, outer_sin)
+    half = np.exp(-0.5j * outer_lam)
+    # C exp(-i inner_lam) C^T as two real products
+    np.subtract((overlap * np.cos(inner_lam)) @ overlap.T,
+                1j * ((overlap * np.sin(inner_lam)) @ overlap.T), out=core)
+    core *= half[:, None] * half[None, :]
+    np.multiply(outer_vecs, half, out=frame)
+    return None
 
 
 def kick_unitary(axis: str, kappa: float, two_j: int, delta: float = 0.0) -> np.ndarray:

@@ -22,18 +22,16 @@ operator, not on the caller:
 * The fold, for every delta = 0 core, the eigenphases
   (sector_eigenphases: spectrum, rgrid, rcurve) and the eigenvectors
   (quasi_spectrum: entropy, bound states) alike.  The chiral symmetry
-  of the symmetrized frames is, on the core basis, a signed reversal J
-  with J conj(M) J = M (FloquetOperator.reversals, certified once per
-  two_j), which pairs every level eps with -eps.  On the basis
-  (e_k +- signs_k e_{d-1-k}) / sqrt(2) the core is [[A, iK], [iK^T, B]]
-  with real A, B, K of half size, and two half-size eighs and a small
-  SVD give the phases and the half-size vectors p and q of every level
-  (_solve_fold).  The phases alone cost nothing more; quasi_spectrum
-  maps (p, +-q) / sqrt(2) back to the core basis (floquet.unfold_states)
-  and through the frames.  floquet_operator builds A, B and K directly
-  and stores them (FloquetOperator.folds) exactly when delta = 0, or
-  raises NumericalError where a certificate of the fold fails, so the
-  sweeps take them as they are.
+  sigma_z U sigma_z = U^-1 of the symmetrized drive pairs every level
+  eps with -eps, and floquet_operator stores each delta = 0 core on the
+  basis where that symmetry folds it: M = [[A, iK], [iK^T, B]] with real
+  A, B, K of half size, which it keeps as FloquetOperator.folds (exactly
+  when delta = 0; it raises NumericalError where a certificate of the
+  fold fails, so the sweeps take them as they are).  Two half-size eighs
+  and a small SVD give the phases and the half-size vectors p and q of
+  every level (_solve_fold).  The phases alone cost nothing more, and
+  quasi_spectrum takes (p, +-q) / sqrt(2) as the core's eigenvectors as
+  they are and maps them through the frames.
 * sector_eigenpairs, for every core without a fold (delta > 0, or an
   operator built from explicit cores), and the fallback for a core whose
   fold the fold's own guard rejects.  Unitarity makes the real symmetric
@@ -68,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .floquet import FloquetOperator, unfold_states
+from .floquet import FloquetOperator
 from .spin import validate_two_j
 from .symmetry import sector_indices
 
@@ -273,16 +271,6 @@ def sector_eigenphases(operator: FloquetOperator) -> np.ndarray:
     return _both_sectors(np.sort(eps))[0]
 
 
-def _fold_eigenpairs(solved: tuple, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenphases and real orthonormal eigenvectors of a core from its
-    solved fold (_solve_fold): the columns (p, q) / sqrt(2), then
-    (p, -q) / sqrt(2) of the pairs, mapped from the fold basis of the
-    reversal `signs` to the core basis."""
-    eps, p, q, paired = solved
-    x = np.sqrt(0.5) * np.block([[p, p[:, paired]], [q, -q[:, paired]]])
-    return eps, unfold_states(x.T, signs, phase=1.0).T
-
-
 def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
     """Diagonalize each parity sector, sorted within the sector.
 
@@ -299,7 +287,10 @@ def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
         if solved is None:
             eps, vecs = sector_eigenpairs(core)
         else:
-            eps, vecs = _fold_eigenpairs(solved, operator.reversals[k])
+            # the core is the fold's [[A, iK], [iK^T, B]]: (p, q) / sqrt(2), then
+            # the pairs' (p, -q) / sqrt(2), are its real eigenvectors as they are
+            eps, p, q, paired = solved
+            vecs = np.sqrt(0.5) * np.block([[p, p[:, paired]], [q, -q[:, paired]]])
         order = np.argsort(eps, kind="stable")
         epsilons.append(eps[order])
         vectors.append(vecs[:, order])

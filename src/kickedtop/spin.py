@@ -149,10 +149,7 @@ def coherent_state(two_j: int, theta: float, phi: float) -> np.ndarray:
     """
     if not 0.0 <= theta <= np.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
-    evals, evecs = jx_eigensystem(two_j)
-    g = _y_gauge(two_j)
-    top = g * (evecs @ (np.exp(-1j * theta * evals) * evecs[-1])) * g[-1].conj()
-    return np.exp(-1j * phi * m_values(two_j)) * top
+    return np.exp(-1j * phi * m_values(two_j)) * coherent_tops(two_j, [theta])[:, 0]
 
 
 def coherent_tops(two_j: int, thetas: np.ndarray) -> np.ndarray:

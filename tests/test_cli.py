@@ -226,6 +226,20 @@ def test_non_finite_option_text_is_config_error(tmp_path, capsys, recwarn, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("spectrum", "--two-j", 4, "--kxky=-4:-1", "--steps", 2), "'-4:-1'"),
+    (("rcurve", "--two-j", 4, "--kxky=-1:1", "--steps", 3), "'-1:1'"),
+])
+def test_negative_kick_product_is_config_error(tmp_path, capsys, argv, text):
+    # no real kick strengths have a negative product: refused where --kxky is
+    # parsed, before any operator is built, not by math.sqrt
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kxky must be") and text in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--ratio", "1e-320"),
     ("rcurve", "--two-j", 10, "--kxky", "1e308:1.7e308", "--steps", 2, "--ratio", "1e-5"),

@@ -8,10 +8,16 @@ and the parity sectors come from the diagonal of
 exp(-i pi (Jz + sigma_z/2)), times i at even 2j.  Every draw is checked
 for all three variants at delta = 0 and for plain at a drawn delta > 0:
 eigenphase sets per sector, the spacing ratio r, n_bound, the stage and
-the stroboscopic <Jz>/j.  Huge kicks (kappa >= 1e12) are left to
+the stroboscopic <Jz>/j.  The draws at two_j 18-65 also check, at
+delta = 0, the operator's fold basis: its frame splits the spin (each +
+state on the spin-up rows, each - state on the spin-down rows, once the
+plain frame's half y kick is turned back), and Jz there is the real band
+of FloquetOperator.jz_band.  Huge kicks (kappa >= 1e12) are left to
 test_spectral.test_huge_kicks_keep_the_core_unitary: there kappa * lambda
 mod 2 pi loses about kappa * 1e-16 in any oracle.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -32,16 +38,17 @@ SIGMA = {"x": np.array([[0.0, 1.0], [1.0, 0.0]]),
          "z": np.diag([1.0, -1.0])}
 
 
-def _draws(n: int = 40, seed: int = 20261019) -> list[tuple]:
-    """(two_j, stage, kappa_x, kappa_y, delta) of each draw.  Draw i takes
-    stage i % 4 and the shape i % 5: kappa_x = 0, kappa_x = kappa_y, or
-    kappa_y / kappa_x log-uniform in [1/4, 4]; so the 40 draws hold each
-    (stage, shape) pair twice.  With kappa_x = 0 the drawn product is
-    kappa_y^2, and the stage is topological."""
+def _draws(n: int = 40, n_large: int = 8, seed: int = 20261019) -> list[tuple]:
+    """(two_j, stage, kappa_x, kappa_y, delta) of each draw: n draws at
+    two_j 1-17, then n_large at two_j 18-65 from the same stream.  Draw i
+    takes stage i % 4 and the shape i % 5: kappa_x = 0, kappa_x = kappa_y,
+    or kappa_y / kappa_x log-uniform in [1/4, 4]; so the first 40 draws
+    hold each (stage, shape) pair twice.  With kappa_x = 0 the drawn
+    product is kappa_y^2, and the stage is topological."""
     rng = np.random.default_rng(seed)
     draws = []
-    for i in range(n):
-        two_j = int(rng.integers(1, 18))
+    for i in range(n + n_large):
+        two_j = int(rng.integers(1, 18) if i < n else rng.integers(18, 66))
         stage, shape = i % 4, i % 5
         product = np.pi * (two_j + 1) * rng.uniform(EDGES[stage], EDGES[stage + 1])
         ratio = 1.0 if shape < 2 else float(np.exp(rng.uniform(-np.log(4.0), np.log(4.0))))
@@ -62,8 +69,10 @@ def _spin_matrices(two_j: int) -> dict:
     return {"x": (jp + jp.T) / 2.0, "y": (jp - jp.T) / 2.0j, "z": np.diag(m)}
 
 
+@functools.lru_cache(maxsize=8)
 def _kick(two_j: int, axis: str, kappa: float, delta: float) -> np.ndarray:
-    """expm(-i [(kappa/j) J_a sigma_a + delta sigma_z]) on the coupled space."""
+    """expm(-i [(kappa/j) J_a sigma_a + delta sigma_z]) on the coupled space;
+    the variants of one draw share their kicks, and its cases run in turn."""
     gen = kappa / (two_j / 2.0) * np.kron(_spin_matrices(two_j)[axis], SIGMA[axis])
     gen = gen + delta * np.kron(np.eye(two_j + 1), SIGMA["z"])
     return scipy.linalg.expm(-1j * gen)
@@ -118,9 +127,11 @@ def _cases():
 
 
 def test_draws_cover_the_stages_parities_and_shapes():
-    two_js = {d[0] for d in DRAWS}
-    assert {two_j % 2 for two_j in two_js} == {0, 1} and min(two_js) >= 1 and max(two_js) <= 17
-    assert {d[1] for d in DRAWS} == set(range(4))
+    for draws, lo, hi in ((DRAWS[:40], 1, 17), (DRAWS[40:], 18, 65)):
+        two_js = {d[0] for d in draws}
+        assert {two_j % 2 for two_j in two_js} == {0, 1}
+        assert min(two_js) >= lo and max(two_js) <= hi
+        assert {d[1] for d in draws} == set(range(4))
     assert any(d[2] == 0.0 for d in DRAWS) and any(0.0 < d[2] == d[3] for d in DRAWS)
     assert all(0.1 < d[4] < 3.0 for d in DRAWS)
 
@@ -155,3 +166,39 @@ def test_public_outputs_match_the_dense_oracle(two_j, stage, kx, ky, delta, vari
         psi = u @ psi
     series = stroboscopic_series(op, np.kron(top, [1.0, 0.0]), N_KICKS)
     assert np.abs(series.jz_mean / j - dense).max() < 1e-10
+
+
+def _large_cases():
+    for i, (two_j, stage, kx, ky, delta) in enumerate(DRAWS[40:], start=40):
+        for variant in ("plain", "sym1", "sym2"):
+            yield pytest.param(two_j, kx, ky, variant, id=f"{i}-{two_j}-{variant}")
+
+
+@pytest.mark.parametrize("two_j, kx, ky, variant", _large_cases())
+def test_fold_basis_frame_and_jz_band_match_the_dense_oracle(two_j, kx, ky, variant):
+    # the blocks that the frames and cores give are held against U by the
+    # eigenphases and <Jz>/j of test_public_outputs_match_the_dense_oracle
+    op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
+    spins = _spin_matrices(two_j)
+    jz = np.kron(spins["z"], np.eye(2))
+    d, m, j = two_j + 1, (two_j + 1) // 2, two_j / 2.0
+    # the plain frame carries the half y kick, which turns each pair (+k, -k) by
+    # [[cos, -i sin], [-i sin, cos]] of half the kick angle of the k-th eigenvalue of Jx / j
+    angle = 0.5 * ky * np.linalg.eigvalsh(spins["x"].real)[:m] / j if variant == "plain" else 0.0
+    diags, offs, _ = op.jz_band
+    for sector, (idx, (a, _, _, _), diag, off) in enumerate(zip(_oracle_sectors(two_j), op.folds,
+                                                               diags, offs)):
+        frame = op.frame[sector]
+        n = len(a)
+        assert n in (d // 2, (d + 1) // 2)
+        turn = np.eye(d, dtype=complex)
+        pairs = np.arange(m)
+        turn[pairs, pairs] = turn[n + pairs, n + pairs] = np.cos(angle)
+        turn[pairs, n + pairs] = turn[n + pairs, pairs] = -1j * np.sin(angle)
+        split = frame @ turn.conj().T
+        up = idx % 2 == 0
+        assert np.abs(split[~up, :n]).max() < 1e-13 and np.abs(split[up, n:]).max() < 1e-13
+        phases = np.where(np.arange(d) < n, 1.0, 1j)
+        folded = phases.conj()[:, None] * (split.conj().T @ jz[np.ix_(idx, idx)] @ split) * phases
+        band = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.abs(folded - band).max() < 1e-12 * j

@@ -205,7 +205,7 @@ def test_delta_kick_matches_the_tridiagonal_and_dense_oracles(two_j):
                                                    eigvals_only=True)
             assert np.abs(np.sort(evals) - oracle).max() < 1e-13 * scale
             vecs = np.array(sectors.vecs)
-            floquet._turn(vecs.T[:m], vecs.T[::-1][:m], cos, sin)
+            floquet.turn_pairs(vecs.T[:m], vecs.T[::-1][:m], cos, sin)
             generator = kappa * np.diag(offdiag, 1) + np.diag(delta * z[idx])
             generator += np.triu(generator, 1).T
             assert np.abs((vecs * evals) @ vecs.T - generator).max() < 1e-13 * scale
@@ -223,13 +223,32 @@ def _frame_jz(op):
 @pytest.mark.parametrize("two_j", [1, 2, 3, 6, 7, 64, 65])
 @pytest.mark.parametrize("variant", ["plain", "sym1", "sym2"])
 def test_jz_band_is_the_frame_jz(two_j, variant):
-    # Jz couples neighbouring eigenstates of Jx only, and the plain frames'
-    # half kicks put their phases on the off-diagonal
-    op = floquet_operator(KickParams(1.7, 2.9, variant=variant), two_j)
-    diag, off = op.jz_band
-    band = np.diag(diag) + np.diag(off, 1) + np.diag(off.conj(), -1)
-    for dense in _frame_jz(op):
-        assert np.abs(dense - band).max() < 1e-12 * two_j / 2.0
+    # Jz keeps the spin and couples neighbouring eigenstates of Jx only, so on
+    # the fold basis, with D = 1 on the + states and i on the - states,
+    # D^dag frame^dag Jz frame D is a real band; the plain frames' half y kicks
+    # turn each pair (+k, -k) of it by half the kick angle of lambda_k
+    d, ky = two_j + 1, 2.9
+    op = floquet_operator(KickParams(1.7, ky, variant=variant), two_j)
+    diags, offs, turn = op.jz_band
+    assert diags.shape == (len(op.cores), d) and offs.shape == (len(op.cores), d - 1)
+    lam = np.linalg.eigvalsh(angular_momentum_matrices(two_j).jx.real)[:d // 2] / (two_j / 2.0)
+    cos, sin = np.cos(0.5 * ky * lam), np.sin(0.5 * ky * lam)
+    if variant == "plain":
+        assert np.abs(turn[0] - cos).max() < 1e-13 and np.abs(turn[1] - sin).max() < 1e-13
+    else:
+        assert turn is None
+    for dense, fold, diag, off in zip(_frame_jz(op), op.folds, diags, offs):
+        n = len(fold[0])
+        phases = np.where(np.arange(d) < n, 1.0, 1j)
+        folded = phases.conj()[:, None] * dense * phases
+        if variant == "plain":
+            pairs = np.arange(d // 2)
+            rotation = np.eye(d)
+            rotation[pairs, pairs] = rotation[n + pairs, n + pairs] = cos
+            rotation[pairs, n + pairs], rotation[n + pairs, pairs] = sin, -sin
+            folded = rotation @ folded @ rotation.T
+        band = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.abs(folded - band).max() < 1e-12 * two_j / 2.0
 
 
 @pytest.mark.parametrize("two_j", [3, 6, 7, 64, 65])
@@ -258,15 +277,17 @@ def test_jz_band_is_certified_once_per_two_j(monkeypatch):
 
 def test_certificates_hold_at_every_workload_size():
     # the per-two_j certificates refuse a build where they fail; at the sizes
-    # that the tests, the README and the benchmark use, none does, and a fold,
-    # reversal signs and a Jz band exist exactly when delta = 0
+    # that the tests, the README and the benchmark use, none does, and a fold
+    # and a fold-basis Jz band of each distinct core exist exactly when delta = 0
     for two_j in (*range(1, 66), 200, 201, 400, 401):
         floquet._sectors(two_j)
         floquet._jz_band(two_j)
         for params in (KickParams(1.9, 17.0), KickParams(1.9, 17.0, delta=0.7)):
             op = floquet_operator(params, two_j)
-            present = [value is not None for value in (op.folds, op.reversals, op.jz_band)]
-            assert present == [params.delta == 0.0] * 3, two_j
+            present = [value is not None for value in (op.folds, op.jz_band)]
+            assert present == [params.delta == 0.0] * 2, two_j
+            if op.folds is not None:
+                assert len(op.folds) == len(op.jz_band[0]) == len(op.cores), two_j
 
 
 def test_non_orthogonal_delta_overlap_rejected(monkeypatch):

@@ -288,51 +288,82 @@ def test_fold_eigenvectors_match_dense_blocks(monkeypatch, two_j, kxky):
             assert np.abs(s2 - sphere_averaged_s2(full, probes).s2_nodes).max() <= 1e-12
 
 
-def _reversal(signs):
-    """The signed reversal J e_k = signs_k e_{d-1-k} as a matrix."""
-    return np.diag(signs)[:, ::-1]
+def _fold_basis(signs):
+    """The fold basis Q of chiral_fold for the reversal J e_k = signs_k e_{d-1-k}:
+    the + states (e_k + signs_k e_{d-1-k}) / sqrt(2), k ascending, then the -
+    states with a minus, the middle state e_m of odd d last in the block of
+    its sign."""
+    d = len(signs)
+    m = d // 2
+    n = m + int(d % 2 == 1 and signs[m] > 0)
+    q = np.zeros((d, d))
+    k = np.arange(m)
+    q[k, k] = q[k, n + k] = np.sqrt(0.5)
+    q[d - 1 - k, k] = signs[k] * np.sqrt(0.5)
+    q[d - 1 - k, n + k] = -signs[k] * np.sqrt(0.5)
+    if d % 2:
+        q[m, m if n > m else d - 1] = 1.0
+    return q
 
 
-@pytest.mark.parametrize("two_j", [6, 7, 64, 65])
+@pytest.mark.parametrize("two_j", [1, 2, 3, 6, 7, 64, 65])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_chiral_reversal_conjugates_every_core(two_j, variant):
-    # the invariant the fold rests on, on cores taken from the dense product
+    # the invariant the fold rests on: on the fold basis, D^dag M D is the
+    # real orthogonal [[A, -K], [K^T, B]] of the stored fold, and the core is
+    # the dense product there
     kx, ky = 1.9, 17.0
     op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
-    assert op.reversals.shape == (len(op.cores), two_j + 1)
-    assert np.array_equal(np.abs(op.reversals), np.ones(op.reversals.shape))
     z = np.diag(np.kron(np.eye(two_j + 1), SIGMA_Z).real)
     blocks = _dense_sector_blocks(kx, ky, two_j, variant)
-    for k, (core, signs) in enumerate(zip(op.cores, op.reversals)):
+    assert len(op.folds) == len(op.cores)
+    for k, (core, fold) in enumerate(zip(op.cores, op.folds)):
+        a, b, kk = fold[:3]
+        n = len(a)
+        phases = np.where(np.arange(two_j + 1) < n, 1.0, 1j)
+        real = phases.conj()[:, None] * core * phases
+        assert np.abs(real.imag).max() == 0.0
+        assert np.abs(real.real - np.block([[a, -kk], [kk.T, b]])).max() < 1e-13
         frame = op.frame[k]
         oracle = frame.conj().T @ blocks[k] @ frame
         assert np.abs(oracle - core).max() < 1e-12
-        j = _reversal(signs)
-        assert np.abs(j @ oracle @ j - oracle.conj()).max() < 1e-12
-        if variant != "plain":  # a real frame: the sector's sigma_z is J on the core basis
+        if variant != "plain":  # a real frame: the sector's sigma_z is +1 on the + states
             sigma_z = frame.conj().T @ (z[sector_indices(two_j)[k]][:, None] * frame)
-            assert np.abs(sigma_z - j).max() < 1e-12
+            signs = np.where(np.arange(two_j + 1) < n, 1.0, -1.0)
+            assert np.abs(sigma_z - np.diag(signs)).max() < 1e-12
 
 
-@pytest.mark.parametrize("two_j", [1, 2, 6, 7, 64, 65, 200, 201])
+@pytest.mark.parametrize("two_j", [1, 2, 3, 6, 7, 64, 65, 200, 201])
 def test_stored_fold_matches_the_fold_of_the_dense_core(two_j):
     # the fold built from C+ and C- against chiral_fold of the dense product
-    # mapped onto the core basis, every variant from one set of dense kicks
+    # on the kick eigenbasis gauge V half, and the frame against that
+    # eigenbasis times chiral_fold's basis Q, every variant from one set of
+    # dense kicks
     kx, ky = 1.9, 17.0
     half_x, half_y = kick_unitary("x", kx / 2.0, two_j), kick_unitary("y", ky / 2.0, two_j)
     x, y = half_x @ half_x, half_y @ half_y
     dense = {"plain": y @ x, "sym1": half_y @ x @ half_y, "sym2": half_x @ y @ half_x}
+    sectors = floquet._sectors(two_j)
     for variant in VARIANTS:
         op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
         assert len(op.folds) == len(op.cores)
-        for k, (fold, signs) in enumerate(zip(op.folds, op.reversals)):
+        for k, fold in enumerate(op.folds):
             idx = sector_indices(two_j)[k]
-            frame = op.frame[k]
-            oracle = chiral_fold(frame.conj().T @ dense[variant][np.ix_(idx, idx)] @ frame, signs)
+            signs = sectors.reversal[k]
+            gauge = np.ones(two_j + 1) if variant == "sym2" else sectors.gauge[k]
+            half = np.exp(-0.5j * ky * sectors.lam) if variant == "plain" else np.ones(two_j + 1)
+            eigenbasis = gauge[:, None] * sectors.vecs * half
+            core = eigenbasis.conj().T @ dense[variant][np.ix_(idx, idx)] @ eigenbasis
+            oracle = chiral_fold(core, signs)
             assert fold[3] == 0.0
             for built, read in zip(fold[:3], oracle[:3]):
                 assert built.shape == read.shape
                 assert np.abs(built - read).max() < 1e-13
+            # Q is the basis that chiral_fold reads the blocks on
+            q = _fold_basis(signs)
+            a, b, kk = oracle[:3]
+            assert np.abs(q.T @ core @ q - np.block([[a, 1j * kk], [1j * kk.T, b]])).max() < 1e-12
+            assert np.abs(op.frame[k] - eigenbasis @ q).max() < 1e-13
 
 
 @pytest.mark.parametrize("two_j", [6, 7])
@@ -371,37 +402,42 @@ def test_delta_operator_never_takes_the_fold_path(monkeypatch, two_j):
     solve = spectral._solve_fold
     monkeypatch.setattr(spectral, "_solve_fold", lambda *fold: calls.append(1) or solve(*fold))
     op = floquet_operator(KickParams(1.9, 17.0, delta=0.7), two_j)
-    assert op.reversals is None and op.folds is None
+    assert op.jz_band is None and op.folds is None
     sector_eigenphases(op)
     assert calls == []
     sector_eigenphases(floquet_operator(KickParams(1.9, 17.0), two_j))
     assert len(calls) == (1 if two_j % 2 == 0 else 2)
 
 
-@pytest.mark.parametrize("two_j", [5, 6, 200, 201])
+@pytest.mark.parametrize("two_j", [1, 2, 3, 5, 6, 7, 64, 65, 200, 201])
 def test_fold_guard_rejects_scaled_and_noisy_cores(two_j):
-    op = floquet_operator(KickParams(1.0, 1.0), two_j)
-    core, signs = op.cores[0], op.reversals[0]
-    assert spectral._solve_fold(*chiral_fold(core, signs)) is not None
-    # the pairs alone cannot see a common scale: the phase must be unit-modulus
-    assert spectral._solve_fold(*chiral_fold(core * 1.001, signs)) is None
-    # the complex-symmetric noise of test_non_unitary_rejected
-    rng = np.random.default_rng(two_j)
-    noise = rng.standard_normal(core.shape) + 1j * rng.standard_normal(core.shape)
-    noise += noise.T
-    noise *= 1e-6 / np.abs(noise).max()
-    assert spectral._solve_fold(*chiral_fold(core + noise, signs)) is None
-    # the refused fold falls through to sector_eigenpairs and Schur, which raise
-    noisy = dataclasses.replace(op, core=op.core + noise)
-    noisy.folds = [chiral_fold(*pair) for pair in zip(noisy.cores, op.reversals)]
-    with pytest.raises(NumericalError):
-        sector_eigenphases(noisy)
-    # the blocks are read from the top rows: noise confined to the bottom-right
-    # quarter leaves them as they were, and only the dropped part shows it
-    half = (two_j + 2) // 2
-    hidden = np.zeros_like(noise)
-    hidden[half:, half:] = noise[half:, half:]
-    assert spectral._solve_fold(*chiral_fold(core + hidden, signs)) is None
+    # the cores are taken back to the kick eigenbasis, where chiral_fold reads them
+    signs = floquet._sectors(two_j).reversal
+    for variant in VARIANTS:
+        op = floquet_operator(KickParams(1.0, 1.0, variant=variant), two_j)
+        q = [_fold_basis(s) for s in signs[:len(op.cores)]]
+        core = q[0] @ op.cores[0] @ q[0].T
+        assert spectral._solve_fold(*chiral_fold(core, signs[0])) is not None
+        # the pairs alone cannot see a common scale: the phase must be unit-modulus
+        assert spectral._solve_fold(*chiral_fold(core * 1.001, signs[0])) is None
+        # the complex-symmetric noise of test_non_unitary_rejected
+        rng = np.random.default_rng(two_j)
+        noise = rng.standard_normal(core.shape) + 1j * rng.standard_normal(core.shape)
+        noise += noise.T
+        noise *= 1e-6 / np.abs(noise).max()
+        assert spectral._solve_fold(*chiral_fold(core + noise, signs[0])) is None
+        # the refused fold falls through to sector_eigenpairs and Schur, which raise
+        noisy = dataclasses.replace(op, core=op.core + noise)
+        noisy.folds = [chiral_fold(basis @ c @ basis.T, s)
+                       for basis, c, s in zip(q, noisy.cores, signs)]
+        with pytest.raises(NumericalError):
+            sector_eigenphases(noisy)
+        # the blocks are read from the top rows: noise confined to the bottom-right
+        # quarter leaves them as they were, and only the dropped part shows it
+        half = (two_j + 2) // 2
+        hidden = np.zeros_like(noise)
+        hidden[half:, half:] = noise[half:, half:]
+        assert spectral._solve_fold(*chiral_fold(core + hidden, signs[0])) is None
 
 
 @pytest.mark.parametrize("two_j, kxky", [(200, 10.0), (201, 10.0), (200, 2000.0),
@@ -447,11 +483,7 @@ def _folded_core(signs, theta, rng):
     p, q = ortho_group.rvs(n, random_state=rng), ortho_group.rvs(n, random_state=rng)
     folded = np.block([[(p * np.cos(theta)) @ p.T, 1j * (p * np.sin(theta)) @ q.T],
                        [1j * (q * np.sin(theta)) @ p.T, (q * np.cos(theta)) @ q.T]])
-    basis = np.zeros((d, d))
-    k = np.arange(n)
-    basis[k, k] = basis[k, n + k] = np.sqrt(0.5)
-    basis[d - 1 - k, k] = signs[k] * np.sqrt(0.5)
-    basis[d - 1 - k, n + k] = -signs[k] * np.sqrt(0.5)
+    basis = _fold_basis(signs)
     return basis @ folded @ basis.T
 
 

@@ -5,7 +5,7 @@ import scipy.linalg
 from kickedtop.spin import (SIGMA_X, SIGMA_Y, SIGMA_Z, angular_momentum_matrices,
                             coherent_state, coherent_tops, coupling_operator, dim_top,
                             jx_eigensystem, ladder_elements, m_values, probe_state,
-                            product_state)
+                            product_state, rotation_about_y)
 
 
 def expectation(op, psi):
@@ -122,13 +122,16 @@ def test_coherent_known_points():
 
 @pytest.mark.parametrize("two_j", [1, 2, 7, 64, 65, 400])
 def test_coherent_tops_match_coherent_states(two_j):
-    # real Wigner-d columns from one product, at the poles and 32 Gauss-Legendre nodes
+    # real Wigner-d columns from one product, at the poles and 32 Gauss-Legendre
+    # nodes, against the last column of the dense rotation exp(-i theta Jy)
     z_nodes = np.polynomial.legendre.leggauss(32)[0]
     thetas = np.concatenate([[0.0, np.pi], np.arccos(z_nodes)])
     tops = coherent_tops(two_j, thetas)
     assert tops.dtype == float and tops.shape == (two_j + 1, thetas.size)
     states = np.stack([coherent_state(two_j, theta, 0.0) for theta in thetas], axis=1)
     assert np.abs(tops - states).max() < 1e-13
+    rotated = np.stack([rotation_about_y(two_j, theta)[:, -1] for theta in thetas], axis=1)
+    assert np.abs(tops - rotated).max() < 1e-13
 
 
 def test_probe_state_structure():
@@ -147,14 +150,6 @@ def test_probe_state_jz():
     jz = np.kron(np.diag(m_values(two_j)), np.eye(2))
     value = expectation(jz, probe_state(two_j, np.pi / 3.0, 0.0))
     assert value.real == pytest.approx(25.0, abs=1e-8)
-
-
-def test_expectation_contract():
-    psi = np.zeros(4, dtype=complex)
-    psi[1] = 1.0
-    assert expectation(np.eye(4), psi) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        expectation(np.eye(3), psi)
 
 
 def test_expectation_hermitian_real():
