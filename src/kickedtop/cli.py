@@ -4,7 +4,9 @@ Subcommands: spectrum | rgrid | rcurve | entropy | dynamics | symcheck |
 stages.  Kick strengths are accepted raw or as multiples of pi with a
 "pi:" prefix ("pi:16.4"); ranges are "lo:hi" with either component
 optionally prefixed ("pi:13:pi:20").  Non-finite kick strengths and
-ratios are rejected as they are parsed.  CSV and JSON outputs embed the
+ratios are rejected as they are parsed, and so are negative kick
+strengths, products and --delta, naming the option and the text given
+(entropy also rejects a product of 0).  CSV and JSON outputs embed the
 full run configuration and a schema tag; records are ordered by grid
 index no matter how many workers run, so identical configurations give
 identical files.
@@ -50,32 +52,54 @@ from .spin import validate_two_j
 SCHEMA_PREFIX = "kickedtop"
 SCHEMA_VERSION = "v1"
 
-# glibc's mallopt parameter M_TOP_PAD, and the free heap main asks it to keep
-# above the top of the heap.  By default glibc hands freed memory at the top
-# back to the kernel, and a sweep faults the same pages in again at every
-# point: at two_j 200 an entropy point took about 1400 page faults.
-M_TOP_PAD = -2
-TOP_PAD_BYTES = 64 << 20
+# glibc's mallopt parameters M_TOP_PAD and M_MMAP_THRESHOLD, and the values
+# main sets: the free heap to keep above the top of the heap, and the size
+# from which a block is mapped on its own.  By default glibc hands freed
+# memory at the top back to the kernel, and a sweep faults the same pages in
+# again at every point: at two_j 200 an entropy point took about 1400 page
+# faults.  Setting M_TOP_PAD also freezes the mmap threshold, which glibc
+# otherwise raises as mapped blocks are freed, wherever the process's
+# history left it: an rcurve point at two_j 400 took about 26 page faults
+# with the threshold at 128 KiB, and about 4400 in one fresh checkout run
+# without a bytecode cache.  So the threshold is set too, to 32 MiB, above
+# every block of a sweep point.
+M_TOP_PAD, M_MMAP_THRESHOLD = -2, -3
+TOP_PAD_BYTES, MMAP_THRESHOLD_BYTES = 64 << 20, 32 << 20
 
 
-def parse_kappa(text: str, name: str = "kick strength") -> float:
+def parse_kappa(text: str, name: str = "kick strength", option: str = "") -> float:
     """A finite kick strength, either a float or 'pi:<float>' for multiples
-    of pi; name is the quantity that an error message blames."""
+    of pi; name is the quantity that an error message blames.  Given the
+    option that text was passed to, a negative value is refused too,
+    naming the option and the text."""
     value = float(text[3:]) * math.pi if text.startswith("pi:") else float(text)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {text!r}")
+    if option and value < 0:
+        raise ValueError(f"{name} must be non-negative, got {option}={text!r}")
     return value
 
 
-def parse_range(text: str, name: str = "kick strength") -> tuple[float, float]:
-    """A 'lo:hi' range of name whose components may carry the pi: prefix."""
+def parse_range(text: str, name: str = "kick strength", option: str = "") -> tuple[float, float]:
+    """A 'lo:hi' range of name whose components may carry the pi: prefix;
+    given its option, a negative lo is refused as parse_kappa refuses a
+    negative value."""
     cut = text.find(":", len("pi:") if text.startswith("pi:") else 0)
     if cut < 0:
         raise ValueError(f"range must have two components lo:hi, got {text!r}")
     lo, hi = parse_kappa(text[:cut], name), parse_kappa(text[cut + 1:], name)
     if hi < lo:
         raise ValueError(f"range is empty: {text!r}")
+    if option and lo < 0:
+        raise ValueError(f"{name} must be non-negative, got {option}={text!r}")
     return lo, hi
+
+
+def non_negative_float(text: str) -> float:
+    """The argparse type of --delta."""
+    if not float(text) >= 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return float(text)
 
 
 def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -136,9 +160,7 @@ def _mapper(workers: int) -> Callable:
 
 def _product_points(args) -> list:
     """The --kxky grid as ([kxky], kx, ky) points with ky / kx = --ratio."""
-    lo, hi = parse_range(args.kxky, "kxky")
-    if lo < 0:
-        raise ValueError(f"kxky must be non-negative, got {args.kxky!r}")
+    lo, hi = parse_range(args.kxky, "kxky", "--kxky")
     return [([product], *_split_product(product, args.ratio))
             for product in _grid(lo, hi, args.steps).tolist()]
 
@@ -185,8 +207,8 @@ def _check_ratio_levels(two_j) -> None:
 
 def cmd_rgrid(args) -> Callable[[], str]:
     _check_ratio_levels(args.two_j)
-    kx_values = _grid(*parse_range(args.kx, "kappa_x"), args.steps)
-    ky_values = _grid(*parse_range(args.ky, "kappa_y"), args.steps)
+    kx_values = _grid(*parse_range(args.kx, "kappa_x", "--kx"), args.steps)
+    ky_values = _grid(*parse_range(args.ky, "kappa_y", "--ky"), args.steps)
     points = [([kx, ky], kx, ky) for kx in kx_values for ky in ky_values]
 
     def row(op) -> list:
@@ -211,10 +233,9 @@ def cmd_rcurve(args) -> Callable[[], str]:
 
 def cmd_entropy(args) -> Callable[[], str]:
     two_j = validate_two_j(args.two_j)
-    # the grid starts at lo, so it is positive exactly when lo is
-    if parse_range(args.kxky, "kxky")[0] <= 0:
-        raise ValueError("entropy needs strictly positive kick products")
     points = _product_points(args)
+    if points[0][0] == [0.0]:    # the grid starts at its least product
+        raise ValueError(f"kxky must be positive for entropy, got --kxky={args.kxky!r}")
     probes = probe_columns(two_j, sphere_grid(args.grid, args.grid))
 
     def row(op) -> list:
@@ -226,7 +247,7 @@ def cmd_entropy(args) -> Callable[[], str]:
 
 def cmd_dynamics(args) -> Callable[[], str]:
     two_j = validate_two_j(args.two_j)
-    kappa_y = parse_kappa(args.ky, "kappa_y")
+    kappa_y = parse_kappa(args.ky, "kappa_y", "--ky")
     n_x_list = []
     for tok in filter(None, args.nx.split(",")):
         try:
@@ -263,8 +284,8 @@ def cmd_symcheck(args) -> Callable[[], str]:
     variant = args.variant
     if variant is None:
         variant = "plain" if args.delta > 0 else "sym1"
-    params = KickParams(kappa_x=parse_kappa(args.kx, "kappa_x"),
-                        kappa_y=parse_kappa(args.ky, "kappa_y"),
+    params = KickParams(kappa_x=parse_kappa(args.kx, "kappa_x", "--kx"),
+                        kappa_y=parse_kappa(args.ky, "kappa_y", "--ky"),
                         delta=args.delta, variant=variant)
     config = _config_dict(args)
     config["variant"] = variant
@@ -304,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--two-j", dest="two_j", type=int, required=True,
                        help="twice the top spin (integer >= 1)")
         if delta:
-            p.add_argument("--delta", type=float, default=0.0,
+            p.add_argument("--delta", type=non_negative_float, default=0.0,
                            help="chirality-breaking strength in both kicks")
         if workers:
             p.add_argument("--workers", type=int, default=1)
@@ -383,7 +404,8 @@ def _run(job: Callable[[], str], out: str | None) -> None:
 @functools.cache
 def _pad_heap() -> None:
     """Ask the C library, once per process, to keep TOP_PAD_BYTES of freed
-    heap instead of returning it to the kernel; nothing where it has no
+    heap instead of returning it to the kernel, and to serve every block
+    below MMAP_THRESHOLD_BYTES from that heap; nothing where it has no
     mallopt.  The padding is address space: pages count only once used."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -391,6 +413,7 @@ def _pad_heap() -> None:
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(M_TOP_PAD, TOP_PAD_BYTES)
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
 
 
 def main(argv=None) -> int:

@@ -122,12 +122,9 @@ class KickParams:
 
     def __post_init__(self):
         for name in ("kappa_x", "kappa_y", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.kappa_x < 0 or self.kappa_y < 0:
-            raise ValueError("kick strengths must be non-negative")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.delta > 0 and self.variant != "plain":

@@ -27,9 +27,10 @@ operator, not on the caller:
   basis where that symmetry folds it: M = [[A, iK], [iK^T, B]] with real
   A, B, K of half size, which it keeps as FloquetOperator.folds (exactly
   when delta = 0; it raises NumericalError where a certificate of the
-  fold fails, so the sweeps take them as they are).  Two half-size eighs
-  and a small SVD give the phases and the half-size vectors p and q of
-  every level (_solve_fold).  The phases alone cost nothing more, and
+  fold fails, so the sweeps take them as they are).  One half-size eigh
+  of A, a QR, the eigh of B on its levels near +-1 and a small SVD give
+  the phases and the half-size vectors p and q of every level
+  (_solve_fold).  The phases alone cost nothing more, and
   quasi_spectrum takes (p, +-q) / sqrt(2) as the core's eigenvectors as
   they are and maps them through the frames.
 * sector_eigenpairs, for every core without a fold (delta > 0, or an
@@ -163,13 +164,13 @@ def sector_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eps, vectors
 
 
-def _cluster_cut(cos_a: np.ndarray, cos_b: np.ndarray) -> float:
-    """The middle of the widest gap of the cosines of A and B within
-    [cos FOLD_CLUSTER[1], cos FOLD_CLUSTER[0]]: one cut for both blocks,
-    so the two cosines of a +-eps pair, equal to rounding, are never split."""
+def _cluster_cut(cos: np.ndarray) -> float:
+    """The middle of the widest gap of the cosines of A within
+    [cos FOLD_CLUSTER[1], cos FOLD_CLUSTER[0]].  Each +-eps pair has one
+    cosine in A and one equal to it in B, and B's other levels sit at
+    exactly +-1, so the cut splits no pair between the blocks."""
     lo, hi = np.cos(FOLD_CLUSTER[1]), np.cos(FOLD_CLUSTER[0])
-    c = np.concatenate([cos_a, cos_b])
-    edges = np.sort(np.concatenate([[lo, hi], c[(c > lo) & (c < hi)]]))
+    edges = np.sort(np.concatenate([[lo, hi], cos[(cos > lo) & (cos < hi)]]))
     i = np.argmax(np.diff(edges))
     return 0.5 * (edges[i] + edges[i + 1])
 
@@ -186,15 +187,18 @@ def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     of B with the same c.  With theta = arccos c in [0, pi],
     M (p, +-q) = exp(+-i theta) (p, +-q): (p, q) / sqrt(2) is the
     eigenvector of -theta and (p, -q) / sqrt(2) that of +theta.  Away from
-    0 and pi, theta comes from c.  Near them c cannot resolve it: the
-    eigenvectors of A and B past the cluster cut are paired instead by
-    the singular values s = sin theta of K between them, which are
-    accurate to rounding, and the unpaired modes of a cluster, (p, 0) or
-    (0, q), sit at exactly 0 or pi.  The guard is the residual
-    ||M v - exp(-i eps) v||, taken blockwise against the unit-modulus
-    phase for every pair and unpaired mode, plus the bound on what the
-    fold dropped; it rejects the core above EIGEN_RESIDUAL_TOL, or when
-    the cut leaves A and B unequal numbers of unclustered levels.
+    0 and pi, theta comes from c.  Near them c cannot resolve it: past
+    the cluster cut, A's eigenvectors are paired with B's by the singular
+    values s = sin theta of K between them, which are accurate to
+    rounding, and the unpaired modes of a cluster, (p, 0) or (0, q), sit
+    at exactly 0 or pi.  Only A is diagonalized.  B's levels past the
+    cut span the orthogonal complement W of the q of the levels before
+    it, and the eigh of the small W^T B W splits W into its parts near
+    +1 and -1.  The guard is the residual ||M v - exp(-i eps) v||, taken
+    blockwise against the unit-modulus phase for every pair and unpaired
+    mode, plus the bound on what the fold dropped; it rejects the core
+    above EIGEN_RESIDUAL_TOL, and the B q part of it any level of B that
+    the complement misplaces.
 
     Returns (eps, p, q, paired), with n columns in p and q: column i is
     the level eps[i] = -theta_i as (p_i, q_i) / sqrt(2), and eps[n:] are
@@ -202,21 +206,23 @@ def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     (the mask paired), in order.
     """
     cos_a, vec_a = np.linalg.eigh(a)
-    cos_b, vec_b = np.linalg.eigh(b)
-    hi, lo = _cluster_cut(cos_a, cos_b), -_cluster_cut(-cos_a, -cos_b)
+    hi, lo = _cluster_cut(cos_a), -_cluster_cut(-cos_a)
     mid = (cos_a > lo) & (cos_a < hi)
     n_mid = mid.sum()
-    if n_mid != ((cos_b > lo) & (cos_b < hi)).sum():
-        return None
+    k_t_mid = k.T @ vec_a[:, mid]
+    q_mid = k_t_mid / np.linalg.norm(k_t_mid, axis=0)
+    # B's levels past the cut: the complement w of q_mid, split at 0 by w^T B w
+    w = np.linalg.qr(q_mid, mode="complete")[0][:, n_mid:]
+    cos_b, vec_b = np.linalg.eigh(w.T @ b @ w)
     # column j of p and q and the cosine and sine of its level: the pairs
     # (p, +-q) / sqrt(2), then the unpaired modes (p, 0) and (0, q), scaled
     # by sqrt(2) so that one formula gives every residual
-    p, q, cos = [vec_a[:, mid]], [], [cos_a[mid]]
+    p, q, cos = [vec_a[:, mid]], [q_mid], [cos_a[mid]]
     sin = [np.sqrt(1.0 - cos[0] ** 2)]
     theta, paired = [np.arccos(cos[0])], [np.ones(n_mid, bool)]
-    for sign, cluster_a, cluster_b in ((1.0, cos_a >= hi, cos_b >= hi),
-                                      (-1.0, cos_a <= lo, cos_b <= lo)):
-        left, right = vec_a[:, cluster_a], vec_b[:, cluster_b]
+    for sign, cluster_a, cluster_b in ((1.0, cos_a >= hi, cos_b > 0.0),
+                                      (-1.0, cos_a <= lo, cos_b <= 0.0)):
+        left, right = vec_a[:, cluster_a], w @ vec_b[:, cluster_b]
         u, s, wt = np.linalg.svd(left.T @ (k @ right))
         s = np.minimum(s, 1.0)
         n, free_a, free_b = s.size, left.shape[1] - s.size, right.shape[1] - s.size
@@ -227,11 +233,10 @@ def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray,
         pair_theta = np.arcsin(s) if sign > 0 else np.pi - np.arcsin(s)
         theta += [pair_theta, np.full(free_a + free_b, np.arccos(sign))]
         paired += [np.ones(n, bool), np.zeros(free_a + free_b, bool)]
-    p = np.concatenate(p, axis=1)
+    del w    # the n x n Q of the QR
+    p, q = np.concatenate(p, axis=1), np.concatenate(q, axis=1)
     cos, sin, theta, paired = map(np.concatenate, (cos, sin, theta, paired))
-    k_t_p = k.T @ p
-    q_mid = k_t_p[:, :n_mid] / np.linalg.norm(k_t_p[:, :n_mid], axis=0)
-    q = np.concatenate([q_mid] + q, axis=1)
+    k_t_p = np.concatenate([k_t_mid, k.T @ p[:, n_mid:]], axis=1)
     k_t_p -= q * sin
     k_q = k @ q - p * sin
     a_p = a @ p - p * cos

@@ -141,6 +141,45 @@ def test_config_error_builds_nothing_and_keeps_an_existing_out(tmp_path, capsys,
         args.func(args)     # the command rejects its options before it returns a job
 
 
+_DELTA_COMMANDS = {
+    "spectrum": ("--kxky", "1:4", "--steps", 2),
+    "rgrid": ("--kx", "1:2", "--ky", "1:2", "--steps", 2),
+    "rcurve": ("--kxky", "1:4", "--steps", 2),
+    "entropy": ("--kxky", "1:4", "--steps", 2),
+    "dynamics": ("--ky", "pi:2", "--nx", "1"),
+    "symcheck": ("--kx", "1", "--ky", "1"),
+}
+
+
+@pytest.mark.parametrize("argv, option, text", [
+    (("rgrid", "--kx=-1:1", "--ky", "1:2", "--steps", 2), "--kx", "'-1:1'"),
+    (("rgrid", "--kx", "1:2", "--ky=-1:1", "--steps", 2), "--ky", "'-1:1'"),
+    (("symcheck", "--kx=-1", "--ky", "1"), "--kx", "'-1'"),
+    (("symcheck", "--kx", "1", "--ky=-1"), "--ky", "'-1'"),
+    (("entropy", "--kxky=-1:1", "--steps", 2), "--kxky", "'-1:1'"),
+    (("dynamics", "--ky=-1", "--nx", "1"), "--ky", "'-1'"),
+] + [((name, *rest, "--delta", "-1"), "--delta", "'-1'")
+     for name, rest in _DELTA_COMMANDS.items()],
+    ids=["rgrid-kx", "rgrid-ky", "symcheck-kx", "symcheck-ky", "entropy-kxky", "dynamics-ky"]
+    + [f"{name}-delta" for name in _DELTA_COMMANDS])
+def test_negative_option_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, option, text):
+    builds = []
+    for module in (cli, dynamics):
+        monkeypatch.setattr(module, "floquet_operator",
+                            lambda *args: builds.append(1) or floquet_operator(*args))
+    out = tmp_path / "results.csv"
+    out.write_text("earlier results\n")
+    try:
+        code = run_cli(argv[0], "--two-j", 10, *argv[1:], "--out", out)
+    except SystemExit as exc:      # --delta is checked by argparse, which exits
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert option in err and text in err
+    assert builds == []
+    assert out.read_text() == "earlier results\n"
+
+
 @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
 @pytest.mark.parametrize("error", [NumericalError("forced failure"), KeyboardInterrupt()],
                          ids=["numerical", "interrupt"])
@@ -560,13 +599,10 @@ def _has_mallopt():
         return False
 
 
-@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
-def test_sweep_points_take_no_page_faults():
-    # main keeps freed heap instead of handing it back to the kernel, so the
-    # second of two identical sweeps in one process maps no fresh pages;
-    # without that, a point at two_j 200 takes about 1300 page faults
-    argv = ["entropy", "--two-j", "200", "--kxky", "10:2600", "--steps", "5", "--ratio", "1.7",
-            "--grid", "8"]
+def _faults_per_point(argv: list, env: dict) -> float:
+    """Page faults per point of the second of two identical sweeps (argv,
+    whose --steps comes last) in one fresh process, run with env added to
+    the environment."""
     script = ("import contextlib, io, resource\n"
               "from kickedtop.cli import main\n"
               "def faults():\n"
@@ -577,8 +613,29 @@ def test_sweep_points_take_no_page_faults():
               "faults()\n"
               "print(faults())\n")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
-    assert int(out) / 5 < 50
+                         check=True,
+                         env={**os.environ, **env, "PYTHONPATH": str(ROOT / "src")}).stdout
+    return int(out) / int(argv[-1])
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_sweep_points_take_no_page_faults():
+    # main keeps freed heap instead of handing it back to the kernel, so the
+    # second of two identical sweeps in one process maps no fresh pages;
+    # without that, a point at two_j 200 takes about 1300 page faults
+    argv = ["entropy", "--two-j", "200", "--kxky", "10:2600", "--ratio", "1.7", "--grid", "8",
+            "--steps", "5"]
+    assert _faults_per_point(argv, {}) < 50
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_sweep_points_take_no_page_faults_from_a_low_mmap_threshold():
+    # the process starts with glibc's mmap threshold at 128 KiB, below the
+    # blocks of a point at two_j 400; main sets the threshold itself, so no
+    # block is mapped afresh (with M_TOP_PAD alone a point took about 26
+    # page faults here)
+    argv = ["rcurve", "--two-j", "400", "--kxky", "10:4000", "--ratio", "1.7", "--steps", "3"]
+    assert _faults_per_point(argv, {"MALLOC_MMAP_THRESHOLD_": "131072"}) < 5
 
 
 def _no_libc(name):

@@ -8,11 +8,17 @@ and the parity sectors come from the diagonal of
 exp(-i pi (Jz + sigma_z/2)), times i at even 2j.  Every draw is checked
 for all three variants at delta = 0 and for plain at a drawn delta > 0:
 eigenphase sets per sector, the spacing ratio r, n_bound, the stage and
-the stroboscopic <Jz>/j.  The draws at two_j 18-65 also check, at
-delta = 0, the operator's fold basis: its frame splits the spin (each +
-state on the spin-up rows, each - state on the spin-down rows, once the
-plain frame's half y kick is turned back), and Jz there is the real band
-of FloquetOperator.jz_band.  Huge kicks (kappa >= 1e12) are left to
+the stroboscopic <Jz>/j.  Where both kicks are positive and no two
+levels of a sector lie closer than S2_SPACING_FLOOR, which leaves every
+eigenvector unique up to a phase, it also checks the sphere-averaged
+entropy on a small grid against an S2 from the eigenvectors of eig and
+coherent probes exp(-i phi Jz) exp(-i theta Jy) |j, j> built here (127
+of the 192 cases, from 37 of the 38 draws with both kicks positive).
+The draws at two_j 18-65 also check, at delta = 0, the operator's fold
+basis: its frame splits the spin (each + state on the spin-up rows, each
+- state on the spin-down rows, once the plain frame's half y kick is
+turned back), and Jz there is the real band of
+FloquetOperator.jz_band.  Huge kicks (kappa >= 1e12) are left to
 test_spectral.test_huge_kicks_keep_the_core_unitary: there kappa * lambda
 mod 2 pi loses about kappa * 1e-16 in any oracle.
 """
@@ -25,14 +31,22 @@ import scipy.linalg
 
 from kickedtop.dynamics import stroboscopic_series
 from kickedtop.floquet import KickParams, floquet_operator
-from kickedtop.spectral import (bound_window, parity_resolved_r, sector_eigenphases,
-                                stage_classify)
+from kickedtop.localization import probe_columns, sphere_averaged_s2, sphere_grid
+from kickedtop.spectral import (bound_window, parity_resolved_r, quasi_spectrum,
+                                sector_eigenphases, stage_classify)
 
 STAGE_NAMES = ("topological", "quasi_integrable", "transition", "chaotic")
 # the kick product of stage s is drawn from pi (2j+1) [EDGES[s], EDGES[s+1])
 EDGES = (0.0, 0.25, 0.5, 1.0, 2.0)
 BOUND_TOL = 0.05
 N_KICKS = 50
+# Gauss-Legendre nodes in cos(theta) and uniform azimuths of the S2 check: an
+# even number of azimuths takes the mirrored sector path at even 2j
+S2_GRID = (4, 6)
+# levels of one sector closer than this are left out of the S2 check: their
+# eigenvectors err by about 1e-14 over the spacing, and a degenerate pair's
+# are the solver's choice
+S2_SPACING_FLOOR = 1e-4
 SIGMA = {"x": np.array([[0.0, 1.0], [1.0, 0.0]]),
          "y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
          "z": np.diag([1.0, -1.0])}
@@ -97,6 +111,32 @@ def _oracle_sectors(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(parity.real > 0), np.flatnonzero(parity.real < 0)
 
 
+@functools.lru_cache(maxsize=4)
+def _oracle_probes(two_j: int) -> np.ndarray:
+    """The coherent tops exp(-i phi Jz) exp(-i theta Jy) |j, j> times
+    (|up> + |down>) / sqrt(2) at the nodes of S2_GRID, theta-major, one per
+    row: Gauss-Legendre nodes in cos(theta), uniform azimuths."""
+    n_theta, n_phi = S2_GRID
+    spins = _spin_matrices(two_j)
+    lam, v = np.linalg.eigh(spins["y"])
+    thetas = np.arccos(np.polynomial.legendre.leggauss(n_theta)[0])
+    tops = (v.conj()[-1] * np.exp(-1j * np.outer(thetas, lam))) @ v.T
+    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    tops = tops[:, None, :] * np.exp(-1j * np.outer(phis, np.diag(spins["z"])))
+    return np.kron(tops.reshape(n_theta * n_phi, -1), [1.0, 1.0]) / np.sqrt(2.0)
+
+
+def _oracle_s2(u: np.ndarray, two_j: int, sectors: tuple) -> np.ndarray:
+    """S2 = -ln(IPR) / ln(2 (2j+1)) of each probe of _oracle_probes against
+    the eigenvectors of eig of each sector block, as (n_theta, n_phi)."""
+    probes = _oracle_probes(two_j)
+    ipr = 0.0
+    for idx in sectors:
+        vectors = np.linalg.eig(u[np.ix_(idx, idx)])[1]
+        ipr = ipr + (np.abs(probes[:, idx].conj() @ vectors) ** 4).sum(axis=1)
+    return (-np.log(ipr) / np.log(u.shape[0])).reshape(S2_GRID)
+
+
 def _oracle_phases(u: np.ndarray, idx: np.ndarray) -> np.ndarray:
     eps = -np.angle(np.linalg.eigvals(u[np.ix_(idx, idx)]))
     return np.where(eps <= -np.pi, eps + 2.0 * np.pi, eps)
@@ -111,6 +151,12 @@ def _circle_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cut = b_sorted[np.argmax(gaps)] + 0.5 * gaps.max()
     unwrapped = [np.sort(np.mod(x - cut, 2.0 * np.pi)) for x in (a, b)]
     return np.abs(np.angle(np.exp(1j * (unwrapped[0] - unwrapped[1]))))
+
+
+def _circle_spacing(eps: np.ndarray) -> float:
+    """The smallest gap on the circle between neighbouring phases."""
+    e = np.sort(eps)
+    return float(np.diff(np.append(e, e[0] + 2.0 * np.pi)).min())
 
 
 def _oracle_r(eps: np.ndarray) -> float:
@@ -151,6 +197,10 @@ def test_public_outputs_match_the_dense_oracle(two_j, stage, kx, ky, delta, vari
     if two_j >= 2 and min(np.diff(np.sort(e)).min() for e in oracle) >= 1e-6:
         r = sum(_oracle_r(e) for e in oracle) / 2.0   # both sectors weigh 2j - 1 ratios
         assert parity_resolved_r(eps)["r_mean"] == pytest.approx(r, abs=1e-9)
+
+    if kx > 0.0 and ky > 0.0 and min(_circle_spacing(e) for e in oracle) > S2_SPACING_FLOOR:
+        s2 = sphere_averaged_s2(quasi_spectrum(op), probe_columns(two_j, sphere_grid(*S2_GRID)))
+        assert np.abs(s2.s2_nodes - _oracle_s2(u, two_j, sectors)).max() < 1e-10
 
     distance = np.concatenate([np.minimum(np.abs(e), np.abs(np.pi - np.abs(e))) for e in oracle])
     if np.abs(distance - BOUND_TOL).min() > 1e-9:

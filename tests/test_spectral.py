@@ -232,22 +232,27 @@ def test_sectors_differ_at_odd_two_j_or_with_delta(two_j, variant, delta):
                                                   (13, 0.7, 2)])
 def test_twin_sectors_are_solved_once(monkeypatch, two_j, delta, solves):
     # sector_eigenphases and quasi_spectrum each solve every distinct core
-    # once: its fold at delta = 0, else with sector_eigenpairs
+    # once: its fold at delta = 0, else with sector_eigenpairs; and each
+    # solve takes one eigh of at least half a core, the fold's of A alone
     op = floquet_operator(KickParams(1.9, 17.0, delta=delta), two_j)
     calls = {"sector_eigenpairs": [], "_solve_fold": []}
     for name in calls:
         solve = getattr(spectral, name)
         monkeypatch.setattr(spectral, name,
                             lambda *a, solve=solve, name=name: calls[name].append(1) or solve(*a))
+    eigh, big = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: big.append(len(m) >= (two_j + 1) // 2)
+                        or eigh(m))
     solver, unused = ("_solve_fold", "sector_eigenpairs")
     if delta > 0.0:
         solver, unused = unused, solver
     for spectrum in (sector_eigenphases, quasi_spectrum):
-        for done in calls.values():
+        for done in (*calls.values(), big):
             done.clear()
         spectrum(op)
         assert len(calls[solver]) == solves
         assert calls[unused] == []
+        assert sum(big) == solves
 
 
 def _smallest_spacing(epsilons):
@@ -474,15 +479,17 @@ def test_folded_phases_match_dense_oracle_at_zero_modes(two_j, variant):
         assert _circle_set_distance(eps[sector], oracle) < 1e-12
 
 
-def _folded_core(signs, theta, rng):
+def _folded_core(signs, theta, rng, free_a=(), free_b=()):
     """A unitary core with J conj(M) J = M, J the reversal of signs, whose
     phases are +-theta: the fold's block form [[A, iK], [iK^T, B]] with
-    A = P cos P^T, B = Q cos Q^T, K = P sin Q^T mapped back to the core basis."""
-    d = len(signs)
-    n = d // 2
-    p, q = ortho_group.rvs(n, random_state=rng), ortho_group.rvs(n, random_state=rng)
-    folded = np.block([[(p * np.cos(theta)) @ p.T, 1j * (p * np.sin(theta)) @ q.T],
-                       [1j * (q * np.sin(theta)) @ p.T, (q * np.cos(theta)) @ q.T]])
+    A = P cos P^T, B = Q cos Q^T, K = P sin Q^T mapped back to the core basis.
+    free_a and free_b are cosines +-1 of A and B past those of theta: modes
+    that K leaves unpaired, at phase 0 or pi."""
+    n = len(theta)
+    cos_a, cos_b = (np.concatenate([np.cos(theta), free]) for free in (free_a, free_b))
+    p, q = (ortho_group.rvs(len(c), random_state=rng) for c in (cos_a, cos_b))
+    k = (p[:, :n] * np.sin(theta)) @ q[:, :n].T
+    folded = np.block([[(p * cos_a) @ p.T, 1j * k], [1j * k.T, (q * cos_b) @ q.T]])
     basis = _fold_basis(signs)
     return basis @ folded @ basis.T
 
@@ -501,7 +508,7 @@ def test_fold_resolves_levels_at_the_cluster_cut():
     core = _folded_core(signs, theta, rng)
     assert np.abs(core @ core.conj().T - np.eye(signs.size)).max() < 1e-12
     cosines = np.cos(theta)
-    for cut in (spectral._cluster_cut(cosines, cosines), -spectral._cluster_cut(-cosines, -cosines)):
+    for cut in (spectral._cluster_cut(cosines), -spectral._cluster_cut(-cosines)):
         assert np.sort(np.abs(cosines - cut))[:2].max() < 1e-3
         assert (cosines > cut).any() and (cosines < cut).any()
     solved = spectral._solve_fold(*chiral_fold(core, signs))
@@ -509,6 +516,41 @@ def test_fold_resolves_levels_at_the_cluster_cut():
     eps = solved[0]
     assert _circle_set_distance(eps, np.concatenate([theta, -theta])) < 1e-12
     assert _circle_set_distance(eps, -np.angle(np.linalg.eigvals(core))) < 1e-12
+
+
+def _free_mode_folds():
+    """(fold, core) pairs whose unpaired modes sit on B's side."""
+    rng = np.random.default_rng(5)
+    theta = np.array([1e-9, 0.1, 1.1, 2.0, np.pi - 0.1, np.pi - 1e-9])
+    # even d: B holds free modes at exactly 0 and pi, A two at 0
+    signs = rng.choice([-1.0, 1.0], size=8)
+    signs = np.concatenate([signs, signs[::-1]])
+    core = _folded_core(signs, theta, rng, free_a=(1.0, 1.0), free_b=(1.0, -1.0))
+    yield chiral_fold(core, signs), core
+    # odd d whose middle state is a - state: B is the larger block
+    signs = np.concatenate([signs[:7], [-1.0], signs[:7][::-1]])
+    core = _folded_core(signs, theta, rng, free_a=(-1.0,), free_b=(1.0, -1.0))
+    yield chiral_fold(core, signs), core
+    # no kicks: A = 1, B = 1, K = 0, and every mode is unpaired
+    for two_j in (6, 7):
+        op = floquet_operator(KickParams(0.0, 0.0), two_j)
+        for fold, core in zip(op.folds, op.cores):
+            yield fold, core
+
+
+def test_fold_solves_unpaired_modes_of_either_block():
+    # the modes K q = 0 of B, which have no partner in A, come out at
+    # exactly 0 or pi with their own eigenvectors (0, q)
+    for (a, b, k, dropped), core in _free_mode_folds():
+        solved = spectral._solve_fold(a, b, k, dropped)
+        assert solved is not None
+        eps, p, q, paired = solved
+        assert _circle_set_distance(eps, -np.angle(np.linalg.eigvals(core))) < 1e-12
+        vecs = np.sqrt(0.5) * np.block([[p, p[:, paired]], [q, -q[:, paired]]])
+        folded = np.block([[a, 1j * k], [1j * k.T, b]])
+        residual = folded @ vecs - vecs * np.exp(-1j * eps)
+        assert np.linalg.norm(residual, axis=0).max() <= 1e-10
+        assert np.abs(vecs.T @ vecs - np.eye(len(core))).max() <= 1e-12
 
 
 def test_fallback_when_the_real_solver_mixes_eigenvectors(monkeypatch):
