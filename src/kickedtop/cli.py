@@ -3,8 +3,8 @@
 Subcommands: spectrum | rgrid | rcurve | entropy | dynamics | symcheck |
 stages.  Kick strengths are accepted raw or as multiples of pi with a
 "pi:" prefix ("pi:16.4"); ranges are "lo:hi" with either component
-optionally prefixed ("pi:13:pi:20").  Non-finite kick strengths and
-ratios are rejected as they are parsed, and so are negative kick
+optionally prefixed ("pi:13:pi:20").  Non-finite kick strengths, ratios
+and --delta are rejected as they are parsed, and so are negative kick
 strengths, products and --delta, naming the option and the text given
 (entropy also rejects a product of 0).  CSV and JSON outputs embed the
 full run configuration and a schema tag; records are ordered by grid
@@ -96,10 +96,11 @@ def parse_range(text: str, name: str = "kick strength", option: str = "") -> tup
 
 
 def non_negative_float(text: str) -> float:
-    """The argparse type of --delta."""
-    if not float(text) >= 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
-    return float(text)
+    """The argparse type of --delta: a finite, non-negative number."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
 
 
 def _grid(lo: float, hi: float, steps: int) -> np.ndarray:

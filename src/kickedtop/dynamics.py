@@ -14,11 +14,11 @@ basis reversal and G = diag((-1)^k), so B^n maps G J conj(psi_-) to
 G J conj(psi_-(n)), and the mirrored state's m ladder is that of
 sector -1 reversed.  Two paths evolve the sectors:
 
-* Real fold (delta = 0).  Each core is stored on the fold basis of the
-  chiral symmetry, where it is M = D O D^dag with D = 1 on the + states
-  and i on the - states and O real orthogonal.  The blocks of O are the
-  fold that floquet_operator builds and stores with the operator
-  (FloquetOperator.folds, which exists exactly when delta = 0).  A state
+* Real fold (delta = 0).  Each core is stored on its fold basis, where
+  it is M = D O D^dag with D = 1 on the + states and i on the - states
+  and O = [[A, -K], [K^T, B]] real orthogonal, from the blocks that the
+  operator keeps (FloquetOperator.folds, which exists exactly when
+  delta = 0; derived in the floquet module docstring).  A state
   enters as x = D^dag frame^dag psi, and each kick is one real product
   O x with the real and imaginary parts of the states side by side.
   <Jz> needs no m-ladder projection: in the eigenbasis of Jx, Jz is
@@ -154,7 +154,7 @@ def _band_moments(x: np.ndarray, band: tuple, jz_sign: np.ndarray) -> np.ndarray
 def _folded_moments(operator: FloquetOperator, rows: np.ndarray, n_max: int) -> np.ndarray:
     """The moments of every kick from the real orthogonal fold of each
     of `cores`, as the operator stores it (FloquetOperator.folds, at
-    delta = 0).
+    delta = 0; floquet module docstring).
 
     A core is M = [[A, iK], [iK^T, B]] = D O D^dag on its fold basis, with
     D = 1 on the + states and i on the - states and the real orthogonal
@@ -171,8 +171,8 @@ def _folded_moments(operator: FloquetOperator, rows: np.ndarray, n_max: int) -> 
     # a mirrored state holds sector -1 with its m ladder reversed
     jz_sign = np.tile(np.array([1.0, -1.0])[:width], 2)
     moments = np.zeros((n_max + 1, 3))
-    for (a, b, k, _), frame, band, core_rows in zip(operator.folds, operator.frame,
-                                                    zip(diags, offs), rows):
+    for (a, b, k), frame, band, core_rows in zip(operator.folds, operator.frame,
+                                                 zip(diags, offs), rows):
         # O^T, as the states are rows; psi^T conj(frame) without a conjugated frame
         o_t = np.block([[a.T, k], [-k.T, b.T]])
         x = (core_rows.conj() @ frame).conj()

@@ -21,59 +21,66 @@ generator is real:
   (++-- or +--+, set by the sector and the parity of 2j);
 * sigma_z is a diagonal +-1, Z.
 
-One cached eigensystem T = V diag(lam) V^T per two_j (spin.jx_eigensystem)
-therefore serves both axes and both sectors, and a delta kick is a
-pair-by-pair rotation of the cached eigenbasis: Z anticommutes with T,
-so J = V^T Z V is a signed reversal of the eigenbasis (certified once
-per two_j, below), and kappa T + delta Z couples each eigenvector of
-lam_k only to that of -lam_k.
-
 Each sector is stored as a complex-symmetric unitary core, the
 symmetrized ordering O^(1/2) I O^(1/2) of an outer kick O and an inner
 kick I, plus the unitary frame that maps it to the sector block:
-block = frame @ core @ frame^dag.  On the eigenbasis of O the core is
-D C D_i C^T D, with diagonal phases D, D_i and the real orthogonal
-overlap C of the two kick eigenbases: with delta = 0 the cached
-C = V^T S V, with delta > 0 that C turned pair by pair on its rows and
-its columns.  The frame is the real eigenbasis of O for sym1 (O = Y)
-and sym2 (O = X); for plain it also carries the half y kick, because
-Y X = Y^(1/2) (Y^(1/2) X Y^(1/2)) Y^(-1/2).  A delta > 0 core is kept on
-that eigenbasis; a delta = 0 core on the fold basis below.  The dense
+block = frame @ core @ frame^dag.  O = Y and I = X for sym1 and plain,
+O = X and I = Y for sym2; for plain the frame also carries the half y
+kick, because Y X = Y^(1/2) (Y^(1/2) X Y^(1/2)) Y^(-1/2).  The dense
 coupled-space matrix (FloquetOperator.u) and kick_unitary are built on
 demand, for the tests' oracle and for symcheck.
 
-Unitarity is certified where it originates: a core is unitary exactly
-when C is orthogonal.  C is checked at UNITARITY_TOL once per two_j,
-before the cache entry is stored, and on the delta path once per build
-(the cached C after its pair rotations).  The complex cores are not
-checked again: the eigenpair residual of the solvers in spectral
-certifies every solved core.  Every certificate of this module, per
-two_j or per build, raises NumericalError naming itself where it fails;
-nothing is built around a failed one.
+The chiral fold, for every delta.  One cached eigensystem
+T = V diag(lam) V^T per two_j (spin.jx_eigensystem) serves both axes and
+both sectors.  Z anticommutes with T, so J = V^T Z V is a signed
+reversal of the eigenbasis, J e_k = s_k e_{d-1-k}, and
+lam_{d-1-k} = -lam_k.  Its +1 and -1 eigenvectors are the fold basis Q
+(chiral_fold): the + states (e_k + s_k e_{d-1-k}) / sqrt(2) of the pairs
+k < d // 2, then the - states (e_k - s_k e_{d-1-k}) / sqrt(2), with the
+middle state e_m of odd d (lam_m = 0) last in the block of its sign.  On
+each pair (+k, -k), T is lam_k sigma_x and Z is sigma_z, so on the basis
+Q D, D = 1 on the + states and i on the - states, a kick
+exp(-i (kappa T + delta Z)) is one pair kick per pair (_pair_kick):
 
-With delta = 0 the symmetrized drive has the chiral symmetry
-sigma_z U sigma_z = U^-1, which on the eigenbasis of O reads
-J conj(core) J = core, with J = V^T Z V the signed reversal of the
-eigenbasis (certified once per two_j next to C).  On the fold basis Q of
-chiral_fold, the +1 and -1 eigenvectors of J, the core is
-[[A, iK], [iK^T, B]] with real blocks of half size.  J commutes with C,
-so C splits there into C+ and C-, certified once per two_j
-(_Sectors.halves), and every diagonal kick exp(-i theta lam) turns each
-pair of + and - states by theta lam_k.  A delta = 0 build therefore
-forms A, B and K from three half-size real products, C+ cos C+^T,
-C- cos C-^T and C+ sin C-^T, and O(d^2) pair rotations (_fold); writes
-them as the core, which is stored on the fold basis; and keeps them as
-FloquetOperator.folds, which the eigenphase solver and the real
-evolution of dynamics take as they are: a fold exists exactly when
-delta = 0.  The frame is then the eigenbasis times Q, written without
-Q (_fold_frame): Z v_k = s_k v_{d-1-k}, so the + state of pair k is
-(1 + Z) v_k / sqrt(2), sqrt(2) v_k on the spin-up rows of the sector,
-and the - state the same on the spin-down rows; the half y kick of the
-plain frames turns each pair (+k, -k).  Jz, the diagonal m of each
-sector, keeps the spin and is tridiagonal in the eigenbasis of T, so on
-the fold basis it is a real band that couples no + state to a - state;
-that band is certified once per two_j (_jz_band) and handed out by
-FloquetOperator.jz_band.
+    [[a, s], [-s, conj(a)]],   a = cos w - i (delta / w) sin w,
+                               s = (kappa lam_k / w) sin w,
+                               w = hypot(kappa lam_k, delta),
+
+and the phase a on a + middle state, conj(a) on a - one, exp(-+i delta).
+At delta = 0 the pair kick is the real turn (cos, sin) of kappa lam_k.
+The overlap C = V^T S V of the two kick eigenbases commutes with J (S
+and Z are diagonal), so on Q it is C+ (+) C- (_Sectors.halves).  With E
+the pair kicks of I and H those of the half outer kick, a core on Q D is
+
+    [[A, -K], [K^T, B]] = H (C+ (+) C-) E (C+ (+) C-)^T H:
+
+three half-size real products, C+ Re(a) C+^T, C- Re(a) C-^T and
+C+ s C-^T, two more for the imaginary part that delta > 0 gives the
+diagonal blocks of E, and H pair by pair on the rows and the columns
+(_fold).  Every core is stored on Q as D [[A, -K], [K^T, B]]
+D^dag = [[A, iK], [iK^T, B]].  With delta = 0 the symmetrized drive has
+the chiral symmetry sigma_z U sigma_z = U^-1, every pair kick is real,
+and so are A, B and K: [[A, -K], [K^T, B]] is real orthogonal, and the
+operator keeps (A, B, K) as FloquetOperator.folds, which the eigenphase
+solver and the real evolution of dynamics take as they are; a fold
+exists exactly when delta = 0.  The frame is S V Q, times H on Q for
+plain, written without Q (_fold_frame): Z v_k = s_k v_{d-1-k}, so the +
+state of pair k is (1 + Z) v_k / sqrt(2), sqrt(2) v_k on the spin-up
+rows of the sector, and the - state the same on the spin-down rows.
+Jz, the diagonal m of each sector, keeps the spin and is tridiagonal in
+the eigenbasis of T, so on Q it is a real band that couples no + state
+to a - state; that band is certified once per two_j (_jz_band) and
+handed out by FloquetOperator.jz_band for the frames without delta.
+
+Unitarity is certified where it originates: a core is unitary exactly
+when C is orthogonal and every pair kick is unitary, |a|^2 + s^2 = 1.
+The reversal J, the orthogonality of C and its split are checked at
+UNITARITY_TOL once per two_j, before the cache entry is stored, and the
+pair kicks, in O(d), at every build.  The complex cores are not checked
+again: the eigenpair residual of the solvers in spectral certifies every
+solved core.  Every certificate of this module, per two_j or per build,
+raises NumericalError naming itself where it fails; nothing is built
+around a failed one.
 
 For even 2j sector -1 is the conjugate mirror of sector +1, for every
 delta and ordering: block[-1] = G J conj(block[+1]) J G, with J the basis
@@ -128,7 +135,8 @@ class KickParams:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.delta > 0 and self.variant != "plain":
-            raise ValueError("symmetrized variants are defined only for delta = 0")
+            raise ValueError(f"variant {self.variant!r} is defined only for delta = 0, "
+                             f"got delta={self.delta!r}")
 
 
 @dataclass
@@ -141,11 +149,10 @@ class FloquetOperator:
     (2, d, d), also where the frame is real.  At even 2j sector -1 is the
     conjugate mirror of sector +1: core[1] is conj(core[0]) and frame[1]
     is G J conj(frame[0]), G = diag((-1)^k) and J the reversal.  `cores`
-    holds the distinct cores that checks and solvers use.  `folds`, set
-    by floquet_operator exactly when delta = 0, holds the chiral fold of
-    each of `cores` as chiral_fold returns it, (A, B, K, 0.0): built
-    directly, so nothing is dropped, and the core is
-    [[A, iK], [iK^T, B]] on the fold basis, its len(A) + states first.
+    holds the distinct cores that checks and solvers use; floquet_operator
+    stores each on its fold basis, [[A, iK], [iK^T, B]] with its len(A) +
+    states first (module docstring).  `folds`, set by floquet_operator
+    exactly when delta = 0, holds the real (A, B, K) of each of `cores`.
     An operator without folds (delta > 0, or one built from explicit
     cores) is solved and evolved on its complex cores.
     """
@@ -179,14 +186,14 @@ class FloquetOperator:
         or for plain the cos and sin of the half y kick's angle of each pair
         (+k, -k).  The plain frames carry that kick, so their band holds
         after each pair is turned by it (turn_pairs).  None for delta > 0,
-        whose frames are not eigenbases of Jx."""
+        whose pair kicks are complex."""
         if self.params.delta != 0.0:
             return None
         diag, off = _jz_band(self.two_j)
         turn = None
         if self.params.variant == "plain":
-            angle = 0.5 * self.params.kappa_y * _sectors(self.two_j).lam[:self.dim // 4]
-            turn = np.cos(angle), np.sin(angle)
+            lam = _sectors(self.two_j).lam[:self.dim // 4]
+            turn = _pair_kick(lam, 0.5 * self.params.kappa_y, 0.0)
         return diag, off, turn
 
     def distinct_blocks(self) -> np.ndarray:
@@ -241,16 +248,15 @@ class _Sectors:
     alternates with m) and the signs of the chiral reversal V^T Z V;
     G = (-1)^k where sector -1 is the conjugate mirror of sector +1 (None
     elsewhere); and, for each sector that floquet_operator builds (sector
-    +1 alone at even 2j), C = V^T S V and the blocks C+ and C- of C on the
-    fold basis of that reversal.  The reversal, the orthogonality of C and
-    its split are certified before the entry is cached: _sectors raises
+    +1 alone at even 2j), the blocks C+ and C- of C = V^T S V on the fold
+    basis of that reversal.  The reversal, the orthogonality of C and its
+    split are certified before the entry is cached: _sectors raises
     NumericalError where one fails.  Arrays are read-only."""
 
     lam: np.ndarray          # (d,)
     vecs: np.ndarray         # (d, d)
     gauge: np.ndarray        # (2, d)
     up: tuple                # (2,)
-    overlap: np.ndarray      # (built, d, d)
     reversal: np.ndarray     # (2, d)
     alternation: np.ndarray | None  # (d,)
     halves: tuple            # per built sector, (C+, C-)
@@ -263,7 +269,7 @@ def _sectors(two_j: int) -> _Sectors:
     lam = evals / j
     if two_j % 2 == 0:
         # the unpaired middle level of odd d: T's spectrum is antisymmetric, so
-        # it is exactly 0, which the fold's pair rotations take it to be
+        # it is exactly 0, which the pair kicks take it to be
         lam[two_j // 2] = 0.0
     # flat index 2(j + m) + s: within a sector the spin s alternates with m
     spin = np.array([idx % 2 for idx in sector_indices(two_j)])
@@ -278,9 +284,8 @@ def _sectors(two_j: int) -> _Sectors:
     _check_orthogonal(overlap)
     halves = _overlap_halves(overlap, reversal)
     sectors = _Sectors(lam=lam, vecs=vecs, gauge=gauge, up=tuple(spin[:, 0].tolist()),
-                       overlap=overlap, reversal=reversal, alternation=alternation,
-                       halves=halves)
-    for value in (lam, gauge, overlap, reversal, alternation, *(c for p in halves for c in p)):
+                       reversal=reversal, alternation=alternation, halves=halves)
+    for value in (lam, gauge, reversal, alternation, *(c for p in halves for c in p)):
         if value is not None:
             value.setflags(write=False)
     return sectors
@@ -302,7 +307,8 @@ def _jz_band(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     diags, offs = [], []
     for up, (plus, _) in zip(sectors.up, sectors.halves):
         frame = np.empty((d, d), dtype=complex)
-        _fold_frame(sectors.vecs, np.ones(d), up, len(plus), np.ones(d // 2), frame)
+        _fold_frame(sectors.vecs, np.ones(d), up, len(plus),
+                    _pair_kick(sectors.lam[:(d + 1) // 2], 0.0, 0.0), frame)
         w = frame.real
         jz_w = m_values(two_j)[:, None] * w
         diag = np.einsum("ij,ij->j", w, jz_w)
@@ -408,137 +414,124 @@ def chiral_fold(m: np.ndarray, signs: np.ndarray):
 
 def turn_pairs(top: np.ndarray, bottom: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
     """Turn each pair of rows (top[k], bottom[k]) by
-    [[cos_k, sin_k], [-sin_k, cos_k]], in place; top and bottom are
+    [[cos_k, sin_k], [-sin_k, conj(cos_k)]], in place; top and bottom are
     disjoint views of one array, len(cos) rows each."""
     saved = top.copy()
     top *= cos[:, None]
     top += sin[:, None] * bottom
-    bottom *= cos[:, None]
+    bottom *= np.conj(cos)[:, None]
     bottom -= sin[:, None] * saved
 
 
-def _fold(halves: tuple, lam: np.ndarray, outer: float, inner: float) -> tuple:
-    """The chiral fold (A, B, K, 0.0) of the delta = 0 core
-    exp(-i outer lam / 2) C exp(-i inner lam) C^T exp(-i outer lam / 2),
-    from the blocks (C+, C-) of C.
+def _pair_kick(lam: np.ndarray, kappa: float, delta: float) -> tuple:
+    """The pair kick (a, s) of exp(-i (kappa T + delta Z)) at the levels
+    lam of the first half: a_k = cos w - i (delta / w) sin w and
+    s_k = (kappa lam_k / w) sin w, w = hypot(kappa lam_k, delta).  At
+    delta = 0 it is the real turn (cos, sin) of kappa lam."""
+    x = kappa * lam
+    if delta == 0.0:
+        return np.cos(x), np.sin(x)
+    omega = np.hypot(x, delta)
+    sinc = np.sin(omega) / omega
+    return np.cos(omega) - 1j * (delta * sinc), x * sinc
 
-    On the basis Q D of chiral_fold, D = 1 on the + states and i on the
-    - states, the core is O = [[A, -K], [K^T, B]], C is C+ (+) C-, and a
-    kick exp(-i theta lam) is the rotation of each pair (+k, -k) by
-    [[cos, sin], [-sin, cos]] of theta lam_k (the middle state of odd d
-    has lam = 0).  So O = R (C+ (+) C-) E (C+ (+) C-)^T R, with R the half
-    outer and E the inner rotation: three half-size products, then R on
-    the rows and on the columns.
+
+def _check_pair_kicks(*kicks: tuple) -> None:
+    """Raise NumericalError unless every pair kick (a, s) is unitary at
+    UNITARITY_TOL: [[a, s], [-s, conj(a)]] is unitary exactly when
+    |a|^2 + s^2 = 1, and the cores built from unitary kicks are unitary."""
+    defect = max(np.abs(np.abs(a) ** 2 + s ** 2 - 1.0).max() for a, s in kicks)
+    if not defect <= UNITARITY_TOL:
+        raise NumericalError(f"pair kick is not unitary: defect {defect:.2e}")
+
+
+def _gram(c: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """c diag(scale) c^T from real products: one for a real scale, two
+    for a complex one."""
+    out = (c * scale.real) @ c.T
+    return out + 1j * ((c * scale.imag) @ c.T) if np.iscomplexobj(scale) else out
+
+
+def _fold(halves: tuple, inner: tuple, half: tuple) -> tuple:
+    """The chiral fold (A, B, K) of the core H C E C^T H, from the blocks
+    (C+, C-) of C, the pair kicks (a, s) of the inner kick E and of the
+    half outer kick H (_pair_kick): on the basis Q D of the module
+    docstring the core is O = [[A, -K], [K^T, B]] =
+    H (C+ (+) C-) E (C+ (+) C-)^T H, so three half-size products, and two
+    more for the imaginary part of the diagonal blocks of E where
+    delta > 0, then H on the rows and on the columns.
     """
     plus, minus = halves
-    d, n, m = len(lam), len(plus), len(lam) // 2
-    cos, sin = np.cos(inner * lam), np.sin(inner * lam)
-    o = np.empty((d, d))
-    o[:n, :n] = (plus * cos[:n]) @ plus.T
-    o[n:, n:] = (minus * cos[:d - n]) @ minus.T
-    o[:n, n:] = (plus[:, :m] * sin[:m]) @ minus[:, :m].T
+    (a, s), (half_a, half_s) = inner, half
+    n, d = len(plus), len(plus) + len(minus)
+    m = d // 2
+    o = np.empty((d, d), dtype=np.result_type(a, half_a))
+    o[:n, :n] = _gram(plus, a[:n])
+    o[n:, n:] = _gram(minus, np.conj(a[:d - n]))
+    o[:n, n:] = (plus[:, :m] * s[:m]) @ minus[:, :m].T
     o[n:, :n] = -o[:n, n:].T
-    half_cos, half_sin = np.cos(0.5 * outer * lam[:m]), np.sin(0.5 * outer * lam[:m])
-    turn_pairs(o[:m], o[n:n + m], half_cos, half_sin)
-    # O R = (R^T O^T)^T, and R^T turns each pair the other way
-    turn_pairs(o.T[:m], o.T[n:n + m], half_cos, -half_sin)
-    return o[:n, :n], o[n:, n:], -o[:n, n:], 0.0
+    turn_pairs(o[:m], o[n:n + m], half_a[:m], half_s[:m])
+    # O H = (H^T O^T)^T, and H^T turns each pair the other way
+    turn_pairs(o.T[:m], o.T[n:n + m], half_a[:m], -half_s[:m])
+    if d % 2:
+        # the middle state, last of the larger block, takes the phase of its side
+        middle, phase = (m, half_a[m]) if n > m else (d - 1, np.conj(half_a[m]))
+        o[middle] *= phase
+        o[:, middle] *= phase
+    return o[:n, :n], o[n:, n:], -o[:n, n:]
 
 
-def _delta_kick(sectors: _Sectors, k: int, kappa: float, delta: float) -> tuple:
-    """The eigenvalues of kappa T + delta Z in sector k, and the cos and
-    sin of the turn phi of each pair (V e_k, V e_{d-1-k}), k < d // 2,
-    that gives its eigenvectors.
-
-    On the cached basis V the generator is kappa lam + delta J, J the
-    chiral reversal of the sector: one block [[kappa lam_k, delta s_k],
-    [delta s_k, -kappa lam_k]] per pair, with eigenvalues +-omega_k,
-    omega_k = hypot(kappa lam_k, delta s_k), and eigenvectors the pair
-    turned by phi_k = atan2(delta s_k, kappa lam_k) / 2 (turn_pairs).  The
-    middle state of odd d keeps the eigenvalue delta s_m.
-    """
-    lam, signs = sectors.lam, sectors.reversal[k]
-    m = len(lam) // 2
-    a, b = kappa * lam[:m], delta * signs[:m]
-    evals = delta * signs
-    evals[:m] = np.hypot(a, b)
-    evals[::-1][:m] = -evals[:m]
-    phi = 0.5 * np.arctan2(b, a)
-    return evals, np.cos(phi), np.sin(phi)
-
-
-def _fold_frame(vecs: np.ndarray, gauge: np.ndarray, up: int, n_plus: int, half: np.ndarray,
+def _fold_frame(vecs: np.ndarray, gauge: np.ndarray, up: int, n_plus: int, kick: tuple,
                 out: np.ndarray) -> None:
     """Write S V Q H into the complex (d, d) array out, in one pass: S the
     diagonal gauge, V the eigenbasis of T with Z v_k = s_k v_{d-1-k}, Q
-    the fold basis of chiral_fold for the signs s, its n_plus + states
-    first, and H the turn [[Re h_k, i Im h_k], [i Im h_k, Re h_k]] of each
-    pair (+k, -k), which is diag(h, conj(h)) on the eigenbasis.
+    the fold basis for the signs s, its n_plus + states first, and H the
+    pair kick (a, s) of `kick` (_pair_kick), [[a, -i s], [-i s, conj(a)]]
+    on each pair (+k, -k) of Q and the phase of its side on the middle
+    state of odd d.
 
     The + state of pair k is (1 + Z) v_k / sqrt(2): sqrt(2) v_k on the
     spin-up rows (up, up + 2, ...) and 0 on the others; the - state is the
     same on the spin-down rows.  The middle state of odd d is v_m, which
     lives on one spin, the last state of the larger block.
     """
-    d, m = len(vecs), len(vecs) // 2
-    root = np.sqrt(2.0) * half
-    for rows, own, other in ((slice(up, None, 2), slice(0, m), slice(n_plus, n_plus + m)),
-                             (slice(1 - up, None, 2), slice(n_plus, n_plus + m), slice(0, m))):
+    (a, s), d, m = kick, len(vecs), len(vecs) // 2
+    root, cross = np.sqrt(2.0) * a[:m], 1j * (np.sqrt(2.0) * -s[:m])
+    for rows, own, other, diag in (
+            (slice(up, None, 2), slice(0, m), slice(n_plus, n_plus + m), root),
+            (slice(1 - up, None, 2), slice(n_plus, n_plus + m), slice(0, m), np.conj(root))):
         spin = gauge[rows, None] * vecs[rows, :m]
-        np.multiply(spin, root.real, out=out[rows, own])
-        np.multiply(spin, 1j * root.imag, out=out[rows, other])
+        np.multiply(spin, diag, out=out[rows, own])
+        np.multiply(spin, cross, out=out[rows, other])
     if d % 2:
-        np.multiply(gauge, vecs[:, m], out=out[:, m if n_plus > m else d - 1])
+        middle, phase = (m, a[m]) if n_plus > m else (d - 1, np.conj(a[m]))
+        np.multiply(gauge * vecs[:, m], phase, out=out[:, middle])
 
 
 def _sector_core(sectors: _Sectors, k: int, params: KickParams, core: np.ndarray,
-                 frame: np.ndarray) -> tuple | None:
+                 frame: np.ndarray) -> tuple:
     """Write core and frame of sector k into the complex (d, d) arrays
-    core and frame: outer kick exp(-i outer_lam) in the real basis
-    outer_vecs, inner kick exp(-i inner_lam), C their overlap.  Return the
-    chiral fold that the core is built from at delta = 0, written as the
-    core on the fold basis, else None.
-
-    With delta > 0 (plain only) both kick bases are the cached V turned
-    pair by pair (_delta_kick): the inner basis is V R_x and the outer one
-    S V R_y, so their overlap R_y^T C R_x is the cached C = V^T S V turned
-    on its rows and its columns: no eigensolve, and O(d^2) work in place
-    of a product.
-    """
+    core and frame, the core on its fold basis, and return its chiral
+    fold (A, B, K): outer kick O, inner kick I, and the frame S V Q, with
+    the half outer kick for plain (module docstring).  Both pair kicks are
+    certified unitary first."""
     d = len(sectors.lam)
     if params.variant == "sym2":
         outer, inner, gauge = params.kappa_x, params.kappa_y, np.ones(d)
     else:
         outer, inner, gauge = params.kappa_y, params.kappa_x, sectors.gauge[k]
-    if params.delta == 0.0:
-        fold = _fold(sectors.halves[k], sectors.lam, outer, inner)
-        a, b, kk = fold[:3]
-        n = len(a)
-        core[:n, :n], core[n:, n:] = a, b
-        np.multiply(1j, kk, out=core[:n, n:])
-        np.multiply(1j, kk.T, out=core[n:, :n])
-        half = np.ones(d // 2)
-        if params.variant == "plain":
-            half = np.exp(-0.5j * outer * sectors.lam[:d // 2])
-        _fold_frame(sectors.vecs, gauge, sectors.up[k], n, half, frame)
-        return fold
-    # y kick in the gauge S: S (kappa_y T + delta Z) S is the y generator
-    outer_lam, outer_cos, outer_sin = _delta_kick(sectors, k, outer, params.delta)
-    inner_lam, inner_cos, inner_sin = _delta_kick(sectors, k, inner, params.delta)
-    m = len(outer_cos)
-    overlap = sectors.overlap[k].copy()
-    turn_pairs(overlap[:m], overlap[::-1][:m], outer_cos, outer_sin)
-    turn_pairs(overlap.T[:m], overlap.T[::-1][:m], inner_cos, inner_sin)
-    _check_orthogonal(overlap)
-    outer_vecs = gauge[:, None] * sectors.vecs
-    turn_pairs(outer_vecs.T[:m], outer_vecs.T[::-1][:m], outer_cos, outer_sin)
-    half = np.exp(-0.5j * outer_lam)
-    # C exp(-i inner_lam) C^T as two real products
-    np.subtract((overlap * np.cos(inner_lam)) @ overlap.T,
-                1j * ((overlap * np.sin(inner_lam)) @ overlap.T), out=core)
-    core *= half[:, None] * half[None, :]
-    np.multiply(outer_vecs, half, out=frame)
-    return None
+    lam = sectors.lam[:(d + 1) // 2]
+    kicks = _pair_kick(lam, inner, params.delta), _pair_kick(lam, 0.5 * outer, 0.5 * params.delta)
+    _check_pair_kicks(*kicks)
+    fold = a, b, kk = _fold(sectors.halves[k], *kicks)
+    n = len(a)
+    core[:n, :n], core[n:, n:] = a, b
+    np.multiply(1j, kk, out=core[:n, n:])
+    np.multiply(1j, kk.T, out=core[n:, :n])
+    # the sym frames carry no kick, the pair kick of strength 0
+    frame_kick = kicks[1] if params.variant == "plain" else _pair_kick(lam, 0.0, 0.0)
+    _fold_frame(sectors.vecs, gauge, sectors.up[k], n, frame_kick, frame)
+    return fold
 
 
 def kick_unitary(axis: str, kappa: float, two_j: int, delta: float = 0.0) -> np.ndarray:
@@ -564,7 +557,8 @@ def unitarity_defect(u: np.ndarray) -> float:
 def _check_orthogonal(overlap: np.ndarray) -> None:
     """Raise NumericalError unless the real overlap C of two kick
     eigenbases (a stack (..., d, d) at once) is orthogonal at
-    UNITARITY_TOL: the cores built from it are then unitary."""
+    UNITARITY_TOL: the cores built from it with unitary pair kicks are
+    then unitary."""
     defect = unitarity_defect(overlap)
     if defect > UNITARITY_TOL:
         raise NumericalError(f"kick eigenbasis overlap has orthogonality defect {defect:.2e}")

@@ -21,13 +21,11 @@ operator, not on the caller:
 
 * The fold, for every delta = 0 core, the eigenphases
   (sector_eigenphases: spectrum, rgrid, rcurve) and the eigenvectors
-  (quasi_spectrum: entropy, bound states) alike.  The chiral symmetry
-  sigma_z U sigma_z = U^-1 of the symmetrized drive pairs every level
-  eps with -eps, and floquet_operator stores each delta = 0 core on the
-  basis where that symmetry folds it: M = [[A, iK], [iK^T, B]] with real
-  A, B, K of half size, which it keeps as FloquetOperator.folds (exactly
-  when delta = 0; it raises NumericalError where a certificate of the
-  fold fails, so the sweeps take them as they are).  One half-size eigh
+  (quasi_spectrum: entropy, bound states) alike.  floquet_operator
+  stores every core on its fold basis, M = [[A, iK], [iK^T, B]], and
+  keeps the real half-size A, B and K of a delta = 0 core, whose chiral
+  symmetry pairs every level eps with -eps, as FloquetOperator.folds
+  (derived in the floquet module docstring).  One half-size eigh
   of A, a QR, the eigh of B on its levels near +-1 and a small SVD give
   the phases and the half-size vectors p and q of every level
   (_solve_fold).  The phases alone cost nothing more, and
@@ -53,7 +51,8 @@ over single eigenvectors (the entropy's IPR) depends on which one ran
 there; elsewhere they agree to rounding.
 
 floquet_operator certifies unitarity at construction (the orthogonality
-of the real overlap that every core is built from), and each solver's
+of the real overlap that every core is built from, and the unitarity of
+its pair kicks), and each solver's
 residual certifies each solved core again: with V orthogonal,
 |lambda| = 1 and every column residual at most tau,
 ||M - V Lambda V^T||_F <= sqrt(d) tau.  NumericalError is raised when a
@@ -175,12 +174,11 @@ def _cluster_cut(cos: np.ndarray) -> float:
     return 0.5 * (edges[i] + edges[i + 1])
 
 
-def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray,
-                dropped: float) -> tuple | None:
+def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray) -> tuple | None:
     """Eigenphases and half-size eigenvectors of the core
-    M = [[A, iK], [iK^T, B]] of a chiral fold (A, B, K, dropped), as
-    FloquetOperator.folds holds it, of which the fold dropped a part of
-    norm at most `dropped`; None when the guard rejects it.
+    M = [[A, iK], [iK^T, B]] of a chiral fold (A, B, K), as
+    FloquetOperator.folds holds it (floquet module docstring); None when
+    the guard rejects it.
 
     Unitarity gives A^2 + K K^T = 1 and A K = K B, so each +-eps pair is
     one eigenvector p of A with c = cos eps and one q = K^T p / |sin eps|
@@ -196,9 +194,8 @@ def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     it, and the eigh of the small W^T B W splits W into its parts near
     +1 and -1.  The guard is the residual ||M v - exp(-i eps) v||, taken
     blockwise against the unit-modulus phase for every pair and unpaired
-    mode, plus the bound on what the fold dropped; it rejects the core
-    above EIGEN_RESIDUAL_TOL, and the B q part of it any level of B that
-    the complement misplaces.
+    mode; it rejects the core above EIGEN_RESIDUAL_TOL, and the B q part
+    of it any level of B that the complement misplaces.
 
     Returns (eps, p, q, paired), with n columns in p and q: column i is
     the level eps[i] = -theta_i as (p_i, q_i) / sqrt(2), and eps[n:] are
@@ -242,7 +239,7 @@ def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     a_p = a @ p - p * cos
     b_q = b @ q - q * cos
     squares = sum(np.einsum("ij,ij->j", x, x) for x in (a_p, k_t_p, b_q, k_q))
-    if not np.sqrt(0.5 * squares.max()) + dropped <= EIGEN_RESIDUAL_TOL:
+    if not np.sqrt(0.5 * squares.max()) <= EIGEN_RESIDUAL_TOL:
         return None
     return _branch(np.concatenate([-theta, theta[paired]])), p, q, paired
 

@@ -117,11 +117,14 @@ def test_unwritable_out_fails_before_any_operator_is_built(tmp_path, capsys, mon
     (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--n-max", 0), ("n_max",)),
     (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--variant", "sym1",
       "--delta", 0.5), ("delta",)),
+    (("entropy", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--delta", 0.5),
+     ("variant 'sym1'", "delta=0.5")),
     (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "2.5"), ("--nx", "'2.5'")),
     (("rcurve", "--two-j", 1, "--kxky", "1:4", "--steps", 2), ("two_j",)),
     (("rgrid", "--two-j", 1, "--kx", "1:2", "--ky", "1:2", "--steps", 1), ("two_j",)),
 ], ids=["dynamics-z0", "dynamics-ky", "dynamics-nx", "dynamics-n-max",
-        "dynamics-variant-delta", "dynamics-nx-float", "rcurve-two-j-1", "rgrid-two-j-1"])
+        "dynamics-variant-delta", "entropy-variant-delta", "dynamics-nx-float",
+        "rcurve-two-j-1", "rgrid-two-j-1"])
 def test_config_error_builds_nothing_and_keeps_an_existing_out(tmp_path, capsys,
                                                                monkeypatch, argv, named):
     builds = []
@@ -158,10 +161,11 @@ _DELTA_COMMANDS = {
     (("symcheck", "--kx", "1", "--ky=-1"), "--ky", "'-1'"),
     (("entropy", "--kxky=-1:1", "--steps", 2), "--kxky", "'-1:1'"),
     (("dynamics", "--ky=-1", "--nx", "1"), "--ky", "'-1'"),
+    (("rgrid", "--kx", "1:2", "--ky", "1:2", "--steps", 2, "--delta", "inf"), "--delta", "'inf'"),
 ] + [((name, *rest, "--delta", "-1"), "--delta", "'-1'")
      for name, rest in _DELTA_COMMANDS.items()],
-    ids=["rgrid-kx", "rgrid-ky", "symcheck-kx", "symcheck-ky", "entropy-kxky", "dynamics-ky"]
-    + [f"{name}-delta" for name in _DELTA_COMMANDS])
+    ids=["rgrid-kx", "rgrid-ky", "symcheck-kx", "symcheck-ky", "entropy-kxky", "dynamics-ky",
+         "rgrid-delta-inf"] + [f"{name}-delta" for name in _DELTA_COMMANDS])
 def test_negative_option_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, option, text):
     builds = []
     for module in (cli, dynamics):
@@ -242,7 +246,11 @@ def test_non_positive_tol_bound_is_config_error(tmp_path, tol):
 ])
 def test_non_finite_kick_parameter_is_config_error(tmp_path, capsys, argv, field):
     out = tmp_path / "out.csv"
-    assert run_cli(*argv, "--out", out) == 2
+    try:
+        code = run_cli(*argv, "--out", out)
+    except SystemExit as exc:      # --delta is checked by argparse, which exits
+        code = exc.code
+    assert code == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
 

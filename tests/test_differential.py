@@ -236,8 +236,8 @@ def test_fold_basis_frame_and_jz_band_match_the_dense_oracle(two_j, kx, ky, vari
     # [[cos, -i sin], [-i sin, cos]] of half the kick angle of the k-th eigenvalue of Jx / j
     angle = 0.5 * ky * np.linalg.eigvalsh(spins["x"].real)[:m] / j if variant == "plain" else 0.0
     diags, offs, _ = op.jz_band
-    for sector, (idx, (a, _, _, _), diag, off) in enumerate(zip(_oracle_sectors(two_j), op.folds,
-                                                               diags, offs)):
+    for sector, (idx, (a, _, _), diag, off) in enumerate(zip(_oracle_sectors(two_j), op.folds,
+                                                            diags, offs)):
         frame = op.frame[sector]
         n = len(a)
         assert n in (d // 2, (d + 1) // 2)

@@ -170,7 +170,7 @@ def test_norm_drift_guard_names_first_drifting_kick(two_j, excess, kick):
     psi0 = probe_state(two_j, 0.9, 0.4)
     for delta, folded in ((0.0, True), (0.0, False), (0.7, False)):
         op = floquet_operator(KickParams(1.7, 2.9, delta=delta), two_j)
-        folds = [tuple(block * (1.0 + excess) for block in fold[:3]) + fold[3:]
+        folds = [tuple(block * (1.0 + excess) for block in fold)
                  for fold in op.folds] if folded else None
         grown = dataclasses.replace(op, core=op.core * (1.0 + excess), folds=folds)
         with pytest.raises(NumericalError, match=rf"at kick {kick}$"):

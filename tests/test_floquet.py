@@ -159,8 +159,8 @@ def test_chiral_reversal_is_certified_once_per_two_j(monkeypatch, two_j):
     assert not sectors.reversal.flags.writeable
     assert np.array_equal(sectors.reversal[1], -sectors.reversal[0])
     # swapping two eigenvectors keeps C = V^T S V orthogonal but makes
-    # V^T Z V no signed reversal: both the fold and the delta kicks are built
-    # from it, so no operator is built and nothing is cached
+    # V^T Z V no signed reversal: every core, with or without delta, is built
+    # on its fold basis, so no operator is built and nothing is cached
     eigensystem = floquet.jx_eigensystem
     floquet._sectors.cache_clear()
     monkeypatch.setattr(floquet, "jx_eigensystem",
@@ -171,14 +171,34 @@ def test_chiral_reversal_is_certified_once_per_two_j(monkeypatch, two_j):
     assert floquet._sectors.cache_info().currsize == 0
 
 
+def _fold_basis(signs):
+    """The fold basis Q for the reversal J e_k = signs_k e_{d-1-k}: the +
+    states (e_k + signs_k e_{d-1-k}) / sqrt(2), k ascending, then the -
+    states, the middle state e_m of odd d last in the block of its sign;
+    and the number of + states."""
+    d, m = len(signs), len(signs) // 2
+    n = m + int(d % 2 == 1 and signs[m] > 0)
+    q = np.zeros((d, d))
+    k = np.arange(m)
+    q[k, k] = q[k, n + k] = np.sqrt(0.5)
+    q[d - 1 - k, k] = signs[k] * np.sqrt(0.5)
+    q[d - 1 - k, n + k] = -signs[k] * np.sqrt(0.5)
+    if d % 2:
+        q[m, m if n > m else d - 1] = 1.0
+    return q, n
+
+
 @pytest.mark.parametrize("two_j, built", [(6, 1), (7, 2)])
 def test_stored_overlaps_are_the_built_sectors(two_j, built):
-    # at even 2j only sector +1 is built, so only its C = V^T S V is kept
+    # at even 2j only sector +1 is built, so only the halves of its overlap
+    # C = V^T S V are kept: C+ and C-, the blocks of C on the fold basis
     sectors = floquet._sectors(two_j)
-    assert sectors.overlap.shape == (built, two_j + 1, two_j + 1)
-    assert not sectors.overlap.flags.writeable
-    for c, gauge in zip(sectors.overlap, sectors.gauge):
-        assert np.abs(c - sectors.vecs.T @ (gauge[:, None] * sectors.vecs)).max() < 1e-14
+    assert len(sectors.halves) == built
+    for (plus, minus), gauge, signs in zip(sectors.halves, sectors.gauge, sectors.reversal):
+        assert not plus.flags.writeable and not minus.flags.writeable
+        q, _ = _fold_basis(signs)
+        folded = q.T @ sectors.vecs.T @ (gauge[:, None] * sectors.vecs) @ q
+        assert np.abs(folded - scipy.linalg.block_diag(plus, minus)).max() < 1e-14
 
 
 DELTA_KICKS = [(kappa, delta) for kappa in (0.0, 1e-9, 1.7, 300.0) for delta in (1e-9, 0.7, 40.0)]
@@ -186,32 +206,36 @@ DELTA_KICKS = [(kappa, delta) for kappa in (0.0, 1e-9, 1.7, 300.0) for delta in 
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 6, 7, 64, 65, 200, 201])
 def test_delta_kick_matches_the_tridiagonal_and_dense_oracles(two_j):
-    # kappa T + delta Z is one 2 x 2 block per pair (k, d-1-k) of the cached
-    # eigenbasis: its eigenvalues are those of the tridiagonal eigenproblem,
-    # and the basis turned pair by pair diagonalizes it.  The dense kick
-    # oracle costs one eigh of size 2d per kick, so at two_j 200 and 201 it
-    # checks four of the twelve kicks, which take every kappa and every delta
+    # on the fold basis Q D of the cached eigenbasis V, D = 1 on the + states
+    # and i on the - states, the kick exp(-i (kappa T + delta Z)) is one pair
+    # kick [[a, s], [-s, conj(a)]] per pair (+k, -k), and the phase of its side
+    # on the middle state of odd d.  The oracles are the kick of the
+    # tridiagonal eigenproblem and the dense kick; the dense one costs one eigh
+    # of size 2d per kick, so at two_j 200 and 201 it checks four of the twelve
+    # kicks, which take every kappa and every delta
     sectors = floquet._sectors(two_j)
-    m = (two_j + 1) // 2
+    d, m = two_j + 1, (two_j + 1) // 2
+    pairs = np.arange(m)
     offdiag = ladder_elements(two_j) / two_j
     z = np.tile(np.diag(SIGMA_Z).real, two_j + 1)
     dense_kicks = DELTA_KICKS if two_j < 100 else DELTA_KICKS[::4] + DELTA_KICKS[-1:]
     for kappa, delta in DELTA_KICKS:
         dense = kick_unitary("x", kappa, two_j, delta) if (kappa, delta) in dense_kicks else None
-        scale = max(1.0, kappa, delta)
+        a, s = floquet._pair_kick(sectors.lam[:(d + 1) // 2], kappa, delta)
         for k, idx in enumerate(sector_indices(two_j)):
-            evals, cos, sin = floquet._delta_kick(sectors, k, kappa, delta)
-            oracle = scipy.linalg.eigh_tridiagonal(delta * z[idx], kappa * offdiag,
-                                                   eigvals_only=True)
-            assert np.abs(np.sort(evals) - oracle).max() < 1e-13 * scale
-            vecs = np.array(sectors.vecs)
-            floquet.turn_pairs(vecs.T[:m], vecs.T[::-1][:m], cos, sin)
-            generator = kappa * np.diag(offdiag, 1) + np.diag(delta * z[idx])
-            generator += np.triu(generator, 1).T
-            assert np.abs((vecs * evals) @ vecs.T - generator).max() < 1e-13 * scale
+            q, n = _fold_basis(sectors.reversal[k])
+            kick = np.zeros((d, d), dtype=complex)
+            kick[pairs, pairs], kick[n + pairs, n + pairs] = a[:m], np.conj(a[:m])
+            kick[pairs, n + pairs], kick[n + pairs, pairs] = s[:m], -s[:m]
+            if d % 2:
+                kick[(m, m) if n > m else (d - 1, d - 1)] = a[m] if n > m else np.conj(a[m])
+            basis = sectors.vecs @ q * np.where(np.arange(d) < n, 1.0, 1j)
+            evals, vecs = scipy.linalg.eigh_tridiagonal(delta * z[idx], kappa * offdiag)
+            oracles = [(vecs * np.exp(-1j * evals)) @ vecs.T]
             if dense is not None:
-                kick = (vecs * np.exp(-1j * evals)) @ vecs.T
-                assert np.abs(kick - dense[np.ix_(idx, idx)]).max() < 1e-12
+                oracles.append(dense[np.ix_(idx, idx)])
+            for oracle in oracles:
+                assert np.abs(basis.conj().T @ oracle @ basis - kick).max() < 1e-12
 
 
 def _frame_jz(op):
@@ -291,16 +315,23 @@ def test_certificates_hold_at_every_workload_size():
 
 
 def test_non_orthogonal_delta_overlap_rejected(monkeypatch):
+    # each pair kick is certified unitary where a core is built, for every delta
     floquet_operator(KickParams(1.0, 1.0), 7)  # the cached entry is certified and stored
-    kick = floquet._delta_kick
+    kick = floquet._pair_kick
+    monkeypatch.setattr(floquet, "_pair_kick", lambda *args: tuple(1.001 * x for x in kick(*args)))
+    for delta in (0.7, 0.0):
+        with pytest.raises(NumericalError, match="pair kick"):
+            floquet_operator(KickParams(1.0, 1.0, delta=delta), 7)
 
-    def scaled(*args):
-        evals, cos, sin = kick(*args)
-        return evals, 1.001 * cos, 1.001 * sin
 
-    monkeypatch.setattr(floquet, "_delta_kick", scaled)
-    with pytest.raises(NumericalError):
-        floquet_operator(KickParams(1.0, 1.0, delta=0.7), 7)
+@pytest.mark.parametrize("two_j", [1, 2, 12, 13, 64, 65])
+@pytest.mark.parametrize("kx, ky", [(1.9, 17.0), (0.0, 3.0), (40.0, 70.0)])
+def test_stored_core_and_frame_are_continuous_as_delta_vanishes(two_j, kx, ky):
+    # every core is built and stored on its fold basis, whatever delta
+    zero = floquet_operator(KickParams(kx, ky), two_j)
+    small = floquet_operator(KickParams(kx, ky, delta=1e-10), two_j)
+    assert np.abs(small.core - zero.core).max() < 1e-9
+    assert np.abs(small.frame - zero.frame).max() < 1e-9
 
 
 def test_operator_records_inputs():

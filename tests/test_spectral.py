@@ -9,8 +9,8 @@ from kickedtop.errors import NumericalError
 from kickedtop.floquet import (UNITARITY_TOL, VARIANTS, FloquetOperator, KickParams,
                                chiral_fold, floquet_operator, kick_unitary, unitarity_defect)
 from kickedtop.localization import probe_columns, sphere_averaged_s2, sphere_grid
-from kickedtop.spectral import (MIX, R_COE, R_CUE, R_POISSON, chiral_expectation,
-                                detect_bound_states, mean_spacing_ratio,
+from kickedtop.spectral import (EIGEN_RESIDUAL_TOL, MIX, R_COE, R_CUE, R_POISSON,
+                                chiral_expectation, detect_bound_states, mean_spacing_ratio,
                                 parity_resolved_r, quasi_spectrum, sector_eigenpairs,
                                 sector_eigenphases, stage_borders, stage_classify)
 from kickedtop.spin import SIGMA_Z, probe_state
@@ -323,7 +323,7 @@ def test_chiral_reversal_conjugates_every_core(two_j, variant):
     blocks = _dense_sector_blocks(kx, ky, two_j, variant)
     assert len(op.folds) == len(op.cores)
     for k, (core, fold) in enumerate(zip(op.cores, op.folds)):
-        a, b, kk = fold[:3]
+        a, b, kk = fold
         n = len(a)
         phases = np.where(np.arange(two_j + 1) < n, 1.0, 1j)
         real = phases.conj()[:, None] * core * phases
@@ -360,8 +360,8 @@ def test_stored_fold_matches_the_fold_of_the_dense_core(two_j):
             eigenbasis = gauge[:, None] * sectors.vecs * half
             core = eigenbasis.conj().T @ dense[variant][np.ix_(idx, idx)] @ eigenbasis
             oracle = chiral_fold(core, signs)
-            assert fold[3] == 0.0
-            for built, read in zip(fold[:3], oracle[:3]):
+            assert len(fold) == 3
+            for built, read in zip(fold, oracle[:3]):
                 assert built.shape == read.shape
                 assert np.abs(built - read).max() < 1e-13
             # Q is the basis that chiral_fold reads the blocks on
@@ -391,11 +391,12 @@ def test_uncertified_overlap_split_is_refused(monkeypatch, two_j):
 def test_huge_kicks_keep_the_core_unitary(two_j, kx):
     # the unpaired middle level of odd d is exactly 0, as the fold takes it
     # to be: a rounding residue there, times kx, would turn the core off
-    # the unitary group
+    # the unitary group, with or without delta
     if two_j % 2 == 0:
         assert floquet._sectors(two_j).lam[two_j // 2] == 0.0
-    for variant in VARIANTS:
-        op = floquet_operator(KickParams(kx, 1.7 * kx, variant=variant), two_j)
+    cases = [KickParams(kx, 1.7 * kx, variant=variant) for variant in VARIANTS]
+    for params in cases + [KickParams(kx, 1.7 * kx, delta=1.6)]:
+        op = floquet_operator(params, two_j)
         assert unitarity_defect(op.core) <= 1e-12
         assert sector_eigenphases(op).shape == (2, two_j + 1)
 
@@ -422,27 +423,28 @@ def test_fold_guard_rejects_scaled_and_noisy_cores(two_j):
         op = floquet_operator(KickParams(1.0, 1.0, variant=variant), two_j)
         q = [_fold_basis(s) for s in signs[:len(op.cores)]]
         core = q[0] @ op.cores[0] @ q[0].T
-        assert spectral._solve_fold(*chiral_fold(core, signs[0])) is not None
+        assert spectral._solve_fold(*chiral_fold(core, signs[0])[:3]) is not None
         # the pairs alone cannot see a common scale: the phase must be unit-modulus
-        assert spectral._solve_fold(*chiral_fold(core * 1.001, signs[0])) is None
+        assert spectral._solve_fold(*chiral_fold(core * 1.001, signs[0])[:3]) is None
         # the complex-symmetric noise of test_non_unitary_rejected
         rng = np.random.default_rng(two_j)
         noise = rng.standard_normal(core.shape) + 1j * rng.standard_normal(core.shape)
         noise += noise.T
         noise *= 1e-6 / np.abs(noise).max()
-        assert spectral._solve_fold(*chiral_fold(core + noise, signs[0])) is None
+        assert spectral._solve_fold(*chiral_fold(core + noise, signs[0])[:3]) is None
         # the refused fold falls through to sector_eigenpairs and Schur, which raise
         noisy = dataclasses.replace(op, core=op.core + noise)
-        noisy.folds = [chiral_fold(basis @ c @ basis.T, s)
+        noisy.folds = [chiral_fold(basis @ c @ basis.T, s)[:3]
                        for basis, c, s in zip(q, noisy.cores, signs)]
         with pytest.raises(NumericalError):
             sector_eigenphases(noisy)
         # the blocks are read from the top rows: noise confined to the bottom-right
-        # quarter leaves them as they were, and only the dropped part shows it
+        # quarter leaves them as they were, and only chiral_fold's bound on the
+        # dropped part shows it
         half = (two_j + 2) // 2
         hidden = np.zeros_like(noise)
         hidden[half:, half:] = noise[half:, half:]
-        assert spectral._solve_fold(*chiral_fold(core + hidden, signs[0])) is None
+        assert chiral_fold(core + hidden, signs[0])[3] > EIGEN_RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("two_j, kxky", [(200, 10.0), (201, 10.0), (200, 2000.0),
@@ -511,7 +513,7 @@ def test_fold_resolves_levels_at_the_cluster_cut():
     for cut in (spectral._cluster_cut(cosines), -spectral._cluster_cut(-cosines)):
         assert np.sort(np.abs(cosines - cut))[:2].max() < 1e-3
         assert (cosines > cut).any() and (cosines < cut).any()
-    solved = spectral._solve_fold(*chiral_fold(core, signs))
+    solved = spectral._solve_fold(*chiral_fold(core, signs)[:3])
     assert solved is not None
     eps = solved[0]
     assert _circle_set_distance(eps, np.concatenate([theta, -theta])) < 1e-12
@@ -526,11 +528,11 @@ def _free_mode_folds():
     signs = rng.choice([-1.0, 1.0], size=8)
     signs = np.concatenate([signs, signs[::-1]])
     core = _folded_core(signs, theta, rng, free_a=(1.0, 1.0), free_b=(1.0, -1.0))
-    yield chiral_fold(core, signs), core
+    yield chiral_fold(core, signs)[:3], core
     # odd d whose middle state is a - state: B is the larger block
     signs = np.concatenate([signs[:7], [-1.0], signs[:7][::-1]])
     core = _folded_core(signs, theta, rng, free_a=(-1.0,), free_b=(1.0, -1.0))
-    yield chiral_fold(core, signs), core
+    yield chiral_fold(core, signs)[:3], core
     # no kicks: A = 1, B = 1, K = 0, and every mode is unpaired
     for two_j in (6, 7):
         op = floquet_operator(KickParams(0.0, 0.0), two_j)
@@ -541,8 +543,8 @@ def _free_mode_folds():
 def test_fold_solves_unpaired_modes_of_either_block():
     # the modes K q = 0 of B, which have no partner in A, come out at
     # exactly 0 or pi with their own eigenvectors (0, q)
-    for (a, b, k, dropped), core in _free_mode_folds():
-        solved = spectral._solve_fold(a, b, k, dropped)
+    for (a, b, k), core in _free_mode_folds():
+        solved = spectral._solve_fold(a, b, k)
         assert solved is not None
         eps, p, q, paired = solved
         assert _circle_set_distance(eps, -np.angle(np.linalg.eigvals(core))) < 1e-12
