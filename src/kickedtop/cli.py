@@ -232,8 +232,17 @@ def cmd_rcurve(args) -> Callable[[], str]:
                   row)
 
 
+def _resolve_variant(args) -> None:
+    """Set a --variant left at its default: plain when --delta is above 0,
+    as the symmetrized orderings require delta = 0, else sym1.  The
+    config header records the variant set."""
+    if args.variant is None:
+        args.variant = "plain" if args.delta > 0 else "sym1"
+
+
 def cmd_entropy(args) -> Callable[[], str]:
     two_j = validate_two_j(args.two_j)
+    _resolve_variant(args)
     points = _product_points(args)
     if points[0][0] == [0.0]:    # the grid starts at its least product
         raise ValueError(f"kxky must be positive for entropy, got --kxky={args.kxky!r}")
@@ -282,15 +291,11 @@ def cmd_dynamics(args) -> Callable[[], str]:
 
 def cmd_symcheck(args) -> Callable[[], str]:
     two_j = validate_two_j(args.two_j)
-    variant = args.variant
-    if variant is None:
-        variant = "plain" if args.delta > 0 else "sym1"
+    _resolve_variant(args)
     params = KickParams(kappa_x=parse_kappa(args.kx, "kappa_x", "--kx"),
                         kappa_y=parse_kappa(args.ky, "kappa_y", "--ky"),
-                        delta=args.delta, variant=variant)
-    config = _config_dict(args)
-    config["variant"] = variant
-    return lambda: _json("symcheck", config, {
+                        delta=args.delta, variant=args.variant)
+    return lambda: _json("symcheck", _config_dict(args), {
         "report": verify_symmetries(floquet_operator(params, two_j)).as_dict()})
 
 
@@ -358,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = product_sweep("entropy", cmd_entropy,
                       "sphere-averaged Renyi entropy along a product range")
-    p.add_argument("--variant", choices=VARIANTS, default="sym1")
+    p.add_argument("--variant", choices=VARIANTS, default=None)
     p.add_argument("--grid", type=int, default=32, help="sphere quadrature size per axis")
 
     p = command("dynamics", cmd_dynamics, "stroboscopic Jz series at allowed kick strengths")

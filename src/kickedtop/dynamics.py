@@ -12,26 +12,21 @@ stroboscopic_series runs the recursion psi_{n+1} = B psi_n on the exact
 mirror beside sector +1: the -1 block is G J conj(B) J G, with J the
 basis reversal and G = diag((-1)^k), so B^n maps G J conj(psi_-) to
 G J conj(psi_-(n)), and the mirrored state's m ladder is that of
-sector -1 reversed.  Two paths evolve the sectors:
+sector -1 reversed.
 
-* Real fold (delta = 0).  Each core is stored on its fold basis, where
-  it is M = D O D^dag with D = 1 on the + states and i on the - states
-  and O = [[A, -K], [K^T, B]] real orthogonal, from the blocks that the
-  operator keeps (FloquetOperator.folds, which exists exactly when
-  delta = 0; derived in the floquet module docstring).  A state
-  enters as x = D^dag frame^dag psi, and each kick is one real product
-  O x with the real and imaginary parts of the states side by side.
-  <Jz> needs no m-ladder projection: in the eigenbasis of Jx, Jz is
-  tridiagonal, and it keeps the spin, so on the fold basis it is a real
-  band that D leaves alone (FloquetOperator.jz_band), which gives the
-  norm, <Jz> and <Jz^2> of every kick from x in O(2j) steps.  The plain
-  frames carry the half y kick, a turn of each pair (+k, -k); there x
-  and O are turned once, so that the band holds.
-* Complex blocks (delta > 0, and any operator without a fold, such as
-  one built from explicit cores).  The sector blocks B are assembled; the
-  first BATCH - 1 kicks take one product each, then P = B^BATCH, from
-  repeated squaring, advances the last BATCH states at once.  Only that
-  last batch and the per-kick m-ladder weights are kept.
+Each core is stored on its fold basis, where it is M = D O D^dag with
+D = 1 on the + states and i on the - states and O = [[A, -K], [K^T, B]]
+unitary, from the blocks that the operator keeps (FloquetOperator.folds,
+real exactly when delta = 0; derived in the floquet module docstring).
+A state enters as x = D^dag frame^dag psi, kept as its real and
+imaginary parts side by side, and each kick is O x: one real product
+where O is real, two (with Re O and Im O) where it is not.  <Jz> needs
+no m-ladder projection: in the eigenbasis of Jx, Jz is tridiagonal, and
+it keeps the spin, so on the fold basis it is a real band that D leaves
+alone (FloquetOperator.jz_band), which gives the norm, <Jz> and <Jz^2>
+of every kick from x in O(2j) steps.  The plain frames carry the half
+y kick, a turn of each pair (+k, -k); there x and O are turned once, so
+that the band holds.
 
 The norm of every kick is checked against NORM_DRIFT_TOL.
 eigenbasis_series evolves by eigenphases instead.  It is the tests'
@@ -46,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .floquet import FloquetOperator, KickParams, floquet_operator, turn_pairs
+from .floquet import FloquetOperator, KickParams, floquet_operator, turn_fold
 from .meanfield import allowed_kappa_x
 from .spectral import QuasiSpectrum
 from .spin import coherent_state, m_values, product_state
@@ -54,10 +49,7 @@ from .symmetry import sector_indices
 
 NORM_DRIFT_TOL = 1e-8
 
-# states per matrix product in the complex path after the first BATCH - 1 kicks
-BATCH = 8
-
-# kicks whose real states the fold path keeps at once for their moments
+# kicks whose real states the kick loop keeps at once for their moments
 CHUNK = 32
 
 
@@ -102,42 +94,6 @@ def _weight_moments(two_j: int, weights: np.ndarray) -> np.ndarray:
     return np.stack([weights.sum(axis=1), weights @ jz_diag, weights @ jz_diag ** 2], axis=1)
 
 
-def _ladder_weights(states: np.ndarray) -> np.ndarray:
-    """The (n, d) m-ladder weights of n consecutive kicks, from their
-    states stacked as in _batched_moments: (1, d, n * 2) with one
-    distinct block, sector -1 mirrored, else (2, d, n)."""
-    p = states.real ** 2 + states.imag ** 2
-    if len(p) == 1:
-        p = p.reshape(p.shape[1], -1, 2)
-        return (p[:, :, 0] + p[::-1, :, 1]).T
-    return (p[0] + p[1]).T
-
-
-def _batched_moments(operator: FloquetOperator, states: np.ndarray, n_max: int) -> np.ndarray:
-    """The moments of every kick from the complex sector blocks B of
-    `cores`: kicks 1 to BATCH - 1 take one product each; after that
-    P = B^BATCH times the previous BATCH states gives the next BATCH in
-    one product."""
-    blocks = operator.distinct_blocks()
-    groups, d, width = states.shape
-    weights = np.empty((n_max + 1, d))
-
-    first = min(BATCH, n_max + 1)
-    batch = np.empty((groups, d, first, width), dtype=complex)
-    batch[:, :, 0] = states
-    for n in range(1, first):
-        batch[:, :, n] = blocks @ batch[:, :, n - 1]
-    batch = batch.reshape(groups, d, first * width)
-    weights[:first] = _ladder_weights(batch)
-    if n_max >= BATCH:
-        power = np.linalg.matrix_power(blocks, BATCH)
-        for start in range(BATCH, n_max + 1, BATCH):
-            count = min(BATCH, n_max + 1 - start)
-            batch = power @ batch[:, :, :count * width]
-            weights[start:start + count] = _ladder_weights(batch)
-    return _weight_moments(operator.two_j, weights)
-
-
 def _band_moments(x: np.ndarray, band: tuple, jz_sign: np.ndarray) -> np.ndarray:
     """The (n, 3) squared norm, <Jz> and <Jz^2> of n kicks, from their real
     fold-basis states x (n, c, d) and the real tridiagonal Jz of that basis
@@ -152,19 +108,13 @@ def _band_moments(x: np.ndarray, band: tuple, jz_sign: np.ndarray) -> np.ndarray
 
 
 def _folded_moments(operator: FloquetOperator, rows: np.ndarray, n_max: int) -> np.ndarray:
-    """The moments of every kick from the real orthogonal fold of each
-    of `cores`, as the operator stores it (FloquetOperator.folds, at
-    delta = 0; floquet module docstring).
-
-    A core is M = [[A, iK], [iK^T, B]] = D O D^dag on its fold basis, with
-    D = 1 on the + states and i on the - states and the real orthogonal
-    O = [[A, -K], [K^T, B]].  A state psi of the core's sector enters as
-    x = D^dag frame^dag psi, and each kick is one real product with O
-    (real and imaginary parts of every state as rows).  Jz keeps the
-    spin, so D drops out of it and the real band of D^dag frame^dag Jz
-    frame D gives the moments from x as it is.  The plain frames carry
-    the half y kick, a turn R of each pair (+k, -k), so there the
-    states are evolved as R x, by R O R^T.
+    """The moments of every kick from the fold of each of `cores` (module
+    docstring): the states x = D^dag frame^dag psi as rows, their real and
+    imaginary parts apart, each kicked as x O^T.  On the fold basis the
+    plain frames' half y kick is the pair kick H' = [[a, s], [-s, conj(a)]]
+    of each pair (+k, -k) (FloquetOperator.jz_band), so there the states
+    are evolved as H' x, by H' O H'^dag: the rows of O^T are turned by
+    conj(H'), and the columns of O^T and of x by H'.
     """
     diags, offs, turn = operator.jz_band
     width = rows.shape[1]
@@ -178,16 +128,23 @@ def _folded_moments(operator: FloquetOperator, rows: np.ndarray, n_max: int) -> 
         x = (core_rows.conj() @ frame).conj()
         n_plus = len(a)
         x[:, n_plus:] *= -1j
-        x = np.concatenate([x.real, x.imag])
         if turn is not None:
-            # R O^T R^T on its rows and its columns, and x R^T on its columns
-            m = len(turn[0])
-            for pairs in (o_t, o_t.T, x.T):
-                turn_pairs(pairs[:m], pairs[n_plus:n_plus + m], *turn)
+            turn_fold(o_t, n_plus, (np.conj(turn[0]), turn[1]))
+            turn_fold(o_t.T, n_plus, turn)
+            turn_fold(x.T, n_plus, turn)
+        x = np.concatenate([x.real, x.imag])
+        o_re = np.ascontiguousarray(o_t.real)
+        o_im = np.ascontiguousarray(o_t.imag) if np.iscomplexobj(o_t) else None
         kicks = np.empty((CHUNK,) + x.shape)
         for n in range(n_max + 1):
             if n:
-                x = x @ o_t
+                kicked = x @ o_re
+                if o_im is not None:
+                    # (x_re + i x_im) O^T, its real parts in the first width rows
+                    swap = x @ o_im
+                    kicked[:width] -= swap[width:]
+                    kicked[width:] += swap[:width]
+                x = kicked
             kicks[n % CHUNK] = x
             if n % CHUNK == CHUNK - 1 or n == n_max:
                 done = kicks[:n % CHUNK + 1]
@@ -201,14 +158,12 @@ def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
 
     Each distinct core (FloquetOperator.cores) evolves its sector; with
     one, sector -1 is evolved through its mirror (FloquetOperator.mirror)
-    beside sector +1.  An operator with a chiral fold
-    (FloquetOperator.folds, exactly when delta = 0) is kicked by real
-    products on the fold of each core (_folded_moments); one without, by
-    complex products on the sector blocks (_batched_moments).  Raises
-    ValueError unless psi0 is a finite, normalized vector of the coupled
-    space, and NumericalError naming the first kick at which the state
-    norm has drifted by more than NORM_DRIFT_TOL.  Entry 0 of the series
-    is the initial state.
+    beside sector +1, by the kicks of its fold (FloquetOperator.folds,
+    which floquet_operator stores; _folded_moments).  Raises ValueError
+    unless psi0 is a finite, normalized vector of the coupled space, and
+    NumericalError naming the first kick at which the state norm has
+    drifted by more than NORM_DRIFT_TOL.  Entry 0 of the series is the
+    initial state.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -220,10 +175,7 @@ def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
         rows = np.stack([plus, operator.mirror(minus)])[None]
     else:
         rows = np.stack([plus, minus])[:, None]
-    if operator.folds is not None:
-        moments = _folded_moments(operator, rows, n_max)
-    else:
-        moments = _batched_moments(operator, rows.swapaxes(1, 2), n_max)
+    moments = _folded_moments(operator, rows, n_max)
 
     drift = np.abs(np.sqrt(moments[:, 0]) - 1.0)
     drifted = np.flatnonzero(~(drift <= NORM_DRIFT_TOL))   # a NaN drift counts

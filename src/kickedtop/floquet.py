@@ -58,19 +58,20 @@ three half-size real products, C+ Re(a) C+^T, C- Re(a) C-^T and
 C+ s C-^T, two more for the imaginary part that delta > 0 gives the
 diagonal blocks of E, and H pair by pair on the rows and the columns
 (_fold).  Every core is stored on Q as D [[A, -K], [K^T, B]]
-D^dag = [[A, iK], [iK^T, B]].  With delta = 0 the symmetrized drive has
-the chiral symmetry sigma_z U sigma_z = U^-1, every pair kick is real,
-and so are A, B and K: [[A, -K], [K^T, B]] is real orthogonal, and the
-operator keeps (A, B, K) as FloquetOperator.folds, which the eigenphase
-solver and the real evolution of dynamics take as they are; a fold
-exists exactly when delta = 0.  The frame is S V Q, times H on Q for
-plain, written without Q (_fold_frame): Z v_k = s_k v_{d-1-k}, so the +
-state of pair k is (1 + Z) v_k / sqrt(2), sqrt(2) v_k on the spin-up
-rows of the sector, and the - state the same on the spin-down rows.
+D^dag = [[A, iK], [iK^T, B]], and the operator keeps (A, B, K) as
+FloquetOperator.folds, which the evolution of dynamics takes as it is.
+With delta = 0 the symmetrized drive has the chiral symmetry
+sigma_z U sigma_z = U^-1, every pair kick is real, and so are A, B and
+K: [[A, -K], [K^T, B]] is real orthogonal, and the eigenphase solver
+takes it at half size; a fold is real exactly when delta = 0.  The
+frame is S V Q, times H on Q for plain, written without Q
+(_fold_frame): Z v_k = s_k v_{d-1-k}, so the + state of pair k is
+(1 + Z) v_k / sqrt(2), sqrt(2) v_k on the spin-up rows of the sector,
+and the - state the same on the spin-down rows.
 Jz, the diagonal m of each sector, keeps the spin and is tridiagonal in
 the eigenbasis of T, so on Q it is a real band that couples no + state
 to a - state; that band is certified once per two_j (_jz_band) and
-handed out by FloquetOperator.jz_band for the frames without delta.
+handed out by FloquetOperator.jz_band for every frame.
 
 Unitarity is certified where it originates: a core is unitary exactly
 when C is orthogonal and every pair kick is unitary, |a|^2 + s^2 = 1.
@@ -95,11 +96,11 @@ builds sector +1 only and stores core[1] = conj(core[0]),
 frame[1] = G J conj(frame[0]), so eps[-1] = -eps[+1] and the sector -1
 eigenvectors are G J conj(v[+1]).
 
-Consumers work from the distinct cores (FloquetOperator.cores) and, at
-delta = 0, their folds (FloquetOperator.folds): distinct_blocks
-assembles the sector +1 block alone at even 2j, sector_blocks derives
-the sector -1 block from it, and to_sectors maps solved eigenvectors
-once and mirrors them (FloquetOperator.mirror).
+Consumers work from the distinct cores (FloquetOperator.cores) and
+their folds (FloquetOperator.folds): sector_blocks assembles the sector
++1 block alone at even 2j and derives the sector -1 block from it, and
+to_sectors maps solved eigenvectors once and mirrors them
+(FloquetOperator.mirror).
 """
 
 import functools
@@ -151,10 +152,10 @@ class FloquetOperator:
     is G J conj(frame[0]), G = diag((-1)^k) and J the reversal.  `cores`
     holds the distinct cores that checks and solvers use; floquet_operator
     stores each on its fold basis, [[A, iK], [iK^T, B]] with its len(A) +
-    states first (module docstring).  `folds`, set by floquet_operator
-    exactly when delta = 0, holds the real (A, B, K) of each of `cores`.
-    An operator without folds (delta > 0, or one built from explicit
-    cores) is solved and evolved on its complex cores.
+    states first (module docstring).  `folds`, set by floquet_operator,
+    holds the (A, B, K) of each of `cores`; a fold is real exactly when
+    delta = 0.  An operator built from explicit cores has no folds: it is
+    solved on its cores, and not evolved.
     """
 
     core: np.ndarray
@@ -178,29 +179,21 @@ class FloquetOperator:
         return _conjugate_mirror(rows)
 
     @property
-    def jz_band(self) -> tuple | None:
-        """For delta = 0, Jz (on the sector's m ladder) on the fold basis of
-        each of `cores`: the real diagonal and off-diagonal of
+    def jz_band(self) -> tuple:
+        """Jz (on the sector's m ladder) on the fold basis of each of
+        `cores`: the real diagonal and off-diagonal of
         D^dag frame^dag Jz frame D, D = 1 on the + states and i on the -
-        states, as (len(cores), d) and (len(cores), d - 1) arrays; and None,
-        or for plain the cos and sin of the half y kick's angle of each pair
-        (+k, -k).  The plain frames carry that kick, so their band holds
-        after each pair is turned by it (turn_pairs).  None for delta > 0,
-        whose pair kicks are complex."""
-        if self.params.delta != 0.0:
-            return None
+        states, as (len(cores), d) and (len(cores), d - 1) arrays, which
+        depend on two_j alone; and None, or for plain the pair kick (a, s)
+        of the half y kick (_pair_kick), a real turn exactly when
+        delta = 0.  The plain frames carry that kick, so their band holds
+        after the fold basis is turned by it (turn_fold)."""
         diag, off = _jz_band(self.two_j)
         turn = None
         if self.params.variant == "plain":
-            lam = _sectors(self.two_j).lam[:self.dim // 4]
-            turn = _pair_kick(lam, 0.5 * self.params.kappa_y, 0.0)
+            lam = _sectors(self.two_j).lam[:(self.core.shape[-1] + 1) // 2]
+            turn = _pair_kick(lam, 0.5 * self.params.kappa_y, 0.5 * self.params.delta)
         return diag, off, turn
-
-    def distinct_blocks(self) -> np.ndarray:
-        """The sector blocks of `cores`: (1, d, d) at even 2j, else (2, d, d)."""
-        cores = self.cores
-        frame = self.frame[:len(cores)]
-        return frame @ cores @ frame.conj().swapaxes(-1, -2)
 
     def sector_blocks(self) -> np.ndarray:
         """The (2, d, d) stack of sector blocks of the one-period unitary.
@@ -208,7 +201,9 @@ class FloquetOperator:
         Only the blocks of `cores` are assembled: at even 2j the -1 block
         is G J conj(block) J G of the +1 block.
         """
-        blocks = self.distinct_blocks()
+        cores = self.cores
+        frame = self.frame[:len(cores)]
+        blocks = frame @ cores @ frame.conj().swapaxes(-1, -2)
         if len(blocks) == 2:
             return blocks
         plus = blocks[0]
@@ -412,15 +407,23 @@ def chiral_fold(m: np.ndarray, signs: np.ndarray):
     return a, b, k, dropped
 
 
-def turn_pairs(top: np.ndarray, bottom: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
-    """Turn each pair of rows (top[k], bottom[k]) by
-    [[cos_k, sin_k], [-sin_k, conj(cos_k)]], in place; top and bottom are
-    disjoint views of one array, len(cos) rows each."""
+def turn_fold(rows: np.ndarray, n_plus: int, kick: tuple) -> None:
+    """Turn the rows of a (d, n) array on the fold basis, its n_plus +
+    states first, by the pair kick (a, s) of `kick` (_pair_kick), in
+    place: each pair of rows (k, n_plus + k) by
+    [[a_k, s_k], [-s_k, conj(a_k)]], and the row of the middle state of
+    odd d, the last of the larger block, by the phase of its side, a_m on
+    the + side and conj(a_m) on the - side."""
+    (a, s), d, m = kick, len(rows), len(rows) // 2
+    top, bottom = rows[:m], rows[n_plus:n_plus + m]
     saved = top.copy()
-    top *= cos[:, None]
-    top += sin[:, None] * bottom
-    bottom *= np.conj(cos)[:, None]
-    bottom -= sin[:, None] * saved
+    top *= a[:m, None]
+    top += s[:m, None] * bottom
+    bottom *= np.conj(a[:m])[:, None]
+    bottom -= s[:m, None] * saved
+    if d % 2:
+        middle, phase = (m, a[m]) if n_plus > m else (d - 1, np.conj(a[m]))
+        rows[middle] *= phase
 
 
 def _pair_kick(lam: np.ndarray, kappa: float, delta: float) -> tuple:
@@ -470,14 +473,9 @@ def _fold(halves: tuple, inner: tuple, half: tuple) -> tuple:
     o[n:, n:] = _gram(minus, np.conj(a[:d - n]))
     o[:n, n:] = (plus[:, :m] * s[:m]) @ minus[:, :m].T
     o[n:, :n] = -o[:n, n:].T
-    turn_pairs(o[:m], o[n:n + m], half_a[:m], half_s[:m])
+    turn_fold(o, n, half)
     # O H = (H^T O^T)^T, and H^T turns each pair the other way
-    turn_pairs(o.T[:m], o.T[n:n + m], half_a[:m], -half_s[:m])
-    if d % 2:
-        # the middle state, last of the larger block, takes the phase of its side
-        middle, phase = (m, half_a[m]) if n > m else (d - 1, np.conj(half_a[m]))
-        o[middle] *= phase
-        o[:, middle] *= phase
+    turn_fold(o.T, n, (half_a, -half_s))
     return o[:n, :n], o[n:, n:], -o[:n, n:]
 
 
@@ -587,5 +585,4 @@ def floquet_operator(params: KickParams, two_j: int) -> FloquetOperator:
         folds = [_sector_core(sectors, 0, params, core[0], frame[0])]
         np.conjugate(core[0], out=core[1])
         _conjugate_mirror(frame[0], out=frame[1])
-    return FloquetOperator(core=core, frame=frame, params=params, two_j=two_j,
-                           folds=folds if params.delta == 0.0 else None)
+    return FloquetOperator(core=core, frame=frame, params=params, two_j=two_j, folds=folds)

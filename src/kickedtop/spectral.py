@@ -17,28 +17,28 @@ overlaps sector +1 only.
 
 Each sector of a FloquetOperator is a complex-symmetric unitary core
 M = R + i I.  Two solvers serve it; which one runs depends on the
-operator, not on the caller:
+operator, not on the caller, and is decided in one place (_fold_solve):
 
-* The fold, for every delta = 0 core, the eigenphases
-  (sector_eigenphases: spectrum, rgrid, rcurve) and the eigenvectors
-  (quasi_spectrum: entropy, bound states) alike.  floquet_operator
-  stores every core on its fold basis, M = [[A, iK], [iK^T, B]], and
-  keeps the real half-size A, B and K of a delta = 0 core, whose chiral
-  symmetry pairs every level eps with -eps, as FloquetOperator.folds
-  (derived in the floquet module docstring).  One half-size eigh
-  of A, a QR, the eigh of B on its levels near +-1 and a small SVD give
-  the phases and the half-size vectors p and q of every level
-  (_solve_fold).  The phases alone cost nothing more, and
-  quasi_spectrum takes (p, +-q) / sqrt(2) as the core's eigenvectors as
-  they are and maps them through the frames.
-* sector_eigenpairs, for every core without a fold (delta > 0, or an
-  operator built from explicit cores), and the fallback for a core whose
-  fold the fold's own guard rejects.  Unitarity makes the real symmetric
-  R and I commute, so one real symmetric eigh of R + MIX * I gives a
-  real orthonormal eigenbasis V of M.  The real products R V and I V
-  give the eigenphases, eps = -atan2(v.I v, v.R v), and the eigenpair
-  residual, whose real and imaginary parts are R v - v cos eps and
-  I v + v sin eps.  Two eigenphases e1, e2 share an eigenvalue of
+* The fold, for every core whose stored fold is real (delta = 0), the
+  eigenphases (sector_eigenphases: spectrum, rgrid, rcurve) and the
+  eigenvectors (quasi_spectrum: entropy, bound states) alike.
+  floquet_operator stores every core on its fold basis,
+  M = [[A, iK], [iK^T, B]], and keeps its half-size A, B and K as
+  FloquetOperator.folds (derived in the floquet module docstring); they
+  are real exactly when delta = 0, where the chiral symmetry pairs every
+  level eps with -eps.  One half-size eigh of A, a QR, the eigh of B on
+  its levels near +-1 and a small SVD give the phases and the half-size
+  vectors p and q of every level (_solve_fold).  The phases alone cost
+  nothing more, and quasi_spectrum takes (p, +-q) / sqrt(2) as the
+  core's eigenvectors as they are and maps them through the frames.
+* sector_eigenpairs, for every core without a real fold (delta > 0, or
+  an operator built from explicit cores), and the fallback for a core
+  whose fold the fold's own guard rejects.  Unitarity makes the real
+  symmetric R and I commute, so one real symmetric eigh of R + MIX * I
+  gives a real orthonormal eigenbasis V of M.  The real products R V
+  and I V give the eigenphases, eps = -atan2(v.I v, v.R v), and the
+  eigenpair residual, whose real and imaginary parts are R v - v cos eps
+  and I v + v sin eps.  Two eigenphases e1, e2 share an eigenvalue of
   R + MIX * I when e1 + e2 = -2 atan(MIX) (mod 2 pi), and eigh may mix
   their eigenvectors; the eigenpair residual of every sector is checked,
   and a sector above EIGEN_RESIDUAL_TOL falls back to a complex eig
@@ -244,6 +244,16 @@ def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray) -> tuple | None:
     return _branch(np.concatenate([-theta, theta[paired]])), p, q, paired
 
 
+def _fold_solve(operator: FloquetOperator, k: int) -> tuple | None:
+    """_solve_fold of the stored fold of core k where that fold is real
+    (delta = 0); None where the core takes sector_eigenpairs instead: its
+    fold is complex (delta > 0), the operator has none (one built from
+    explicit cores), or the fold's guard rejects it."""
+    if operator.folds is None or np.iscomplexobj(operator.folds[k][0]):
+        return None
+    return _solve_fold(*operator.folds[k])
+
+
 def _both_sectors(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The (2, d) stack of sorted quasi-energies from those of
     FloquetOperator.cores, and with one core the order that sorts the
@@ -261,14 +271,14 @@ def sector_eigenphases(operator: FloquetOperator) -> np.ndarray:
 
     The light-weight path for spacing statistics over parameter sweeps:
     the epsilons of quasi_spectrum without the eigenvectors.  A core's
-    stored fold (FloquetOperator.folds, which exists exactly when
-    delta = 0) is solved at half size; a core without one, or whose fold
-    the guard rejects, takes sector_eigenpairs.  Raises NumericalError
-    like quasi_spectrum, from the eigenpair residual.
+    real fold (FloquetOperator.folds, real exactly when delta = 0) is
+    solved at half size, any other core by sector_eigenpairs
+    (_fold_solve).  Raises NumericalError like quasi_spectrum, from the
+    eigenpair residual.
     """
     eps = []
     for k, core in enumerate(operator.cores):
-        solved = None if operator.folds is None else _solve_fold(*operator.folds[k])
+        solved = _fold_solve(operator, k)
         eps.append(sector_eigenpairs(core)[0] if solved is None else solved[0])
     return _both_sectors(np.sort(eps))[0]
 
@@ -276,16 +286,16 @@ def sector_eigenphases(operator: FloquetOperator) -> np.ndarray:
 def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
     """Diagonalize each parity sector, sorted within the sector.
 
-    A core with a fold (delta = 0) takes its eigenvectors from the fold's
-    half-size solve, the one that sector_eigenphases runs; a core without
-    one, or whose fold the guard rejects, takes sector_eigenpairs.
+    A core with a real fold (delta = 0) takes its eigenvectors from the
+    fold's half-size solve, the one that sector_eigenphases runs; any
+    other core takes sector_eigenpairs (_fold_solve).
     Raises NumericalError when an eigenpair residual
     ||M v - exp(-i eps) v|| of a sector core M exceeds EIGEN_RESIDUAL_TOL
     even after the eig fallback; a core that is not unitary fails there.
     """
     epsilons, vectors = [], []
     for k, core in enumerate(operator.cores):
-        solved = None if operator.folds is None else _solve_fold(*operator.folds[k])
+        solved = _fold_solve(operator, k)
         if solved is None:
             eps, vecs = sector_eigenpairs(core)
         else:

@@ -117,8 +117,8 @@ def test_unwritable_out_fails_before_any_operator_is_built(tmp_path, capsys, mon
     (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--n-max", 0), ("n_max",)),
     (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--variant", "sym1",
       "--delta", 0.5), ("delta",)),
-    (("entropy", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--delta", 0.5),
-     ("variant 'sym1'", "delta=0.5")),
+    (("entropy", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--variant", "sym1",
+      "--delta", 0.5), ("variant 'sym1'", "delta=0.5")),
     (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "2.5"), ("--nx", "'2.5'")),
     (("rcurve", "--two-j", 1, "--kxky", "1:4", "--steps", 2), ("two_j",)),
     (("rgrid", "--two-j", 1, "--kx", "1:2", "--ky", "1:2", "--steps", 1), ("two_j",)),
@@ -365,11 +365,10 @@ def test_delta_zero_commands_take_the_stored_fold(tmp_path, monkeypatch, two_j):
     # floquet_operator stores the fold of every delta = 0 core, and the
     # solver and the real evolution take it as it is: once the per-two_j
     # data are cached, no fold is read from a core, and no sweep falls back
-    # to a complex solve or evolution
+    # to a complex solve
     floquet_operator(KickParams(1.0, 1.0), two_j)
     calls = []
-    for module, name in ((floquet, "chiral_fold"), (spectral, "sector_eigenpairs"),
-                         (dynamics, "_batched_moments")):
+    for module, name in ((floquet, "chiral_fold"), (spectral, "sector_eigenpairs")):
         monkeypatch.setattr(module, name, lambda *a, call=getattr(module, name), name=name:
                             calls.append(name) or call(*a))
     for argv in (("rcurve", "--kxky", "1:300", "--steps", 3),
@@ -483,6 +482,16 @@ def test_entropy_columns_and_baseline(tmp_path):
     for row in rows:
         assert 0.0 <= float(row[1]) <= 1.0
         assert float(row[3]) == pytest.approx(math.log((dim + 2) / 3) / math.log(dim))
+
+
+def test_entropy_default_variant_is_plain_with_delta(tmp_path):
+    # like symcheck, entropy defaults to plain where --delta is above 0 (and
+    # to sym1 without it, test_entropy_columns_and_baseline), and records it
+    out = tmp_path / "s2.csv"
+    assert run_cli("entropy", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--grid", 6,
+                   "--delta", 0.5, "--out", out) == 0
+    config, _, rows = read_output(out)
+    assert config["variant"] == "plain" and len(rows) == 2
 
 
 def test_entropy_rejects_zero_product(tmp_path):

@@ -14,10 +14,11 @@ eigenvector unique up to a phase, it also checks the sphere-averaged
 entropy on a small grid against an S2 from the eigenvectors of eig and
 coherent probes exp(-i phi Jz) exp(-i theta Jy) |j, j> built here (127
 of the 192 cases, from 37 of the 38 draws with both kicks positive).
-The draws at two_j 18-65 also check, at delta = 0, the operator's fold
-basis: its frame splits the spin (each + state on the spin-up rows, each
-- state on the spin-down rows, once the plain frame's half y kick is
-turned back), and Jz there is the real band of
+The draws at two_j 18-65 also check the operator's fold basis, for all
+three variants at delta = 0 and for plain at the drawn delta > 0: its
+frame splits the spin (each + state on the spin-up rows, each - state on
+the spin-down rows, once the plain frame's half y kick is turned back),
+and Jz there is the real band of
 FloquetOperator.jz_band.  Huge kicks (kappa >= 1e12) are left to
 test_spectral.test_huge_kicks_keep_the_core_unitary: there kappa * lambda
 mod 2 pi loses about kappa * 1e-16 in any oracle.
@@ -221,20 +222,24 @@ def test_public_outputs_match_the_dense_oracle(two_j, stage, kx, ky, delta, vari
 def _large_cases():
     for i, (two_j, stage, kx, ky, delta) in enumerate(DRAWS[40:], start=40):
         for variant in ("plain", "sym1", "sym2"):
-            yield pytest.param(two_j, kx, ky, variant, id=f"{i}-{two_j}-{variant}")
+            yield pytest.param(two_j, kx, ky, 0.0, variant, id=f"{i}-{two_j}-{variant}")
+        yield pytest.param(two_j, kx, ky, delta, "plain", id=f"{i}-{two_j}-plain-delta")
 
 
-@pytest.mark.parametrize("two_j, kx, ky, variant", _large_cases())
-def test_fold_basis_frame_and_jz_band_match_the_dense_oracle(two_j, kx, ky, variant):
+@pytest.mark.parametrize("two_j, kx, ky, delta, variant", _large_cases())
+def test_fold_basis_frame_and_jz_band_match_the_dense_oracle(two_j, kx, ky, delta, variant):
     # the blocks that the frames and cores give are held against U by the
     # eigenphases and <Jz>/j of test_public_outputs_match_the_dense_oracle
-    op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
+    op = floquet_operator(KickParams(kx, ky, delta=delta, variant=variant), two_j)
     spins = _spin_matrices(two_j)
     jz = np.kron(spins["z"], np.eye(2))
     d, m, j = two_j + 1, (two_j + 1) // 2, two_j / 2.0
     # the plain frame carries the half y kick, which turns each pair (+k, -k) by
-    # [[cos, -i sin], [-i sin, cos]] of half the kick angle of the k-th eigenvalue of Jx / j
-    angle = 0.5 * ky * np.linalg.eigvalsh(spins["x"].real)[:m] / j if variant == "plain" else 0.0
+    # exp(-i (ky lam_k sigma_x + delta sigma_z) / 2), lam_k the k-th eigenvalue of
+    # Jx / j, and the middle state of odd d by the phase of its side
+    lam = np.linalg.eigvalsh(spins["x"].real)[:m] / j
+    half = ([scipy.linalg.expm(-0.5j * (ky * x * SIGMA["x"] + delta * SIGMA["z"])) for x in lam]
+            if variant == "plain" else [np.eye(2)] * m)
     diags, offs, _ = op.jz_band
     for sector, (idx, (a, _, _), diag, off) in enumerate(zip(_oracle_sectors(two_j), op.folds,
                                                             diags, offs)):
@@ -242,9 +247,11 @@ def test_fold_basis_frame_and_jz_band_match_the_dense_oracle(two_j, kx, ky, vari
         n = len(a)
         assert n in (d // 2, (d + 1) // 2)
         turn = np.eye(d, dtype=complex)
-        pairs = np.arange(m)
-        turn[pairs, pairs] = turn[n + pairs, n + pairs] = np.cos(angle)
-        turn[pairs, n + pairs] = turn[n + pairs, pairs] = -1j * np.sin(angle)
+        for k, block in enumerate(half):
+            turn[np.ix_([k, n + k], [k, n + k])] = block
+        if d % 2:
+            middle, side = (m, 1.0) if n > m else (d - 1, -1.0)
+            turn[middle, middle] = np.exp(-0.5j * delta * side)
         split = frame @ turn.conj().T
         up = idx % 2 == 0
         assert np.abs(split[~up, :n]).max() < 1e-13 and np.abs(split[up, n:]).max() < 1e-13

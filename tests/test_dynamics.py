@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from kickedtop import dynamics
 from kickedtop.dynamics import dynamical_scan, eigenbasis_series, stroboscopic_series
@@ -77,17 +76,20 @@ def test_series_matches_dense_oracle(two_j, variant, delta, n_max):
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 6, 7, 64, 65, 200, 201])
-@pytest.mark.parametrize("variant", ["plain", "sym1", "sym2"])
-def test_fold_path_matches_batched_path(two_j, variant):
-    op = floquet_operator(KickParams(1.7, 2.9, variant=variant), two_j)
+@pytest.mark.parametrize("variant, delta", [("plain", 0.0), ("sym1", 0.0), ("sym2", 0.0),
+                                            ("plain", 0.7)],
+                         ids=["plain", "sym1", "sym2", "plain-delta"])
+def test_series_matches_dense_oracle_at_every_size(two_j, variant, delta):
+    # the one kick loop, on the real fold at delta = 0 and on the complex one
+    # at delta > 0, with and without a middle state and a mirrored sector;
+    # n_max 37 runs past the first chunk of moments
+    op = floquet_operator(KickParams(1.7, 2.9, delta=delta, variant=variant), two_j)
     psi0 = probe_state(two_j, 0.9, 0.4)
-    folded = [stroboscopic_series(op, psi0, n_max) for n_max in (1, 7, 8, 9, 37)]
-    # without its fold the operator takes the complex path
-    unfolded = dataclasses.replace(op, folds=None)
-    for series in folded:
-        batched = stroboscopic_series(unfolded, psi0, len(series.n) - 1)
-        assert np.abs(series.jz_mean - batched.jz_mean).max() < 1e-12 * two_j / 2.0
-        assert np.abs(series.jz_std - batched.jz_std).max() < 1e-12 * two_j / 2.0
+    mean, std = _dense_moments(op, psi0, 37)
+    for n_max in (1, 7, 8, 9, 37):
+        series = stroboscopic_series(op, psi0, n_max)
+        assert np.abs(series.jz_mean - mean[:n_max + 1]).max() < 1e-12 * two_j / 2.0
+        assert np.abs(series.jz_std - std[:n_max + 1]).max() < 1e-12 * two_j / 2.0
 
 
 @pytest.mark.parametrize("two_j", [40, 41])
@@ -111,68 +113,31 @@ def test_fold_path_matches_dense_kicks_over_many_kicks(two_j, variant):
     assert np.abs(series.jz_std - std).max() < 1e-10
 
 
-@pytest.mark.parametrize("two_j", [40, 41])
-def test_core_that_breaks_the_chiral_fold_takes_the_batched_path(monkeypatch, two_j):
-    # an operator built from explicit cores carries no fold; here they are
-    # broken by a unitary J-breaking kick, which no fold could represent
-    op = floquet_operator(KickParams(1.7, 2.9), two_j)
-    noise = np.random.default_rng(5).standard_normal((2,) + op.core.shape[1:])
-    noise = noise + noise.swapaxes(1, 2)
-    broken = FloquetOperator(core=op.core @ scipy.linalg.expm(1e-7j * noise), frame=op.frame,
-                             params=op.params, two_j=two_j)
-    psi0 = probe_state(two_j, 0.9, 0.4)
-    mean, std = _dense_moments(broken, psi0, 20)
-    calls = []
-    distinct = FloquetOperator.distinct_blocks
-
-    def recorded(self):
-        calls.append(len(self.cores))
-        return distinct(self)
-
-    monkeypatch.setattr(FloquetOperator, "distinct_blocks", recorded)
-    series = stroboscopic_series(broken, psi0, 20)
-    assert calls == [1 + two_j % 2]
-    assert np.abs(series.jz_mean - mean).max() < 1e-12
-    stroboscopic_series(op, psi0, 20)                   # the intact core folds
-    assert calls == [1 + two_j % 2]
-
-
 @pytest.mark.parametrize("two_j", [12, 13])
-def test_series_assembles_one_block_per_distinct_core(monkeypatch, two_j):
-    shapes = []
-    distinct = FloquetOperator.distinct_blocks
-
-    def recorded(self):
-        blocks = distinct(self)
-        shapes.append(blocks.shape)
-        return blocks
-
+def test_series_assembles_no_block(monkeypatch, two_j):
+    # every core is kicked on its stored fold, real at delta = 0 and complex
+    # above it: the series never assembles a sector block or the dense unitary
     def refused(self):
-        raise AssertionError("the series must not assemble both mirrored blocks")
+        raise AssertionError("the series must not assemble a block")
 
-    monkeypatch.setattr(FloquetOperator, "distinct_blocks", recorded)
     monkeypatch.setattr(FloquetOperator, "sector_blocks", refused)
-    # even 2j: sector -1 is the conjugate mirror, with and without delta;
-    # delta = 0 kicks the real fold of each core and assembles no block
+    monkeypatch.setattr(FloquetOperator, "u", property(refused))
     psi0 = probe_state(two_j, 0.9, 0.4)
     for delta in (0.0, 0.7):
-        stroboscopic_series(floquet_operator(KickParams(1.7, 2.9, delta=delta), two_j), psi0, 20)
-    d = two_j + 1
-    assert shapes == [(1 if two_j % 2 == 0 else 2, d, d)]
+        op = floquet_operator(KickParams(1.7, 2.9, delta=delta), two_j)
+        assert stroboscopic_series(op, psi0, 20).n.size == 21
 
 
 @pytest.mark.parametrize("two_j", [40, 41])
 @pytest.mark.parametrize("excess, kick", [(1e-6, 1), (3e-9, 4), (1e-8 / 20.5, 21)])
 def test_norm_drift_guard_names_first_drifting_kick(two_j, excess, kick):
-    # every block scales by 1 + excess, so the norm after n kicks is (1 + excess)^n;
-    # delta = 0 runs the scaled fold through the fold path, the scaled core
-    # without it and delta = 0.7 through the blocks
+    # every block of the fold scales by 1 + excess, so the norm after n kicks is
+    # (1 + excess)^n; the fold is real at delta = 0 and complex at 0.7
     psi0 = probe_state(two_j, 0.9, 0.4)
-    for delta, folded in ((0.0, True), (0.0, False), (0.7, False)):
+    for delta in (0.0, 0.7):
         op = floquet_operator(KickParams(1.7, 2.9, delta=delta), two_j)
-        folds = [tuple(block * (1.0 + excess) for block in fold)
-                 for fold in op.folds] if folded else None
-        grown = dataclasses.replace(op, core=op.core * (1.0 + excess), folds=folds)
+        folds = [tuple(block * (1.0 + excess) for block in fold) for fold in op.folds]
+        grown = dataclasses.replace(op, folds=folds)
         with pytest.raises(NumericalError, match=rf"at kick {kick}$"):
             stroboscopic_series(grown, psi0, 37)
         if kick > 1:

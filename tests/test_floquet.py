@@ -6,8 +6,8 @@ from kickedtop import floquet
 from kickedtop.errors import NumericalError
 from kickedtop.floquet import (FloquetOperator, KickParams, coupling_generator,
                                floquet_operator, kick_unitary, unitarity_defect)
-from kickedtop.spin import (SIGMA_Z, angular_momentum_matrices, coupling_operator, dim_top,
-                           ladder_elements, m_values)
+from kickedtop.spin import (SIGMA_X, SIGMA_Z, angular_momentum_matrices, coupling_operator,
+                           dim_top, ladder_elements, m_values)
 from kickedtop.symmetry import sector_indices
 
 
@@ -245,20 +245,25 @@ def _frame_jz(op):
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 6, 7, 64, 65])
-@pytest.mark.parametrize("variant", ["plain", "sym1", "sym2"])
-def test_jz_band_is_the_frame_jz(two_j, variant):
+@pytest.mark.parametrize("variant, delta", [("plain", 0.0), ("sym1", 0.0), ("sym2", 0.0),
+                                            ("plain", 0.7)],
+                         ids=["plain", "sym1", "sym2", "plain-delta"])
+def test_jz_band_is_the_frame_jz(two_j, variant, delta):
     # Jz keeps the spin and couples neighbouring eigenstates of Jx only, so on
     # the fold basis, with D = 1 on the + states and i on the - states,
-    # D^dag frame^dag Jz frame D is a real band; the plain frames' half y kicks
-    # turn each pair (+k, -k) of it by half the kick angle of lambda_k
-    d, ky = two_j + 1, 2.9
-    op = floquet_operator(KickParams(1.7, ky, variant=variant), two_j)
+    # D^dag frame^dag Jz frame D is a real band once the plain frames' half y
+    # kick is turned back: on each pair (+k, -k) the kick
+    # exp(-i (ky lambda_k sigma_x + delta sigma_z) / 2), turned by D, and on the
+    # middle state of odd d the phase of its side
+    d, m, ky = two_j + 1, (two_j + 1) // 2, 2.9
+    op = floquet_operator(KickParams(1.7, ky, delta=delta, variant=variant), two_j)
     diags, offs, turn = op.jz_band
     assert diags.shape == (len(op.cores), d) and offs.shape == (len(op.cores), d - 1)
-    lam = np.linalg.eigvalsh(angular_momentum_matrices(two_j).jx.real)[:d // 2] / (two_j / 2.0)
-    cos, sin = np.cos(0.5 * ky * lam), np.sin(0.5 * ky * lam)
+    lam = np.linalg.eigvalsh(angular_momentum_matrices(two_j).jx.real)[:d - m] / (two_j / 2.0)
+    kicks = [scipy.linalg.expm(-0.5j * (ky * x * SIGMA_X + delta * SIGMA_Z)) for x in lam]
+    a, s = np.array([kick[0, 0] for kick in kicks]), np.array([1j * kick[0, 1] for kick in kicks])
     if variant == "plain":
-        assert np.abs(turn[0] - cos).max() < 1e-13 and np.abs(turn[1] - sin).max() < 1e-13
+        assert np.abs(turn[0] - a).max() < 1e-13 and np.abs(turn[1] - s).max() < 1e-13
     else:
         assert turn is None
     for dense, fold, diag, off in zip(_frame_jz(op), op.folds, diags, offs):
@@ -266,22 +271,15 @@ def test_jz_band_is_the_frame_jz(two_j, variant):
         phases = np.where(np.arange(d) < n, 1.0, 1j)
         folded = phases.conj()[:, None] * dense * phases
         if variant == "plain":
-            pairs = np.arange(d // 2)
-            rotation = np.eye(d)
-            rotation[pairs, pairs] = rotation[n + pairs, n + pairs] = cos
-            rotation[pairs, n + pairs], rotation[n + pairs, pairs] = sin, -sin
-            folded = rotation @ folded @ rotation.T
+            pairs = np.arange(m)
+            kick = np.eye(d, dtype=complex)
+            kick[pairs, pairs], kick[n + pairs, n + pairs] = a[pairs], a[pairs].conj()
+            kick[pairs, n + pairs], kick[n + pairs, pairs] = s[pairs], -s[pairs]
+            if d % 2:
+                kick[(m, m) if n > m else (d - 1, d - 1)] = a[m] if n > m else a[m].conj()
+            folded = kick @ folded @ kick.conj().T
         band = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert np.abs(folded - band).max() < 1e-12 * two_j / 2.0
-
-
-@pytest.mark.parametrize("two_j", [3, 6, 7, 64, 65])
-def test_delta_frames_have_no_jz_band(two_j):
-    op = floquet_operator(KickParams(1.7, 2.9, delta=0.7), two_j)
-    assert op.jz_band is None
-    for dense in _frame_jz(op):
-        off_band = dense - np.triu(np.tril(dense, 1), -1)
-        assert np.abs(off_band).max() > 1e-3 * two_j / 2.0
 
 
 def test_jz_band_is_certified_once_per_two_j(monkeypatch):
@@ -301,17 +299,17 @@ def test_jz_band_is_certified_once_per_two_j(monkeypatch):
 
 def test_certificates_hold_at_every_workload_size():
     # the per-two_j certificates refuse a build where they fail; at the sizes
-    # that the tests, the README and the benchmark use, none does, and a fold
-    # and a fold-basis Jz band of each distinct core exist exactly when delta = 0
+    # that the tests, the README and the benchmark use, none does, and every
+    # build stores a fold and a fold-basis Jz band of each distinct core, the
+    # fold real exactly when delta = 0
     for two_j in (*range(1, 66), 200, 201, 400, 401):
         floquet._sectors(two_j)
         floquet._jz_band(two_j)
         for params in (KickParams(1.9, 17.0), KickParams(1.9, 17.0, delta=0.7)):
             op = floquet_operator(params, two_j)
-            present = [value is not None for value in (op.folds, op.jz_band)]
-            assert present == [params.delta == 0.0] * 2, two_j
-            if op.folds is not None:
-                assert len(op.folds) == len(op.jz_band[0]) == len(op.cores), two_j
+            assert len(op.folds) == len(op.jz_band[0]) == len(op.cores), two_j
+            dtypes = {block.dtype for fold in op.folds for block in fold}
+            assert dtypes == {np.dtype(float if params.delta == 0.0 else complex)}, two_j
 
 
 def test_non_orthogonal_delta_overlap_rejected(monkeypatch):

@@ -403,12 +403,14 @@ def test_huge_kicks_keep_the_core_unitary(two_j, kx):
 
 @pytest.mark.parametrize("two_j", [12, 13])
 def test_delta_operator_never_takes_the_fold_path(monkeypatch, two_j):
-    # every stored fold is solved by _solve_fold
+    # every stored fold is solved by _solve_fold where it is real, and a
+    # delta > 0 fold is complex
     calls = []
     solve = spectral._solve_fold
     monkeypatch.setattr(spectral, "_solve_fold", lambda *fold: calls.append(1) or solve(*fold))
     op = floquet_operator(KickParams(1.9, 17.0, delta=0.7), two_j)
-    assert op.jz_band is None and op.folds is None
+    assert len(op.folds) == len(op.cores)
+    assert all(block.dtype == complex for fold in op.folds for block in fold)
     sector_eigenphases(op)
     assert calls == []
     sector_eigenphases(floquet_operator(KickParams(1.9, 17.0), two_j))
@@ -473,7 +475,7 @@ def test_folded_phases_match_dense_oracle_at_zero_modes(two_j, variant):
     if two_j < 400:
         blocks = _dense_sector_blocks(kx, ky, two_j, variant)
     else:
-        blocks = op.distinct_blocks()
+        blocks = op.sector_blocks()
     eps = sector_eigenphases(op)
     assert (np.abs(eps) < 1e-6).any() and (np.abs(eps) > np.pi - 1e-6).any()
     for sector, block in enumerate(blocks):
