@@ -4,12 +4,12 @@ Subcommands: spectrum | rgrid | rcurve | entropy | dynamics | symcheck |
 stages.  Kick strengths are accepted raw or as multiples of pi with a
 "pi:" prefix ("pi:16.4"); ranges are "lo:hi" with either component
 optionally prefixed ("pi:13:pi:20").  Non-finite kick strengths, ratios
-and --delta are rejected as they are parsed, and so are negative kick
-strengths, products and --delta, naming the option and the text given
-(entropy also rejects a product of 0).  CSV and JSON outputs embed the
-full run configuration and a schema tag; records are ordered by grid
-index no matter how many workers run, so identical configurations give
-identical files.
+and --delta are rejected as they are parsed, and so are malformed or
+negative kick strengths, products and --delta, and a --steps or --grid
+below 1, naming the option and the text given (entropy also rejects a
+product of 0).  CSV and JSON outputs embed the full run configuration
+and a schema tag; records are ordered by grid index no matter how many
+workers run, so identical configurations give identical files.
 
 Each subcommand registers only the options it reads: --workers on the
 five sweeps, --delta on every command that builds an operator, and
@@ -67,31 +67,43 @@ M_TOP_PAD, M_MMAP_THRESHOLD = -2, -3
 TOP_PAD_BYTES, MMAP_THRESHOLD_BYTES = 64 << 20, 32 << 20
 
 
-def parse_kappa(text: str, name: str = "kick strength", option: str = "") -> float:
+def _given(text: str, option: str) -> str:
+    """The text given, after its option where there is one."""
+    return f"{option}={text!r}" if option else repr(text)
+
+
+def parse_kappa(text: str, name: str = "kick strength", option: str = "",
+                given: str = "") -> float:
     """A finite kick strength, either a float or 'pi:<float>' for multiples
     of pi; name is the quantity that an error message blames.  Given the
-    option that text was passed to, a negative value is refused too,
-    naming the option and the text."""
-    value = float(text[3:]) * math.pi if text.startswith("pi:") else float(text)
+    option that text was passed to, a negative value is refused too.  A
+    malformed or negative value names the option and the text, or
+    `given`, the whole text that text is part of."""
+    given = given or _given(text, option)
+    try:
+        value = float(text[3:]) * math.pi if text.startswith("pi:") else float(text)
+    except ValueError:
+        raise ValueError(f"{name} must be a number or pi:<number>, got {given}") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {text!r}")
     if option and value < 0:
-        raise ValueError(f"{name} must be non-negative, got {option}={text!r}")
+        raise ValueError(f"{name} must be non-negative, got {given}")
     return value
 
 
 def parse_range(text: str, name: str = "kick strength", option: str = "") -> tuple[float, float]:
     """A 'lo:hi' range of name whose components may carry the pi: prefix;
     given its option, a negative lo is refused as parse_kappa refuses a
-    negative value."""
+    negative value, and a malformed component names the whole range."""
+    given = _given(text, option)
     cut = text.find(":", len("pi:") if text.startswith("pi:") else 0)
     if cut < 0:
-        raise ValueError(f"range must have two components lo:hi, got {text!r}")
-    lo, hi = parse_kappa(text[:cut], name), parse_kappa(text[cut + 1:], name)
+        raise ValueError(f"range must have two components lo:hi, got {given}")
+    lo, hi = (parse_kappa(part, name, given=given) for part in (text[:cut], text[cut + 1:]))
     if hi < lo:
-        raise ValueError(f"range is empty: {text!r}")
+        raise ValueError(f"range is empty, got {given}")
     if option and lo < 0:
-        raise ValueError(f"{name} must be non-negative, got {option}={text!r}")
+        raise ValueError(f"{name} must be non-negative, got {given}")
     return lo, hi
 
 
@@ -105,7 +117,7 @@ def non_negative_float(text: str) -> float:
 
 def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
     if steps < 1:
-        raise ValueError("steps must be at least 1")
+        raise ValueError(f"steps must be at least 1, got --steps={steps}")
     return np.linspace(lo, hi, steps)
 
 
@@ -246,6 +258,8 @@ def cmd_entropy(args) -> Callable[[], str]:
     points = _product_points(args)
     if points[0][0] == [0.0]:    # the grid starts at its least product
         raise ValueError(f"kxky must be positive for entropy, got --kxky={args.kxky!r}")
+    if args.grid < 1:
+        raise ValueError(f"grid size must be at least 1, got --grid={args.grid}")
     probes = probe_columns(two_j, sphere_grid(args.grid, args.grid))
 
     def row(op) -> list:

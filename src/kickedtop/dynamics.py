@@ -29,10 +29,6 @@ y kick, a turn of each pair (+k, -k); there x and O are turned once, so
 that the band holds.
 
 The norm of every kick is checked against NORM_DRIFT_TOL.
-eigenbasis_series evolves by eigenphases instead.  It is the tests'
-independent oracle, not a production path: its error is set by the
-eigenvector residuals (up to spectral.EIGEN_RESIDUAL_TOL), not by
-rounding in the products.
 """
 
 import math
@@ -43,8 +39,7 @@ import numpy as np
 from .errors import NumericalError
 from .floquet import FloquetOperator, KickParams, floquet_operator, turn_fold
 from .meanfield import allowed_kappa_x
-from .spectral import QuasiSpectrum
-from .spin import coherent_state, m_values, product_state
+from .spin import coherent_state, product_state
 from .symmetry import sector_indices
 
 NORM_DRIFT_TOL = 1e-8
@@ -76,22 +71,6 @@ def _check_state(psi0, two_j: int) -> np.ndarray:
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
     return psi0
-
-
-def _jz_series(two_j: int, params: KickParams, moments: np.ndarray) -> DynamicsSeries:
-    """The Jz mean and standard deviation after each kick, from the
-    (n+1, 3) per-kick squared norm, <Jz> and <Jz^2>."""
-    means = moments[:, 1]
-    stds = np.sqrt(np.maximum(moments[:, 2] - means ** 2, 0.0))
-    return DynamicsSeries(two_j=two_j, params=params, n=np.arange(len(moments)),
-                          jz_mean=means, jz_std=stds)
-
-
-def _weight_moments(two_j: int, weights: np.ndarray) -> np.ndarray:
-    """The (n, 3) squared norm, <Jz> and <Jz^2> of (n, d) occupation
-    weights on the m ladder (ascending m)."""
-    jz_diag = m_values(two_j)
-    return np.stack([weights.sum(axis=1), weights @ jz_diag, weights @ jz_diag ** 2], axis=1)
 
 
 def _band_moments(x: np.ndarray, band: tuple, jz_sign: np.ndarray) -> np.ndarray:
@@ -182,27 +161,10 @@ def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
     if drifted.size:
         n = drifted[0]
         raise NumericalError(f"norm drifted by {drift[n]:.2e} at kick {n}")
-    return _jz_series(operator.two_j, operator.params, moments)
-
-
-def eigenbasis_series(spectrum: QuasiSpectrum, psi0: np.ndarray,
-                      n_max: int) -> DynamicsSeries:
-    """Same series computed by phase evolution in the eigenbasis.
-
-    Cross-check for stroboscopic_series: expand psi0 over each sector's
-    eigenvectors, attach exp(-i n eps) phases, transform back.  Raises
-    ValueError like stroboscopic_series for psi0.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    psi0 = _check_state(psi0, spectrum.two_j)
-    n = np.arange(n_max + 1)
-    weights = 0.0
-    for idx, eps, vecs in zip(sector_indices(spectrum.two_j), spectrum.epsilons,
-                              spectrum.vectors):
-        coeffs = vecs.conj().T @ psi0[idx]
-        weights = weights + np.abs((np.exp(-1j * np.outer(n, eps)) * coeffs) @ vecs.T) ** 2
-    return _jz_series(spectrum.two_j, spectrum.params, _weight_moments(spectrum.two_j, weights))
+    means = moments[:, 1]
+    stds = np.sqrt(np.maximum(moments[:, 2] - means ** 2, 0.0))
+    return DynamicsSeries(two_j=operator.two_j, params=operator.params, n=np.arange(n_max + 1),
+                          jz_mean=means, jz_std=stds)
 
 
 @dataclass

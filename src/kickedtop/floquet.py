@@ -27,8 +27,8 @@ kick I, plus the unitary frame that maps it to the sector block:
 block = frame @ core @ frame^dag.  O = Y and I = X for sym1 and plain,
 O = X and I = Y for sym2; for plain the frame also carries the half y
 kick, because Y X = Y^(1/2) (Y^(1/2) X Y^(1/2)) Y^(-1/2).  The dense
-coupled-space matrix (FloquetOperator.u) and kick_unitary are built on
-demand, for the tests' oracle and for symcheck.
+coupled-space matrix (FloquetOperator.u) is built on demand, for the
+tests and for symcheck.
 
 The chiral fold, for every delta.  One cached eigensystem
 T = V diag(lam) V^T per two_j (spin.jx_eigensystem) serves both axes and
@@ -110,8 +110,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .spin import (SIGMA_Z, coupling_generator, dim_top, jx_eigensystem, ladder_elements,
-                   m_values, validate_two_j)
+from .spin import jx_eigensystem, ladder_elements, m_values, validate_two_j
 from .symmetry import sector_indices
 
 VARIANTS = ("plain", "sym1", "sym2")
@@ -150,19 +149,17 @@ class FloquetOperator:
     (2, d, d), also where the frame is real.  At even 2j sector -1 is the
     conjugate mirror of sector +1: core[1] is conj(core[0]) and frame[1]
     is G J conj(frame[0]), G = diag((-1)^k) and J the reversal.  `cores`
-    holds the distinct cores that checks and solvers use; floquet_operator
-    stores each on its fold basis, [[A, iK], [iK^T, B]] with its len(A) +
-    states first (module docstring).  `folds`, set by floquet_operator,
-    holds the (A, B, K) of each of `cores`; a fold is real exactly when
-    delta = 0.  An operator built from explicit cores has no folds: it is
-    solved on its cores, and not evolved.
+    holds the distinct cores that checks and solvers use, each on its fold
+    basis, [[A, iK], [iK^T, B]] with its len(A) + states first (module
+    docstring), and `folds` the (A, B, K) of each of them; a fold is real
+    exactly when delta = 0.
     """
 
     core: np.ndarray
     frame: np.ndarray
     params: KickParams
     two_j: int
-    folds: list | None = None
+    folds: list
 
     @property
     def dim(self) -> int:
@@ -170,8 +167,8 @@ class FloquetOperator:
 
     @property
     def cores(self) -> np.ndarray:
-        """The distinct cores: core[:1] at even 2j, else core."""
-        return self.core if _sectors(self.two_j).alternation is None else self.core[:1]
+        """The distinct cores, one per fold: core[:1] at even 2j, else core."""
+        return self.core[:len(self.folds)]
 
     def mirror(self, rows: np.ndarray) -> np.ndarray:
         """Sector-coordinate rows (axis 0) of one sector mapped to the
@@ -530,20 +527,6 @@ def _sector_core(sectors: _Sectors, k: int, params: KickParams, core: np.ndarray
     frame_kick = kicks[1] if params.variant == "plain" else _pair_kick(lam, 0.0, 0.0)
     _fold_frame(sectors.vecs, gauge, sectors.up[k], n, frame_kick, frame)
     return fold
-
-
-def kick_unitary(axis: str, kappa: float, two_j: int, delta: float = 0.0) -> np.ndarray:
-    """exp(-i [ (kappa/j) J_a sigma_a + delta sigma_z ]) on the coupled space.
-
-    A dense, uncached diagonalization of the D x D generator: the oracle
-    that tests hold the sector-reduced operator against.
-    """
-    if kappa < 0 or delta < 0:
-        raise ValueError("kappa and delta must be non-negative")
-    gen = kappa * coupling_generator(axis, two_j)
-    gen += delta * np.kron(np.eye(dim_top(two_j)), SIGMA_Z)
-    evals, evecs = np.linalg.eigh(gen)
-    return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
 
 
 def unitarity_defect(u: np.ndarray) -> float:

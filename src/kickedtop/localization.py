@@ -1,8 +1,10 @@
-"""Localization measures: IPR, scaled Renyi entropy, Husimi peaks.
+"""Localization measures: the sphere-averaged Renyi entropy S2 of
+coherent probes, and Husimi peaks.
 
 The probe state for the entropy scans is a spin coherent state of the
 top tensored with (|up> + |down>)/sqrt(2); its inverse participation
-ratio against the Floquet eigenbasis is rescaled to
+ratio (IPR, the sum of its squared overlap probabilities) against the
+Floquet eigenbasis is rescaled to
 
     S2 = -ln(IPR) / ln(D),   D = 2(2j+1),
 
@@ -67,29 +69,6 @@ def sphere_grid(n_theta: int = 32, n_phi: int = 32) -> SphereGrid:
     phi_nodes = 2.0 * np.pi * np.arange(n_phi) / n_phi
     weights = np.repeat((gl_weights / 2.0)[:, None], n_phi, axis=1) / n_phi
     return SphereGrid(z_nodes=z_nodes, phi_nodes=phi_nodes, weights=weights)
-
-
-def ipr(vectors: np.ndarray, probe: np.ndarray) -> float:
-    """Sum of |<e_n|probe>|^4 over an orthonormal eigenbasis.
-
-    Checks completeness (the squared overlaps must sum to 1) on every
-    call, which catches both dimension mismatches and a non-orthonormal
-    basis.
-    """
-    if vectors.shape[0] != probe.size:
-        raise ValueError("eigenvector matrix does not match the probe dimension")
-    probs = np.abs(vectors.conj().T @ probe) ** 2
-    total = probs.sum()
-    if abs(total - 1.0) > COMPLETENESS_TOL:
-        raise ValueError(f"overlap completeness defect {abs(total - 1.0):.2e}")
-    return float((probs ** 2).sum())
-
-
-def renyi_entropy(ipr_value: float, dim: int) -> float:
-    """Scaled second Renyi entropy -ln(IPR)/ln(dim), in [0, 1]."""
-    if not 0.0 < ipr_value <= 1.0 + 1e-12:
-        raise ValueError(f"IPR must lie in (0, 1], got {ipr_value!r}")
-    return -math.log(min(ipr_value, 1.0)) / math.log(dim)
 
 
 def coe_baseline(dim: int) -> float:

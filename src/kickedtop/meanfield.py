@@ -1,4 +1,4 @@
-"""Mean-field quasi-energy surface and predicted bound-state locations.
+"""Predicted bound-state locations from the mean-field quasi-energy surface.
 
 Replacing the top operators by their coherent-state expectation values
 makes the one-period quasi-energy a closed-form function of the Bloch
@@ -14,24 +14,15 @@ atan2(+-n_y/kappa_y, +-n_x/kappa_x), and points that coincide are merged
 by exact equality, so no angle tolerance enters the count.
 allowed_kappa_x inverts the z equation for the dynamical probe and
 checks its result in squared form, which stays exact at z0 = 0.  The
-module imports nothing from the package.
+surface itself is evaluated only in the tests, which hold every
+predicted point to eps = 0 or pi.  The module imports nothing from the
+package.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 ARCCOS_SLACK = 1e-12
-
-
-def mf_quasienergy(theta, phi, kappa_x: float, kappa_y: float):
-    """Mean-field quasi-energy on [0, pi]; accepts scalars or arrays."""
-    sin_t = np.sin(theta)
-    arg = np.cos(kappa_x * sin_t * np.cos(phi)) * np.cos(kappa_y * sin_t * np.sin(phi))
-    if np.any(np.abs(arg) > 1.0 + ARCCOS_SLACK):
-        raise ValueError("cosine product left [-1, 1] beyond rounding slack")
-    return np.arccos(np.clip(arg, -1.0, 1.0))
 
 
 @dataclass(frozen=True)

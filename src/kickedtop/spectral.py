@@ -31,12 +31,12 @@ operator, not on the caller, and is decided in one place (_fold_solve):
   vectors p and q of every level (_solve_fold).  The phases alone cost
   nothing more, and quasi_spectrum takes (p, +-q) / sqrt(2) as the
   core's eigenvectors as they are and maps them through the frames.
-* sector_eigenpairs, for every core without a real fold (delta > 0, or
-  an operator built from explicit cores), and the fallback for a core
-  whose fold the fold's own guard rejects.  Unitarity makes the real
-  symmetric R and I commute, so one real symmetric eigh of R + MIX * I
-  gives a real orthonormal eigenbasis V of M.  The real products R V
-  and I V give the eigenphases, eps = -atan2(v.I v, v.R v), and the
+* sector_eigenpairs, for every core without a real fold (delta > 0),
+  and the fallback for a core whose fold the fold's own guard rejects.
+  Unitarity makes the real symmetric R and I commute, so one real
+  symmetric eigh of R + MIX * I gives a real orthonormal eigenbasis V
+  of M.  The real products R V and I V give the eigenphases,
+  eps = -atan2(v.I v, v.R v), and the
   eigenpair residual, whose real and imaginary parts are R v - v cos eps
   and I v + v sin eps.  Two eigenphases e1, e2 share an eigenvalue of
   R + MIX * I when e1 + e2 = -2 atan(MIX) (mod 2 pi), and eigh may mix
@@ -247,9 +247,8 @@ def _solve_fold(a: np.ndarray, b: np.ndarray, k: np.ndarray) -> tuple | None:
 def _fold_solve(operator: FloquetOperator, k: int) -> tuple | None:
     """_solve_fold of the stored fold of core k where that fold is real
     (delta = 0); None where the core takes sector_eigenpairs instead: its
-    fold is complex (delta > 0), the operator has none (one built from
-    explicit cores), or the fold's guard rejects it."""
-    if operator.folds is None or np.iscomplexobj(operator.folds[k][0]):
+    fold is complex (delta > 0), or the fold's guard rejects it."""
+    if np.iscomplexobj(operator.folds[k][0]):
         return None
     return _solve_fold(*operator.folds[k])
 

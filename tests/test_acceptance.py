@@ -11,9 +11,10 @@ import math
 import numpy as np
 from scipy.stats import unitary_group
 
+import dense_oracle
 from kickedtop.cli import main as cli_main
 from kickedtop.dynamics import dynamical_scan
-from kickedtop.floquet import KickParams, floquet_operator, kick_unitary
+from kickedtop.floquet import KickParams, floquet_operator
 from kickedtop.localization import (angular_distance, coe_baseline, husimi_peak,
                                     probe_columns, sphere_averaged_s2, sphere_grid)
 from kickedtop.meanfield import (bound_state_predictions, predicted_count,
@@ -110,8 +111,7 @@ def test_criterion_4_cue_under_broken_chiral_symmetry():
     kappa_y = RATIOS[0] * kappa_x
     chiral = verify_symmetries(floquet_operator(
         KickParams(kappa_x, kappa_y, delta=delta), two_j)).residuals["chiral"]
-    half_y = kick_unitary("y", kappa_y / 2.0, two_j, delta / 2.0)
-    u_sym = half_y @ kick_unitary("x", kappa_x, two_j, delta) @ half_y
+    u_sym = dense_oracle.unitary(two_j, kappa_x, kappa_y, "sym1", delta)
     transpose_defect = float(np.abs(u_sym - u_sym.T).max())
 
     values = [r_mean_at(two_j, product, ratio, delta=delta)

@@ -162,10 +162,18 @@ _DELTA_COMMANDS = {
     (("entropy", "--kxky=-1:1", "--steps", 2), "--kxky", "'-1:1'"),
     (("dynamics", "--ky=-1", "--nx", "1"), "--ky", "'-1'"),
     (("rgrid", "--kx", "1:2", "--ky", "1:2", "--steps", 2, "--delta", "inf"), "--delta", "'inf'"),
+    (("dynamics", "--ky", "abc", "--nx", "1"), "--ky", "'abc'"),
+    (("symcheck", "--kx", "pi:x", "--ky", "1"), "--kx", "'pi:x'"),
+    (("rcurve", "--kxky", "1:2:3", "--steps", 2), "--kxky", "'1:2:3'"),
+    (("rgrid", "--kx", "x", "--ky", "1:2", "--steps", 2), "--kx", "'x'"),
+    (("rcurve", "--kxky", "1:4", "--steps", -3), "--steps", "--steps=-3"),
+    (("entropy", "--kxky", "1:4", "--steps", 2, "--grid", 0), "--grid", "--grid=0"),
 ] + [((name, *rest, "--delta", "-1"), "--delta", "'-1'")
      for name, rest in _DELTA_COMMANDS.items()],
     ids=["rgrid-kx", "rgrid-ky", "symcheck-kx", "symcheck-ky", "entropy-kxky", "dynamics-ky",
-         "rgrid-delta-inf"] + [f"{name}-delta" for name in _DELTA_COMMANDS])
+         "rgrid-delta-inf", "dynamics-ky-malformed", "symcheck-kx-malformed",
+         "rcurve-kxky-malformed", "rgrid-kx-one-component", "rcurve-steps", "entropy-grid"]
+    + [f"{name}-delta" for name in _DELTA_COMMANDS])
 def test_negative_option_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, option, text):
     builds = []
     for module in (cli, dynamics):

@@ -1,18 +1,18 @@
 """A seeded differential test of the public outputs against an oracle
 that the test builds itself.
 
-The oracle imports nothing from kickedtop: the spin matrices come from
-the ladder elements, each kick is scipy.linalg.expm of the Kronecker
-generator (kappa/j) J_a sigma_a + delta sigma_z on the coupled space,
-and the parity sectors come from the diagonal of
-exp(-i pi (Jz + sigma_z/2)), times i at even 2j.  Every draw is checked
-for all three variants at delta = 0 and for plain at a drawn delta > 0:
-eigenphase sets per sector, the spacing ratio r, n_bound, the stage and
-the stroboscopic <Jz>/j.  Where both kicks are positive and no two
+The oracle is dense_oracle, which imports nothing from kickedtop: each
+kick is the eigh exponential of the Kronecker generator
+(kappa/j) J_a sigma_a + delta sigma_z on the coupled space, and the
+parity sectors come from the diagonal of exp(-i pi (Jz + sigma_z/2)),
+times i at even 2j.  Every draw is checked for all three variants at
+delta = 0 and for plain at a drawn delta > 0: eigenphase sets per
+sector, the spacing ratio r, n_bound, the stage and the stroboscopic
+<Jz>/j.  Where both kicks are positive and no two
 levels of a sector lie closer than S2_SPACING_FLOOR, which leaves every
 eigenvector unique up to a phase, it also checks the sphere-averaged
 entropy on a small grid against an S2 from the eigenvectors of eig and
-coherent probes exp(-i phi Jz) exp(-i theta Jy) |j, j> built here (127
+the oracle's coherent probes exp(-i phi Jz) exp(-i theta Jy) |j, j> (127
 of the 192 cases, from 37 of the 38 draws with both kicks positive).
 The draws at two_j 18-65 also check the operator's fold basis, for all
 three variants at delta = 0 and for plain at the drawn delta > 0: its
@@ -24,12 +24,10 @@ test_spectral.test_huge_kicks_keep_the_core_unitary: there kappa * lambda
 mod 2 pi loses about kappa * 1e-16 in any oracle.
 """
 
-import functools
-
 import numpy as np
 import pytest
-import scipy.linalg
 
+import dense_oracle
 from kickedtop.dynamics import stroboscopic_series
 from kickedtop.floquet import KickParams, floquet_operator
 from kickedtop.localization import probe_columns, sphere_averaged_s2, sphere_grid
@@ -48,9 +46,6 @@ S2_GRID = (4, 6)
 # eigenvectors err by about 1e-14 over the spacing, and a degenerate pair's
 # are the solver's choice
 S2_SPACING_FLOOR = 1e-4
-SIGMA = {"x": np.array([[0.0, 1.0], [1.0, 0.0]]),
-         "y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-         "z": np.diag([1.0, -1.0])}
 
 
 def _draws(n: int = 40, n_large: int = 8, seed: int = 20261019) -> list[tuple]:
@@ -74,73 +69,6 @@ def _draws(n: int = 40, n_large: int = 8, seed: int = 20261019) -> list[tuple]:
 
 
 DRAWS = _draws()
-
-
-def _spin_matrices(two_j: int) -> dict:
-    """Jx, Jy, Jz on the top space, m ascending, from J+ |m> = sqrt(j(j+1) - m(m+1)) |m+1>."""
-    j = two_j / 2.0
-    m = np.arange(two_j + 1) - j
-    jp = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)
-    return {"x": (jp + jp.T) / 2.0, "y": (jp - jp.T) / 2.0j, "z": np.diag(m)}
-
-
-@functools.lru_cache(maxsize=8)
-def _kick(two_j: int, axis: str, kappa: float, delta: float) -> np.ndarray:
-    """expm(-i [(kappa/j) J_a sigma_a + delta sigma_z]) on the coupled space;
-    the variants of one draw share their kicks, and its cases run in turn."""
-    gen = kappa / (two_j / 2.0) * np.kron(_spin_matrices(two_j)[axis], SIGMA[axis])
-    gen = gen + delta * np.kron(np.eye(two_j + 1), SIGMA["z"])
-    return scipy.linalg.expm(-1j * gen)
-
-
-def _oracle_unitary(two_j: int, kx: float, ky: float, delta: float, variant: str) -> np.ndarray:
-    if variant == "plain":
-        return _kick(two_j, "y", ky, delta) @ _kick(two_j, "x", kx, delta)
-    if variant == "sym1":
-        half = _kick(two_j, "y", ky / 2.0, 0.0)
-        return half @ _kick(two_j, "x", kx, 0.0) @ half
-    half = _kick(two_j, "x", kx / 2.0, 0.0)
-    return half @ _kick(two_j, "y", ky, 0.0) @ half
-
-
-def _oracle_sectors(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the +1 and -1 eigenvalues of the parity operator."""
-    jz_plus_half_sz = np.kron(_spin_matrices(two_j)["z"], np.eye(2)) + np.kron(
-        np.eye(two_j + 1), SIGMA["z"] / 2.0)
-    parity = np.exp(-1j * np.pi * np.diag(jz_plus_half_sz)) * (1j if two_j % 2 == 0 else 1.0)
-    assert np.abs(parity.imag).max() < 1e-12 and np.abs(np.abs(parity.real) - 1.0).max() < 1e-12
-    return np.flatnonzero(parity.real > 0), np.flatnonzero(parity.real < 0)
-
-
-@functools.lru_cache(maxsize=4)
-def _oracle_probes(two_j: int) -> np.ndarray:
-    """The coherent tops exp(-i phi Jz) exp(-i theta Jy) |j, j> times
-    (|up> + |down>) / sqrt(2) at the nodes of S2_GRID, theta-major, one per
-    row: Gauss-Legendre nodes in cos(theta), uniform azimuths."""
-    n_theta, n_phi = S2_GRID
-    spins = _spin_matrices(two_j)
-    lam, v = np.linalg.eigh(spins["y"])
-    thetas = np.arccos(np.polynomial.legendre.leggauss(n_theta)[0])
-    tops = (v.conj()[-1] * np.exp(-1j * np.outer(thetas, lam))) @ v.T
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    tops = tops[:, None, :] * np.exp(-1j * np.outer(phis, np.diag(spins["z"])))
-    return np.kron(tops.reshape(n_theta * n_phi, -1), [1.0, 1.0]) / np.sqrt(2.0)
-
-
-def _oracle_s2(u: np.ndarray, two_j: int, sectors: tuple) -> np.ndarray:
-    """S2 = -ln(IPR) / ln(2 (2j+1)) of each probe of _oracle_probes against
-    the eigenvectors of eig of each sector block, as (n_theta, n_phi)."""
-    probes = _oracle_probes(two_j)
-    ipr = 0.0
-    for idx in sectors:
-        vectors = np.linalg.eig(u[np.ix_(idx, idx)])[1]
-        ipr = ipr + (np.abs(probes[:, idx].conj() @ vectors) ** 4).sum(axis=1)
-    return (-np.log(ipr) / np.log(u.shape[0])).reshape(S2_GRID)
-
-
-def _oracle_phases(u: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    eps = -np.angle(np.linalg.eigvals(u[np.ix_(idx, idx)]))
-    return np.where(eps <= -np.pi, eps + 2.0 * np.pi, eps)
 
 
 def _circle_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,9 +114,8 @@ def test_draws_cover_the_stages_parities_and_shapes():
 @pytest.mark.parametrize("two_j, stage, kx, ky, delta, variant", _cases())
 def test_public_outputs_match_the_dense_oracle(two_j, stage, kx, ky, delta, variant):
     op = floquet_operator(KickParams(kx, ky, delta=delta, variant=variant), two_j)
-    u = _oracle_unitary(two_j, kx, ky, delta, variant)
-    sectors = _oracle_sectors(two_j)
-    oracle = [_oracle_phases(u, idx) for idx in sectors]
+    u = dense_oracle.unitary(two_j, kx, ky, variant, delta)
+    oracle = [dense_oracle.phases(block) for block in dense_oracle.blocks(u)]
     eps = sector_eigenphases(op)
     for s in range(2):
         assert _circle_gaps(eps[s], oracle[s]).max() < 1e-12
@@ -201,22 +128,22 @@ def test_public_outputs_match_the_dense_oracle(two_j, stage, kx, ky, delta, vari
 
     if kx > 0.0 and ky > 0.0 and min(_circle_spacing(e) for e in oracle) > S2_SPACING_FLOOR:
         s2 = sphere_averaged_s2(quasi_spectrum(op), probe_columns(two_j, sphere_grid(*S2_GRID)))
-        assert np.abs(s2.s2_nodes - _oracle_s2(u, two_j, sectors)).max() < 1e-10
+        n_theta, n_phi = S2_GRID
+        probes = dense_oracle.coherent_probes(
+            two_j, np.arccos(np.polynomial.legendre.leggauss(n_theta)[0]),
+            2.0 * np.pi * np.arange(n_phi) / n_phi)
+        oracle_s2 = dense_oracle.s2(dense_oracle.eigenbasis(u), probes).reshape(S2_GRID)
+        assert np.abs(s2.s2_nodes - oracle_s2).max() < 1e-10
 
     distance = np.concatenate([np.minimum(np.abs(e), np.abs(np.pi - np.abs(e))) for e in oracle])
     if np.abs(distance - BOUND_TOL).min() > 1e-9:
         assert int(bound_window(eps, BOUND_TOL)[1].sum()) == int((distance <= BOUND_TOL).sum())
 
+    psi = dense_oracle.coherent_probes(two_j, [np.arccos(0.5)], [0.0], spin=[1.0, 0.0])[0]
+    dense = dense_oracle.jz_series(u, psi, N_KICKS)[0]
+    series = stroboscopic_series(op, psi, N_KICKS)
     j = two_j / 2.0
-    top = scipy.linalg.expm(-1j * np.arccos(0.5) * _spin_matrices(two_j)["y"])[:, -1]
-    psi = np.kron(top, [1.0, 0.0])
-    jz = np.kron(_spin_matrices(two_j)["z"], np.eye(2))
-    dense = []
-    for _ in range(N_KICKS + 1):
-        dense.append(np.vdot(psi, jz @ psi).real / j)
-        psi = u @ psi
-    series = stroboscopic_series(op, np.kron(top, [1.0, 0.0]), N_KICKS)
-    assert np.abs(series.jz_mean / j - dense).max() < 1e-10
+    assert np.abs(series.jz_mean / j - dense / j).max() < 1e-10
 
 
 def _large_cases():
@@ -231,27 +158,25 @@ def test_fold_basis_frame_and_jz_band_match_the_dense_oracle(two_j, kx, ky, delt
     # the blocks that the frames and cores give are held against U by the
     # eigenphases and <Jz>/j of test_public_outputs_match_the_dense_oracle
     op = floquet_operator(KickParams(kx, ky, delta=delta, variant=variant), two_j)
-    spins = _spin_matrices(two_j)
-    jz = np.kron(spins["z"], np.eye(2))
+    jz = np.kron(dense_oracle.spin_matrices(two_j)["z"], np.eye(2))
     d, m, j = two_j + 1, (two_j + 1) // 2, two_j / 2.0
     # the plain frame carries the half y kick, which turns each pair (+k, -k) by
     # exp(-i (ky lam_k sigma_x + delta sigma_z) / 2), lam_k the k-th eigenvalue of
     # Jx / j, and the middle state of odd d by the phase of its side
-    lam = np.linalg.eigvalsh(spins["x"].real)[:m] / j
-    half = ([scipy.linalg.expm(-0.5j * (ky * x * SIGMA["x"] + delta * SIGMA["z"])) for x in lam]
-            if variant == "plain" else [np.eye(2)] * m)
+    half = dense_oracle.pair_kicks(two_j, ky / 2.0 if variant == "plain" else 0.0, delta / 2.0)
     diags, offs, _ = op.jz_band
-    for sector, (idx, (a, _, _), diag, off) in enumerate(zip(_oracle_sectors(two_j), op.folds,
+    for sector, (idx, (a, _, _), diag, off) in enumerate(zip(dense_oracle.sectors(two_j), op.folds,
                                                             diags, offs)):
         frame = op.frame[sector]
         n = len(a)
         assert n in (d // 2, (d + 1) // 2)
         turn = np.eye(d, dtype=complex)
-        for k, block in enumerate(half):
+        for k, block in enumerate(half[:m]):
             turn[np.ix_([k, n + k], [k, n + k])] = block
         if d % 2:
-            middle, side = (m, 1.0) if n > m else (d - 1, -1.0)
-            turn[middle, middle] = np.exp(-0.5j * delta * side)
+            # lam_m = 0: the half kick is diag(exp(-i delta / 2), exp(i delta / 2))
+            middle, side = (m, 0) if n > m else (d - 1, 1)
+            turn[middle, middle] = half[m, side, side]
         split = frame @ turn.conj().T
         up = idx % 2 == 0
         assert np.abs(split[~up, :n]).max() < 1e-13 and np.abs(split[up, n:]).max() < 1e-13

@@ -3,27 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import dense_oracle
 from kickedtop import dynamics
-from kickedtop.dynamics import dynamical_scan, eigenbasis_series, stroboscopic_series
+from kickedtop.dynamics import dynamical_scan, stroboscopic_series
 from kickedtop.errors import NumericalError
-from kickedtop.floquet import FloquetOperator, KickParams, floquet_operator, kick_unitary
+from kickedtop.floquet import FloquetOperator, KickParams, floquet_operator
 from kickedtop.spectral import quasi_spectrum
-from kickedtop.spin import coherent_state, m_values, probe_state, product_state
-
-
-def _dense_moments(op, psi, n_max, u=None):
-    """<Jz> and its spread after each kick, iterating the dense op.u
-    (or u)."""
-    jz = np.repeat(m_values(op.two_j), 2)       # flat index 2(j + m) + s
-    u = op.u if u is None else u
-    means, stds = [], []
-    for n in range(n_max + 1):
-        if n > 0:
-            psi = u @ psi
-        w = np.abs(psi) ** 2
-        means.append(jz @ w)
-        stds.append(np.sqrt(max(jz ** 2 @ w - means[-1] ** 2, 0.0)))
-    return np.array(means), np.array(stds)
+from kickedtop.spin import coherent_state, probe_state, product_state
 
 
 def test_zero_kick_series_constant():
@@ -53,7 +39,7 @@ def test_series_conserves_norm_over_many_kicks(monkeypatch):
         op = floquet_operator(params, two_j)
         psi = product_state(two_j, coherent_state(two_j, np.pi / 3, 0.0), np.array([1.0, 0.0]))
         series = stroboscopic_series(op, psi, 500)
-        mean, std = _dense_moments(op, psi, 500)
+        mean, std = dense_oracle.jz_series(op.u, psi, 500)
         assert np.abs(series.jz_mean - mean).max() < 1e-10
         assert np.abs(series.jz_std - std).max() < 1e-10
 
@@ -69,7 +55,7 @@ def test_series_matches_dense_oracle(two_j, variant, delta, n_max):
     assert len(op.cores) == 1 + two_j % 2
     psi0 = probe_state(two_j, 0.9, 0.4)
     series = stroboscopic_series(op, psi0, n_max)
-    mean, std = _dense_moments(op, psi0, n_max)
+    mean, std = dense_oracle.jz_series(op.u, psi0, n_max)
     assert series.n.tolist() == list(range(n_max + 1))
     assert np.abs(series.jz_mean - mean).max() < 1e-12
     assert np.abs(series.jz_std - std).max() < 1e-12
@@ -85,7 +71,7 @@ def test_series_matches_dense_oracle_at_every_size(two_j, variant, delta):
     # n_max 37 runs past the first chunk of moments
     op = floquet_operator(KickParams(1.7, 2.9, delta=delta, variant=variant), two_j)
     psi0 = probe_state(two_j, 0.9, 0.4)
-    mean, std = _dense_moments(op, psi0, 37)
+    mean, std = dense_oracle.jz_series(op.u, psi0, 37)
     for n_max in (1, 7, 8, 9, 37):
         series = stroboscopic_series(op, psi0, n_max)
         assert np.abs(series.jz_mean - mean[:n_max + 1]).max() < 1e-12 * two_j / 2.0
@@ -97,18 +83,9 @@ def test_series_matches_dense_oracle_at_every_size(two_j, variant, delta):
 def test_fold_path_matches_dense_kicks_over_many_kicks(two_j, variant):
     kx, ky = 1.7, 2.9
     op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
-    x, y = kick_unitary("x", kx, two_j), kick_unitary("y", ky, two_j)
-    if variant == "plain":
-        u = y @ x
-    elif variant == "sym1":
-        half = kick_unitary("y", ky / 2.0, two_j)
-        u = half @ x @ half
-    else:
-        half = kick_unitary("x", kx / 2.0, two_j)
-        u = half @ y @ half
     psi0 = probe_state(two_j, 0.9, 0.4)
     series = stroboscopic_series(op, psi0, 200)
-    mean, std = _dense_moments(op, psi0, 200, u)
+    mean, std = dense_oracle.jz_series(dense_oracle.unitary(two_j, kx, ky, variant), psi0, 200)
     assert np.abs(series.jz_mean - mean).max() < 1e-10
     assert np.abs(series.jz_std - std).max() < 1e-10
 
@@ -159,9 +136,11 @@ def test_eigenbasis_cross_oracle():
     op = floquet_operator(KickParams(1.7, 2.9), two_j)
     psi0 = product_state(two_j, coherent_state(two_j, np.pi / 3, 0.0), np.array([1.0, 0.0]))
     direct = stroboscopic_series(op, psi0, 100)
-    phased = eigenbasis_series(quasi_spectrum(op), psi0, 100)
-    assert np.abs(direct.jz_mean - phased.jz_mean).max() < 1e-8
-    assert np.abs(direct.jz_std - phased.jz_std).max() < 1e-8
+    spectrum = quasi_spectrum(op)
+    basis = np.stack([spectrum.state(s, k) for s in range(2) for k in range(two_j + 1)], axis=1)
+    mean, std = dense_oracle.eigenphase_series(spectrum.epsilons.ravel(), basis, psi0, 100)
+    assert np.abs(direct.jz_mean - mean).max() < 1e-8
+    assert np.abs(direct.jz_std - std).max() < 1e-8
 
 
 def test_initial_state_validation():
@@ -173,17 +152,8 @@ def test_initial_state_validation():
         stroboscopic_series(op, psi0, 0)
 
 
-@pytest.mark.parametrize("series", ["stroboscopic", "eigenbasis"])
-def test_initial_state_must_be_a_finite_normalized_vector(series):
+def test_initial_state_must_be_a_finite_normalized_vector():
     op = floquet_operator(KickParams(1.0, 1.0), 6)
-    if series == "stroboscopic":
-        def run(psi):
-            return stroboscopic_series(op, psi, 10)
-    else:
-        spectrum = quasi_spectrum(op)
-
-        def run(psi):
-            return eigenbasis_series(spectrum, psi, 10)
     psi0 = probe_state(6, 0.3, 0.3)
     nan = psi0.copy()
     nan[3] = np.nan
@@ -192,8 +162,8 @@ def test_initial_state_must_be_a_finite_normalized_vector(series):
              (2.0 * psi0, "normalized")]
     for psi, message in cases:
         with pytest.raises(ValueError, match=message):
-            run(psi)
-    assert run(psi0).jz_mean.shape == (11,)
+            stroboscopic_series(op, psi, 10)
+    assert stroboscopic_series(op, psi0, 10).jz_mean.shape == (11,)
 
 
 def test_scan_equator_ladder():

@@ -2,44 +2,40 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import dense_oracle
 from kickedtop import floquet
 from kickedtop.errors import NumericalError
-from kickedtop.floquet import (FloquetOperator, KickParams, coupling_generator,
-                               floquet_operator, kick_unitary, unitarity_defect)
-from kickedtop.spin import (SIGMA_X, SIGMA_Z, angular_momentum_matrices, coupling_operator,
-                           dim_top, ladder_elements, m_values)
+from kickedtop.floquet import FloquetOperator, KickParams, floquet_operator, unitarity_defect
+from kickedtop.spin import (SIGMA_Z, angular_momentum_matrices, coupling_operator, dim_top,
+                           ladder_elements, m_values)
 from kickedtop.symmetry import sector_indices
-
-
-def _expm_kick(axis, kappa, two_j, delta=0.0):
-    gen = kappa * coupling_generator(axis, two_j)
-    if delta:
-        gen = gen + delta * np.kron(np.eye(dim_top(two_j)), SIGMA_Z)
-    return scipy.linalg.expm(-1j * gen)
 
 
 def _sorted_eigenphases(u):
     return np.sort(np.angle(np.linalg.eigvals(u)))
 
 
+# the dense oracle's kicks, from eigh, against the identity and expm
+
+
 def test_zero_kick_is_identity():
-    assert np.abs(kick_unitary("x", 0.0, 6) - np.eye(14)).max() < 1e-12
+    assert np.abs(dense_oracle.kick(6, "x", 0.0) - np.eye(14)).max() < 1e-12
 
 
 def test_pure_delta_pi_is_minus_identity():
-    u = kick_unitary("y", 0.0, 3, delta=np.pi)
+    u = dense_oracle.kick(3, "y", 0.0, np.pi)
     assert np.abs(u + np.eye(8)).max() < 1e-10
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_kick_matches_expm_oracle(axis):
-    u = kick_unitary(axis, 1.0, 4)
-    assert np.abs(u - _expm_kick(axis, 1.0, 4)).max() < 1e-10
+    expm = scipy.linalg.expm(-1j * dense_oracle.generator(4, axis, 1.0))
+    assert np.abs(dense_oracle.kick(4, axis, 1.0) - expm).max() < 1e-10
 
 
 def test_delta_kick_matches_expm_oracle():
-    u = kick_unitary("x", 1.3, 6, delta=0.7)
-    assert np.abs(u - _expm_kick("x", 1.3, 6, delta=0.7)).max() < 1e-10
+    expm = scipy.linalg.expm(-1j * dense_oracle.generator(6, "x", 1.3, 0.7))
+    assert np.abs(dense_oracle.kick(6, "x", 1.3, 0.7) - expm).max() < 1e-10
 
 
 def test_zero_params_identity_operator():
@@ -48,12 +44,11 @@ def test_zero_params_identity_operator():
 
 
 def test_plain_product_matches_expm_oracle():
+    # the oracle's kicks are held against expm by the kick tests above
     for two_j in (20, 21):
         for delta in (0.0, 0.7):
             op = floquet_operator(KickParams(1.0, 2.0, delta=delta), two_j)
-            oracle = _expm_kick("y", 2.0, two_j, delta) @ _expm_kick("x", 1.0, two_j, delta)
-            assert np.abs(op.u - oracle).max() < 1e-10
-            dense = kick_unitary("y", 2.0, two_j, delta) @ kick_unitary("x", 1.0, two_j, delta)
+            dense = dense_oracle.unitary(two_j, 1.0, 2.0, "plain", delta)
             assert np.abs(op.u - dense).max() < 1e-12
 
 
@@ -61,7 +56,7 @@ def test_plain_order_x_kick_first():
     # U psi for a one-kick y operator must equal the y kick alone
     two_j = 6
     op = floquet_operator(KickParams(0.0, 1.5), two_j)
-    assert np.abs(op.u - kick_unitary("y", 1.5, two_j)).max() < 1e-12
+    assert np.abs(op.u - dense_oracle.kick(two_j, "y", 1.5)).max() < 1e-12
 
 
 @pytest.mark.parametrize("variant", ["sym1", "sym2"])
@@ -79,16 +74,14 @@ def test_sym1_structure():
     kx, ky = 1.1, 2.3
     for two_j in (8, 9):
         op = floquet_operator(KickParams(kx, ky, variant="sym1"), two_j)
-        half = kick_unitary("y", ky / 2.0, two_j)
-        assert np.abs(op.u - half @ kick_unitary("x", kx, two_j) @ half).max() < 1e-12
+        assert np.abs(op.u - dense_oracle.unitary(two_j, kx, ky, "sym1")).max() < 1e-12
 
 
 def test_sym2_structure():
     kx, ky = 1.1, 2.3
     for two_j in (8, 9):
         op = floquet_operator(KickParams(kx, ky, variant="sym2"), two_j)
-        half = kick_unitary("x", kx / 2.0, two_j)
-        assert np.abs(op.u - half @ kick_unitary("y", ky, two_j) @ half).max() < 1e-12
+        assert np.abs(op.u - dense_oracle.unitary(two_j, kx, ky, "sym2")).max() < 1e-12
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 6, 7, 64, 65, 200, 201])
@@ -220,7 +213,8 @@ def test_delta_kick_matches_the_tridiagonal_and_dense_oracles(two_j):
     z = np.tile(np.diag(SIGMA_Z).real, two_j + 1)
     dense_kicks = DELTA_KICKS if two_j < 100 else DELTA_KICKS[::4] + DELTA_KICKS[-1:]
     for kappa, delta in DELTA_KICKS:
-        dense = kick_unitary("x", kappa, two_j, delta) if (kappa, delta) in dense_kicks else None
+        dense = (dense_oracle.kick(two_j, "x", kappa, delta) if (kappa, delta) in dense_kicks
+                 else None)
         a, s = floquet._pair_kick(sectors.lam[:(d + 1) // 2], kappa, delta)
         for k, idx in enumerate(sector_indices(two_j)):
             q, n = _fold_basis(sectors.reversal[k])
@@ -259,9 +253,8 @@ def test_jz_band_is_the_frame_jz(two_j, variant, delta):
     op = floquet_operator(KickParams(1.7, ky, delta=delta, variant=variant), two_j)
     diags, offs, turn = op.jz_band
     assert diags.shape == (len(op.cores), d) and offs.shape == (len(op.cores), d - 1)
-    lam = np.linalg.eigvalsh(angular_momentum_matrices(two_j).jx.real)[:d - m] / (two_j / 2.0)
-    kicks = [scipy.linalg.expm(-0.5j * (ky * x * SIGMA_X + delta * SIGMA_Z)) for x in lam]
-    a, s = np.array([kick[0, 0] for kick in kicks]), np.array([1j * kick[0, 1] for kick in kicks])
+    kicks = dense_oracle.pair_kicks(two_j, ky / 2.0, delta / 2.0)
+    a, s = kicks[:, 0, 0], 1j * kicks[:, 0, 1]
     if variant == "plain":
         assert np.abs(turn[0] - a).max() < 1e-13 and np.abs(turn[1] - s).max() < 1e-13
     else:
@@ -350,8 +343,6 @@ def test_param_validation():
         KickParams(1.0, 1.0, variant="nope")
     with pytest.raises(ValueError):
         KickParams(1.0, 1.0, delta=0.5, variant="sym1")
-    with pytest.raises(ValueError):
-        kick_unitary("x", -1.0, 4)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

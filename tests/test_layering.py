@@ -1,6 +1,7 @@
 """The package's import graph: one-way, every import at module level, and
-nothing from outside the standard library but numpy; and no public name
-that nothing reads."""
+nothing from outside the standard library but numpy; no public name that
+nothing reads; the package's code-line count under its cap; and a dense
+oracle in tests/ that imports nothing from the package."""
 
 import ast
 import os
@@ -12,14 +13,15 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kickedtop"
+TESTS = Path(__file__).resolve().parent
+
+# ROADMAP item 9: src/kickedtop holds at most this many code lines
+CODE_LINE_CAP = 1295
 
 # public names that no package code or README reads, kept as the oracles
 # that these test modules compare against
 ORACLES = {
-    "ipr": "test_localization",
-    "renyi_entropy": "test_localization",
     "angular_distance": "test_localization",
-    "mf_quasienergy": "test_meanfield",
     "predicted_count": "test_meanfield",
     "topological_count_estimate": "test_meanfield",
     "probe_state": "test_spin",
@@ -90,19 +92,49 @@ def test_no_private_name_crosses_a_module():
     assert crossing == []
 
 
-def test_only_the_standard_library_and_numpy_are_imported():
+def _foreign_imports(name: str, tree: ast.Module, allowed: set[str]) -> list[str]:
+    """The imports of a module from outside the standard library and allowed;
+    a relative import counts as kickedtop."""
     foreign = []
-    for name, tree in _trees().items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                tops = [alias.name.split(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                tops = [node.module.split(".")[0]]
-            else:
-                continue
-            foreign += [f"{name}:{node.lineno} {top}" for top in tops
-                        if top not in sys.stdlib_module_names | {"numpy", "kickedtop"}]
-    assert foreign == []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            tops = [node.module.split(".")[0] if node.level == 0 else "kickedtop"]
+        else:
+            continue
+        foreign += [f"{name}:{node.lineno} {top}" for top in tops
+                    if top not in sys.stdlib_module_names | allowed]
+    return foreign
+
+
+def test_only_the_standard_library_and_numpy_are_imported():
+    assert [line for name, tree in _trees().items()
+            for line in _foreign_imports(name, tree, {"numpy", "kickedtop"})] == []
+
+
+def test_the_dense_oracle_imports_nothing_from_the_package():
+    tree = ast.parse((TESTS / "dense_oracle.py").read_text())
+    assert _foreign_imports("dense_oracle", tree, {"numpy", "scipy"}) == []
+
+
+def _code_lines(text: str) -> int:
+    """The lines of a module that are not blank, not comments and not in a
+    docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings |= set(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for number, line in enumerate(text.splitlines(), 1)
+               if line.strip() and not line.strip().startswith("#")
+               and number not in docstrings)
+
+
+def test_the_package_stays_under_its_code_line_cap():
+    assert sum(_code_lines(path.read_text()) for path in PACKAGE.glob("*.py")) <= CODE_LINE_CAP
 
 
 @pytest.mark.parametrize("two_j", [12, 13])

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import dense_oracle
 from kickedtop import spectral
 from kickedtop.floquet import VARIANTS, KickParams, floquet_operator
-from kickedtop.localization import (angular_distance, coe_baseline, husimi_peak, ipr,
-                                    probe_columns, renyi_entropy, sphere_averaged_s2,
-                                    sphere_grid)
+from kickedtop.localization import (angular_distance, coe_baseline, husimi_peak,
+                                    probe_columns, sphere_averaged_s2, sphere_grid)
 from kickedtop.meanfield import bound_state_predictions
 from kickedtop.spectral import detect_bound_states, quasi_spectrum
 from kickedtop.spin import probe_state
@@ -24,51 +24,34 @@ def test_grid_weights_normalized():
         sphere_grid(0, 4)
 
 
+# the dense oracle's S2 at its limits: 0 for an eigenstate, 1 for a probe
+# spread evenly over the basis
+
+
 def test_ipr_eigenstate_limit():
-    basis = np.eye(8, dtype=complex)
-    probe = basis[:, 3].copy()
-    assert ipr(basis, probe) == pytest.approx(1.0)
-    assert renyi_entropy(1.0, 8) == 0.0
+    assert dense_oracle.s2(np.eye(8), np.eye(8)[3:4]) == pytest.approx([0.0])
 
 
 def test_ipr_uniform_probe():
-    dim = 16
-    basis = np.eye(dim, dtype=complex)
-    probe = np.ones(dim, dtype=complex) / np.sqrt(dim)
-    assert ipr(basis, probe) == pytest.approx(1.0 / dim)
-    assert renyi_entropy(1.0 / dim, dim) == pytest.approx(1.0)
+    assert dense_oracle.s2(np.eye(16), np.full((1, 16), 0.25)) == pytest.approx([1.0])
 
 
 def test_ipr_random_orthogonal_basis_matches_ensemble_value():
-    # real random orthonormal basis vs real random probes: IPR ~ 3/(D+2)
+    # real random orthonormal basis vs real random probes: IPR ~ 3/(D+2), the
+    # IPR of coe_baseline
     dim = 402
     rng = np.random.default_rng(77)
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    values = []
-    for _ in range(50):
-        probe = rng.standard_normal(dim)
-        probe /= np.linalg.norm(probe)
-        values.append(ipr(basis.astype(complex), probe.astype(complex)))
-    mean = np.mean(values)
-    target = 3.0 / (dim + 2)
+    probes = rng.standard_normal((50, dim))
+    probes /= np.linalg.norm(probes, axis=1)[:, None]
+    mean = np.mean(dim ** -dense_oracle.s2(basis, probes))
+    target = dim ** -coe_baseline(dim)
+    assert target == pytest.approx(3.0 / (dim + 2), rel=1e-12)
     assert abs(mean - target) / target < 0.2
 
 
-def test_ipr_validates():
-    basis = np.eye(6, dtype=complex)
-    with pytest.raises(ValueError):
-        ipr(basis, np.ones(5, dtype=complex))
-    with pytest.raises(ValueError):
-        ipr(basis * 0.9, np.ones(6, dtype=complex) / np.sqrt(6))
-
-
 def test_renyi_reference_value():
-    assert renyi_entropy(3.0 / 1004.0, 1002) == pytest.approx(0.8412941496805217, abs=1e-12)
     assert coe_baseline(1002) == pytest.approx(0.8412941496805217, abs=1e-12)
-    with pytest.raises(ValueError):
-        renyi_entropy(0.0, 10)
-    with pytest.raises(ValueError):
-        renyi_entropy(1.5, 10)
 
 
 def test_sphere_average_rejects_degenerate_operator():
@@ -114,7 +97,7 @@ def test_probe_mirror_maps_each_column_to_its_mirrored_node(two_j):
 @pytest.mark.parametrize("two_j", [1, 2, 20, 21])
 def test_sector_probe_rows_match_coupled_space_probes(two_j):
     # one (2j+1)-row probe array serves both sectors: S2 at every node equals
-    # the IPR entropy of the full coupled-space probe in the embedded eigenbasis;
+    # the dense oracle's S2 of its coupled-space probe in the embedded eigenbasis;
     # the 4 x 6 and 3 x 32 grids have a mirror, which at even 2j overlaps
     # sector +1 only; 32 azimuths exceed 2j+1 rows at every two_j here, so
     # the azimuthal DFT aliases, and delta 0.7 gives complex eigenvectors
@@ -131,11 +114,9 @@ def test_sector_probe_rows_match_coupled_space_probes(two_j):
             probes = probe_columns(two_j, grid)
             assert probes.columns.shape == (two_j + 1, grid.weights.size)
             result = sphere_averaged_s2(spectrum, probes)
-            for i, z in enumerate(grid.z_nodes):
-                for k, phi in enumerate(grid.phi_nodes):
-                    probe = probe_state(two_j, np.arccos(z), phi)
-                    expected = renyi_entropy(ipr(basis, probe), 2 * (two_j + 1))
-                    assert result.s2_nodes[i, k] == pytest.approx(expected, abs=1e-12)
+            dense = dense_oracle.coherent_probes(two_j, np.arccos(grid.z_nodes), grid.phi_nodes)
+            expected = dense_oracle.s2(basis, dense).reshape(grid.shape)
+            assert np.abs(result.s2_nodes - expected).max() < 1e-12
     with pytest.raises(ValueError):
         # 2(2j+1) rows, as many as the coupled space
         sphere_averaged_s2(spectrum, probe_columns(2 * two_j + 1, grid))

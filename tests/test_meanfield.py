@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kickedtop.meanfield import (allowed_kappa_x, bound_state_predictions,
-                                 mf_quasienergy, predicted_count,
+from dense_oracle import mf_quasienergy
+from kickedtop.meanfield import (allowed_kappa_x, bound_state_predictions, predicted_count,
                                  topological_count_estimate)
 
 

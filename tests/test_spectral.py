@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
+import dense_oracle
 from kickedtop import floquet, spectral
 from kickedtop.errors import NumericalError
-from kickedtop.floquet import (UNITARITY_TOL, VARIANTS, FloquetOperator, KickParams,
-                               chiral_fold, floquet_operator, kick_unitary, unitarity_defect)
+from kickedtop.floquet import (UNITARITY_TOL, VARIANTS, KickParams, chiral_fold,
+                               floquet_operator, unitarity_defect)
 from kickedtop.localization import probe_columns, sphere_averaged_s2, sphere_grid
 from kickedtop.spectral import (EIGEN_RESIDUAL_TOL, MIX, R_COE, R_CUE, R_POISSON,
                                 chiral_expectation, detect_bound_states, mean_spacing_ratio,
@@ -107,8 +108,7 @@ def test_quasi_energies_on_the_diagonal_match_dense_eigvals():
     op = floquet_operator(KickParams(kappa, kappa), 100)
     eps = quasi_spectrum(op).epsilons
     for sector, block in enumerate(op.sector_blocks()):
-        oracle = -np.angle(np.linalg.eigvals(block))
-        assert _circle_set_distance(eps[sector], oracle) < 1e-13
+        assert _circle_set_distance(eps[sector], dense_oracle.phases(block)) < 1e-13
 
 
 @pytest.mark.parametrize("two_j", [5, 6])
@@ -119,26 +119,18 @@ def test_non_unitary_rejected(two_j):
     noise = rng.standard_normal(op.core.shape) + 1j * rng.standard_normal(op.core.shape)
     noise += noise.swapaxes(-1, -2)
     noise *= 1e-6 / np.abs(noise).max()
-    for core in (op.core * 1.001, op.core + noise):
-        bad = FloquetOperator(core=core, frame=op.frame, params=op.params, two_j=two_j)
+    # a scaled fold, and the fold of the noisy core, beside the core they belong
+    # to: the core is stored on its fold basis, [[A, iK], [iK^T, B]]
+    noisy = op.core + noise
+    noisy_folds = [(m[:n, :n].real, m[n:, n:].real, m[:n, n:].imag)
+                   for m, n in zip(noisy, (len(a) for a, _, _ in op.folds))]
+    for core, folds in ((op.core * 1.001, [tuple(1.001 * b for b in fold) for fold in op.folds]),
+                        (noisy, noisy_folds)):
+        bad = dataclasses.replace(op, core=core, folds=folds)
         with pytest.raises(NumericalError):
             quasi_spectrum(bad)
         with pytest.raises(NumericalError):
             sector_eigenphases(bad)
-
-
-def _dense_sector_blocks(kx, ky, two_j, variant, delta=0.0):
-    """The parity-sector blocks of the dense kick_unitary product."""
-    x, y = kick_unitary("x", kx, two_j, delta), kick_unitary("y", ky, two_j, delta)
-    if variant == "plain":
-        dense = y @ x
-    elif variant == "sym1":
-        half = kick_unitary("y", ky / 2.0, two_j)
-        dense = half @ x @ half
-    else:
-        half = kick_unitary("x", kx / 2.0, two_j)
-        dense = half @ y @ half
-    return np.stack([dense[np.ix_(idx, idx)] for idx in sector_indices(two_j)])
 
 
 @pytest.mark.parametrize("two_j", [6, 7, 64, 65])
@@ -149,9 +141,8 @@ def test_sector_eigenphases_match_dense_oracle(two_j, variant, delta):
     op = floquet_operator(KickParams(kx, ky, delta=delta, variant=variant), two_j)
     # compared as sets on the circle: a level at pi may sit at either end of (-pi, pi]
     for eps, block in zip(sector_eigenphases(op),
-                          _dense_sector_blocks(kx, ky, two_j, variant, delta)):
-        oracle = -np.angle(np.linalg.eigvals(block))
-        assert _circle_set_distance(eps, oracle) < 1e-12
+                          dense_oracle.blocks(dense_oracle.unitary(two_j, kx, ky, variant, delta))):
+        assert _circle_set_distance(eps, dense_oracle.phases(block)) < 1e-12
 
 
 @pytest.mark.parametrize("two_j", [6, 64, 200])
@@ -160,7 +151,7 @@ def test_sectors_are_twins_at_even_two_j_without_delta(two_j, variant):
     # at even 2j the pi rotation about x commutes with both kicks, anticommutes
     # with parity and reverses m: the -1 block is the +1 block reversed in both
     # indices.  Checked on the dense product, which does not use that relation
-    plus, minus = _dense_sector_blocks(1.9, 17.0, two_j, variant)
+    plus, minus = dense_oracle.blocks(dense_oracle.unitary(two_j, 1.9, 17.0, variant))
     assert np.abs(minus - plus[::-1, ::-1]).max() < 1e-12
     op = floquet_operator(KickParams(1.9, 17.0, variant=variant), two_j)
     assert np.abs(op.sector_blocks() - np.stack([plus, minus])).max() < 1e-12
@@ -179,7 +170,7 @@ def test_sectors_are_conjugate_mirrors_only_at_even_two_j(two_j, variant, delta)
     # at even 2j the -1 block is G J conj(+1 block) J G for every delta and
     # ordering, and at odd 2j it is not.  Checked on the dense product, which
     # does not use that relation
-    plus, minus = _dense_sector_blocks(1.9, 17.0, two_j, variant, delta)
+    plus, minus = dense_oracle.blocks(dense_oracle.unitary(two_j, 1.9, 17.0, variant, delta))
     defect = np.abs(minus - _conjugate_mirror(plus)).max()
     op = floquet_operator(KickParams(1.9, 17.0, delta=delta, variant=variant), two_j)
     if two_j % 2:
@@ -209,7 +200,7 @@ def test_conjugate_twin_eigenpairs_match_dense_blocks(monkeypatch, two_j, varian
     assert np.all(np.diff(spec.epsilons) >= 0)
     assert _circle_set_distance(spec.epsilons[1], -spec.epsilons[0]) < 1e-14
     phases = np.exp(-1j * spec.epsilons)[:, None, :]
-    blocks = _dense_sector_blocks(kx, ky, two_j, variant, delta)
+    blocks = dense_oracle.blocks(dense_oracle.unitary(two_j, kx, ky, variant, delta))
     for stack in (blocks, op.sector_blocks()):
         residual = stack @ spec.vectors - spec.vectors * phases
         assert np.linalg.norm(residual, axis=1).max() < 1e-8
@@ -320,7 +311,7 @@ def test_chiral_reversal_conjugates_every_core(two_j, variant):
     kx, ky = 1.9, 17.0
     op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
     z = np.diag(np.kron(np.eye(two_j + 1), SIGMA_Z).real)
-    blocks = _dense_sector_blocks(kx, ky, two_j, variant)
+    blocks = dense_oracle.blocks(dense_oracle.unitary(two_j, kx, ky, variant))
     assert len(op.folds) == len(op.cores)
     for k, (core, fold) in enumerate(zip(op.cores, op.folds)):
         a, b, kk = fold
@@ -342,15 +333,13 @@ def test_chiral_reversal_conjugates_every_core(two_j, variant):
 def test_stored_fold_matches_the_fold_of_the_dense_core(two_j):
     # the fold built from C+ and C- against chiral_fold of the dense product
     # on the kick eigenbasis gauge V half, and the frame against that
-    # eigenbasis times chiral_fold's basis Q, every variant from one set of
-    # dense kicks
+    # eigenbasis times chiral_fold's basis Q, every variant from the dense
+    # oracle's kicks
     kx, ky = 1.9, 17.0
-    half_x, half_y = kick_unitary("x", kx / 2.0, two_j), kick_unitary("y", ky / 2.0, two_j)
-    x, y = half_x @ half_x, half_y @ half_y
-    dense = {"plain": y @ x, "sym1": half_y @ x @ half_y, "sym2": half_x @ y @ half_x}
     sectors = floquet._sectors(two_j)
     for variant in VARIANTS:
         op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
+        dense = dense_oracle.unitary(two_j, kx, ky, variant)
         assert len(op.folds) == len(op.cores)
         for k, fold in enumerate(op.folds):
             idx = sector_indices(two_j)[k]
@@ -358,7 +347,7 @@ def test_stored_fold_matches_the_fold_of_the_dense_core(two_j):
             gauge = np.ones(two_j + 1) if variant == "sym2" else sectors.gauge[k]
             half = np.exp(-0.5j * ky * sectors.lam) if variant == "plain" else np.ones(two_j + 1)
             eigenbasis = gauge[:, None] * sectors.vecs * half
-            core = eigenbasis.conj().T @ dense[variant][np.ix_(idx, idx)] @ eigenbasis
+            core = eigenbasis.conj().T @ dense[np.ix_(idx, idx)] @ eigenbasis
             oracle = chiral_fold(core, signs)
             assert len(fold) == 3
             for built, read in zip(fold, oracle[:3]):
@@ -469,18 +458,17 @@ def test_forced_fallback_gives_the_same_phases(monkeypatch, two_j, kxky):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_folded_phases_match_dense_oracle_at_zero_modes(two_j, variant):
     # kxky 10: exactly degenerate bound states at both 0 and pi.  The product
-    # oracle is dense kick_unitary; at 400 and 401 the dense sector blocks
+    # oracle is the dense oracle's unitary; at 400 and 401 the dense sector blocks
     kx, ky = np.sqrt(10.0 / 1.7), np.sqrt(10.0 * 1.7)
     op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
     if two_j < 400:
-        blocks = _dense_sector_blocks(kx, ky, two_j, variant)
+        blocks = dense_oracle.blocks(dense_oracle.unitary(two_j, kx, ky, variant))
     else:
         blocks = op.sector_blocks()
     eps = sector_eigenphases(op)
     assert (np.abs(eps) < 1e-6).any() and (np.abs(eps) > np.pi - 1e-6).any()
     for sector, block in enumerate(blocks):
-        oracle = -np.angle(np.linalg.eigvals(block))
-        assert _circle_set_distance(eps[sector], oracle) < 1e-12
+        assert _circle_set_distance(eps[sector], dense_oracle.phases(block)) < 1e-12
 
 
 def _folded_core(signs, theta, rng, free_a=(), free_b=()):
@@ -519,7 +507,7 @@ def test_fold_resolves_levels_at_the_cluster_cut():
     assert solved is not None
     eps = solved[0]
     assert _circle_set_distance(eps, np.concatenate([theta, -theta])) < 1e-12
-    assert _circle_set_distance(eps, -np.angle(np.linalg.eigvals(core))) < 1e-12
+    assert _circle_set_distance(eps, dense_oracle.phases(core)) < 1e-12
 
 
 def _free_mode_folds():
@@ -549,7 +537,7 @@ def test_fold_solves_unpaired_modes_of_either_block():
         solved = spectral._solve_fold(a, b, k)
         assert solved is not None
         eps, p, q, paired = solved
-        assert _circle_set_distance(eps, -np.angle(np.linalg.eigvals(core))) < 1e-12
+        assert _circle_set_distance(eps, dense_oracle.phases(core)) < 1e-12
         vecs = np.sqrt(0.5) * np.block([[p, p[:, paired]], [q, -q[:, paired]]])
         folded = np.block([[a, 1j * k], [1j * k.T, b]])
         residual = folded @ vecs - vecs * np.exp(-1j * eps)
@@ -569,7 +557,7 @@ def test_fallback_when_the_real_solver_mixes_eigenvectors(monkeypatch):
     monkeypatch.setattr(spectral, "_schur_eigenpairs", lambda a: calls.append(1) or schur(a))
     got, vectors = sector_eigenpairs(m)
     assert calls == [1]
-    assert _circle_set_distance(got, -np.angle(np.linalg.eigvals(m))) < 1e-12
+    assert _circle_set_distance(got, dense_oracle.phases(m)) < 1e-12
     assert np.abs(m @ vectors - vectors * np.exp(-1j * got)).max() < 1e-12
 
 
@@ -595,7 +583,7 @@ def _check_fallback_eigenpairs(m):
     eps, vectors = spectral._schur_eigenpairs(m)
     assert np.linalg.norm(m @ vectors - vectors * np.exp(-1j * eps), axis=0).max() < 1e-12
     assert np.abs(vectors.conj().T @ vectors - np.eye(len(m))).max() < 1e-12
-    assert _circle_set_distance(eps, -np.angle(np.linalg.eigvals(m))) < 1e-12
+    assert _circle_set_distance(eps, dense_oracle.phases(m)) < 1e-12
 
 
 @pytest.mark.parametrize("multiplicity", [2, 10, 50])

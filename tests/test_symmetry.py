@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import dense_oracle
 from kickedtop.errors import NumericalError
-from kickedtop.floquet import KickParams, floquet_operator, kick_unitary
+from kickedtop.floquet import KickParams, floquet_operator
 from kickedtop.spin import angular_momentum_matrices, dim_top, pauli_matrix
 from kickedtop.symmetry import (KINDS, parity_labels, parity_phases, sector_indices,
                                 squared_sign, symmetry_operator, verify_symmetries)
@@ -51,16 +52,7 @@ def test_pi_rotation_about_x_commutes_with_u_and_flips_parity_at_even_two_j(two_
     ops = angular_momentum_matrices(two_j)
     gen = np.kron(ops.jx, np.eye(2)) + np.kron(np.eye(dim_top(two_j)), pauli_matrix("x") / 2)
     r = scipy.linalg.expm(-1j * np.pi * gen)
-    kx, ky = 1.9, 17.0
-    x, y = kick_unitary("x", kx, two_j), kick_unitary("y", ky, two_j)
-    if variant == "plain":
-        u = y @ x
-    elif variant == "sym1":
-        half = kick_unitary("y", ky / 2.0, two_j)
-        u = half @ x @ half
-    else:
-        half = kick_unitary("x", kx / 2.0, two_j)
-        u = half @ y @ half
+    u = dense_oracle.unitary(two_j, 1.9, 17.0, variant)
     assert np.abs(r @ u - u @ r).max() < 1e-12
     pi = np.diag(parity_phases(two_j))
     anti, comm = np.abs(r @ pi + pi @ r).max(), np.abs(r @ pi - pi @ r).max()
@@ -117,8 +109,8 @@ def test_delta_keeps_conjugation_up_to_similarity(two_j):
     # similar to the complex-symmetric U~ = Y^(1/2) X Y^(1/2): K maps U~ to U~^-1
     kx, ky, delta = 1.3, 2.1, 1.6
     op = floquet_operator(KickParams(kx, ky, delta=delta), two_j)
-    half_y = kick_unitary("y", ky / 2.0, two_j, delta / 2.0)
-    u_sym = half_y @ kick_unitary("x", kx, two_j, delta) @ half_y
+    half_y = dense_oracle.kick(two_j, "y", ky / 2.0, delta / 2.0)
+    u_sym = dense_oracle.unitary(two_j, kx, ky, "sym1", delta)
     assert np.abs(half_y.conj().T @ op.u @ half_y - u_sym).max() <= 1e-10
     assert np.abs(u_sym - u_sym.T).max() <= 1e-10
     report = verify_symmetries(op)
