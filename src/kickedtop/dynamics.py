@@ -9,10 +9,10 @@ the uniform-ensemble value j/sqrt(3)).
 stroboscopic_series runs the recursion psi_{n+1} = B psi_n on the exact
 (2j+1)-dimensional parity sectors, one distinct core at a time
 (FloquetOperator.cores).  At even 2j sector -1 is evolved through its
-mirror beside sector +1: the -1 block is G J conj(B) J G, with J the
-basis reversal and G = diag((-1)^k), so B^n maps G J conj(psi_-) to
-G J conj(psi_-(n)), and the mirrored state's m ladder is that of
-sector -1 reversed.
+mirror (floquet.conjugate_mirror) beside sector +1, by the core of
+sector +1: the -1 block is G J conj(B) J G, with J the basis reversal
+and G = diag((-1)^k), so B^n maps G J conj(psi_-) to G J conj(psi_-(n)),
+and the mirrored state's m ladder is that of sector -1 reversed.
 
 Each core is stored on its fold basis, where it is M = D O D^dag with
 D = 1 on the + states and i on the - states and O = [[A, -K], [K^T, B]]
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .floquet import FloquetOperator, KickParams, floquet_operator, turn_fold
+from .floquet import FloquetOperator, KickParams, conjugate_mirror, floquet_operator, turn_fold
 from .meanfield import allowed_kappa_x
 from .spin import coherent_state, product_state
 from .symmetry import sector_indices
@@ -136,7 +136,7 @@ def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
     """Evolve psi0 by repeated application of the one-period unitary.
 
     Each distinct core (FloquetOperator.cores) evolves its sector; with
-    one, sector -1 is evolved through its mirror (FloquetOperator.mirror)
+    one, sector -1 is evolved through its mirror (floquet.conjugate_mirror)
     beside sector +1, by the kicks of its fold (FloquetOperator.folds,
     which floquet_operator stores; _folded_moments).  Raises ValueError
     unless psi0 is a finite, normalized vector of the coupled space, and
@@ -151,7 +151,7 @@ def stroboscopic_series(operator: FloquetOperator, psi0: np.ndarray,
     plus, minus = (psi0[idx].astype(complex) for idx in sector_indices(operator.two_j))
     # the states in rows[k] are evolved by core k
     if len(operator.cores) == 1:
-        rows = np.stack([plus, operator.mirror(minus)])[None]
+        rows = np.stack([plus, conjugate_mirror(minus)])[None]
     else:
         rows = np.stack([plus, minus])[:, None]
     moments = _folded_moments(operator, rows, n_max)

@@ -99,8 +99,9 @@ eigenvectors are G J conj(v[+1]).
 Consumers work from the distinct cores (FloquetOperator.cores) and
 their folds (FloquetOperator.folds): sector_blocks assembles the sector
 +1 block alone at even 2j and derives the sector -1 block from it, and
-to_sectors maps solved eigenvectors once and mirrors them
-(FloquetOperator.mirror).
+to_sectors maps the eigenvectors solved on the distinct cores to sector
+coordinates, no more.  At even 2j the sector -1 states are derived with
+conjugate_mirror where they are read (spectral.QuasiSpectrum, dynamics).
 """
 
 import functools
@@ -170,11 +171,6 @@ class FloquetOperator:
         """The distinct cores, one per fold: core[:1] at even 2j, else core."""
         return self.core[:len(self.folds)]
 
-    def mirror(self, rows: np.ndarray) -> np.ndarray:
-        """Sector-coordinate rows (axis 0) of one sector mapped to the
-        other at even 2j: G J conj(rows).  The map is its own inverse."""
-        return _conjugate_mirror(rows)
-
     @property
     def jz_band(self) -> tuple:
         """Jz (on the sector's m ladder) on the fold basis of each of
@@ -209,20 +205,13 @@ class FloquetOperator:
 
     def to_sectors(self, columns: np.ndarray) -> np.ndarray:
         """Columns on the bases of `cores`, a (len(cores), d, n) stack,
-        mapped by the frames to (2, d, n) sector coordinates.
-
-        The sym1 and sym2 frames are real (stored complex), so real columns
-        take a real product.  At even 2j column k of sector -1 is the
-        mirror of column k of sector +1, the eigenvector of level -eps.
-        """
+        mapped by the frames to sector coordinates, a stack of the same
+        shape.  The sym1 and sym2 frames are real (stored complex), so
+        real columns take a real product and stay real."""
         frames = self.frame[:len(columns)]
         if self.params.variant != "plain":
             frames = np.ascontiguousarray(frames.real)
-        out = np.empty((2,) + columns.shape[1:], dtype=complex)
-        out[:len(columns)] = frames @ columns
-        if len(columns) == 1:
-            _conjugate_mirror(out[0], out=out[1])
-        return out
+        return frames @ columns
 
     @property
     def u(self) -> np.ndarray:
@@ -361,10 +350,12 @@ def _alternation(offdiag: np.ndarray, z: np.ndarray, gauge: np.ndarray) -> np.nd
     return None
 
 
-def _conjugate_mirror(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def conjugate_mirror(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """G J conj(rows) for a (d, ...) array, G = diag((-1)^k) as in
     _Sectors.alternation and J the reversal: the rows reversed and
-    conjugated, the odd ones negated."""
+    conjugated, the odd ones negated.  At even 2j it maps sector
+    coordinates of one sector to those of the other, and is its own
+    inverse."""
     out = np.conjugate(rows[::-1], out=out)
     out[1::2] *= -1.0
     return out
@@ -567,5 +558,5 @@ def floquet_operator(params: KickParams, two_j: int) -> FloquetOperator:
         # sector -1 is the conjugate mirror of sector +1
         folds = [_sector_core(sectors, 0, params, core[0], frame[0])]
         np.conjugate(core[0], out=core[1])
-        _conjugate_mirror(frame[0], out=frame[1])
+        conjugate_mirror(frame[0], out=frame[1])
     return FloquetOperator(core=core, frame=frame, params=params, two_j=two_j, folds=folds)

@@ -20,15 +20,16 @@ phi_l = 2 pi l / n_phi a probe is its top times exp(-i m phi_l), so its
 overlaps with an eigenvector v are an n_phi-point DFT over the azimuths
 of conj(v) times the top, aliased mod n_phi in the row index j + m.
 
-At even 2j the sector -1 eigenvectors of quasi_spectrum are the
-conjugate mirror G J conj(v) of those of sector +1
-(QuasiSpectrum.mirrored), and G J conj maps the coherent top state at
-(theta, phi) to a unit phase times the one at (pi - theta, phi + pi).
-A grid with an even number of azimuths is closed under that map
-(ProbeColumns.mirror), so sector -1's overlaps at a node are sector +1's
-at the mirrored node, and the sphere average overlaps sector +1 only.
-Odd 2j, an odd number of azimuths and a spectrum without the flag
-overlap both sectors.
+At even 2j quasi_spectrum solves and stores sector +1 alone: the sector
+-1 eigenvectors are the conjugate mirror G J conj(v) of those of sector
++1 (QuasiSpectrum.mirror_order), and G J conj maps the coherent top
+state at (theta, phi) to a unit phase times the one at
+(pi - theta, phi + pi).  A grid with an even number of azimuths is
+closed under that map (ProbeColumns.mirror), so sector -1's overlaps at
+a node are sector +1's at the mirrored node, and the sphere average
+overlaps sector +1 only.  An odd number of azimuths overlaps both
+sectors, sector -1 derived for it (QuasiSpectrum.sector_vectors), and
+so does odd 2j, which solves both.
 """
 
 import math
@@ -139,12 +140,14 @@ def sphere_averaged_s2(spectrum: QuasiSpectrum,
     quadrature grid.  One batched product of the probe rows with the
     eigenvectors, n_phi products of (n_theta, q) by (q, n) over the rows of
     one residue mod n_phi, q = ceil((2j+1) / n_phi), and one DFT over the
-    residues give every overlap; real eigenvectors need only l <= n_phi/2.
-    When sector -1 is the mirror of sector +1 (spectrum.mirrored) and the
-    grid has a mirror, sector -1's sums over its eigenvectors at node k are
-    sector +1's at node mirror[k].  Probes built for another two_j are
-    rejected.  Kick strengths of zero are rejected: the eigenbasis of a
-    degenerate operator is not unique, so the IPR would be gauge-dependent.
+    residues give every overlap; real eigenvectors (a real dtype) need only
+    l <= n_phi/2.  When only sector +1 was solved (spectrum.mirror_order)
+    and the grid has a mirror, sector -1's sums over its eigenvectors at
+    node k are sector +1's at node mirror[k]; a grid without a mirror
+    overlaps sector -1 as QuasiSpectrum.sector_vectors derives it.  Probes
+    built for another two_j are rejected.  Kick strengths of zero are
+    rejected: the eigenbasis of a degenerate operator is not unique, so
+    the IPR would be gauge-dependent.
     """
     params = spectrum.params
     if params.kappa_x == 0.0 or params.kappa_y == 0.0:
@@ -156,14 +159,14 @@ def sphere_averaged_s2(spectrum: QuasiSpectrum,
                          f"a spectrum of two_j = {spectrum.two_j}")
     dim = spectrum.dim
     n_theta, n_phi = probes.grid.shape
-    mirrored = spectrum.mirrored and probes.mirror is not None
-    sectors = spectrum.vectors[:1] if mirrored else spectrum.vectors
-    real = not sectors.imag.any()
+    mirrored = spectrum.mirror_order is not None and probes.mirror is not None
+    sectors = spectrum.vectors if mirrored else spectrum.sector_vectors()
+    real = not np.iscomplexobj(sectors)
     d = sectors.shape[1]
     n = len(sectors) * d
     # the sectors' eigenvectors side by side, conjugated, row k at [k % n_phi, k // n_phi]
-    padded = np.zeros((len(probes.rows), len(sectors), d), dtype=float if real else complex)
-    padded[:d] = (sectors.real if real else sectors.conj()).transpose(1, 0, 2)
+    padded = np.zeros((len(probes.rows), len(sectors), d), dtype=sectors.dtype)
+    padded[:d] = sectors.conj().transpose(1, 0, 2)
     by_residue = padded.reshape(-1, n_phi, n).transpose(1, 0, 2)
     tops = probes.rows.reshape(-1, n_phi, n_theta).transpose(1, 2, 0)
     ls = np.arange(n_phi)

@@ -3,17 +3,19 @@
 Quasi-energies are the eigenphases of the one-period unitary,
 U |e> = exp(-i eps) |e>, taken on the branch (-pi, pi].  Parity is
 conserved, so every spectrum is kept per parity sector: a (2, d) stack
-of sorted quasi-energies, +1 sector first, and for QuasiSpectrum a
-(2, d, d) stack of eigenvectors in the coordinates of
+of sorted quasi-energies, +1 sector first, and for QuasiSpectrum the
+eigenvectors of each solved sector in the coordinates of
 symmetry.sector_indices.  Degenerate partners never mix across sectors,
 spacing statistics are computed within a sector and averaged, and
 coherent-probe overlaps are (2j+1)-sized products.  Only the distinct
 cores (FloquetOperator.cores) are solved, so at every even 2j one sector
 is.  There sector -1 is the conjugate mirror G J conj(.) J G of sector
 +1: its quasi-energies are -eps of sector +1, sorted on (-pi, pi], and
-its eigenvectors G J conj(v) of sector +1, reordered to match, which
-QuasiSpectrum.mirrored records so that the sphere-averaged entropy
-overlaps sector +1 only.
+its eigenvectors G J conj(v) of sector +1 in that order.  QuasiSpectrum
+stores sector +1's alone with the order that sorts the mirrored levels
+(mirror_order), and derives sector -1's where they are read (state,
+sector_vectors); the sphere-averaged entropy overlaps sector +1 only
+wherever its grid has a mirror.
 
 Each sector of a FloquetOperator is a complex-symmetric unitary core
 M = R + i I.  Two solvers serve it; which one runs depends on the
@@ -30,7 +32,8 @@ operator, not on the caller, and is decided in one place (_fold_solve):
   its levels near +-1 and a small SVD give the phases and the half-size
   vectors p and q of every level (_solve_fold).  The phases alone cost
   nothing more, and quasi_spectrum takes (p, +-q) / sqrt(2) as the
-  core's eigenvectors as they are and maps them through the frames.
+  core's eigenvectors as they are and maps them through the frames:
+  real for sym1 and sym2, whose frames are real.
 * sector_eigenpairs, for every core without a real fold (delta > 0),
   and the fallback for a core whose fold the fold's own guard rejects.
   Unitarity makes the real symmetric R and I commute, so one real
@@ -66,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .floquet import FloquetOperator
+from .floquet import FloquetOperator, conjugate_mirror
 from .spin import validate_two_j
 from .symmetry import sector_indices
 
@@ -98,30 +101,46 @@ R_CUE = 2.0 * np.sqrt(3.0) / np.pi - 0.5     # ~0.603
 class QuasiSpectrum:
     """Quasi-energies and eigenvectors of the two parity sectors.
 
-    Row s of each stack is sector s in symmetry.sector_indices order
-    (0: parity +1, 1: parity -1).  epsilons[s] ascends in (-pi, pi];
-    column k of vectors[s] is the eigenvector of epsilons[s, k] on the
-    basis states sector_indices(two_j)[s].  mirrored is True when the
-    columns of vectors[1] are G J conj of those of vectors[0], G =
-    diag((-1)^k) and J the reversal, in some order (quasi_spectrum at
-    even 2j).
+    Row s of epsilons is sector s in symmetry.sector_indices order
+    (0: parity +1, 1: parity -1), ascending in (-pi, pi].  vectors holds
+    the sectors that were solved, one per FloquetOperator.cores, in the
+    dtype that the solver and the frame give (real for sym1 and sym2 at
+    delta = 0): column k of vectors[s] is the eigenvector of
+    epsilons[s, k] on the basis states sector_indices(two_j)[s].  With
+    one solved sector (even 2j), mirror_order is the order that sorts
+    the mirrored levels -epsilons[0]: the eigenvector of epsilons[1, k]
+    is G J conj of column mirror_order[k] of vectors[0], G =
+    diag((-1)^k) and J the reversal (floquet.conjugate_mirror).
     """
 
     two_j: int
     params: object
     epsilons: np.ndarray          # (2, d)
-    vectors: np.ndarray           # (2, d, d)
-    mirrored: bool = False
+    vectors: np.ndarray           # (len(cores), d, d)
+    mirror_order: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.epsilons.size
 
     def state(self, sector: int, k: int) -> np.ndarray:
-        """Eigenvector k of a sector as a state of the coupled space."""
+        """Eigenvector k of a sector as a state of the coupled space;
+        ValueError unless sector is 0 or 1 and k is in [0, d)."""
+        for name, value, size in (("sector", sector, 2), ("k", k, self.epsilons.shape[1])):
+            if not 0 <= value < size:
+                raise ValueError(f"{name} must be in [0, {size}), got {value!r}")
+        column = (self.vectors[sector, :, k] if sector < len(self.vectors)
+                  else conjugate_mirror(self.vectors[0, :, self.mirror_order[k]]))
         out = np.zeros(self.dim, dtype=complex)
-        out[sector_indices(self.two_j)[sector]] = self.vectors[sector, :, k]
+        out[sector_indices(self.two_j)[sector]] = column
         return out
+
+    def sector_vectors(self) -> np.ndarray:
+        """The (2, d, d) stack of both sectors' eigenvectors, sector -1
+        derived from sector +1 where only that one was solved."""
+        if self.mirror_order is None:
+            return self.vectors
+        return np.stack([self.vectors[0], conjugate_mirror(self.vectors[0])[:, self.mirror_order]])
 
 
 def _branch(eps: np.ndarray) -> np.ndarray:
@@ -256,8 +275,8 @@ def _fold_solve(operator: FloquetOperator, k: int) -> tuple | None:
 def _both_sectors(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The (2, d) stack of sorted quasi-energies from those of
     FloquetOperator.cores, and with one core the order that sorts the
-    mirrored levels -eps of sector -1 on (-pi, pi] (the columns of
-    FloquetOperator.to_sectors), else None."""
+    mirrored levels -eps of sector -1 on (-pi, pi]
+    (QuasiSpectrum.mirror_order), else None."""
     if len(eps) == 2:
         return eps, None
     minus = _branch(-eps[0])
@@ -306,11 +325,8 @@ def quasi_spectrum(operator: FloquetOperator) -> QuasiSpectrum:
         epsilons.append(eps[order])
         vectors.append(vecs[:, order])
     epsilons, order = _both_sectors(np.stack(epsilons))
-    vectors = operator.to_sectors(np.stack(vectors))
-    if order is not None:
-        vectors[1] = vectors[1][:, order]
-    return QuasiSpectrum(two_j=operator.two_j, params=operator.params,
-                         epsilons=epsilons, vectors=vectors, mirrored=order is not None)
+    return QuasiSpectrum(two_j=operator.two_j, params=operator.params, epsilons=epsilons,
+                         vectors=operator.to_sectors(np.stack(vectors)), mirror_order=order)
 
 
 def mean_spacing_ratio(epsilons: np.ndarray) -> float:

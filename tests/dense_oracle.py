@@ -69,6 +69,23 @@ def pair_kicks(two_j: int, kappa: float, delta: float) -> np.ndarray:
     return np.array([_exp_i(kappa * x * SIGMA["x"] + delta * SIGMA["z"]) for x in lam])
 
 
+def fold_basis(signs: np.ndarray) -> tuple[np.ndarray, int]:
+    """The fold basis Q for the reversal J e_k = signs_k e_{d-1-k}: the +
+    states (e_k + signs_k e_{d-1-k}) / sqrt(2), k ascending, then the -
+    states (e_k - signs_k e_{d-1-k}) / sqrt(2), the middle state e_m of
+    odd d last in the block of its sign; and the number of + states."""
+    d, m = len(signs), len(signs) // 2
+    n = m + int(d % 2 == 1 and signs[m] > 0)
+    q = np.zeros((d, d))
+    k = np.arange(m)
+    q[k, k] = q[k, n + k] = np.sqrt(0.5)
+    q[d - 1 - k, k] = signs[k] * np.sqrt(0.5)
+    q[d - 1 - k, n + k] = -signs[k] * np.sqrt(0.5)
+    if d % 2:
+        q[m, m if n > m else d - 1] = 1.0
+    return q, n
+
+
 def sectors(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the +1 and -1 eigenvalues of the parity operator."""
     jz_plus_half_sz = np.kron(spin_matrices(two_j)["z"], np.eye(2)) + np.kron(

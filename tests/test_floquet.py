@@ -164,23 +164,6 @@ def test_chiral_reversal_is_certified_once_per_two_j(monkeypatch, two_j):
     assert floquet._sectors.cache_info().currsize == 0
 
 
-def _fold_basis(signs):
-    """The fold basis Q for the reversal J e_k = signs_k e_{d-1-k}: the +
-    states (e_k + signs_k e_{d-1-k}) / sqrt(2), k ascending, then the -
-    states, the middle state e_m of odd d last in the block of its sign;
-    and the number of + states."""
-    d, m = len(signs), len(signs) // 2
-    n = m + int(d % 2 == 1 and signs[m] > 0)
-    q = np.zeros((d, d))
-    k = np.arange(m)
-    q[k, k] = q[k, n + k] = np.sqrt(0.5)
-    q[d - 1 - k, k] = signs[k] * np.sqrt(0.5)
-    q[d - 1 - k, n + k] = -signs[k] * np.sqrt(0.5)
-    if d % 2:
-        q[m, m if n > m else d - 1] = 1.0
-    return q, n
-
-
 @pytest.mark.parametrize("two_j, built", [(6, 1), (7, 2)])
 def test_stored_overlaps_are_the_built_sectors(two_j, built):
     # at even 2j only sector +1 is built, so only the halves of its overlap
@@ -189,7 +172,7 @@ def test_stored_overlaps_are_the_built_sectors(two_j, built):
     assert len(sectors.halves) == built
     for (plus, minus), gauge, signs in zip(sectors.halves, sectors.gauge, sectors.reversal):
         assert not plus.flags.writeable and not minus.flags.writeable
-        q, _ = _fold_basis(signs)
+        q, _ = dense_oracle.fold_basis(signs)
         folded = q.T @ sectors.vecs.T @ (gauge[:, None] * sectors.vecs) @ q
         assert np.abs(folded - scipy.linalg.block_diag(plus, minus)).max() < 1e-14
 
@@ -217,7 +200,7 @@ def test_delta_kick_matches_the_tridiagonal_and_dense_oracles(two_j):
                  else None)
         a, s = floquet._pair_kick(sectors.lam[:(d + 1) // 2], kappa, delta)
         for k, idx in enumerate(sector_indices(two_j)):
-            q, n = _fold_basis(sectors.reversal[k])
+            q, n = dense_oracle.fold_basis(sectors.reversal[k])
             kick = np.zeros((d, d), dtype=complex)
             kick[pairs, pairs], kick[n + pairs, n + pairs] = a[:m], np.conj(a[:m])
             kick[pairs, n + pairs], kick[n + pairs, pairs] = s[:m], -s[:m]

@@ -105,8 +105,10 @@ def test_sector_probe_rows_match_coupled_space_probes(two_j):
     cases.append(KickParams(1.5, 2.5, delta=0.7))
     for params in cases:
         spectrum = quasi_spectrum(floquet_operator(params, two_j))
-        assert spectrum.mirrored == (two_j % 2 == 0)
-        assert spectrum.vectors.imag.any() == (params.variant == "plain")
+        assert len(spectrum.vectors) == (1 if two_j % 2 == 0 else 2)
+        assert (spectrum.mirror_order is not None) == (two_j % 2 == 0)
+        assert np.iscomplexobj(spectrum.vectors) == (params.variant == "plain")
+        assert np.imag(spectrum.vectors).any() == (params.variant == "plain")
         basis = np.stack([spectrum.state(s, k) for s in range(2) for k in range(two_j + 1)],
                          axis=1)
         for grid in (sphere_grid(4, 5), sphere_grid(4, 6), sphere_grid(1, 1),
@@ -134,14 +136,16 @@ def test_phased_and_schur_eigenvectors_give_the_same_s2(monkeypatch, two_j):
     op = floquet_operator(_kicks(300.0, "sym1"), two_j)
     probes = probe_columns(two_j, sphere_grid(8, 8))
     spectrum = quasi_spectrum(op)
-    assert not spectrum.vectors.imag.any()
+    assert spectrum.vectors.dtype == np.float64
     expected = sphere_averaged_s2(spectrum, probes).s2_nodes
     angles = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, spectrum.vectors.shape[::2])
     phased = dataclasses.replace(spectrum, vectors=spectrum.vectors * np.exp(1j * angles)[:, None])
     monkeypatch.setattr(spectral, "_solve_fold", lambda *fold: None)
     monkeypatch.setattr(spectral, "sector_eigenpairs", spectral._schur_eigenpairs)
     schur = quasi_spectrum(op)
-    assert schur.mirrored == spectrum.mirrored and schur.vectors.imag.any()
+    assert len(schur.vectors) == len(spectrum.vectors) == (1 if two_j % 2 == 0 else 2)
+    assert (schur.mirror_order is None) == (spectrum.mirror_order is None)
+    assert schur.vectors.imag.any()
     for other in (phased, schur):
         assert np.abs(sphere_averaged_s2(other, probes).s2_nodes - expected).max() < 1e-13
 
@@ -149,12 +153,15 @@ def test_phased_and_schur_eigenvectors_give_the_same_s2(monkeypatch, two_j):
 @pytest.mark.parametrize("variant", ["sym1", "plain"])
 @pytest.mark.parametrize("kxky", [10.0, 2600.0])
 def test_one_overlap_product_matches_one_per_sector(variant, kxky):
-    # kxky 10 holds exactly degenerate levels, whose eigenbasis is not unique
+    # kxky 10 holds exactly degenerate levels, whose eigenbasis is not unique;
+    # the spectrum that stores both sectors holds sector -1 explicitly
     spectrum = quasi_spectrum(floquet_operator(_kicks(kxky, variant), 200))
-    assert spectrum.mirrored
+    assert len(spectrum.vectors) == 1
     probes = probe_columns(200, sphere_grid())
     one = sphere_averaged_s2(spectrum, probes)
-    both = sphere_averaged_s2(dataclasses.replace(spectrum, mirrored=False), probes)
+    stored = dataclasses.replace(spectrum, vectors=spectrum.sector_vectors(), mirror_order=None)
+    assert stored.vectors.shape == (2, 201, 201)
+    both = sphere_averaged_s2(stored, probes)
     assert np.abs(one.s2_nodes - both.s2_nodes).max() < 1e-13
     assert one.s2_mean == pytest.approx(both.s2_mean, abs=1e-13)
 

@@ -18,11 +18,25 @@ from kickedtop.spin import SIGMA_Z, probe_state
 from kickedtop.symmetry import sector_indices, symmetry_operator
 
 
-def _force_schur(monkeypatch):
-    """Send every core to the complex fallback: the fold refuses, and
-    sector_eigenpairs is _schur_eigenpairs."""
-    monkeypatch.setattr(spectral, "_solve_fold", lambda *fold: None)
-    monkeypatch.setattr(spectral, "sector_eigenpairs", spectral._schur_eigenpairs)
+# every solver of quasi_spectrum, for each ordering and for delta > 0; the
+# ids of the delta = 0 cases are "<variant>-<solver>"
+SOLVER_CASES = [
+    pytest.param(variant, delta, solver,
+                 id=f"{variant}-{solver}" if delta == 0.0 else f"{variant}-delta-{solver}")
+    for variant, delta in (*((v, 0.0) for v in VARIANTS), ("plain", 0.7))
+    for solver in ("real", "eigh", "schur")]
+
+
+def _force_solver(monkeypatch, solver):
+    """Leave each core to the real solver it takes ("real": the fold at
+    delta = 0, the real eigh of sector_eigenpairs otherwise), send it to
+    that eigh ("eigh": the fold refuses), or to the complex Schur
+    fallback ("schur": the fold refuses, and sector_eigenpairs is
+    _schur_eigenpairs)."""
+    if solver != "real":
+        monkeypatch.setattr(spectral, "_solve_fold", lambda *fold: None)
+    if solver == "schur":
+        monkeypatch.setattr(spectral, "sector_eigenpairs", spectral._schur_eigenpairs)
 
 
 def _circle_set_distance(a, b):
@@ -53,10 +67,11 @@ def test_chiral_pairing_of_spectrum():
 def test_eigenpairs_and_parity_purity(two_j):
     op = floquet_operator(KickParams(1.7, 2.9), two_j)
     spec = quasi_spectrum(op)
+    vectors = spec.sector_vectors()
     phases = np.exp(-1j * spec.epsilons)[:, None, :]
-    residual = op.sector_blocks() @ spec.vectors - spec.vectors * phases
+    residual = op.sector_blocks() @ vectors - vectors * phases
     assert np.linalg.norm(residual, axis=1).max() < 1e-8
-    assert np.abs(np.linalg.norm(spec.vectors, axis=1) - 1.0).max() < 1e-12
+    assert np.abs(np.linalg.norm(vectors, axis=1) - 1.0).max() < 1e-12
     u = op.u
     pi_mat, _ = symmetry_operator("parity", two_j)
     for sector, sign in enumerate((1, -1)):
@@ -68,23 +83,66 @@ def test_eigenpairs_and_parity_purity(two_j):
             assert np.sign(value) == sign
 
 
-@pytest.mark.parametrize("solver", ["real", "schur"])
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant, delta, solver", SOLVER_CASES)
 @pytest.mark.parametrize("two_j", [14, 15])
-def test_sector_vectors_of_every_frame(monkeypatch, two_j, variant, solver):
-    # sym1 and sym2 map real solver vectors through a real product; Schur's are complex
-    if solver == "schur":
-        _force_schur(monkeypatch)
-    op = floquet_operator(KickParams(1.7, 2.9, variant=variant), two_j)
+def test_sector_vectors_of_every_frame(monkeypatch, two_j, variant, delta, solver):
+    # only the solved sectors are stored, one per distinct core, in the dtype
+    # of the solver and the frame: sym1 and sym2 map real solver vectors
+    # through a real frame, and plain frames, delta > 0 and Schur's vectors
+    # are complex
+    _force_solver(monkeypatch, solver)
+    op = floquet_operator(KickParams(1.7, 2.9, delta=delta, variant=variant), two_j)
     spec = quasi_spectrum(op)
-    assert spec.vectors.dtype == complex
+    assert len(spec.vectors) == len(op.cores) == (1 if two_j % 2 == 0 else 2)
+    real = variant != "plain" and solver != "schur"
+    assert spec.vectors.dtype == (np.float64 if real else np.complex128)
+    vectors = spec.sector_vectors()
+    assert vectors.shape == (2, two_j + 1, two_j + 1) and vectors.dtype == spec.vectors.dtype
     phases = np.exp(-1j * spec.epsilons)[:, None, :]
-    residual = op.sector_blocks() @ spec.vectors - spec.vectors * phases
+    residual = op.sector_blocks() @ vectors - vectors * phases
     assert np.linalg.norm(residual, axis=1).max() < 1e-8
-    assert np.abs(np.linalg.norm(spec.vectors, axis=1) - 1.0).max() < 1e-12
-    if two_j % 2 == 0:    # sector -1 is the mirror of sector +1, reordered to -eps
-        order = np.argsort(spectral._branch(-spec.epsilons[0]), kind="stable")
-        assert np.array_equal(spec.vectors[1], op.mirror(spec.vectors[0])[:, order])
+    assert np.abs(np.linalg.norm(vectors, axis=1) - 1.0).max() < 1e-12
+    if two_j % 2:
+        assert spec.mirror_order is None and vectors is spec.vectors
+        return
+    # sector -1 is the mirror G J conj of sector +1, reordered to -eps, and
+    # state() derives each of its columns alike
+    order = np.argsort(spectral._branch(-spec.epsilons[0]), kind="stable")
+    g = 1.0 - 2.0 * (np.arange(two_j + 1) % 2)
+    mirrored = g[:, None] * spec.vectors[0][::-1].conj()
+    assert np.array_equal(vectors[1], mirrored[:, order])
+    minus = sector_indices(two_j)[1]
+    for k in range(two_j + 1):
+        assert np.array_equal(spec.state(1, k)[minus], vectors[1][:, k])
+
+
+@pytest.mark.parametrize("variant, delta, solver", SOLVER_CASES)
+@pytest.mark.parametrize("two_j", [2, 14, 64])
+def test_derived_sector_minus_one_states_are_eigenstates(monkeypatch, two_j, variant, delta,
+                                                         solver):
+    # at even 2j sector +1 alone is stored; every state of sector -1 that
+    # state() derives is an eigenvector of the dense unitary, of parity -1
+    _force_solver(monkeypatch, solver)
+    op = floquet_operator(KickParams(1.9, 17.0, delta=delta, variant=variant), two_j)
+    spec = quasi_spectrum(op)
+    assert len(spec.vectors) == 1
+    u = op.u
+    parity = np.diag(symmetry_operator("parity", two_j)[0]).real
+    for k, eps in enumerate(spec.epsilons[1]):
+        v = spec.state(1, k)
+        assert np.linalg.norm(u @ v - np.exp(-1j * eps) * v) <= 1e-8
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert np.vdot(v, parity * v).real == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("two_j", [2, 3])
+def test_state_rejects_a_sector_or_index_out_of_range(two_j):
+    spec = quasi_spectrum(floquet_operator(KickParams(1.7, 2.9), two_j))
+    for sector, k, name in ((-1, 0, "sector"), (2, 0, "sector"), (0, -1, "k"),
+                            (1, -1, "k"), (0, two_j + 1, "k"), (1, two_j + 1, "k")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            spec.state(sector, k)
+    assert spec.state(1, two_j).shape == (2 * (two_j + 1),)
 
 
 def test_exchange_symmetry_of_quasi_energies():
@@ -191,8 +249,7 @@ def test_conjugate_twin_eigenpairs_match_dense_blocks(monkeypatch, two_j, varian
                                                       solver):
     # sector -1 is derived, eps_- = -eps_+ and v_- = G J conj(v_+) reordered:
     # both sectors' eigenpairs must hold on the dense product
-    if solver == "schur":
-        _force_schur(monkeypatch)
+    _force_solver(monkeypatch, solver)
     kx, ky = 1.9, 17.0
     op = floquet_operator(KickParams(kx, ky, delta=delta, variant=variant), two_j)
     assert len(op.cores) == 1
@@ -200,12 +257,13 @@ def test_conjugate_twin_eigenpairs_match_dense_blocks(monkeypatch, two_j, varian
     assert np.all(np.diff(spec.epsilons) >= 0)
     assert _circle_set_distance(spec.epsilons[1], -spec.epsilons[0]) < 1e-14
     phases = np.exp(-1j * spec.epsilons)[:, None, :]
+    vectors = spec.sector_vectors()
     blocks = dense_oracle.blocks(dense_oracle.unitary(two_j, kx, ky, variant, delta))
     for stack in (blocks, op.sector_blocks()):
-        residual = stack @ spec.vectors - spec.vectors * phases
+        residual = stack @ vectors - vectors * phases
         assert np.linalg.norm(residual, axis=1).max() < 1e-8
-    assert np.abs(np.linalg.norm(spec.vectors, axis=1) - 1.0).max() < 1e-12
-    gram = spec.vectors.conj().swapaxes(-1, -2) @ spec.vectors
+    assert np.abs(np.linalg.norm(vectors, axis=1) - 1.0).max() < 1e-12
+    gram = vectors.conj().swapaxes(-1, -2) @ vectors
     assert np.abs(gram - np.eye(two_j + 1)).max() < 1e-12
     assert np.abs(sector_eigenphases(op) - spec.epsilons).max() < 1e-10
 
@@ -275,31 +333,14 @@ def test_fold_eigenvectors_match_dense_blocks(monkeypatch, two_j, kxky):
         spec = quasi_spectrum(op)
         assert calls == []
         phases = np.exp(-1j * spec.epsilons)[:, None, :]
-        residual = op.sector_blocks() @ spec.vectors - spec.vectors * phases
+        vectors = spec.sector_vectors()
+        residual = op.sector_blocks() @ vectors - vectors * phases
         assert np.linalg.norm(residual, axis=1).max() <= 1e-10
-        gram = spec.vectors.conj().swapaxes(-1, -2) @ spec.vectors
+        gram = vectors.conj().swapaxes(-1, -2) @ vectors
         assert np.abs(gram - np.eye(two_j + 1)).max() <= 1e-12
         if _smallest_spacing(spec.epsilons) >= 1e-6:
             s2 = sphere_averaged_s2(spec, probes).s2_nodes
             assert np.abs(s2 - sphere_averaged_s2(full, probes).s2_nodes).max() <= 1e-12
-
-
-def _fold_basis(signs):
-    """The fold basis Q of chiral_fold for the reversal J e_k = signs_k e_{d-1-k}:
-    the + states (e_k + signs_k e_{d-1-k}) / sqrt(2), k ascending, then the -
-    states with a minus, the middle state e_m of odd d last in the block of
-    its sign."""
-    d = len(signs)
-    m = d // 2
-    n = m + int(d % 2 == 1 and signs[m] > 0)
-    q = np.zeros((d, d))
-    k = np.arange(m)
-    q[k, k] = q[k, n + k] = np.sqrt(0.5)
-    q[d - 1 - k, k] = signs[k] * np.sqrt(0.5)
-    q[d - 1 - k, n + k] = -signs[k] * np.sqrt(0.5)
-    if d % 2:
-        q[m, m if n > m else d - 1] = 1.0
-    return q
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 6, 7, 64, 65])
@@ -354,7 +395,7 @@ def test_stored_fold_matches_the_fold_of_the_dense_core(two_j):
                 assert built.shape == read.shape
                 assert np.abs(built - read).max() < 1e-13
             # Q is the basis that chiral_fold reads the blocks on
-            q = _fold_basis(signs)
+            q, _ = dense_oracle.fold_basis(signs)
             a, b, kk = oracle[:3]
             assert np.abs(q.T @ core @ q - np.block([[a, 1j * kk], [1j * kk.T, b]])).max() < 1e-12
             assert np.abs(op.frame[k] - eigenbasis @ q).max() < 1e-13
@@ -412,7 +453,7 @@ def test_fold_guard_rejects_scaled_and_noisy_cores(two_j):
     signs = floquet._sectors(two_j).reversal
     for variant in VARIANTS:
         op = floquet_operator(KickParams(1.0, 1.0, variant=variant), two_j)
-        q = [_fold_basis(s) for s in signs[:len(op.cores)]]
+        q = [dense_oracle.fold_basis(s)[0] for s in signs[:len(op.cores)]]
         core = q[0] @ op.cores[0] @ q[0].T
         assert spectral._solve_fold(*chiral_fold(core, signs[0])[:3]) is not None
         # the pairs alone cannot see a common scale: the phase must be unit-modulus
@@ -482,7 +523,7 @@ def _folded_core(signs, theta, rng, free_a=(), free_b=()):
     p, q = (ortho_group.rvs(len(c), random_state=rng) for c in (cos_a, cos_b))
     k = (p[:, :n] * np.sin(theta)) @ q[:, :n].T
     folded = np.block([[(p * cos_a) @ p.T, 1j * k], [1j * k.T, (q * cos_b) @ q.T]])
-    basis = _fold_basis(signs)
+    basis, _ = dense_oracle.fold_basis(signs)
     return basis @ folded @ basis.T
 
 
