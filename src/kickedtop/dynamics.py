@@ -24,9 +24,10 @@ where O is real, two (with Re O and Im O) where it is not.  <Jz> needs
 no m-ladder projection: in the eigenbasis of Jx, Jz is tridiagonal, and
 it keeps the spin, so on the fold basis it is a real band that D leaves
 alone (FloquetOperator.jz_band), which gives the norm, <Jz> and <Jz^2>
-of every kick from x in O(2j) steps.  The plain frames carry the half
-y kick, a turn of each pair (+k, -k); there x and O are turned once, so
-that the band holds.
+of every kick from x in O(2j) steps.  The frames carry no kick, so x
+enters on the band's basis as it is; for plain the core is turned once
+by the half y kick, a turn of each pair (+k, -k)
+(FloquetOperator.half_kick), onto that basis.
 
 The norm of every kick is checked against NORM_DRIFT_TOL.
 """
@@ -89,13 +90,13 @@ def _band_moments(x: np.ndarray, band: tuple, jz_sign: np.ndarray) -> np.ndarray
 def _folded_moments(operator: FloquetOperator, rows: np.ndarray, n_max: int) -> np.ndarray:
     """The moments of every kick from the fold of each of `cores` (module
     docstring): the states x = D^dag frame^dag psi as rows, their real and
-    imaginary parts apart, each kicked as x O^T.  On the fold basis the
-    plain frames' half y kick is the pair kick H' = [[a, s], [-s, conj(a)]]
-    of each pair (+k, -k) (FloquetOperator.jz_band), so there the states
-    are evolved as H' x, by H' O H'^dag: the rows of O^T are turned by
-    conj(H'), and the columns of O^T and of x by H'.
+    imaginary parts apart, each kicked as x O^T.  The frames carry no
+    kick, so x is on the basis of the band; for plain O is turned there
+    by the half y kick, the pair kick H' = [[a, s], [-s, conj(a)]] of each
+    pair (+k, -k) (FloquetOperator.half_kick), as H' O H'^dag: the rows of
+    O^T by conj(H') and its columns by H'.
     """
-    diags, offs, turn = operator.jz_band
+    (diags, offs), turn = operator.jz_band, operator.half_kick
     width = rows.shape[1]
     # a mirrored state holds sector -1 with its m ladder reversed
     jz_sign = np.tile(np.array([1.0, -1.0])[:width], 2)
@@ -110,7 +111,6 @@ def _folded_moments(operator: FloquetOperator, rows: np.ndarray, n_max: int) -> 
         if turn is not None:
             turn_fold(o_t, n_plus, (np.conj(turn[0]), turn[1]))
             turn_fold(o_t.T, n_plus, turn)
-            turn_fold(x.T, n_plus, turn)
         x = np.concatenate([x.real, x.imag])
         o_re = np.ascontiguousarray(o_t.real)
         o_im = np.ascontiguousarray(o_t.imag) if np.iscomplexobj(o_t) else None

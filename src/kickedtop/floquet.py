@@ -25,10 +25,13 @@ Each sector is stored as a complex-symmetric unitary core, the
 symmetrized ordering O^(1/2) I O^(1/2) of an outer kick O and an inner
 kick I, plus the unitary frame that maps it to the sector block:
 block = frame @ core @ frame^dag.  O = Y and I = X for sym1 and plain,
-O = X and I = Y for sym2; for plain the frame also carries the half y
-kick, because Y X = Y^(1/2) (Y^(1/2) X Y^(1/2)) Y^(-1/2).  The dense
-coupled-space matrix (FloquetOperator.u) is built on demand, for the
-tests and for symcheck.
+O = X and I = Y for sym2.  The frames carry no kick, so they depend on
+two_j and the gauge alone and every operator at a two_j shares them;
+for plain the block is frame @ (H core H^dag) @ frame^dag with H the
+half y kick, because Y X = Y^(1/2) (Y^(1/2) X Y^(1/2)) Y^(-1/2), and H
+is turned in where a frame is read (FloquetOperator.half_kick).  The
+dense coupled-space matrix (FloquetOperator.u) is built on demand, for
+the tests and for symcheck.
 
 The chiral fold, for every delta.  One cached eigensystem
 T = V diag(lam) V^T per two_j (spin.jx_eigensystem) serves both axes and
@@ -64,14 +67,22 @@ With delta = 0 the symmetrized drive has the chiral symmetry
 sigma_z U sigma_z = U^-1, every pair kick is real, and so are A, B and
 K: [[A, -K], [K^T, B]] is real orthogonal, and the eigenphase solver
 takes it at half size; a fold is real exactly when delta = 0.  The
-frame is S V Q, times H on Q for plain, written without Q
+frame is S V Q for plain and sym1 and V Q for sym2, written without Q
 (_fold_frame): Z v_k = s_k v_{d-1-k}, so the + state of pair k is
 (1 + Z) v_k / sqrt(2), sqrt(2) v_k on the spin-up rows of the sector,
-and the - state the same on the spin-down rows.
+and the - state the same on the spin-down rows.  Each of the two
+families is written once per two_j, at its first build, into one
+read-only complex (2, d, d) stack that every later operator references
+(_frames).  On Q the plain half y kick H is [[a, -i s], [-i s, conj(a)]]
+on each pair (+k, -k), from the pair kick (a, s) of strength ky / 2
+(and delta / 2), and the phase of its side on the middle state of odd
+d: to_sectors turns the columns by it before the frame maps them, and
+sector_blocks reads the frames through to_sectors.
 Jz, the diagonal m of each sector, keeps the spin and is tridiagonal in
 the eigenbasis of T, so on Q it is a real band that couples no + state
-to a - state; that band is certified once per two_j (_jz_band) and
-handed out by FloquetOperator.jz_band for every frame.
+to a - state; that band is certified once per two_j and frame family
+(_jz_band, on the frames themselves: S commutes with Jz) and handed out
+by FloquetOperator.jz_band for every operator.
 
 Unitarity is certified where it originates: a core is unitary exactly
 when C is orthogonal and every pair kick is unitary, |a|^2 + s^2 = 1.
@@ -92,9 +103,9 @@ is minus the generator of sector -1, and each kick of sector -1 is
 G J conj(kick) J G of sector +1.  The three exact +-1 facts are checked
 once per two_j (_Sectors.alternation); they hold at every even 2j and
 fail at odd 2j, which solves both sectors.  At even 2j floquet_operator
-builds sector +1 only and stores core[1] = conj(core[0]),
-frame[1] = G J conj(frame[0]), so eps[-1] = -eps[+1] and the sector -1
-eigenvectors are G J conj(v[+1]).
+builds sector +1 only and stores core[1] = conj(core[0]), and the shared
+frames hold frame[1] = G J conj(frame[0]), so eps[-1] = -eps[+1] and the
+sector -1 eigenvectors are G J conj(v[+1]).
 
 Consumers work from the distinct cores (FloquetOperator.cores) and
 their folds (FloquetOperator.folds): sector_blocks assembles the sector
@@ -106,7 +117,7 @@ conjugate_mirror where they are read (spectral.QuasiSpectrum, dynamics).
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,11 +156,17 @@ class FloquetOperator:
     """One-period unitary, stored per parity sector.
 
     Sector k, in symmetry.sector_indices order (+1 first), has the block
-    frame[k] @ core[k] @ frame[k]^dag, where core[k] is a complex-symmetric
-    unitary and frame[k] is unitary; both stacks are complex with shape
-    (2, d, d), also where the frame is real.  At even 2j sector -1 is the
-    conjugate mirror of sector +1: core[1] is conj(core[0]) and frame[1]
-    is G J conj(frame[0]), G = diag((-1)^k) and J the reversal.  `cores`
+    frame[k] @ core[k] @ frame[k]^dag, for plain with the core turned by
+    the half y kick on both sides (half_kick, to_sectors), where core[k]
+    is a complex-symmetric unitary and frame[k] is unitary; both stacks
+    are complex with shape (2, d, d), also where the frame is real.  The
+    core stack is the operator's own; the frame stack carries no kick and
+    is the read-only stack of its two_j and gauge family (S V Q for plain
+    and sym1, V Q for sym2), shared by every operator of that family.  At
+    even 2j sector -1 is the conjugate mirror of sector +1: core[1] is
+    conj(core[0]) and frame[1] is G J conj(frame[0]), G = diag((-1)^k)
+    and J the reversal, and the sector -1 block is the mirror of the
+    sector +1 block.  `cores`
     holds the distinct cores that checks and solvers use, each on its fold
     basis, [[A, iK], [iK^T, B]] with its len(A) + states first (module
     docstring), and `folds` the (A, B, K) of each of them; a fold is real
@@ -172,30 +189,38 @@ class FloquetOperator:
         return self.core[:len(self.folds)]
 
     @property
+    def half_kick(self) -> tuple | None:
+        """None, or for plain the pair kick (a, s) of the half y kick
+        (_pair_kick), a real turn exactly when delta = 0: on the fold
+        basis Q D of a core, [[a, s], [-s, conj(a)]] on each pair
+        (+k, -k) (turn_fold) maps the basis of the core to that of its
+        frame.  The frames carry no kick, so it is turned in where a frame
+        is read (to_sectors, sector_blocks, dynamics)."""
+        if self.params.variant != "plain":
+            return None
+        lam = _sectors(self.two_j).lam[:(self.core.shape[-1] + 1) // 2]
+        return _pair_kick(lam, 0.5 * self.params.kappa_y, 0.5 * self.params.delta)
+
+    @property
     def jz_band(self) -> tuple:
-        """Jz (on the sector's m ladder) on the fold basis of each of
-        `cores`: the real diagonal and off-diagonal of
+        """Jz (on the sector's m ladder) on the fold basis of the frame of
+        each of `cores`: the real diagonal and off-diagonal of
         D^dag frame^dag Jz frame D, D = 1 on the + states and i on the -
         states, as (len(cores), d) and (len(cores), d - 1) arrays, which
-        depend on two_j alone; and None, or for plain the pair kick (a, s)
-        of the half y kick (_pair_kick), a real turn exactly when
-        delta = 0.  The plain frames carry that kick, so their band holds
-        after the fold basis is turned by it (turn_fold)."""
-        diag, off = _jz_band(self.two_j)
-        turn = None
-        if self.params.variant == "plain":
-            lam = _sectors(self.two_j).lam[:(self.core.shape[-1] + 1) // 2]
-            turn = _pair_kick(lam, 0.5 * self.params.kappa_y, 0.5 * self.params.delta)
-        return diag, off, turn
+        depend on two_j alone: the frames carry no kick, and the gauge S
+        commutes with Jz."""
+        return _jz_band(self.two_j, self.params.variant == "sym2")
 
     def sector_blocks(self) -> np.ndarray:
-        """The (2, d, d) stack of sector blocks of the one-period unitary.
+        """The (2, d, d) stack of sector blocks of the one-period unitary,
+        F core F^dag with F the frames turned by the plain half y kick
+        (to_sectors of the identity).
 
         Only the blocks of `cores` are assembled: at even 2j the -1 block
         is G J conj(block) J G of the +1 block.
         """
         cores = self.cores
-        frame = self.frame[:len(cores)]
+        frame = self.to_sectors(np.broadcast_to(np.eye(cores.shape[-1]), cores.shape))
         blocks = frame @ cores @ frame.conj().swapaxes(-1, -2)
         if len(blocks) == 2:
             return blocks
@@ -205,12 +230,18 @@ class FloquetOperator:
 
     def to_sectors(self, columns: np.ndarray) -> np.ndarray:
         """Columns on the bases of `cores`, a (len(cores), d, n) stack,
-        mapped by the frames to sector coordinates, a stack of the same
-        shape.  The sym1 and sym2 frames are real (stored complex), so
-        real columns take a real product and stay real."""
-        frames = self.frame[:len(columns)]
-        if self.params.variant != "plain":
-            frames = np.ascontiguousarray(frames.real)
+        mapped to sector coordinates, a stack of the same shape: for plain
+        turned by the half y kick H first, on the fold basis Q the turn
+        [[a, -i s], [-i s, conj(a)]] of each pair (+k, -k) (half_kick),
+        then mapped by the frames.  The sym1 and sym2 frames are real
+        (stored complex), so real columns take a real product and stay
+        real."""
+        frames, turn = self.frame[:len(columns)], self.half_kick
+        if turn is None:
+            return np.ascontiguousarray(frames.real) @ columns
+        columns = columns.astype(complex)
+        for rows, (a, _, _) in zip(columns, self.folds):
+            turn_fold(rows, len(a), (turn[0], -1j * turn[1]))
         return frames @ columns
 
     @property
@@ -230,7 +261,8 @@ class _Sectors:
     G = (-1)^k where sector -1 is the conjugate mirror of sector +1 (None
     elsewhere); and, for each sector that floquet_operator builds (sector
     +1 alone at even 2j), the blocks C+ and C- of C = V^T S V on the fold
-    basis of that reversal.  The reversal, the orthogonality of C and its
+    basis of that reversal; and the frame stacks of the gauge families
+    built so far (_frames).  The reversal, the orthogonality of C and its
     split are certified before the entry is cached: _sectors raises
     NumericalError where one fails.  Arrays are read-only."""
 
@@ -241,6 +273,7 @@ class _Sectors:
     reversal: np.ndarray     # (2, d)
     alternation: np.ndarray | None  # (d,)
     halves: tuple            # per built sector, (C+, C-)
+    frames: dict = field(default_factory=dict)   # sym2 or not -> (2, d, d), by _frames
 
 
 @functools.cache
@@ -273,23 +306,21 @@ def _sectors(two_j: int) -> _Sectors:
 
 
 @functools.cache
-def _jz_band(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+def _jz_band(two_j: int, sym2: bool) -> tuple[np.ndarray, np.ndarray]:
     """The diagonals and off-diagonals of W^T Jz W, a (built, d) and a
     (built, d - 1) array, for each sector that floquet_operator builds:
-    W = V Q is the eigenbasis V of T = Jx / j on the fold basis Q of the
-    sector (_fold_frame); NumericalError unless the band is all of it:
-    ||Jz W - W band||_F, the norm of what lies off the band, is checked at
-    UNITARITY_TOL * j.  The quarter turn about y maps Jz to Jx, so in the
+    W = S V Q, or V Q for sym2, is the frame of the sector (_frames), the
+    eigenbasis V of T = Jx / j on the fold basis Q, gauged by S, which
+    commutes with Jz and flips the sign of whole rows, so both families
+    give the same band to the bit.  NumericalError unless the band is all
+    of it: ||Jz W - W band||_F, the norm of what lies off the band, is
+    checked at UNITARITY_TOL * j.  The quarter turn about y maps Jz to Jx, so in the
     eigenbasis of Jx, Jz couples neighbouring levels only; and Jz keeps
     the spin, so the band is exactly 0 between the + and - states, which
     live on the spin-up and spin-down rows.  Arrays are read-only."""
     sectors = _sectors(two_j)
-    d = two_j + 1
     diags, offs = [], []
-    for up, (plus, _) in zip(sectors.up, sectors.halves):
-        frame = np.empty((d, d), dtype=complex)
-        _fold_frame(sectors.vecs, np.ones(d), up, len(plus),
-                    _pair_kick(sectors.lam[:(d + 1) // 2], 0.0, 0.0), frame)
+    for frame in _frames(sectors, sym2)[:len(sectors.halves)]:
         w = frame.real
         jz_w = m_values(two_j)[:, None] * w
         diag = np.einsum("ij,ij->j", w, jz_w)
@@ -397,18 +428,18 @@ def chiral_fold(m: np.ndarray, signs: np.ndarray):
 
 def turn_fold(rows: np.ndarray, n_plus: int, kick: tuple) -> None:
     """Turn the rows of a (d, n) array on the fold basis, its n_plus +
-    states first, by the pair kick (a, s) of `kick` (_pair_kick), in
-    place: each pair of rows (k, n_plus + k) by
-    [[a_k, s_k], [-s_k, conj(a_k)]], and the row of the middle state of
-    odd d, the last of the larger block, by the phase of its side, a_m on
-    the + side and conj(a_m) on the - side."""
+    states first, by the pair kick (a, s) of `kick` (_pair_kick, or any
+    a and s), in place: each pair of rows (k, n_plus + k) by
+    [[a_k, s_k], [-conj(s_k), conj(a_k)]], and the row of the middle
+    state of odd d, the last of the larger block, by the phase of its
+    side, a_m on the + side and conj(a_m) on the - side."""
     (a, s), d, m = kick, len(rows), len(rows) // 2
     top, bottom = rows[:m], rows[n_plus:n_plus + m]
     saved = top.copy()
     top *= a[:m, None]
     top += s[:m, None] * bottom
     bottom *= np.conj(a[:m])[:, None]
-    bottom -= s[:m, None] * saved
+    bottom -= np.conj(s[:m])[:, None] * saved
     if d % 2:
         middle, phase = (m, a[m]) if n_plus > m else (d - 1, np.conj(a[m]))
         rows[middle] *= phase
@@ -467,46 +498,51 @@ def _fold(halves: tuple, inner: tuple, half: tuple) -> tuple:
     return o[:n, :n], o[n:, n:], -o[:n, n:]
 
 
-def _fold_frame(vecs: np.ndarray, gauge: np.ndarray, up: int, n_plus: int, kick: tuple,
+def _fold_frame(vecs: np.ndarray, gauge: np.ndarray, up: int, n_plus: int,
                 out: np.ndarray) -> None:
-    """Write S V Q H into the complex (d, d) array out, in one pass: S the
-    diagonal gauge, V the eigenbasis of T with Z v_k = s_k v_{d-1-k}, Q
-    the fold basis for the signs s, its n_plus + states first, and H the
-    pair kick (a, s) of `kick` (_pair_kick), [[a, -i s], [-i s, conj(a)]]
-    on each pair (+k, -k) of Q and the phase of its side on the middle
-    state of odd d.
+    """Write S V Q into the zeroed (d, d) array out: S the diagonal gauge,
+    V the eigenbasis of T with Z v_k = s_k v_{d-1-k}, and Q the fold
+    basis for the signs s, its n_plus + states first.
 
     The + state of pair k is (1 + Z) v_k / sqrt(2): sqrt(2) v_k on the
     spin-up rows (up, up + 2, ...) and 0 on the others; the - state is the
     same on the spin-down rows.  The middle state of odd d is v_m, which
     lives on one spin, the last state of the larger block.
     """
-    (a, s), d, m = kick, len(vecs), len(vecs) // 2
-    root, cross = np.sqrt(2.0) * a[:m], 1j * (np.sqrt(2.0) * -s[:m])
-    for rows, own, other, diag in (
-            (slice(up, None, 2), slice(0, m), slice(n_plus, n_plus + m), root),
-            (slice(1 - up, None, 2), slice(n_plus, n_plus + m), slice(0, m), np.conj(root))):
-        spin = gauge[rows, None] * vecs[rows, :m]
-        np.multiply(spin, diag, out=out[rows, own])
-        np.multiply(spin, cross, out=out[rows, other])
+    d, m = len(vecs), len(vecs) // 2
+    for rows, cols in ((slice(up, None, 2), slice(0, m)),
+                       (slice(1 - up, None, 2), slice(n_plus, n_plus + m))):
+        out[rows, cols] = gauge[rows, None] * vecs[rows, :m] * np.sqrt(2.0)
     if d % 2:
-        middle, phase = (m, a[m]) if n_plus > m else (d - 1, np.conj(a[m]))
-        np.multiply(gauge * vecs[:, m], phase, out=out[:, middle])
+        out[:, m if n_plus > m else d - 1] = gauge * vecs[:, m]
 
 
-def _sector_core(sectors: _Sectors, k: int, params: KickParams, core: np.ndarray,
-                 frame: np.ndarray) -> tuple:
-    """Write core and frame of sector k into the complex (d, d) arrays
-    core and frame, the core on its fold basis, and return its chiral
-    fold (A, B, K): outer kick O, inner kick I, and the frame S V Q, with
-    the half outer kick for plain (module docstring).  Both pair kicks are
-    certified unitary first."""
-    d = len(sectors.lam)
-    if params.variant == "sym2":
-        outer, inner, gauge = params.kappa_x, params.kappa_y, np.ones(d)
-    else:
-        outer, inner, gauge = params.kappa_y, params.kappa_x, sectors.gauge[k]
-    lam = sectors.lam[:(d + 1) // 2]
+def _frames(sectors: _Sectors, sym2: bool) -> np.ndarray:
+    """The frame stack of every operator at this two_j with (sym2) or
+    without the gauge: V Q or S V Q per sector (_fold_frame), sector -1
+    the conjugate mirror of sector +1 where only sector +1 is built.  It
+    is complex with shape (2, d, d), read-only, and written once, into
+    sectors.frames, so that clearing the _sectors cache clears it."""
+    if sym2 not in sectors.frames:
+        frames = np.zeros((2, *sectors.vecs.shape), dtype=complex)
+        for k, (plus, _) in enumerate(sectors.halves):
+            gauge = np.ones_like(sectors.lam) if sym2 else sectors.gauge[k]
+            _fold_frame(sectors.vecs, gauge, sectors.up[k], len(plus), frames[k])
+        if len(sectors.halves) == 1:
+            conjugate_mirror(frames[0], out=frames[1])
+        frames.setflags(write=False)
+        sectors.frames[sym2] = frames
+    return sectors.frames[sym2]
+
+
+def _sector_core(sectors: _Sectors, k: int, params: KickParams, core: np.ndarray) -> tuple:
+    """Write the core of sector k, outer kick O and inner kick I (module
+    docstring), into the complex (d, d) array core, on its fold basis,
+    and return its chiral fold (A, B, K).  Both pair kicks are certified
+    unitary first."""
+    sym2 = params.variant == "sym2"
+    outer, inner = (params.kappa_x, params.kappa_y) if sym2 else (params.kappa_y, params.kappa_x)
+    lam = sectors.lam[:(len(sectors.lam) + 1) // 2]
     kicks = _pair_kick(lam, inner, params.delta), _pair_kick(lam, 0.5 * outer, 0.5 * params.delta)
     _check_pair_kicks(*kicks)
     fold = a, b, kk = _fold(sectors.halves[k], *kicks)
@@ -514,9 +550,6 @@ def _sector_core(sectors: _Sectors, k: int, params: KickParams, core: np.ndarray
     core[:n, :n], core[n:, n:] = a, b
     np.multiply(1j, kk, out=core[:n, n:])
     np.multiply(1j, kk.T, out=core[n:, :n])
-    # the sym frames carry no kick, the pair kick of strength 0
-    frame_kick = kicks[1] if params.variant == "plain" else _pair_kick(lam, 0.0, 0.0)
-    _fold_frame(sectors.vecs, gauge, sectors.up[k], n, frame_kick, frame)
     return fold
 
 
@@ -545,18 +578,16 @@ def floquet_operator(params: KickParams, two_j: int) -> FloquetOperator:
     """
     two_j = validate_two_j(two_j)
     sectors = _sectors(two_j)
-    # each sector is written into the stacks in place, so a build never holds
-    # a second copy of its operator.  Both stacks are one allocation (2.6 MB at
-    # two_j 200).  Whether the next build of a sweep faults its pages in again
-    # is the allocator's choice: glibc returns freed memory at the top of its
-    # heap to the system (about 870 page faults per build in an entropy sweep
-    # at two_j 200) unless asked to keep it, as cli.main does (M_TOP_PAD)
-    core, frame = np.empty((2, 2, two_j + 1, two_j + 1), dtype=complex)
-    if sectors.alternation is None:
-        folds = [_sector_core(sectors, k, params, core[k], frame[k]) for k in range(2)]
-    else:
+    # each sector is written into the core stack in place, so a build never
+    # holds a second copy of its operator, and the core stack is its one
+    # (2, d, d) allocation (1.3 MB at two_j 200): the frames are shared per
+    # two_j.  Whether the next build of a sweep faults its pages in again is
+    # the allocator's choice: glibc returns freed memory at the top of its
+    # heap to the system unless asked to keep it, as cli.main does (M_TOP_PAD)
+    core = np.empty((2, two_j + 1, two_j + 1), dtype=complex)
+    folds = [_sector_core(sectors, k, params, core[k]) for k in range(len(sectors.halves))]
+    if len(folds) == 1:
         # sector -1 is the conjugate mirror of sector +1
-        folds = [_sector_core(sectors, 0, params, core[0], frame[0])]
         np.conjugate(core[0], out=core[1])
-        conjugate_mirror(frame[0], out=frame[1])
+    frame = _frames(sectors, params.variant == "sym2")
     return FloquetOperator(core=core, frame=frame, params=params, two_j=two_j, folds=folds)

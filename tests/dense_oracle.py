@@ -86,6 +86,22 @@ def fold_basis(signs: np.ndarray) -> tuple[np.ndarray, int]:
     return q, n
 
 
+def fold_kick(two_j: int, n: int, kappa: float, delta: float) -> np.ndarray:
+    """The pair kicks of pair_kicks on a fold basis with n + states, as
+    a (d, d) matrix: the block of pair k on the states (k, n + k), and
+    the middle state of odd d, the last of the larger block, with the
+    phase of its side."""
+    d, m = two_j + 1, (two_j + 1) // 2
+    kicks = pair_kicks(two_j, kappa, delta)
+    out = np.zeros((d, d), dtype=complex)
+    for k in range(m):
+        out[np.ix_([k, n + k], [k, n + k])] = kicks[k]
+    if d % 2:
+        middle, side = (m, 0) if n > m else (d - 1, 1)
+        out[middle, middle] = kicks[m, side, side]
+    return out
+
+
 def sectors(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the +1 and -1 eigenvalues of the parity operator."""
     jz_plus_half_sz = np.kron(spin_matrices(two_j)["z"], np.eye(2)) + np.kron(

@@ -16,10 +16,11 @@ the oracle's coherent probes exp(-i phi Jz) exp(-i theta Jy) |j, j> (127
 of the 192 cases, from 37 of the 38 draws with both kicks positive).
 The draws at two_j 18-65 also check the operator's fold basis, for all
 three variants at delta = 0 and for plain at the drawn delta > 0: its
-frame splits the spin (each + state on the spin-up rows, each - state on
-the spin-down rows, once the plain frame's half y kick is turned back),
-and Jz there is the real band of
-FloquetOperator.jz_band.  Huge kicks (kappa >= 1e12) are left to
+frame, which carries no kick, splits the spin (each + state on the
+spin-up rows, each - state on the spin-down rows), Jz there is the real
+band of FloquetOperator.jz_band, and the plain half y kick that turns
+the core's fold basis to the frame's is the oracle's pair kick
+(FloquetOperator.half_kick).  Huge kicks (kappa >= 1e12) are left to
 test_spectral.test_huge_kicks_keep_the_core_unitary: there kappa * lambda
 mod 2 pi loses about kappa * 1e-16 in any oracle.
 """
@@ -159,28 +160,26 @@ def test_fold_basis_frame_and_jz_band_match_the_dense_oracle(two_j, kx, ky, delt
     # eigenphases and <Jz>/j of test_public_outputs_match_the_dense_oracle
     op = floquet_operator(KickParams(kx, ky, delta=delta, variant=variant), two_j)
     jz = np.kron(dense_oracle.spin_matrices(two_j)["z"], np.eye(2))
-    d, m, j = two_j + 1, (two_j + 1) // 2, two_j / 2.0
-    # the plain frame carries the half y kick, which turns each pair (+k, -k) by
-    # exp(-i (ky lam_k sigma_x + delta sigma_z) / 2), lam_k the k-th eigenvalue of
-    # Jx / j, and the middle state of odd d by the phase of its side
-    half = dense_oracle.pair_kicks(two_j, ky / 2.0 if variant == "plain" else 0.0, delta / 2.0)
-    diags, offs, _ = op.jz_band
+    d, j = two_j + 1, two_j / 2.0
+    # the plain half y kick turns each pair (+k, -k) by
+    # exp(-i (ky lam_k sigma_x + delta sigma_z) / 2), lam_k the k-th eigenvalue
+    # of Jx / j, and the middle state of odd d by the phase of its side
+    half = dense_oracle.pair_kicks(two_j, ky / 2.0, delta / 2.0)
+    if variant == "plain":
+        a, s = op.half_kick
+        assert np.abs(a - half[:, 0, 0]).max() < 1e-13
+        assert np.abs(-1j * s - half[:, 0, 1]).max() < 1e-13
+    else:
+        assert op.half_kick is None
+    diags, offs = op.jz_band
     for sector, (idx, (a, _, _), diag, off) in enumerate(zip(dense_oracle.sectors(two_j), op.folds,
                                                             diags, offs)):
         frame = op.frame[sector]
         n = len(a)
         assert n in (d // 2, (d + 1) // 2)
-        turn = np.eye(d, dtype=complex)
-        for k, block in enumerate(half[:m]):
-            turn[np.ix_([k, n + k], [k, n + k])] = block
-        if d % 2:
-            # lam_m = 0: the half kick is diag(exp(-i delta / 2), exp(i delta / 2))
-            middle, side = (m, 0) if n > m else (d - 1, 1)
-            turn[middle, middle] = half[m, side, side]
-        split = frame @ turn.conj().T
         up = idx % 2 == 0
-        assert np.abs(split[~up, :n]).max() < 1e-13 and np.abs(split[up, n:]).max() < 1e-13
+        assert np.abs(frame[~up, :n]).max() < 1e-13 and np.abs(frame[up, n:]).max() < 1e-13
         phases = np.where(np.arange(d) < n, 1.0, 1j)
-        folded = phases.conj()[:, None] * (split.conj().T @ jz[np.ix_(idx, idx)] @ split) * phases
+        folded = phases.conj()[:, None] * (frame.conj().T @ jz[np.ix_(idx, idx)] @ frame) * phases
         band = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert np.abs(folded - band).max() < 1e-12 * j

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -228,39 +230,33 @@ def _frame_jz(op):
 def test_jz_band_is_the_frame_jz(two_j, variant, delta):
     # Jz keeps the spin and couples neighbouring eigenstates of Jx only, so on
     # the fold basis, with D = 1 on the + states and i on the - states,
-    # D^dag frame^dag Jz frame D is a real band once the plain frames' half y
-    # kick is turned back: on each pair (+k, -k) the kick
+    # D^dag frame^dag Jz frame D is a real band: the frames carry no kick.  The
+    # plain half y kick, which turns the fold basis of a core to that of its
+    # frame, is on each pair (+k, -k) the kick
     # exp(-i (ky lambda_k sigma_x + delta sigma_z) / 2), turned by D, and on the
     # middle state of odd d the phase of its side
-    d, m, ky = two_j + 1, (two_j + 1) // 2, 2.9
+    d, ky = two_j + 1, 2.9
     op = floquet_operator(KickParams(1.7, ky, delta=delta, variant=variant), two_j)
-    diags, offs, turn = op.jz_band
+    diags, offs = op.jz_band
     assert diags.shape == (len(op.cores), d) and offs.shape == (len(op.cores), d - 1)
     kicks = dense_oracle.pair_kicks(two_j, ky / 2.0, delta / 2.0)
     a, s = kicks[:, 0, 0], 1j * kicks[:, 0, 1]
     if variant == "plain":
+        turn = op.half_kick
         assert np.abs(turn[0] - a).max() < 1e-13 and np.abs(turn[1] - s).max() < 1e-13
     else:
-        assert turn is None
+        assert op.half_kick is None
     for dense, fold, diag, off in zip(_frame_jz(op), op.folds, diags, offs):
         n = len(fold[0])
         phases = np.where(np.arange(d) < n, 1.0, 1j)
         folded = phases.conj()[:, None] * dense * phases
-        if variant == "plain":
-            pairs = np.arange(m)
-            kick = np.eye(d, dtype=complex)
-            kick[pairs, pairs], kick[n + pairs, n + pairs] = a[pairs], a[pairs].conj()
-            kick[pairs, n + pairs], kick[n + pairs, pairs] = s[pairs], -s[pairs]
-            if d % 2:
-                kick[(m, m) if n > m else (d - 1, d - 1)] = a[m] if n > m else a[m].conj()
-            folded = kick @ folded @ kick.conj().T
         band = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert np.abs(folded - band).max() < 1e-12 * two_j / 2.0
 
 
 def test_jz_band_is_certified_once_per_two_j(monkeypatch):
     two_j = 6
-    diag, off = floquet._jz_band(two_j)
+    diag, off = floquet._jz_band(two_j, False)
     assert not diag.flags.writeable and not off.flags.writeable
     # Jz + Jz^2 / 2j is no band in the eigenbasis of Jx, as Jz^2 couples
     # next-nearest levels; only the band reads m_values, so the operator
@@ -280,7 +276,7 @@ def test_certificates_hold_at_every_workload_size():
     # fold real exactly when delta = 0
     for two_j in (*range(1, 66), 200, 201, 400, 401):
         floquet._sectors(two_j)
-        floquet._jz_band(two_j)
+        floquet._jz_band(two_j, False)
         for params in (KickParams(1.9, 17.0), KickParams(1.9, 17.0, delta=0.7)):
             op = floquet_operator(params, two_j)
             assert len(op.folds) == len(op.jz_band[0]) == len(op.cores), two_j
@@ -301,11 +297,100 @@ def test_non_orthogonal_delta_overlap_rejected(monkeypatch):
 @pytest.mark.parametrize("two_j", [1, 2, 12, 13, 64, 65])
 @pytest.mark.parametrize("kx, ky", [(1.9, 17.0), (0.0, 3.0), (40.0, 70.0)])
 def test_stored_core_and_frame_are_continuous_as_delta_vanishes(two_j, kx, ky):
-    # every core is built and stored on its fold basis, whatever delta
+    # every core is built and stored on its fold basis, whatever delta, and
+    # every plain operator at a two_j shares one frame stack: what delta moves
+    # is the half y kick that turns the core's fold basis to the frame's
     zero = floquet_operator(KickParams(kx, ky), two_j)
     small = floquet_operator(KickParams(kx, ky, delta=1e-10), two_j)
     assert np.abs(small.core - zero.core).max() < 1e-9
-    assert np.abs(small.frame - zero.frame).max() < 1e-9
+    assert small.frame is zero.frame
+    for built, limit in zip(small.half_kick, zero.half_kick):
+        assert np.abs(built - limit).max() < 1e-9
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 12, 13, 64, 65])
+@pytest.mark.parametrize("delta", [0.0, 0.7])
+def test_plain_frame_with_its_half_kick_and_blocks_match_the_dense_oracle(two_j, delta):
+    # the plain frame S V Q carries no kick; turned by the half y kick H on
+    # the fold basis it is the oracle's half y kick on the gauged eigenbasis
+    # of Jx / j, Y^(1/2) S V Q, and sector_blocks, which turns the core by H
+    # on both sides, gives the oracle's blocks of Y X
+    kx, ky = 1.9, 2.9
+    op = floquet_operator(KickParams(kx, ky, delta=delta), two_j)
+    sectors = floquet._sectors(two_j)
+    half = dense_oracle.kick(two_j, "y", ky / 2.0, delta / 2.0)
+    for k, (idx, (a, _, _)) in enumerate(zip(dense_oracle.sectors(two_j), op.folds)):
+        q, n = dense_oracle.fold_basis(sectors.reversal[k])
+        assert n == len(a)
+        eigenbasis = half[np.ix_(idx, idx)] @ (sectors.gauge[k][:, None] * sectors.vecs)
+        kicked = op.frame[k] @ dense_oracle.fold_kick(two_j, n, ky / 2.0, delta / 2.0)
+        assert np.abs(kicked - eigenbasis @ q).max() < 1e-13
+    blocks = dense_oracle.blocks(dense_oracle.unitary(two_j, kx, ky, "plain", delta))
+    assert np.abs(op.sector_blocks() - blocks).max() < 1e-13
+
+
+@pytest.mark.parametrize("two_j", [12, 13])
+def test_builds_share_one_read_only_frame_stack_per_gauge_family(monkeypatch, two_j):
+    # the frames depend on two_j and the gauge alone: S V Q for plain and
+    # sym1, with or without delta, and V Q for sym2, each stack written at
+    # the first build of its family and read by every later one
+    d = two_j + 1
+    plain = floquet_operator(KickParams(1.9, 2.9), two_j)
+    sym2 = floquet_operator(KickParams(1.9, 2.9, variant="sym2"), two_j)
+    writes = []
+    for name in ("_fold_frame", "conjugate_mirror"):
+        monkeypatch.setattr(floquet, name, lambda *args, name=name, **kw: writes.append(name))
+    for params in (KickParams(0.3, 17.0), KickParams(0.3, 17.0, delta=0.7),
+                   KickParams(0.3, 17.0, variant="sym1")):
+        assert floquet_operator(params, two_j).frame is plain.frame
+    assert floquet_operator(KickParams(0.3, 17.0, variant="sym2"), two_j).frame is sym2.frame
+    assert writes == []
+    assert sym2.frame is not plain.frame
+    sectors = floquet._sectors(two_j)
+    for op, gauge in ((plain, sectors.gauge), (sym2, np.ones((2, d)))):
+        assert op.frame.shape == (2, d, d) and op.frame.dtype == complex
+        assert not op.frame.flags.writeable
+        for k in range(len(op.cores)):
+            q, _ = dense_oracle.fold_basis(sectors.reversal[k])
+            assert np.abs(op.frame[k] - gauge[k][:, None] * sectors.vecs @ q).max() < 1e-14
+
+
+@pytest.mark.parametrize("two_j", [64, 65])
+@pytest.mark.parametrize("delta", [0.0, 0.7])
+def test_a_build_allocates_no_frame_and_one_core_stack(two_j, delta):
+    # the core stack is a build's one (2, d, d) allocation, and no larger
+    # block holds it: the frames are shared per two_j
+    params = KickParams(1.9, 2.9, delta=delta)
+    floquet_operator(params, two_j)
+    tracemalloc.start()
+    try:
+        op = floquet_operator(params, two_j)
+        sizes = [trace.size for trace in tracemalloc.take_snapshot().traces]
+    finally:
+        tracemalloc.stop()
+    assert op.core.shape == (2, two_j + 1, two_j + 1) and op.core.base is None
+    assert [size for size in sizes if size >= op.core.nbytes] == [op.core.nbytes]
+
+
+def test_each_build_and_band_reads_only_its_own_frame_family():
+    # the frames are kept beside the per-two_j data, so clearing that cache
+    # clears them, and a family is built only when an operator of it is built
+    # or its Jz band read: plain and sym1 leave the sym2 family unbuilt, and
+    # sym2 the other one, and both families give one band
+    bands = {}
+    for sym2, variants in ((False, ("plain", "sym1")), (True, ("sym2",))):
+        floquet._sectors.cache_clear()
+        floquet._jz_band.cache_clear()
+        for variant in variants:
+            for delta in ((0.0, 0.7) if variant == "plain" else (0.0,)):
+                bands[variant, delta] = floquet_operator(
+                    KickParams(1.9, 2.9, delta=delta, variant=variant), 12).jz_band
+        assert list(floquet._sectors(12).frames) == [sym2]
+    for diag, off in bands.values():
+        assert np.array_equal(diag, bands["sym2", 0.0][0])
+        assert np.array_equal(off, bands["sym2", 0.0][1])
+    floquet._sectors.cache_clear()
+    assert floquet._sectors(12).frames == {}
 
 
 def test_operator_records_inputs():

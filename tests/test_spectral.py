@@ -348,7 +348,8 @@ def test_fold_eigenvectors_match_dense_blocks(monkeypatch, two_j, kxky):
 def test_chiral_reversal_conjugates_every_core(two_j, variant):
     # the invariant the fold rests on: on the fold basis, D^dag M D is the
     # real orthogonal [[A, -K], [K^T, B]] of the stored fold, and the core is
-    # the dense product there
+    # the dense product there: on the frame, turned for plain by the half y
+    # kick on the fold basis
     kx, ky = 1.9, 17.0
     op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
     z = np.diag(np.kron(np.eye(two_j + 1), SIGMA_Z).real)
@@ -362,6 +363,8 @@ def test_chiral_reversal_conjugates_every_core(two_j, variant):
         assert np.abs(real.imag).max() == 0.0
         assert np.abs(real.real - np.block([[a, -kk], [kk.T, b]])).max() < 1e-13
         frame = op.frame[k]
+        if variant == "plain":
+            frame = frame @ dense_oracle.fold_kick(two_j, n, ky / 2.0, 0.0)
         oracle = frame.conj().T @ blocks[k] @ frame
         assert np.abs(oracle - core).max() < 1e-12
         if variant != "plain":  # a real frame: the sector's sigma_z is +1 on the + states
@@ -373,9 +376,9 @@ def test_chiral_reversal_conjugates_every_core(two_j, variant):
 @pytest.mark.parametrize("two_j", [1, 2, 3, 6, 7, 64, 65, 200, 201])
 def test_stored_fold_matches_the_fold_of_the_dense_core(two_j):
     # the fold built from C+ and C- against chiral_fold of the dense product
-    # on the kick eigenbasis gauge V half, and the frame against that
-    # eigenbasis times chiral_fold's basis Q, every variant from the dense
-    # oracle's kicks
+    # on the kick eigenbasis gauge V half, and the frame, turned for plain by
+    # the half y kick on the fold basis, against that eigenbasis times
+    # chiral_fold's basis Q, every variant from the dense oracle's kicks
     kx, ky = 1.9, 17.0
     sectors = floquet._sectors(two_j)
     for variant in VARIANTS:
@@ -395,10 +398,13 @@ def test_stored_fold_matches_the_fold_of_the_dense_core(two_j):
                 assert built.shape == read.shape
                 assert np.abs(built - read).max() < 1e-13
             # Q is the basis that chiral_fold reads the blocks on
-            q, _ = dense_oracle.fold_basis(signs)
+            q, n = dense_oracle.fold_basis(signs)
             a, b, kk = oracle[:3]
             assert np.abs(q.T @ core @ q - np.block([[a, 1j * kk], [1j * kk.T, b]])).max() < 1e-12
-            assert np.abs(op.frame[k] - eigenbasis @ q).max() < 1e-13
+            frame = op.frame[k]
+            if variant == "plain":
+                frame = frame @ dense_oracle.fold_kick(two_j, n, ky / 2.0, 0.0)
+            assert np.abs(frame - eigenbasis @ q).max() < 1e-13
 
 
 @pytest.mark.parametrize("two_j", [6, 7])
