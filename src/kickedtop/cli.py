@@ -5,11 +5,13 @@ stages.  Kick strengths are accepted raw or as multiples of pi with a
 "pi:" prefix ("pi:16.4"); ranges are "lo:hi" with either component
 optionally prefixed ("pi:13:pi:20").  Non-finite kick strengths, ratios
 and --delta are rejected as they are parsed, and so are malformed or
-negative kick strengths, products and --delta, and a --steps or --grid
-below 1, naming the option and the text given (entropy also rejects a
-product of 0).  CSV and JSON outputs embed the full run configuration
-and a schema tag; records are ordered by grid index no matter how many
-workers run, so identical configurations give identical files.
+negative kick strengths, products and --delta, a --steps or --grid
+below 1, a --tol-bound that is not positive and finite and an --nx
+element that is not an integer, naming the option and the text given
+(entropy also rejects a product of 0).  CSV and JSON outputs embed the
+full run configuration and a schema tag; records are ordered by grid
+index no matter how many workers run, so identical configurations give
+identical files.
 
 Each subcommand registers only the options it reads: --workers on the
 five sweeps, --delta on every command that builds an operator, and
@@ -24,8 +26,10 @@ rewrites the file only once the job has succeeded.  A failed command
 leaves a file that was already at --out unchanged and removes one that
 it created.
 
-Exit codes: 0 success, 2 configuration error (an --out path that cannot
-be written included), 3 numerical failure, with the grid point named.
+Exit codes: 0 success (--help included), 2 configuration error (an
+--out path that cannot be written and an option that argparse refuses
+included), 3 numerical failure, with the grid point named.  main returns
+the code and raises no SystemExit.
 """
 
 import argparse
@@ -56,13 +60,14 @@ SCHEMA_VERSION = "v1"
 # main sets: the free heap to keep above the top of the heap, and the size
 # from which a block is mapped on its own.  By default glibc hands freed
 # memory at the top back to the kernel, and a sweep faults the same pages in
-# again at every point: at two_j 200 an entropy point took about 1400 page
-# faults.  Setting M_TOP_PAD also freezes the mmap threshold, which glibc
-# otherwise raises as mapped blocks are freed, wherever the process's
-# history left it: an rcurve point at two_j 400 took about 26 page faults
-# with the threshold at 128 KiB, and about 4400 in one fresh checkout run
-# without a bytecode cache.  So the threshold is set too, to 32 MiB, above
-# every block of a sweep point.
+# again at every point: at two_j 200 an entropy point took about 750 page
+# faults and 7-8.6 ms without the padding, none and 5.5-5.8 ms with it.
+# Setting M_TOP_PAD also freezes the mmap threshold, which glibc otherwise
+# raises as mapped blocks are freed, wherever the process's history left it:
+# an rcurve point at two_j 400 took about 26 page faults with the threshold
+# at 128 KiB, and about 4400 in one fresh checkout run without a bytecode
+# cache.  So the threshold is set too, to 32 MiB, above every block of a
+# sweep point.
 M_TOP_PAD, M_MMAP_THRESHOLD = -2, -3
 TOP_PAD_BYTES, MMAP_THRESHOLD_BYTES = 64 << 20, 32 << 20
 
@@ -77,15 +82,15 @@ def parse_kappa(text: str, name: str = "kick strength", option: str = "",
     """A finite kick strength, either a float or 'pi:<float>' for multiples
     of pi; name is the quantity that an error message blames.  Given the
     option that text was passed to, a negative value is refused too.  A
-    malformed or negative value names the option and the text, or
-    `given`, the whole text that text is part of."""
+    malformed, non-finite or negative value names the option and the
+    text, or `given`, the whole text that text is part of."""
     given = given or _given(text, option)
     try:
         value = float(text[3:]) * math.pi if text.startswith("pi:") else float(text)
     except ValueError:
         raise ValueError(f"{name} must be a number or pi:<number>, got {given}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {text!r}")
+        raise ValueError(f"{name} must be finite, got {given}")
     if option and value < 0:
         raise ValueError(f"{name} must be non-negative, got {given}")
     return value
@@ -233,7 +238,8 @@ def cmd_rgrid(args) -> Callable[[], str]:
 
 def cmd_rcurve(args) -> Callable[[], str]:
     _check_ratio_levels(args.two_j)
-    bound_window((), args.tol_bound)  # reject a bad --tol-bound before any solve
+    if not 0 < args.tol_bound < math.inf:
+        raise ValueError(f"--tol-bound must be positive and finite, got {args.tol_bound!r}")
 
     def row(op) -> list:
         eps = sector_eigenphases(op)
@@ -272,14 +278,11 @@ def cmd_entropy(args) -> Callable[[], str]:
 def cmd_dynamics(args) -> Callable[[], str]:
     two_j = validate_two_j(args.two_j)
     kappa_y = parse_kappa(args.ky, "kappa_y", "--ky")
-    n_x_list = []
-    for tok in filter(None, args.nx.split(",")):
-        try:
-            n_x_list.append(int(tok))
-        except ValueError:
-            raise ValueError(f"--nx takes comma-separated integers, got {tok!r}") from None
-    if not n_x_list:
-        raise ValueError("--nx must list at least one integer")
+    try:
+        n_x_list = [int(tok) for tok in args.nx.split(",")]
+    except ValueError:
+        raise ValueError(f"--nx takes comma-separated integers, got "
+                         f"{_given(args.nx, '--nx')}") from None
     scan_params(kappa_y, args.z0, n_x_list, args.n_max, args.delta, args.variant)
     pool_map = _mapper(args.workers)
 
@@ -438,8 +441,10 @@ def _pad_heap() -> None:
 
 def main(argv=None) -> int:
     _pad_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:    # argparse has printed the error, or the help
+        return exc.code
     try:
         _run(args.func(args), args.out)    # the command checks its options first
     except (ValueError, OSError) as exc:   # an OSError names the --out path

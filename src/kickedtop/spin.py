@@ -1,4 +1,4 @@
-"""Angular momentum matrices, Pauli matrices, and spin coherent states.
+"""Spin-j ladder elements, rotations about y, and spin coherent states.
 
 Basis conventions used throughout the package:
 
@@ -10,32 +10,23 @@ Basis conventions used throughout the package:
 * spins are specified by the integer two_j = 2j, so integer and
   half-integer j share one code path.
 
-The matrix constructors return dense complex arrays, among them the
-coupling J_a sigma_a and the kick generator J_a sigma_a / j that
-floquet exponentiates and symmetry checks parity against.  Rotations
-about y and coherent states come from one cached eigensystem per two_j
-of the real tridiagonal Jx, through the exact gauge Jy = G Jx G^dag with
-G = diag((-i)^k), k = j + m; the Floquet engine reuses the same
-eigensystem for both kick axes.  It is solved once per two_j by numpy's
-dense symmetric eigh of the tridiagonal matrix (_tridiagonal_eigh), which
-keeps the package free of scipy.  Construction is deterministic.
+No angular momentum matrix is built here.  Rotations about y and coherent
+states come from one cached eigensystem per two_j of the real
+tridiagonal Jx, through the exact gauge Jy = G Jx G^dag with
+G = diag((-i)^k), k = j + m.  floquet builds each parity sector's kicks
+on both axes from the same eigensystem, and symmetry builds the coupled
+kick generators that it checks parity against from the ladder elements.
+The eigensystem is solved once per two_j by numpy's dense symmetric eigh
+of the tridiagonal matrix (_tridiagonal_eigh), which keeps the package
+free of scipy.  Construction is deterministic.
 
 This module sits at the bottom of the package's import graph: it
 imports nothing from the package.
 """
 
 import functools
-from collections import namedtuple
 
 import numpy as np
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-AngularMomentum = namedtuple("AngularMomentum", ["jx", "jy", "jz", "jplus", "jminus"])
 
 # (-i)^k for k mod 4, exact; (-1j) ** k is off by up to 8e-14 for k <= 401
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
@@ -58,52 +49,11 @@ def m_values(two_j: int) -> np.ndarray:
     return np.arange(two_j + 1) - j
 
 
-def pauli_matrix(axis: str) -> np.ndarray:
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
-
-
-def jz_matrix(two_j: int) -> np.ndarray:
-    return np.diag(m_values(two_j)).astype(complex)
-
-
 def ladder_elements(two_j: int) -> np.ndarray:
     """The 2j subdiagonal entries sqrt(j(j+1) - m(m+1)) of J+, m = -j..j-1."""
     j = validate_two_j(two_j) / 2.0
     m = m_values(two_j)[:-1]
     return np.sqrt(j * (j + 1) - m * (m + 1))
-
-
-def jplus_matrix(two_j: int) -> np.ndarray:
-    """Raising operator, J+ |m> = sqrt(j(j+1) - m(m+1)) |m+1>."""
-    d = dim_top(two_j)
-    jp = np.zeros((d, d), dtype=complex)
-    jp[np.arange(1, d), np.arange(d - 1)] = ladder_elements(two_j)
-    return jp
-
-
-def angular_momentum_matrices(two_j: int) -> AngularMomentum:
-    """Jx, Jy, Jz and the ladder operators for spin j = two_j / 2."""
-    jp = jplus_matrix(two_j)
-    jm = jp.conj().T
-    jx = (jp + jm) / 2.0
-    jy = (jp - jm) / 2.0j
-    return AngularMomentum(jx, jy, jz_matrix(two_j), jp, jm)
-
-
-def coupling_operator(axis: str, two_j: int) -> np.ndarray:
-    """The Hermitian coupling J_a (x) sigma_a on the coupled space."""
-    sigma = pauli_matrix(axis)
-    ops = angular_momentum_matrices(two_j)
-    top = {"x": ops.jx, "y": ops.jy, "z": ops.jz}[axis]
-    return np.kron(top, sigma)
-
-
-def coupling_generator(axis: str, two_j: int) -> np.ndarray:
-    """The Hermitian kick generator J_a sigma_a / j."""
-    return coupling_operator(axis, two_j) / (validate_two_j(two_j) / 2.0)
 
 
 def _tridiagonal_eigh(offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,12 +114,6 @@ def coherent_tops(two_j: int, thetas: np.ndarray) -> np.ndarray:
     halves = evecs @ (evecs[-1][:, None] * np.hstack([np.cos(angles), np.sin(angles)]))
     power = two_j - np.arange(two_j + 1)[:, None]
     return np.where(power % 2 == 0, *np.hsplit(halves, 2)) * np.where(power % 4 < 2, 1.0, -1.0)
-
-
-def probe_state(two_j: int, theta: float, phi: float) -> np.ndarray:
-    """Coherent top state tensored with (|up> + |down>)/sqrt(2)."""
-    return product_state(two_j, coherent_state(two_j, theta, phi),
-                         np.array([1.0, 1.0]) / np.sqrt(2.0))
 
 
 def product_state(two_j: int, top: np.ndarray, spin: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .spin import SIGMA_Z, coupling_generator, dim_top, rotation_about_y, validate_two_j
+from .spin import dim_top, ladder_elements, rotation_about_y, validate_two_j
 
 KINDS = ("parity", "time_reversal_1", "time_reversal_2", "particle_hole", "chiral")
 
@@ -62,15 +62,10 @@ def parity_phases(two_j: int) -> np.ndarray:
     return 1.0 - 2.0 * ((k + s + two_j // 2) % 2)
 
 
-def parity_labels(two_j: int) -> np.ndarray:
-    """Sector label (+1 or -1) of every coupled-basis state."""
-    return parity_phases(two_j).astype(int)
-
-
 def sector_indices(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis indices of the +1 and -1 parity sectors (2j+1 states each)."""
-    labels = parity_labels(two_j)
-    return np.where(labels == 1)[0], np.where(labels == -1)[0]
+    phases = parity_phases(two_j)
+    return np.where(phases > 0)[0], np.where(phases < 0)[0]
 
 
 def symmetry_operator(kind: str, two_j: int) -> tuple[np.ndarray, bool]:
@@ -87,7 +82,7 @@ def symmetry_operator(kind: str, two_j: int) -> tuple[np.ndarray, bool]:
     elif kind == "particle_hole":
         mat = np.kron(np.eye(d), np.diag([-1.0j, 1.0j]))
     elif kind == "chiral":
-        mat = np.kron(np.eye(d), SIGMA_Z)
+        mat = np.diag(np.tile([1.0, -1.0], d)).astype(complex)
     else:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     return mat, _ANTIUNITARY[kind]
@@ -120,6 +115,15 @@ def _maxabs(a: np.ndarray) -> float:
     return float(np.abs(a).max())
 
 
+def _kick_generators(two_j: int) -> list[np.ndarray]:
+    """Jx sigma_x / j and Jy sigma_y / j on the coupled space, from
+    Jx / j = (J+ + J-) / 2j and Jy / j = (J+ - J-) / 2ij, with J+ / 2j
+    the ladder elements over 2j on the subdiagonal."""
+    jp = np.diag(ladder_elements(two_j) / two_j, -1)
+    return [np.kron(jp + jp.T, [[0.0, 1.0], [1.0, 0.0]]),
+            np.kron((jp - jp.T) / 1j, [[0.0, -1j], [1j, 0.0]])]
+
+
 def verify_symmetries(operator) -> SymmetryReport:
     """Evaluate every symmetry relation for the given operator, a
     floquet.FloquetOperator (read through its .u and .two_j).
@@ -147,8 +151,7 @@ def verify_symmetries(operator) -> SymmetryReport:
     ph, _ = symmetry_operator("particle_hole", two_j)
     gamma_diag = np.tile([1.0, -1.0], dim_top(two_j))
 
-    generators = [coupling_generator("x", two_j), coupling_generator("y", two_j),
-                  np.diag(gamma_diag)]
+    generators = _kick_generators(two_j) + [np.diag(gamma_diag)]
     residuals = {
         "parity": max(_maxabs(pi_diag[:, None] * g * pi_diag[None, :] - g)
                       for g in generators),

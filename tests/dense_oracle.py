@@ -142,6 +142,11 @@ def coherent_probes(two_j: int, thetas, phis, spin=(np.sqrt(0.5), np.sqrt(0.5)))
     return np.kron(tops.reshape(len(thetas) * len(phis), -1), spin)
 
 
+def probe(two_j: int, theta: float, phi: float) -> np.ndarray:
+    """The one coherent probe of coherent_probes at (theta, phi)."""
+    return coherent_probes(two_j, [theta], [phi])[0]
+
+
 def s2(basis: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """S2 = -ln(IPR) / ln(D) of each probe row against the orthonormal
     columns of basis, IPR the sum of the fourth powers of the overlaps,

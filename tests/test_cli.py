@@ -120,10 +120,13 @@ def test_unwritable_out_fails_before_any_operator_is_built(tmp_path, capsys, mon
     (("entropy", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--variant", "sym1",
       "--delta", 0.5), ("variant 'sym1'", "delta=0.5")),
     (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "2.5"), ("--nx", "'2.5'")),
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1,,2"), ("--nx='1,,2'",)),
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "2,"), ("--nx='2,'",)),
     (("rcurve", "--two-j", 1, "--kxky", "1:4", "--steps", 2), ("two_j",)),
     (("rgrid", "--two-j", 1, "--kx", "1:2", "--ky", "1:2", "--steps", 1), ("two_j",)),
 ], ids=["dynamics-z0", "dynamics-ky", "dynamics-nx", "dynamics-n-max",
         "dynamics-variant-delta", "entropy-variant-delta", "dynamics-nx-float",
+        "dynamics-nx-empty-element", "dynamics-nx-trailing-comma",
         "rcurve-two-j-1", "rgrid-two-j-1"])
 def test_config_error_builds_nothing_and_keeps_an_existing_out(tmp_path, capsys,
                                                                monkeypatch, argv, named):
@@ -181,11 +184,7 @@ def test_negative_option_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, 
                             lambda *args: builds.append(1) or floquet_operator(*args))
     out = tmp_path / "results.csv"
     out.write_text("earlier results\n")
-    try:
-        code = run_cli(argv[0], "--two-j", 10, *argv[1:], "--out", out)
-    except SystemExit as exc:      # --delta is checked by argparse, which exits
-        code = exc.code
-    assert code == 2
+    assert run_cli(argv[0], "--two-j", 10, *argv[1:], "--out", out) == 2
     err = capsys.readouterr().err
     assert option in err and text in err
     assert builds == []
@@ -232,10 +231,21 @@ def test_workers_below_one_is_config_error(tmp_path, workers):
 
 
 def test_tol_bound_is_an_rcurve_option_only(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("spectrum", "--two-j", 4, "--kxky", "1:2", "--steps", 2, "--tol-bound", 0.1)
-    assert exc.value.code == 2
+    assert run_cli("spectrum", "--two-j", 4, "--kxky", "1:2", "--steps", 2,
+                   "--tol-bound", 0.1) == 2
     assert "--tol-bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (("--help",), 0, "out", "usage: kickedtop"),
+    (("rcurve", "--help"), 0, "out", "--tol-bound"),
+    (("rcurve", "--two-j", 4, "--kxky", "1:2"), 2, "err", "--steps"),
+], ids=["help", "command-help", "missing-option"])
+def test_main_returns_the_parser_exit_code(capsys, argv, code, stream, text):
+    # argparse exits on --help and on its own errors, an unknown option and a
+    # bad --delta included; main returns that code
+    assert run_cli(*argv) == code
+    assert text in getattr(capsys.readouterr(), stream)
 
 
 @pytest.mark.parametrize("tol", [0, -1, "nan", "inf"])
@@ -254,24 +264,25 @@ def test_non_positive_tol_bound_is_config_error(tmp_path, tol):
 ])
 def test_non_finite_kick_parameter_is_config_error(tmp_path, capsys, argv, field):
     out = tmp_path / "out.csv"
-    try:
-        code = run_cli(*argv, "--out", out)
-    except SystemExit as exc:      # --delta is checked by argparse, which exits
-        code = exc.code
-    assert code == 2
+    assert run_cli(*argv, "--out", out) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, name, text", [
-    (("dynamics", "--two-j", 10, "--ky", "nan", "--nx", "1", "--n-max", 5), "kappa_y", "'nan'"),
-    (("rcurve", "--two-j", 10, "--kxky", "1:inf", "--steps", 3), "kxky", "'inf'"),
+    (("dynamics", "--two-j", 10, "--ky", "nan", "--nx", "1", "--n-max", 5), "kappa_y",
+     "--ky='nan'"),
+    (("rcurve", "--two-j", 10, "--kxky", "1:inf", "--steps", 3), "kxky", "--kxky='1:inf'"),
     (("rgrid", "--two-j", 10, "--kx", "1:pi:inf", "--ky", "1:2", "--steps", 2),
-     "kappa_x", "'pi:inf'"),
+     "kappa_x", "--kx='1:pi:inf'"),
     (("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--ratio", "nan"), "--ratio", "nan"),
     (("spectrum", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--ratio", "inf"), "--ratio",
      "inf"),
-])
+    (("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--tol-bound", "nan"),
+     "--tol-bound", "nan"),
+    # the ids the cases had when the message quoted only the non-finite component
+], ids=["argv0-kappa_y-'nan'", "argv1-kxky-'inf'", "argv2-kappa_x-'pi:inf'", "argv3---ratio-nan",
+        "argv4---ratio-inf", "argv5---tol-bound-nan"])
 def test_non_finite_option_text_is_config_error(tmp_path, capsys, recwarn, argv, name, text):
     out = tmp_path / "out.csv"
     assert run_cli(*argv, "--out", out) == 2

@@ -9,12 +9,12 @@ from kickedtop.dynamics import dynamical_scan, stroboscopic_series
 from kickedtop.errors import NumericalError
 from kickedtop.floquet import FloquetOperator, KickParams, floquet_operator
 from kickedtop.spectral import quasi_spectrum
-from kickedtop.spin import coherent_state, probe_state, product_state
+from kickedtop.spin import coherent_state, product_state
 
 
 def test_zero_kick_series_constant():
     op = floquet_operator(KickParams(0.0, 0.0), 10)
-    psi0 = probe_state(10, 0.7, 0.2)
+    psi0 = dense_oracle.probe(10, 0.7, 0.2)
     series = stroboscopic_series(op, psi0, 50)
     assert np.abs(series.jz_mean - series.jz_mean[0]).max() < 1e-12
     assert np.abs(series.jz_std - series.jz_std[0]).max() < 1e-12
@@ -53,7 +53,7 @@ def test_series_conserves_norm_over_many_kicks(monkeypatch):
 def test_series_matches_dense_oracle(two_j, variant, delta, n_max):
     op = floquet_operator(KickParams(1.7, 2.9, delta=delta, variant=variant), two_j)
     assert len(op.cores) == 1 + two_j % 2
-    psi0 = probe_state(two_j, 0.9, 0.4)
+    psi0 = dense_oracle.probe(two_j, 0.9, 0.4)
     series = stroboscopic_series(op, psi0, n_max)
     mean, std = dense_oracle.jz_series(op.u, psi0, n_max)
     assert series.n.tolist() == list(range(n_max + 1))
@@ -70,7 +70,7 @@ def test_series_matches_dense_oracle_at_every_size(two_j, variant, delta):
     # at delta > 0, with and without a middle state and a mirrored sector;
     # n_max 37 runs past the first chunk of moments
     op = floquet_operator(KickParams(1.7, 2.9, delta=delta, variant=variant), two_j)
-    psi0 = probe_state(two_j, 0.9, 0.4)
+    psi0 = dense_oracle.probe(two_j, 0.9, 0.4)
     mean, std = dense_oracle.jz_series(op.u, psi0, 37)
     for n_max in (1, 7, 8, 9, 37):
         series = stroboscopic_series(op, psi0, n_max)
@@ -83,7 +83,7 @@ def test_series_matches_dense_oracle_at_every_size(two_j, variant, delta):
 def test_fold_path_matches_dense_kicks_over_many_kicks(two_j, variant):
     kx, ky = 1.7, 2.9
     op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
-    psi0 = probe_state(two_j, 0.9, 0.4)
+    psi0 = dense_oracle.probe(two_j, 0.9, 0.4)
     series = stroboscopic_series(op, psi0, 200)
     mean, std = dense_oracle.jz_series(dense_oracle.unitary(two_j, kx, ky, variant), psi0, 200)
     assert np.abs(series.jz_mean - mean).max() < 1e-10
@@ -99,7 +99,7 @@ def test_series_assembles_no_block(monkeypatch, two_j):
 
     monkeypatch.setattr(FloquetOperator, "sector_blocks", refused)
     monkeypatch.setattr(FloquetOperator, "u", property(refused))
-    psi0 = probe_state(two_j, 0.9, 0.4)
+    psi0 = dense_oracle.probe(two_j, 0.9, 0.4)
     for delta in (0.0, 0.7):
         op = floquet_operator(KickParams(1.7, 2.9, delta=delta), two_j)
         assert stroboscopic_series(op, psi0, 20).n.size == 21
@@ -110,7 +110,7 @@ def test_series_assembles_no_block(monkeypatch, two_j):
 def test_norm_drift_guard_names_first_drifting_kick(two_j, excess, kick):
     # every block of the fold scales by 1 + excess, so the norm after n kicks is
     # (1 + excess)^n; the fold is real at delta = 0 and complex at 0.7
-    psi0 = probe_state(two_j, 0.9, 0.4)
+    psi0 = dense_oracle.probe(two_j, 0.9, 0.4)
     for delta in (0.0, 0.7):
         op = floquet_operator(KickParams(1.7, 2.9, delta=delta), two_j)
         folds = [tuple(block * (1.0 + excess) for block in fold) for fold in op.folds]
@@ -125,7 +125,7 @@ def test_bounds_on_moments():
     two_j = 30
     j = two_j / 2
     op = floquet_operator(KickParams(3.0, 5.0), two_j)
-    series = stroboscopic_series(op, probe_state(two_j, 1.0, 0.5), 100)
+    series = stroboscopic_series(op, dense_oracle.probe(two_j, 1.0, 0.5), 100)
     assert np.abs(series.jz_mean).max() <= j + 1e-9
     assert series.jz_std.min() >= 0.0
     assert series.jz_std.max() <= j + 1e-9
@@ -147,14 +147,14 @@ def test_initial_state_validation():
     op = floquet_operator(KickParams(1.0, 1.0), 6)
     with pytest.raises(ValueError):
         stroboscopic_series(op, np.ones(14, dtype=complex), 10)
-    psi0 = probe_state(6, 0.3, 0.3)
+    psi0 = dense_oracle.probe(6, 0.3, 0.3)
     with pytest.raises(ValueError):
         stroboscopic_series(op, psi0, 0)
 
 
 def test_initial_state_must_be_a_finite_normalized_vector():
     op = floquet_operator(KickParams(1.0, 1.0), 6)
-    psi0 = probe_state(6, 0.3, 0.3)
+    psi0 = dense_oracle.probe(6, 0.3, 0.3)
     nan = psi0.copy()
     nan[3] = np.nan
     cases = [(nan, "finite"), (psi0[:, None], r"shape \(14,\)"),

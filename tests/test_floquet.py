@@ -8,8 +8,7 @@ import dense_oracle
 from kickedtop import floquet
 from kickedtop.errors import NumericalError
 from kickedtop.floquet import FloquetOperator, KickParams, floquet_operator, unitarity_defect
-from kickedtop.spin import (SIGMA_Z, angular_momentum_matrices, coupling_operator, dim_top,
-                           ladder_elements, m_values)
+from kickedtop.spin import dim_top, ladder_elements, m_values
 from kickedtop.symmetry import sector_indices
 
 
@@ -91,12 +90,12 @@ def test_generators_are_real_in_each_parity_sector(two_j):
     # the facts the sector-reduced engine rests on: no entries between the
     # sectors, Jx sx / j = T = Jx / j, Jy sy / j = S T S for a +-1 gauge S of
     # period 4, and sz diagonal +-1, each in ascending-m sector order
-    j = two_j / 2.0
-    t = angular_momentum_matrices(two_j).jx.real / j
+    t = np.diag(ladder_elements(two_j) / two_j, -1)
+    t += t.T
     d = dim_top(two_j)
     gauges = [np.resize([1.0, 1.0, -1.0, -1.0], d), np.resize([1.0, -1.0, -1.0, 1.0], d)]
-    gens = {axis: coupling_operator(axis, two_j) / j for axis in "xy"}
-    gens["z"] = np.kron(np.eye(d), SIGMA_Z)
+    gens = {axis: dense_oracle.generator(two_j, axis, 1.0) for axis in "xy"}
+    gens["z"] = np.kron(np.eye(d), dense_oracle.SIGMA["z"])
     plus, minus = sector_indices(two_j)
     for idx, other in ((plus, minus), (minus, plus)):
         blocks = {axis: gen[np.ix_(idx, idx)] for axis, gen in gens.items()}
@@ -195,7 +194,7 @@ def test_delta_kick_matches_the_tridiagonal_and_dense_oracles(two_j):
     d, m = two_j + 1, (two_j + 1) // 2
     pairs = np.arange(m)
     offdiag = ladder_elements(two_j) / two_j
-    z = np.tile(np.diag(SIGMA_Z).real, two_j + 1)
+    z = np.tile(np.diag(dense_oracle.SIGMA["z"]), two_j + 1)
     dense_kicks = DELTA_KICKS if two_j < 100 else DELTA_KICKS[::4] + DELTA_KICKS[-1:]
     for kappa, delta in DELTA_KICKS:
         dense = (dense_oracle.kick(two_j, "x", kappa, delta) if (kappa, delta) in dense_kicks

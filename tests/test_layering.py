@@ -24,7 +24,6 @@ ORACLES = {
     "angular_distance": "test_localization",
     "predicted_count": "test_meanfield",
     "topological_count_estimate": "test_meanfield",
-    "probe_state": "test_spin",
 }
 
 

@@ -10,7 +10,6 @@ from kickedtop.localization import (angular_distance, coe_baseline, husimi_peak,
                                     probe_columns, sphere_averaged_s2, sphere_grid)
 from kickedtop.meanfield import bound_state_predictions
 from kickedtop.spectral import detect_bound_states, quasi_spectrum
-from kickedtop.spin import probe_state
 
 
 def test_grid_weights_normalized():
@@ -198,7 +197,7 @@ def test_husimi_peak_on_one_z_node():
 
 def test_husimi_peak_probe_self_overlap():
     two_j = 40
-    state = probe_state(two_j, np.pi / 3, 0.0)
+    state = dense_oracle.probe(two_j, np.pi / 3, 0.0)
     grid = sphere_grid(32, 32)
     z, phi, value = husimi_peak(state, two_j, grid)
     assert z == pytest.approx(0.5, abs=0.05)

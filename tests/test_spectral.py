@@ -14,7 +14,6 @@ from kickedtop.spectral import (EIGEN_RESIDUAL_TOL, MIX, R_COE, R_CUE, R_POISSON
                                 chiral_expectation, detect_bound_states, mean_spacing_ratio,
                                 parity_resolved_r, quasi_spectrum, sector_eigenpairs,
                                 sector_eigenphases, stage_borders, stage_classify)
-from kickedtop.spin import SIGMA_Z, probe_state
 from kickedtop.symmetry import sector_indices, symmetry_operator
 
 
@@ -352,7 +351,7 @@ def test_chiral_reversal_conjugates_every_core(two_j, variant):
     # kick on the fold basis
     kx, ky = 1.9, 17.0
     op = floquet_operator(KickParams(kx, ky, variant=variant), two_j)
-    z = np.diag(np.kron(np.eye(two_j + 1), SIGMA_Z).real)
+    z = np.tile(np.diag(dense_oracle.SIGMA["z"]), two_j + 1)
     blocks = dense_oracle.blocks(dense_oracle.unitary(two_j, kx, ky, variant))
     assert len(op.folds) == len(op.cores)
     for k, (core, fold) in enumerate(zip(op.cores, op.folds)):
@@ -766,4 +765,4 @@ def test_chiral_expectation_basis_states():
     down = np.zeros(10, dtype=complex)
     down[5] = 1.0
     assert chiral_expectation(down) == pytest.approx(-1.0)
-    assert chiral_expectation(probe_state(8, 0.9, 0.4)) == pytest.approx(0.0, abs=1e-12)
+    assert chiral_expectation(dense_oracle.probe(8, 0.9, 0.4)) == pytest.approx(0.0, abs=1e-12)

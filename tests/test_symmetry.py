@@ -7,22 +7,30 @@ import scipy.linalg
 import dense_oracle
 from kickedtop.errors import NumericalError
 from kickedtop.floquet import KickParams, floquet_operator
-from kickedtop.spin import angular_momentum_matrices, dim_top, pauli_matrix
-from kickedtop.symmetry import (KINDS, parity_labels, parity_phases, sector_indices,
-                                squared_sign, symmetry_operator, verify_symmetries)
+from kickedtop.symmetry import (KINDS, parity_phases, sector_indices, squared_sign,
+                                symmetry_operator, verify_symmetries)
+
+
+def _half_spin_generator(two_j, axis):
+    """The oracle's total spin J_a + sigma_a / 2 on the coupled space."""
+    return (np.kron(dense_oracle.spin_matrices(two_j)[axis], np.eye(2))
+            + np.kron(np.eye(two_j + 1), dense_oracle.SIGMA[axis] / 2))
 
 
 def test_parity_labels_spin_half():
     # sectors {(-1/2,up), (+1/2,down)} and {(-1/2,down), (+1/2,up)}
-    assert parity_labels(1).tolist() == [1, -1, -1, 1]
+    assert parity_phases(1).tolist() == [1, -1, -1, 1]
+    assert [idx.tolist() for idx in sector_indices(1)] == [[0, 3], [1, 2]]
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 5, 10, 11])
 def test_sector_sizes_and_signs(two_j):
-    labels = parity_labels(two_j)
-    assert (labels == 1).sum() == two_j + 1
-    assert (labels == -1).sum() == two_j + 1
-    assert np.array_equal(labels ** 2, np.ones_like(labels))
+    phases = parity_phases(two_j)
+    assert (phases == 1).sum() == two_j + 1
+    assert (phases == -1).sum() == two_j + 1
+    assert np.array_equal(phases ** 2, np.ones_like(phases))
+    for idx, oracle in zip(sector_indices(two_j), dense_oracle.sectors(two_j)):
+        assert np.array_equal(idx, oracle)
 
 
 @pytest.mark.parametrize("two_j", [4, 7])
@@ -34,9 +42,7 @@ def test_parity_squares_to_identity(two_j):
 
 def test_time_reversal_2_matches_expm_oracle():
     two_j = 6
-    ops = angular_momentum_matrices(two_j)
-    gen = np.kron(ops.jy, np.eye(2)) + np.kron(np.eye(dim_top(two_j)), pauli_matrix("y") / 2)
-    oracle = scipy.linalg.expm(-1j * np.pi * gen)
+    oracle = scipy.linalg.expm(-1j * np.pi * _half_spin_generator(two_j, "y"))
     mat, anti = symmetry_operator("time_reversal_2", two_j)
     assert anti
     assert np.abs(mat - oracle).max() < 1e-12
@@ -49,9 +55,7 @@ def test_pi_rotation_about_x_commutes_with_u_and_flips_parity_at_even_two_j(two_
     # itself, so it commutes with every ordering of the kicks.  It sends m to
     # -m: with total spin j + 1/2 it anticommutes with parity at even 2j, which
     # makes the sectors mirrors, and commutes with it at odd 2j
-    ops = angular_momentum_matrices(two_j)
-    gen = np.kron(ops.jx, np.eye(2)) + np.kron(np.eye(dim_top(two_j)), pauli_matrix("x") / 2)
-    r = scipy.linalg.expm(-1j * np.pi * gen)
+    r = scipy.linalg.expm(-1j * np.pi * _half_spin_generator(two_j, "x"))
     u = dense_oracle.unitary(two_j, 1.9, 17.0, variant)
     assert np.abs(r @ u - u @ r).max() < 1e-12
     pi = np.diag(parity_phases(two_j))
@@ -84,14 +88,14 @@ def test_all_relations_hold_for_symmetrized(two_j, variant):
     report = verify_symmetries(op)
     for name, value in report.residuals.items():
         assert value <= 1e-10, (name, value)
-    assert report.parity_offblock <= 1e-12
+    assert report.residuals["parity"] == 0.0 and report.parity_offblock == 0.0
     assert report.squared_signs["time_reversal_2"] == (1 if two_j % 2 else -1)
 
 
 def test_plain_variant_preserves_parity_only():
     report = verify_symmetries(floquet_operator(KickParams(1.0, 2.0), 10))
-    assert report.residuals["parity"] <= 1e-12
-    assert report.parity_offblock <= 1e-12
+    assert report.residuals["parity"] == 0.0
+    assert report.parity_offblock == 0.0
     # the plain ordering is not symmetric, so the conjugation relations fail
     assert report.residuals["time_reversal_1"] > 1e-6
 
@@ -99,8 +103,21 @@ def test_plain_variant_preserves_parity_only():
 def test_delta_breaks_chiral_keeps_parity():
     report = verify_symmetries(floquet_operator(KickParams(1.0, 2.0, delta=1.6), 10))
     assert report.residuals["chiral"] > 1e-6
-    assert report.residuals["parity"] <= 1e-10
-    assert report.parity_offblock <= 1e-12
+    assert report.residuals["parity"] == 0.0
+    assert report.parity_offblock == 0.0
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 11, 12, 40, 41])
+@pytest.mark.parametrize("variant, delta", [("plain", 0.0), ("sym1", 0.0), ("sym2", 0.0),
+                                            ("plain", 0.5)],
+                         ids=["plain", "sym1", "sym2", "plain-delta"])
+def test_parity_residual_and_offblock_are_exact_zeros(two_j, variant, delta):
+    # the split is integer arithmetic and the generators' entries between the
+    # sectors are exact zeros, so neither check has rounding to allow for
+    params = KickParams(1.3, 2.1, delta=delta, variant=variant)
+    report = verify_symmetries(floquet_operator(params, two_j))
+    assert report.residuals["parity"] == 0.0
+    assert report.parity_offblock == 0.0
 
 
 @pytest.mark.parametrize("two_j", [10, 11])
