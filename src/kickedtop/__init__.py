@@ -7,7 +7,7 @@ from .floquet import FloquetOperator, KickParams, floquet_operator, unitarity_de
 from .localization import (LocalizationResult, SphereGrid, angular_distance, coe_baseline,
                            husimi_peak, probe_columns, sphere_averaged_s2, sphere_grid)
 from .meanfield import (BoundStatePrediction, allowed_kappa_x, bound_state_predictions,
-                        predicted_count, topological_count_estimate)
+                        topological_count_estimate)
 from .spectral import (BoundStateRecord, QuasiSpectrum, R_COE, R_CUE, R_POISSON,
                        chiral_expectation, detect_bound_states,
                        mean_spacing_ratio, parity_resolved_r, quasi_spectrum,

@@ -6,12 +6,15 @@ stages.  Kick strengths are accepted raw or as multiples of pi with a
 optionally prefixed ("pi:13:pi:20").  Non-finite kick strengths, ratios
 and --delta are rejected as they are parsed, and so are malformed or
 negative kick strengths, products and --delta, a --steps or --grid
-below 1, a --tol-bound that is not positive and finite and an --nx
-element that is not an integer, naming the option and the text given
-(entropy also rejects a product of 0).  CSV and JSON outputs embed the
-full run configuration and a schema tag; records are ordered by grid
-index no matter how many workers run, so identical configurations give
-identical files.
+below 1, a --ratio or --tol-bound that is not positive and finite, and
+on dynamics a --ky that is not positive, a --z0 outside (-1, 1) and an
+--nx element or --n-max that is not an integer of at least 1, naming
+the option and the text given (entropy also rejects a product of 0).
+--delta, --ratio, --tol-bound and the four dynamics options are checked
+by their argparse types (_option_type), the others by their command.
+CSV and JSON outputs embed the full run configuration and a schema tag;
+records are ordered by grid index no matter how many workers run, so
+identical configurations give identical files.
 
 Each subcommand registers only the options it reads: --workers on the
 five sweeps, --delta on every command that builds an operator, and
@@ -112,12 +115,30 @@ def parse_range(text: str, name: str = "kick strength", option: str = "") -> tup
     return lo, hi
 
 
-def non_negative_float(text: str) -> float:
-    """The argparse type of --delta: a finite, non-negative number."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
-    return value
+def _option_type(convert: Callable, rule: str, valid: Callable,
+                 keep_text: bool = False) -> Callable[[str], object]:
+    """An argparse type: the value convert(text) where convert succeeds and
+    valid holds for it; with keep_text the text itself, so that the config
+    header records it as given.  Otherwise argparse exits 2, naming the
+    option, the rule and the text given."""
+    def parse(text: str):
+        try:
+            if valid(value := convert(text)):
+                return text if keep_text else value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    return parse
+
+
+non_negative_float = _option_type(float, "finite and non-negative", lambda v: 0 <= v < math.inf)
+positive_float = _option_type(float, "positive and finite", lambda v: 0 < v < math.inf)
+
+
+def _nx_list(text: str) -> list[int]:
+    """The n_x ladder indices of an --nx text, comma-separated."""
+    return [int(tok) for tok in text.split(",")]
 
 
 def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -128,8 +149,6 @@ def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
 
 def _split_product(product: float, ratio: float) -> tuple[float, float]:
     """Kick strengths with kappa_y / kappa_x = ratio at fixed product."""
-    if not (ratio > 0 and math.isfinite(ratio)):
-        raise ValueError(f"--ratio must be positive and finite, got {ratio!r}")
     kappa_x = math.sqrt(product / ratio)
     kappa_y = kappa_x * ratio
     if not (math.isfinite(kappa_x) and math.isfinite(kappa_y)):
@@ -238,8 +257,6 @@ def cmd_rgrid(args) -> Callable[[], str]:
 
 def cmd_rcurve(args) -> Callable[[], str]:
     _check_ratio_levels(args.two_j)
-    if not 0 < args.tol_bound < math.inf:
-        raise ValueError(f"--tol-bound must be positive and finite, got {args.tol_bound!r}")
 
     def row(op) -> list:
         eps = sector_eigenphases(op)
@@ -277,12 +294,7 @@ def cmd_entropy(args) -> Callable[[], str]:
 
 def cmd_dynamics(args) -> Callable[[], str]:
     two_j = validate_two_j(args.two_j)
-    kappa_y = parse_kappa(args.ky, "kappa_y", "--ky")
-    try:
-        n_x_list = [int(tok) for tok in args.nx.split(",")]
-    except ValueError:
-        raise ValueError(f"--nx takes comma-separated integers, got "
-                         f"{_given(args.nx, '--nx')}") from None
+    kappa_y, n_x_list = parse_kappa(args.ky), _nx_list(args.nx)
     scan_params(kappa_y, args.z0, n_x_list, args.n_max, args.delta, args.variant)
     pool_map = _mapper(args.workers)
 
@@ -360,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = command(name, func, help)
         p.add_argument("--kxky", required=True, help="product range lo:hi")
         p.add_argument("--steps", type=int, required=True)
-        p.add_argument("--ratio", type=float, default=1.0, help="kappa_y / kappa_x")
+        p.add_argument("--ratio", type=positive_float, default=1.0, help="kappa_y / kappa_x")
         return p
 
     # quasi-energies agree across orderings, so spectrum, rgrid and rcurve build plain
@@ -374,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(variant="plain")
 
     p = product_sweep("rcurve", cmd_rcurve, "spacing-ratio statistics along a product range")
-    p.add_argument("--tol-bound", dest="tol_bound", type=float, default=DEFAULT_BOUND_TOL,
+    p.add_argument("--tol-bound", dest="tol_bound", type=positive_float, default=DEFAULT_BOUND_TOL,
                    help="bound-state detection tolerance in radians")
     p.set_defaults(variant="plain")
 
@@ -385,10 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("dynamics", cmd_dynamics, "stroboscopic Jz series at allowed kick strengths")
     p.add_argument("--variant", choices=VARIANTS, default="plain")
-    p.add_argument("--ky", required=True, help="kappa_y (accepts pi: prefix)")
-    p.add_argument("--z0", type=float, default=0.5, help="initial <Jz>/j")
-    p.add_argument("--nx", required=True, help="comma-separated n_x ladder indices")
-    p.add_argument("--n-max", dest="n_max", type=int, default=500)
+    p.add_argument("--ky", required=True, help="kappa_y (accepts pi: prefix)",
+                   type=_option_type(parse_kappa, "a positive number or pi:<number>",
+                                     lambda v: v > 0, keep_text=True))
+    p.add_argument("--z0", type=_option_type(float, "inside (-1, 1)", lambda v: abs(v) < 1),
+                   default=0.5, help="initial <Jz>/j")
+    p.add_argument("--nx", required=True, help="comma-separated n_x ladder indices",
+                   type=_option_type(_nx_list, "comma-separated integers of at least 1",
+                                     lambda n_x: min(n_x) >= 1, keep_text=True))
+    p.add_argument("--n-max", dest="n_max", default=500,
+                   type=_option_type(int, "an integer of at least 1", lambda n: n >= 1))
 
     p = command("symcheck", cmd_symcheck, "symmetry-relation residuals at one point",
                 workers=False)

@@ -84,31 +84,20 @@ class LocalizationResult:
     baseline: float
 
 
-def _coherent_columns(two_j: int, tops: np.ndarray, phi_nodes: np.ndarray) -> np.ndarray:
-    """The coherent states of the tops (spin.coherent_tops) at every
-    azimuth of phi_nodes, as (2j+1, n_z * n_phi) columns ordered z-major."""
-    phases = np.exp(-1j * np.outer(m_values(two_j), phi_nodes))
-    return (phases[:, None, :] * tops[:, :, None]).reshape(len(phases), -1)
-
-
 @dataclass(frozen=True)
 class ProbeColumns:
     """The probe states of one parity sector at the nodes of `grid`:
     rows[k, i] is row k = j + m of the coherent top at z node i over
-    sqrt(2), zero-padded to a multiple of n_phi, and `columns` the states,
-    theta-major.  For an even n_phi, mirror[k] is the node (pi - theta,
-    phi + pi) of node k: G J conj(columns[:, k]) is a unit phase times
-    columns[:, mirror[k]].  None for an odd n_phi, whose grid is not
-    closed under that map."""
+    sqrt(2), zero-padded to a multiple of n_phi; the probe at node (i, l),
+    theta-major, is row k times exp(-i m phi_l).  For an even n_phi,
+    mirror[k] is the node (pi - theta, phi + pi) of node k: G J conj maps
+    the probe at node k to a unit phase times the probe at mirror[k].
+    None for an odd n_phi, whose grid is not closed under that map."""
 
     two_j: int
     grid: SphereGrid
     rows: np.ndarray
     mirror: np.ndarray | None = None
-
-    @property
-    def columns(self) -> np.ndarray:
-        return _coherent_columns(self.two_j, self.rows[:self.two_j + 1], self.grid.phi_nodes)
 
 
 def probe_columns(two_j: int, grid: SphereGrid) -> ProbeColumns:
@@ -132,11 +121,10 @@ def probe_columns(two_j: int, grid: SphereGrid) -> ProbeColumns:
     return ProbeColumns(two_j=two_j, grid=grid, rows=rows, mirror=mirror)
 
 
-def sphere_averaged_s2(spectrum: QuasiSpectrum,
-                       probes: ProbeColumns | None = None) -> LocalizationResult:
+def sphere_averaged_s2(spectrum: QuasiSpectrum, probes: ProbeColumns) -> LocalizationResult:
     """Renyi entropy of the coherent probe averaged over the Bloch sphere.
 
-    probes, by default probe_columns(two_j, sphere_grid()), sets the
+    probes (probe_columns, required: a sweep builds them once) sets the
     quadrature grid.  One batched product of the probe rows with the
     eigenvectors, n_phi products of (n_theta, q) by (q, n) over the rows of
     one residue mod n_phi, q = ceil((2j+1) / n_phi), and one DFT over the
@@ -152,9 +140,7 @@ def sphere_averaged_s2(spectrum: QuasiSpectrum,
     params = spectrum.params
     if params.kappa_x == 0.0 or params.kappa_y == 0.0:
         raise ValueError("zero kick strength leaves the eigenbasis degenerate")
-    if probes is None:
-        probes = probe_columns(spectrum.two_j, sphere_grid())
-    elif probes.two_j != spectrum.two_j:
+    if probes.two_j != spectrum.two_j:
         raise ValueError(f"probe columns for two_j = {probes.two_j} do not match "
                          f"a spectrum of two_j = {spectrum.two_j}")
     dim = spectrum.dim
@@ -197,8 +183,11 @@ def sphere_averaged_s2(spectrum: QuasiSpectrum,
 
 def _husimi_values(state: np.ndarray, two_j: int,
                    z_list: np.ndarray, phi_list: np.ndarray) -> np.ndarray:
-    """Spin-summed coherent-state overlap on the outer grid z_list x phi_list."""
-    cols = _coherent_columns(two_j, coherent_tops(two_j, np.arccos(z_list)), phi_list).conj().T
+    """Spin-summed coherent-state overlap on the outer grid z_list x phi_list,
+    from the coherent tops (spin.coherent_tops) at every azimuth, z-major."""
+    tops = coherent_tops(two_j, np.arccos(z_list))
+    phases = np.exp(-1j * np.outer(m_values(two_j), phi_list))
+    cols = (phases[:, None, :] * tops[:, :, None]).reshape(len(phases), -1).conj().T
     values = np.abs(cols @ state[0::2]) ** 2 + np.abs(cols @ state[1::2]) ** 2
     return values.reshape(z_list.size, phi_list.size)
 

@@ -91,11 +91,6 @@ def bound_state_predictions(kappa_x: float, kappa_y: float) -> list[BoundStatePr
     return records
 
 
-def predicted_count(kappa_x: float, kappa_y: float) -> int:
-    """Number of distinct predicted bound states."""
-    return len(bound_state_predictions(kappa_x, kappa_y))
-
-
 def topological_count_estimate(kappa_x: float, kappa_y: float) -> float:
     """Closed-form estimate 2 kappa_x kappa_y / pi, accurate for large kicks."""
     return 2.0 * kappa_x * kappa_y / math.pi

@@ -1,4 +1,4 @@
-"""Spin-j ladder elements, rotations about y, and spin coherent states.
+"""Spin-j ladder elements, the Jx eigensystem, and spin coherent states.
 
 Basis conventions used throughout the package:
 
@@ -10,11 +10,11 @@ Basis conventions used throughout the package:
 * spins are specified by the integer two_j = 2j, so integer and
   half-integer j share one code path.
 
-No angular momentum matrix is built here.  Rotations about y and coherent
+No angular momentum matrix and no rotation is built here.  Coherent
 states come from one cached eigensystem per two_j of the real
-tridiagonal Jx, through the exact gauge Jy = G Jx G^dag with
-G = diag((-i)^k), k = j + m.  floquet builds each parity sector's kicks
-on both axes from the same eigensystem, and symmetry builds the coupled
+tridiagonal Jx, whose eigenvectors are those of Jy up to the phase
+(-i)^k of row k = j + m.  floquet builds each parity sector's kicks on
+both axes from the same eigensystem, and symmetry builds the coupled
 kick generators that it checks parity against from the ladder elements.
 The eigensystem is solved once per two_j by numpy's dense symmetric eigh
 of the tridiagonal matrix (_tridiagonal_eigh), which keeps the package
@@ -27,10 +27,6 @@ imports nothing from the package.
 import functools
 
 import numpy as np
-
-# (-i)^k for k mod 4, exact; (-1j) ** k is off by up to 8e-14 for k <= 401
-_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
-
 
 def validate_two_j(two_j):
     if not isinstance(two_j, (int, np.integer)) or two_j < 1:
@@ -77,18 +73,6 @@ def jx_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     evals.setflags(write=False)
     evecs.setflags(write=False)
     return evals, evecs
-
-
-def _y_gauge(two_j: int) -> np.ndarray:
-    """Diagonal of G = diag((-i)^k), k = j + m, with Jy = G Jx G^dag exactly."""
-    return _MINUS_I_POWERS[np.arange(dim_top(two_j)) % 4]
-
-
-def rotation_about_y(two_j: int, angle: float) -> np.ndarray:
-    """exp(-i * angle * Jy) on the top space."""
-    evals, evecs = jx_eigensystem(two_j)
-    g = _y_gauge(two_j)
-    return (g[:, None] * evecs * np.exp(-1j * angle * evals)) @ (evecs.T * g.conj())
 
 
 def coherent_state(two_j: int, theta: float, phi: float) -> np.ndarray:

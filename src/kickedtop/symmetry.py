@@ -13,6 +13,11 @@ one-period unitary, K is complex conjugation):
 * part.-hole  P  = exp(-i (pi/2) sigma_z) K;  P U~* P^-1 = U~
 * chiral      G  = sigma_z;                G U~ G^-1 = U~^-1
 
+exp(-i pi Jy) is the signed reversal |j, m> -> (-1)^(j-m) |j, -m> (the
+Wigner d^j at pi) and exp(-i pi sigma_y/2) the spin turn
+|up> -> |down>, |down> -> -|up>, so the unitary part of T2 is their
+Kronecker product, with every entry exactly 0 or +-1.
+
 Parity is diagonal in the product basis, so its eigenvalue pattern
 splits the coupled space into two sectors of dimension 2j+1 each; every
 kick operator is block-diagonal across that split.
@@ -38,7 +43,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .spin import dim_top, ladder_elements, rotation_about_y, validate_two_j
+from .spin import dim_top, ladder_elements, validate_two_j
 
 KINDS = ("parity", "time_reversal_1", "time_reversal_2", "particle_hole", "chiral")
 
@@ -77,8 +82,8 @@ def symmetry_operator(kind: str, two_j: int) -> tuple[np.ndarray, bool]:
     elif kind == "time_reversal_1":
         mat = np.eye(2 * d, dtype=complex)
     elif kind == "time_reversal_2":
-        spin_half_turn = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-        mat = np.kron(rotation_about_y(two_j, np.pi), spin_half_turn)
+        signed_reversal = np.diag((-1.0) ** np.arange(d))[:, ::-1]
+        mat = np.kron(signed_reversal, [[0.0, -1.0], [1.0, 0.0]]).astype(complex)
     elif kind == "particle_hole":
         mat = np.kron(np.eye(d), np.diag([-1.0j, 1.0j]))
     elif kind == "chiral":

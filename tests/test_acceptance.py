@@ -17,8 +17,7 @@ from kickedtop.dynamics import dynamical_scan
 from kickedtop.floquet import KickParams, floquet_operator
 from kickedtop.localization import (angular_distance, coe_baseline, husimi_peak,
                                     probe_columns, sphere_averaged_s2, sphere_grid)
-from kickedtop.meanfield import (bound_state_predictions, predicted_count,
-                                 topological_count_estimate)
+from kickedtop.meanfield import bound_state_predictions, topological_count_estimate
 from kickedtop.spectral import (R_COE, R_CUE, detect_bound_states, mean_spacing_ratio,
                                 parity_resolved_r, quasi_spectrum, sector_eigenphases)
 from kickedtop.symmetry import verify_symmetries
@@ -212,10 +211,10 @@ def test_criterion_7_bound_state_cross_check():
 
 def test_criterion_8_counting_law():
     est_10 = topological_count_estimate(10.0, 10.0)
-    enum_10 = predicted_count(10.0, 10.0)
+    enum_10 = len(bound_state_predictions(10.0, 10.0))
     err_10 = abs(est_10 - enum_10) / enum_10
     est_30 = topological_count_estimate(30.0, 30.0)
-    enum_30 = predicted_count(30.0, 30.0)
+    enum_30 = len(bound_state_predictions(30.0, 30.0))
     err_30 = abs(est_30 - enum_30) / enum_30
 
     two_j = 100
@@ -223,7 +222,7 @@ def test_criterion_8_counting_law():
     spectrum = quasi_spectrum(
         floquet_operator(KickParams(kappa, kappa, variant="sym1"), two_j))
     detected = len(detect_bound_states(spectrum, tol=0.05))
-    enum_5 = predicted_count(kappa, kappa)
+    enum_5 = len(bound_state_predictions(kappa, kappa))
     factor_ok = enum_5 / 2.0 <= detected <= 2.0 * enum_5
 
     ok = err_10 <= 0.15 and err_30 <= 0.05 and factor_ok

@@ -111,17 +111,20 @@ def test_unwritable_out_fails_before_any_operator_is_built(tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("argv, named", [
-    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--z0", 1.5), ("z0", "1.5")),
-    (("dynamics", "--two-j", 10, "--ky", "0", "--nx", "1"), ("kappa_y",)),
-    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1,0"), ("n_x",)),
-    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--n-max", 0), ("n_max",)),
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--z0", 1.5),
+     ("argument --z0:", "'1.5'")),
+    (("dynamics", "--two-j", 10, "--ky", "0", "--nx", "1"), ("argument --ky:", "'0'")),
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1,0"), ("argument --nx:", "'1,0'")),
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--n-max", 0),
+     ("argument --n-max:", "'0'")),
     (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1", "--variant", "sym1",
       "--delta", 0.5), ("delta",)),
     (("entropy", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--variant", "sym1",
       "--delta", 0.5), ("variant 'sym1'", "delta=0.5")),
-    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "2.5"), ("--nx", "'2.5'")),
-    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1,,2"), ("--nx='1,,2'",)),
-    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "2,"), ("--nx='2,'",)),
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "2.5"), ("argument --nx:", "'2.5'")),
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "1,,2"),
+     ("argument --nx:", "'1,,2'")),
+    (("dynamics", "--two-j", 10, "--ky", "pi:2", "--nx", "2,"), ("argument --nx:", "'2,'")),
     (("rcurve", "--two-j", 1, "--kxky", "1:4", "--steps", 2), ("two_j",)),
     (("rgrid", "--two-j", 1, "--kx", "1:2", "--ky", "1:2", "--steps", 1), ("two_j",)),
 ], ids=["dynamics-z0", "dynamics-ky", "dynamics-nx", "dynamics-n-max",
@@ -138,13 +141,22 @@ def test_config_error_builds_nothing_and_keeps_an_existing_out(tmp_path, capsys,
     out.write_text("earlier results\n")
     assert run_cli(*argv, "--out", out) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
     assert all(text in err for text in named)      # the message names the input
     assert builds == []
     assert out.read_text() == "earlier results\n"
-    args = build_parser().parse_args([str(a) for a in argv])
-    with pytest.raises(ValueError):
-        args.func(args)     # the command rejects its options before it returns a job
+    argv = [str(a) for a in argv]
+    if named[0].startswith("argument "):
+        # the option's argparse type refuses it: argparse prints the usage, then
+        # the error naming the option, and exits 2 before any command runs
+        assert err.splitlines()[-1].startswith(f"kickedtop {argv[0]}: error: {named[0]} must be ")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+    else:
+        assert err.startswith("error: ")
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ValueError):
+            args.func(args)     # the command rejects its options before it returns a job
 
 
 _DELTA_COMMANDS = {
@@ -171,11 +183,17 @@ _DELTA_COMMANDS = {
     (("rgrid", "--kx", "x", "--ky", "1:2", "--steps", 2), "--kx", "'x'"),
     (("rcurve", "--kxky", "1:4", "--steps", -3), "--steps", "--steps=-3"),
     (("entropy", "--kxky", "1:4", "--steps", 2, "--grid", 0), "--grid", "--grid=0"),
+    (("rcurve", "--kxky", "1:4", "--steps", 2, "--ratio", "1e999"), "--ratio", "'1e999'"),
+    (("rcurve", "--kxky", "1:4", "--steps", 2, "--tol-bound=-1e999"), "--tol-bound",
+     "'-1e999'"),
+    (("dynamics", "--ky", "pi:2", "--nx", "1", "--z0", "nan"), "--z0", "'nan'"),
+    (("dynamics", "--ky", "pi:2", "--nx", "0"), "--nx", "'0'"),
 ] + [((name, *rest, "--delta", "-1"), "--delta", "'-1'")
      for name, rest in _DELTA_COMMANDS.items()],
     ids=["rgrid-kx", "rgrid-ky", "symcheck-kx", "symcheck-ky", "entropy-kxky", "dynamics-ky",
          "rgrid-delta-inf", "dynamics-ky-malformed", "symcheck-kx-malformed",
-         "rcurve-kxky-malformed", "rgrid-kx-one-component", "rcurve-steps", "entropy-grid"]
+         "rcurve-kxky-malformed", "rgrid-kx-one-component", "rcurve-steps", "entropy-grid",
+         "rcurve-ratio-overflow", "rcurve-tol-bound-overflow", "dynamics-z0-nan", "dynamics-nx-0"]
     + [f"{name}-delta" for name in _DELTA_COMMANDS])
 def test_negative_option_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, option, text):
     builds = []
@@ -270,16 +288,17 @@ def test_non_finite_kick_parameter_is_config_error(tmp_path, capsys, argv, field
 
 
 @pytest.mark.parametrize("argv, name, text", [
-    (("dynamics", "--two-j", 10, "--ky", "nan", "--nx", "1", "--n-max", 5), "kappa_y",
-     "--ky='nan'"),
+    (("dynamics", "--two-j", 10, "--ky", "nan", "--nx", "1", "--n-max", 5), "argument --ky:",
+     "'nan'"),
     (("rcurve", "--two-j", 10, "--kxky", "1:inf", "--steps", 3), "kxky", "--kxky='1:inf'"),
     (("rgrid", "--two-j", 10, "--kx", "1:pi:inf", "--ky", "1:2", "--steps", 2),
      "kappa_x", "--kx='1:pi:inf'"),
-    (("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--ratio", "nan"), "--ratio", "nan"),
-    (("spectrum", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--ratio", "inf"), "--ratio",
-     "inf"),
+    (("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--ratio", "nan"),
+     "argument --ratio:", "'nan'"),
+    (("spectrum", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--ratio", "inf"),
+     "argument --ratio:", "'inf'"),
     (("rcurve", "--two-j", 10, "--kxky", "1:4", "--steps", 2, "--tol-bound", "nan"),
-     "--tol-bound", "nan"),
+     "argument --tol-bound:", "'nan'"),
     # the ids the cases had when the message quoted only the non-finite component
 ], ids=["argv0-kappa_y-'nan'", "argv1-kxky-'inf'", "argv2-kappa_x-'pi:inf'", "argv3---ratio-nan",
         "argv4---ratio-inf", "argv5---tol-bound-nan"])
@@ -287,7 +306,9 @@ def test_non_finite_option_text_is_config_error(tmp_path, capsys, recwarn, argv,
     out = tmp_path / "out.csv"
     assert run_cli(*argv, "--out", out) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {name} must be") and text in err
+    # an option that its argparse type refuses is reported after the usage line
+    prefix = f"kickedtop {argv[0]}: " if name.startswith("argument ") else ""
+    assert err.splitlines()[-1].startswith(f"{prefix}error: {name} must be") and text in err
     assert "Warning" not in err and len(recwarn) == 0
     assert not out.exists()
 

@@ -22,7 +22,6 @@ CODE_LINE_CAP = 1295
 # that these test modules compare against
 ORACLES = {
     "angular_distance": "test_localization",
-    "predicted_count": "test_meanfield",
     "topological_count_estimate": "test_meanfield",
 }
 

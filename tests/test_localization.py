@@ -58,33 +58,35 @@ def test_sphere_average_rejects_degenerate_operator():
     for kx, ky in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
         spectrum = quasi_spectrum(floquet_operator(KickParams(kx, ky), 10))
         with pytest.raises(ValueError):
-            sphere_averaged_s2(spectrum)
-        with pytest.raises(ValueError):
             sphere_averaged_s2(spectrum, probe_columns(10, grid))
 
 
 def test_sphere_average_bounds_and_reuse():
     op = floquet_operator(KickParams(1.5, 2.5, variant="sym1"), 20)
     spectrum = quasi_spectrum(op)
-    result = sphere_averaged_s2(spectrum)
+    probes = probe_columns(20, sphere_grid())
+    result = sphere_averaged_s2(spectrum, probes)
     assert np.all(result.s2_nodes >= 0.0)
     assert np.all(result.s2_nodes <= 1.0)
     assert 0.0 <= result.s2_mean <= 1.0
     assert result.baseline == pytest.approx(coe_baseline(42))
-    probes = probe_columns(20, sphere_grid())
     again = sphere_averaged_s2(spectrum, probes)
     assert again.s2_mean == pytest.approx(result.s2_mean, abs=1e-12)
 
 
 @pytest.mark.parametrize("two_j", [20, 21])
 def test_probe_mirror_maps_each_column_to_its_mirrored_node(two_j):
-    # G J conj(c(theta, phi)) is a unit phase times c(pi - theta, phi + pi)
+    # G J conj(c(theta, phi)) is a unit phase times c(pi - theta, phi + pi),
+    # with the coherent tops c at the grid's nodes from the dense oracle
     for n_phi in (2, 4, 6, 32):
-        probes = probe_columns(two_j, sphere_grid(n_phi + 1, n_phi))
-        assert np.array_equal(np.sort(probes.mirror), np.arange(probes.columns.shape[1]))
-        mirrored = np.conj(probes.columns[::-1])
+        grid = sphere_grid(n_phi + 1, n_phi)
+        probes = probe_columns(two_j, grid)
+        columns = dense_oracle.coherent_probes(two_j, np.arccos(grid.z_nodes),
+                                               grid.phi_nodes, spin=[1.0]).T
+        assert np.array_equal(np.sort(probes.mirror), np.arange(columns.shape[1]))
+        mirrored = np.conj(columns[::-1])
         mirrored[1::2] *= -1.0
-        target = probes.columns[:, probes.mirror]
+        target = columns[:, probes.mirror]
         phase = (np.einsum("ij,ij->j", target.conj(), mirrored)
                  / np.einsum("ij,ij->j", target.conj(), target))
         assert np.abs(np.abs(phase) - 1.0).max() < 1e-14
@@ -113,7 +115,14 @@ def test_sector_probe_rows_match_coupled_space_probes(two_j):
         for grid in (sphere_grid(4, 5), sphere_grid(4, 6), sphere_grid(1, 1),
                      sphere_grid(3, 32)):
             probes = probe_columns(two_j, grid)
-            assert probes.columns.shape == (two_j + 1, grid.weights.size)
+            # the rows are the oracle's coherent tops over sqrt(2), zero-padded
+            # to a multiple of n_phi
+            tops = dense_oracle.coherent_probes(two_j, np.arccos(grid.z_nodes), [0.0],
+                                                spin=[np.sqrt(0.5)]).T
+            assert probes.rows.shape == (-(-(two_j + 1) // grid.shape[1]) * grid.shape[1],
+                                         grid.shape[0])
+            assert np.abs(probes.rows[:two_j + 1] - tops).max() < 1e-13
+            assert not probes.rows[two_j + 1:].any()
             result = sphere_averaged_s2(spectrum, probes)
             dense = dense_oracle.coherent_probes(two_j, np.arccos(grid.z_nodes), grid.phi_nodes)
             expected = dense_oracle.s2(basis, dense).reshape(grid.shape)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dense_oracle import SIGMA, probe, spin_matrices
+from dense_oracle import SIGMA, coherent_probes, probe, spin_matrices
 from kickedtop.spin import (coherent_state, coherent_tops, dim_top, jx_eigensystem,
-                            ladder_elements, m_values, product_state, rotation_about_y)
+                            ladder_elements, m_values, product_state)
 
 
 def expectation(op, psi):
@@ -131,14 +131,14 @@ def test_coherent_known_points():
 @pytest.mark.parametrize("two_j", [1, 2, 7, 64, 65, 400])
 def test_coherent_tops_match_coherent_states(two_j):
     # real Wigner-d columns from one product, at the poles and 32 Gauss-Legendre
-    # nodes, against the last column of the dense rotation exp(-i theta Jy)
+    # nodes, against the last column of the oracle's rotation exp(-i theta Jy)
     z_nodes = np.polynomial.legendre.leggauss(32)[0]
     thetas = np.concatenate([[0.0, np.pi], np.arccos(z_nodes)])
     tops = coherent_tops(two_j, thetas)
     assert tops.dtype == float and tops.shape == (two_j + 1, thetas.size)
     states = np.stack([coherent_state(two_j, theta, 0.0) for theta in thetas], axis=1)
     assert np.abs(tops - states).max() < 1e-13
-    rotated = np.stack([rotation_about_y(two_j, theta)[:, -1] for theta in thetas], axis=1)
+    rotated = coherent_probes(two_j, thetas, [0.0], spin=[1.0]).T
     assert np.abs(tops - rotated).max() < 1e-13
 
 
@@ -182,8 +182,8 @@ def test_product_state_interleaving():
 
 
 def test_construction_deterministic():
-    a = rotation_about_y(9, 0.7)
-    b = rotation_about_y(9, 0.7)
+    a = coherent_tops(9, [0.7, 2.3])
+    b = coherent_tops(9, [0.7, 2.3])
     assert np.array_equal(a, b)
     c1 = coherent_state(9, 0.7, 1.1)
     c2 = coherent_state(9, 0.7, 1.1)

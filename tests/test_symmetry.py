@@ -40,12 +40,29 @@ def test_parity_squares_to_identity(two_j):
     assert np.abs(mat @ mat - np.eye(mat.shape[0])).max() < 1e-12
 
 
+T2_SIZES = [1, 2, 6, 7, 40, 41]
+
+
 def test_time_reversal_2_matches_expm_oracle():
-    two_j = 6
-    oracle = scipy.linalg.expm(-1j * np.pi * _half_spin_generator(two_j, "y"))
-    mat, anti = symmetry_operator("time_reversal_2", two_j)
-    assert anti
-    assert np.abs(mat - oracle).max() < 1e-12
+    # exp(-i pi (Jy + sigma_y/2)) is a signed reversal: every entry is exactly 0 or +-1
+    for two_j in T2_SIZES:
+        oracle = scipy.linalg.expm(-1j * np.pi * _half_spin_generator(two_j, "y"))
+        mat, anti = symmetry_operator("time_reversal_2", two_j)
+        assert anti
+        assert np.abs(mat - oracle).max() < 1e-12
+        assert np.isin(mat, [0.0, 1.0, -1.0]).all()
+        assert (np.abs(mat) == 1.0).sum() == mat.shape[0]
+
+
+@pytest.mark.parametrize("two_j", T2_SIZES)
+@pytest.mark.parametrize("variant, delta", [("plain", 0.0), ("sym1", 0.0), ("sym2", 0.0),
+                                            ("plain", 0.5)],
+                         ids=["plain", "sym1", "sym2", "plain-delta"])
+def test_t2_parity_residual_is_an_exact_zero(two_j, variant, delta):
+    # T2 and parity have entries 0 and +-1 only, so T2 Pi T2^-1 = (-1)^(2j+1) Pi
+    # holds with no rounding
+    params = KickParams(1.3, 2.1, delta=delta, variant=variant)
+    assert verify_symmetries(floquet_operator(params, two_j)).residuals["t2_parity"] == 0.0
 
 
 @pytest.mark.parametrize("two_j", [6, 7, 40, 41])
